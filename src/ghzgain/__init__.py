@@ -37,7 +37,6 @@ from .gain import (
 )
 from .opttime import (
     OptimalTime,
-    TimingConfig,
     optimal_sensing_time,
     stationarity_residual,
     tau_opt_isolated,

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the input check
+that every overhead passes through.
 
 The CLI maps these onto process exit codes: validation/domain problems
 exit with 2, infeasible timing with 3, solver failures with 4.
 """
+
+import math
 
 
 class GhzGainError(Exception):
@@ -57,3 +60,14 @@ class NoThresholdError(SolverError):
     def __init__(self, message, side=None):
         super().__init__(message)
         self.side = side
+
+
+def check_finite_nonnegative(value: float, what: str, error: type = DomainError) -> None:
+    """Raise ``error`` unless ``value`` is a finite number >= 0.
+
+    The one guard for overhead times and overhead ratios: a plain
+    ``value < 0.0`` test lets NaN through, which then surfaces as
+    ``r = nan`` on a row or a printout marked as a valid result.
+    """
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise error(f"{what} must be finite and non-negative, got {value!r}")

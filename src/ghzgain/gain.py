@@ -26,8 +26,13 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .bath import BathKind, BathModel, coherence_time
-from .errors import DomainError, InfeasibleTimingError, NoThresholdError
-from .opttime import optimal_sensing_time
+from .errors import (
+    DomainError,
+    InfeasibleTimingError,
+    NoThresholdError,
+    check_finite_nonnegative,
+)
+from .opttime import OptimalTime, optimal_sensing_time
 from .qfi import ProbeKind, qfi_ghz, qfi_separable
 
 __all__ = [
@@ -79,8 +84,7 @@ class ScalingLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ScalingKind(self.kind))
-        if self.base < 0.0:
-            raise DomainError(f"scaling base must be non-negative, got {self.base!r}")
+        check_finite_nonnegative(self.base, "scaling base")
 
 
 class MonotonicityViolation(NamedTuple):
@@ -104,10 +108,18 @@ def gain(model: BathModel, n: int, tau_tilde_sep: float, tau_tilde_ent: float) -
     two information rates.
     """
     _check_n(n)
-    if tau_tilde_sep < 0.0 or tau_tilde_ent < 0.0:
-        raise DomainError("overhead times must be non-negative")
+    check_finite_nonnegative(tau_tilde_sep, "separable overhead time")
+    check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
     sep = optimal_sensing_time(model, tau_tilde_sep, 1)
     ent = optimal_sensing_time(model, tau_tilde_ent, n)
+    return _gain_from_optima(model, n, tau_tilde_sep, tau_tilde_ent, sep, ent)
+
+
+def _gain_from_optima(model: BathModel, n: int, tau_tilde_sep: float,
+                      tau_tilde_ent: float, sep: OptimalTime,
+                      ent: OptimalTime) -> GainResult:
+    """Assemble the gain from the separable (n_eff = 1) and GHZ (n_eff = n)
+    optima, which the caller has located for these validated inputs."""
     f_sep = qfi_separable(n, sep.tau_opt, model)
     f_ent = qfi_ghz(n, ent.tau_opt, model)
     round_sep = tau_tilde_sep + sep.tau_opt
@@ -124,8 +136,7 @@ def gain_isolated(n: int, x_sep: float, x_ent: float) -> float:
     """
     _check_n(n)
     for name, x in (("x_sep", x_sep), ("x_ent", x_ent)):
-        if x < 0.0:
-            raise DomainError(f"{name} must be non-negative, got {x!r}")
+        check_finite_nonnegative(x, name)
         if x >= 1.0:
             raise InfeasibleTimingError(
                 f"{name} = {x!r} consumes the whole coherence time"
@@ -144,8 +155,7 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
     bisection.
     """
     _check_n(n)
-    if tau_tilde_sep < 0.0:
-        raise DomainError("overhead time must be non-negative")
+    check_finite_nonnegative(tau_tilde_sep, "overhead time")
     if model.kind is BathKind.ISOLATED:
         t_c = coherence_time(model)
         x_sep = tau_tilde_sep / t_c
@@ -259,8 +269,7 @@ def n_cutoff(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
     the end of the scanned range, i.e. no cutoff was found)."""
     if n_search_max < 2:
         raise DomainError(f"n_search_max must be >= 2, got {n_search_max!r}")
-    if tau_tilde_sep < 0.0:
-        raise DomainError("overhead time must be non-negative")
+    check_finite_nonnegative(tau_tilde_sep, "overhead time")
     last_qualifying = 0
     last_r = None
     last_n = 0
@@ -282,8 +291,7 @@ def n_max_gain(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
     """
     if n_search_max < 1:
         raise DomainError(f"n_search_max must be >= 1, got {n_search_max!r}")
-    if tau_tilde_sep < 0.0:
-        raise DomainError("overhead time must be non-negative")
+    check_finite_nonnegative(tau_tilde_sep, "overhead time")
     best_n, best_r = 0, -math.inf
     for n, r in _scan_gain(model, law, tau_tilde_sep, n_search_max):
         if r is not None and r > best_r:

@@ -38,10 +38,10 @@ from .errors import (
     DomainError,
     InfeasibleTimingError,
     UnsupportedModelError,
+    check_finite_nonnegative,
 )
 
 __all__ = [
-    "TimingConfig",
     "OptimalTime",
     "stationarity_residual",
     "tau_opt_isolated",
@@ -56,29 +56,7 @@ log = logging.getLogger(__name__)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class TimingConfig:
-    """Per-round overhead times and, optionally, the total time budget."""
-
-    tau_prep: float = 0.0
-    tau_meas: float = 0.0
-    total_time: float | None = None
-
-    def __post_init__(self):
-        if self.tau_prep < 0.0 or self.tau_meas < 0.0:
-            raise DomainError("preparation and readout times must be non-negative")
-        if self.total_time is not None and not self.total_time > self.tau_tilde:
-            raise DomainError(
-                "total time budget must exceed the per-round overhead "
-                f"({self.total_time!r} <= {self.tau_tilde!r})"
-            )
-
-    @property
-    def tau_tilde(self) -> float:
-        return self.tau_prep + self.tau_meas
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimalTime:
     """A located optimum: the time, the rate it achieves, and the
     stationarity defect there (0 by convention for boundary optima)."""
@@ -86,11 +64,6 @@ class OptimalTime:
     tau_opt: float
     objective: float
     residual: float
-
-
-def _check_overhead(tau_tilde: float) -> None:
-    if tau_tilde < 0.0:
-        raise DomainError(f"overhead time must be non-negative, got {tau_tilde!r}")
 
 
 def _check_n_eff(n_eff: int) -> None:
@@ -125,7 +98,7 @@ def tau_opt_isolated(t_c: float, tau_tilde: float) -> OptimalTime:
     Without dephasing the rate grows with tau, so the whole round is
     capped at the coherence time and sensing takes what overhead leaves.
     """
-    _check_overhead(tau_tilde)
+    check_finite_nonnegative(tau_tilde, "overhead time")
     if not t_c > 0.0:
         raise DomainError(f"coherence time must be positive, got {t_c!r}")
     if tau_tilde >= t_c:
@@ -146,7 +119,7 @@ def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     """
     if not gamma > 0.0:
         raise DomainError(f"dephasing rate must be positive, got {gamma!r}")
-    _check_overhead(tau_tilde)
+    check_finite_nonnegative(tau_tilde, "overhead time")
     _check_n_eff(n_eff)
     # positive root of tau^2 + (tau_tilde - h) tau - 2 h tau_tilde with
     # h = 1/(2 n_eff gamma), evaluated without subtractive cancellation
@@ -200,7 +173,7 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     """
     if not eta > 0.0:
         raise DomainError(f"decay coefficient must be positive, got {eta!r}")
-    _check_overhead(tau_tilde)
+    check_finite_nonnegative(tau_tilde, "overhead time")
     _check_n_eff(n_eff)
     scale = math.sqrt(n_eff * eta)
     candidates = [t / scale for t in _cubic_candidates(tau_tilde * scale)]
@@ -244,7 +217,7 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int, tol: float =
         )
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    _check_overhead(tau_tilde)
+    check_finite_nonnegative(tau_tilde, "overhead time")
     _check_n_eff(n_eff)
 
     def log_rate(t: float) -> float:

@@ -4,17 +4,27 @@ The gain depends on three variables: the two overhead ratios
 x_ent = tau_tilde_ent/t_c and x_sep = tau_tilde_sep/t_c, and the particle
 number n.  A sweep fixes one (or two) of them and grids the rest.  Output
 is a deterministic table: same config, byte-identical file.
+
+Each distinct optimum is solved once per sweep.  The separable optimum
+depends only on x_sep and the GHZ optimum only on (x_ent, n), so a grid
+over x_sep and x_ent needs one solve per axis value rather than two per
+point.  The solves are kept for the duration of ``run_sweep`` only: its
+memory grows with the number of distinct (x_ent, n) pairs, and the rows
+and output bytes are the same as solving every point afresh.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .bath import BathModel, coherence_time
-from .errors import InfeasibleTimingError, ValidationError
-from .gain import gain
+from .errors import InfeasibleTimingError, ValidationError, check_finite_nonnegative
+from .gain import _gain_from_optima
+from .opttime import optimal_sensing_time
 
 __all__ = [
     "AXIS_NAMES",
@@ -34,6 +44,10 @@ __all__ = [
 AXIS_NAMES = ("x_ent", "x_sep", "n")
 CSV_COLUMNS = ("x_ent", "x_sep", "n", "r", "tau_opt_sep", "tau_opt_ent",
                "f_sep", "f_ent", "feasible")
+# One row per %-format; "%#.12g" is format_sig's rendering, and infeasible
+# rows leave their five value cells empty.
+_CSV_FEASIBLE_ROW = "%#.12g,%#.12g,%d,%#.12g,%#.12g,%#.12g,%#.12g,%#.12g,true"
+_CSV_INFEASIBLE_ROW = "%#.12g,%#.12g,%d,,,,,,false"
 
 
 def format_sig(value: float) -> str:
@@ -56,6 +70,8 @@ class AxisSpec:
             raise ValidationError(
                 f"unknown axis {self.name!r} (expected one of: {', '.join(AXIS_NAMES)})"
             )
+        for label, bound in (("min", self.minimum), ("max", self.maximum)):
+            check_finite_nonnegative(bound, f"axis '{self.name}': {label}", ValidationError)
         if self.points < 2:
             raise ValidationError(f"axis '{self.name}': points must be >= 2")
         if not self.maximum > self.minimum:
@@ -66,8 +82,6 @@ class AxisSpec:
             )
         if self.spacing == "log" and not self.minimum > 0.0:
             raise ValidationError(f"axis '{self.name}': log spacing needs min > 0")
-        if self.minimum < 0.0:
-            raise ValidationError(f"axis '{self.name}': values must be non-negative")
         if self.name == "n" and self.minimum < 1.0:
             raise ValidationError("axis 'n': particle counts start at 1")
 
@@ -109,18 +123,16 @@ class SweepConfig:
         for name, value in self.fixed.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValidationError(f"fixed.{name} must be a number")
-            if name == "n":
-                if int(value) != value or value < 1:
-                    raise ValidationError("fixed.n must be a positive integer")
-            elif value < 0.0:
-                raise ValidationError(f"fixed.{name} must be non-negative")
+            check_finite_nonnegative(value, f"fixed.{name}", ValidationError)
+            if name == "n" and (int(value) != value or value < 1):
+                raise ValidationError("fixed.n must be a positive integer")
         if self.output_format not in ("csv", "json"):
             raise ValidationError("output.format must be 'csv' or 'json'")
         if not self.output_path:
             raise ValidationError("output.path must be a non-empty string")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One grid point; the value fields are None when infeasible."""
 
@@ -147,7 +159,7 @@ def _axis_from_dict(name: str, data: dict) -> AxisSpec:
         if not isinstance(data[field], (int, float)) or isinstance(data[field], bool):
             raise ValidationError(f"axes.{name}.{field} must be a number")
     points = data["points"]
-    if int(points) != points:
+    if not float(points).is_integer():
         raise ValidationError(f"axes.{name}.points must be an integer")
     return AxisSpec(
         name=name,
@@ -199,58 +211,69 @@ def load_config(path: str) -> SweepConfig:
     return config_from_dict(data)
 
 
-def _evaluate_point(model: BathModel, t_c: float, x_ent: float, x_sep: float,
-                    n: int) -> SweepRow:
-    try:
-        result = gain(model, n, x_sep * t_c, x_ent * t_c)
-    except InfeasibleTimingError:
-        return SweepRow(x_ent, x_sep, n, None, None, None, None, None, False)
-    return SweepRow(
-        x_ent, x_sep, n,
-        result.r, result.tau_opt_sep, result.tau_opt_ent,
-        result.f_sep, result.f_ent, True,
-    )
+def _grid_points(config: SweepConfig):
+    """(x_ent, x_sep, n) of every grid point, row-major in axis order,
+    with n rounded to a positive integer."""
+    columns = {axis.name: axis.values() for axis in config.axes}
+    columns.update((name, [value]) for name, value in config.fixed.items())
+    columns["n"] = [max(1, int(round(v))) for v in columns["n"]]
+    for name in ("x_ent", "x_sep"):
+        columns[name] = [float(v) for v in columns[name]]
+    pick = operator.itemgetter(*(list(columns).index(name) for name in AXIS_NAMES))
+    return map(pick, itertools.product(*columns.values()))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate the gain on the configured grid, row-major in axis order.
 
-    Infeasible points (isolated probe with overhead >= t_c) become rows
-    with feasible=False instead of aborting the sweep.
+    Each distinct optimum is solved once and shared by every row that
+    needs it.  Infeasible points (isolated probe with overhead >= t_c)
+    become rows with feasible=False instead of aborting the sweep.
     """
-    t_c = coherence_time(config.model)
-    grids = [axis.values() for axis in config.axes]
-    if len(grids) == 1:
-        combos = [(v,) for v in grids[0]]
-    else:
-        combos = [(v0, v1) for v0 in grids[0] for v1 in grids[1]]
-    names = [axis.name for axis in config.axes]
+    model = config.model
+    t_c = coherence_time(model)
+    # (tau_tilde, n_eff) -> OptimalTime, or None where the timing is
+    # infeasible; n_eff = 1 is the separable solve, whatever n is
+    optima = {}
+
+    def optimum(tau_tilde: float, n_eff: int):
+        key = (tau_tilde, n_eff)
+        if key not in optima:
+            try:
+                optima[key] = optimal_sensing_time(model, tau_tilde, n_eff)
+            except InfeasibleTimingError:
+                optima[key] = None
+        return optima[key]
+
     rows = []
-    for combo in combos:
-        point = dict(config.fixed)
-        point.update(zip(names, combo))
-        n = max(1, int(round(point["n"])))
-        rows.append(
-            _evaluate_point(config.model, t_c, float(point["x_ent"]),
-                            float(point["x_sep"]), n)
-        )
+    for x_ent, x_sep, n in _grid_points(config):
+        tau_tilde_sep, tau_tilde_ent = x_sep * t_c, x_ent * t_c
+        # separable first, as gain() does: an infeasible separable timing
+        # decides the row without an entangled solve
+        sep = optimum(tau_tilde_sep, 1)
+        ent = None if sep is None else optimum(tau_tilde_ent, n)
+        if ent is None:
+            rows.append(SweepRow(x_ent, x_sep, n, None, None, None, None, None, False))
+            continue
+        result = _gain_from_optima(model, n, tau_tilde_sep, tau_tilde_ent, sep, ent)
+        rows.append(SweepRow(
+            x_ent, x_sep, n,
+            result.r, result.tau_opt_sep, result.tau_opt_ent,
+            result.f_sep, result.f_ent, True,
+        ))
     return rows
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return format_sig(value)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_csv_cell(getattr(row, col)) for col in CSV_COLUMNS))
+        if row.feasible:
+            lines.append(_CSV_FEASIBLE_ROW % (
+                row.x_ent, row.x_sep, row.n, row.r, row.tau_opt_sep,
+                row.tau_opt_ent, row.f_sep, row.f_ent,
+            ))
+        else:
+            lines.append(_CSV_INFEASIBLE_ROW % (row.x_ent, row.x_sep, row.n))
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -45,6 +46,17 @@ class TestGainCommand:
         code, _, err = run(capsys, "gain", "--model", "markovian", "--n", "5")
         assert code == 2
         assert "gamma" in err
+
+    @pytest.mark.parametrize("overheads", [
+        ("--ttilde-sep", "nan", "--ttilde-ent", "0.1"),
+        ("--ttilde-sep", "0.1", "--ttilde-ent", "inf"),
+    ])
+    def test_non_finite_overhead_exits_2(self, capsys, overheads):
+        code, out, err = run(capsys, "gain", "--model", "markovian", "--gamma", "1",
+                             "--n", "4", *overheads)
+        assert code == 2
+        assert out == ""
+        assert "finite and non-negative" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "gain", "--model", "markovian", "--gamma", "1",
@@ -176,6 +188,17 @@ class TestSweepCommand:
         assert parse_lines(out)["rows"] == "9"
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 10  # header + 9 rows
+
+    def test_non_finite_config_value_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        config_path = self.write_config(tmp_path, out_path)
+        config = json.loads(config_path.read_text())
+        config["fixed"]["x_sep"] = math.nan
+        config_path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "sweep", "--config", str(config_path))
+        assert code == 2
+        assert "fixed.x_sep" in err
+        assert not out_path.exists()
 
     def test_invalid_config_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -86,6 +86,15 @@ class TestGain:
         with pytest.raises(DomainError):
             gain(BathModel.markovian(1.0), 4, -0.1, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("model", [BathModel.isolated(1.0), BathModel.markovian(1.0),
+                                       BathModel.nonmarkovian(1.0)])
+    def test_non_finite_overheads_rejected(self, model, bad):
+        with pytest.raises(DomainError, match="separable overhead"):
+            gain(model, 4, bad, 0.1)
+        with pytest.raises(DomainError, match="entangled overhead"):
+            gain(model, 4, 0.1, bad)
+
 
 class TestGainIsolated:
     def test_equal_overheads_keep_heisenberg_ratio(self):
@@ -195,6 +204,13 @@ class TestThreshold:
     def test_zero_overhead_zero_threshold(self):
         assert threshold_ent_time(BathModel.markovian(2.0), 13, 0.0) == 0.0
         assert threshold_ent_time(BathModel.nonmarkovian(1.0), 1, 0.0) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("model", [BathModel.isolated(1.0), BathModel.markovian(1.0),
+                                       BathModel.nonmarkovian(1.0)])
+    def test_invalid_overhead_rejected(self, model, bad):
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            threshold_ent_time(model, 4, bad)
 
 
 class TestPrecision:

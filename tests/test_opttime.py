@@ -9,7 +9,6 @@ from ghzgain import (
     BranchError,
     DomainError,
     InfeasibleTimingError,
-    TimingConfig,
     UnsupportedModelError,
     coherence_time,
     decay_exponent,
@@ -32,20 +31,6 @@ def rate(model, tau_tilde, n_eff, tau):
     """Information rate of an n_eff-particle entangled block."""
     g = decay_exponent(model, tau)
     return n_eff**2 * tau**2 * math.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
-
-
-class TestTimingConfig:
-    def test_tau_tilde_is_the_sum(self):
-        cfg = TimingConfig(tau_prep=0.2, tau_meas=0.1, total_time=10.0)
-        assert cfg.tau_tilde == pytest.approx(0.3)
-
-    def test_negative_times_rejected(self):
-        with pytest.raises(DomainError):
-            TimingConfig(tau_prep=-0.1)
-
-    def test_budget_must_exceed_overhead(self):
-        with pytest.raises(DomainError):
-            TimingConfig(tau_prep=0.5, tau_meas=0.5, total_time=1.0)
 
 
 class TestIsolated:

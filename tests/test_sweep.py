@@ -1,11 +1,14 @@
+import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
 from ghzgain import (
     BathModel,
     ValidationError,
+    coherence_time,
     config_from_dict,
     gain,
     load_config,
@@ -59,6 +62,9 @@ class TestAxisSpec:
             dict(name="x_ent", minimum=0.0, maximum=1.0, points=5, spacing="log"),
             dict(name="x_ent", minimum=-0.1, maximum=1.0, points=5),
             dict(name="n", minimum=0.0, maximum=10.0, points=5),
+            dict(name="x_ent", minimum=0.0, maximum=math.inf, points=5),
+            dict(name="x_sep", minimum=math.nan, maximum=1.0, points=5),
+            dict(name="n", minimum=1.0, maximum=math.nan, points=5),
         ],
     )
     def test_invalid_axes_rejected(self, kwargs):
@@ -91,6 +97,14 @@ class TestConfigParsing:
             (dict(output={"format": "csv"}), "path"),
             (dict(model={"kind": "markovian"}), "gamma"),
             (dict(extra_key=1), "unknown"),
+            (dict(fixed={"n": math.nan}), "fixed.n"),
+            (dict(fixed={"n": math.inf}), "fixed.n"),
+            (dict(axes={"x_ent": {"min": 0.0, "max": math.inf, "points": 2}},
+                  fixed={"n": 10, "x_sep": 0.1}), "max"),
+            (dict(axes={"x_ent": {"min": 0.0, "max": 1.0, "points": math.inf}},
+                  fixed={"n": 10, "x_sep": 0.1}), "points"),
+            (dict(axes={"x_ent": {"min": 0.0, "max": 1.0, "points": 2}},
+                  fixed={"n": 10, "x_sep": math.nan}), "fixed.x_sep"),
         ],
     )
     def test_invalid_configs_name_the_field(self, patch, message):
@@ -161,6 +175,88 @@ class TestRunSweep:
         rows = run_sweep(config)
         assert [row.n for row in rows] == [1, 10, 100, 1000]
         assert all(isinstance(row.n, int) for row in rows)
+
+
+# The six criterion-10 panels (model, column axis, x_ent maximum, fixed
+# value) on 40x40 grids, and the sha256 of each CSV as written when every
+# grid point was solved on its own.
+GOLDEN_PANELS = {
+    "a": ({"kind": "isolated", "t_c": 1.0}, ("x_sep", 0.0, 0.9, "linear"), 0.995,
+          {"n": 10}, "07b33ec1ec9b214657842092f814957b595909b57a431257610289ca3096ef27"),
+    "b": ({"kind": "isolated", "t_c": 1.0}, ("n", 1, 10**4, "log"), 0.995,
+          {"x_sep": 0.03}, "6865e61d4f73f12d671ce3ea5cb6847d590ab95b6b251e37d454146425827419"),
+    "c": ({"kind": "markovian", "gamma": 1.0}, ("x_sep", 0.0, 0.9, "linear"), 0.995,
+          {"n": 10}, "9330753e2204234dcf6f1710b72af1854eddd683d494d96d7eec391d9fb2e5a9"),
+    "d": ({"kind": "markovian", "gamma": 1.0}, ("n", 1, 10**4, "log"), 0.995,
+          {"x_sep": 0.03}, "75a8bc595e7bab255b36a55017f183979176667991f71e968e47526d5761a6b2"),
+    "e": ({"kind": "nonmarkovian", "eta": 1.0}, ("x_sep", 0.0, 0.9, "linear"), 1.6,
+          {"n": 10}, "09b23a050fc084fb289193ccac6ca7c84d4d81e76f2b876468e6aabb38cbec63"),
+    "f": ({"kind": "nonmarkovian", "eta": 1.0}, ("n", 1, 10**4, "log"), 0.995,
+          {"x_sep": 0.03}, "3d84addc989b990d7bdd4253c38d4bd07da516d73f9859fbab50866676598ca4"),
+}
+
+
+def golden_panel_config(name):
+    model, (col, lo, hi, spacing), x_ent_max, fixed, _ = GOLDEN_PANELS[name]
+    return config_from_dict({
+        "model": model,
+        "axes": {
+            col: {"min": lo, "max": hi, "points": 40, "spacing": spacing},
+            "x_ent": {"min": 0.0, "max": x_ent_max, "points": 40},
+        },
+        "fixed": fixed,
+        "output": {"format": "csv", "path": "unused.csv"},
+    })
+
+
+@pytest.fixture
+def solve_log(monkeypatch):
+    """(tau_tilde, n_eff) of every solve a sweep asks for."""
+    import ghzgain.sweep as sweep_module
+
+    calls = []
+    solve = sweep_module.optimal_sensing_time
+
+    def counting(model, tau_tilde, n_eff, *args, **kwargs):
+        calls.append((tau_tilde, n_eff))
+        return solve(model, tau_tilde, n_eff, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "optimal_sensing_time", counting)
+    return calls
+
+
+class TestSharedSolves:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PANELS))
+    def test_panel_csv_matches_golden_hash(self, name):
+        text = rows_to_csv(run_sweep(golden_panel_config(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PANELS[name][-1]
+
+    @pytest.mark.parametrize("name", ["c", "f"])
+    def test_one_solve_per_distinct_optimum(self, name, solve_log):
+        config = golden_panel_config(name)
+        rows = run_sweep(config)
+        t_c = coherence_time(config.model)
+        needed = {(row.x_sep * t_c, 1) for row in rows}
+        needed |= {(row.x_ent * t_c, row.n) for row in rows}
+        counts = Counter(solve_log)
+        assert set(counts) == needed
+        assert set(counts.values()) == {1}
+        assert len(solve_log) < 2 * len(rows)
+
+    def test_infeasible_separable_point_is_solved_once(self, solve_log):
+        config = make_config(
+            model={"kind": "isolated", "t_c": 1.0},
+            axes={
+                "x_ent": {"min": 0.0, "max": 0.5, "points": 4},
+                "n": {"min": 1, "max": 100, "points": 3, "spacing": "log"},
+            },
+            fixed={"x_sep": 1.0},
+        )
+        rows = run_sweep(config)
+        assert len(rows) == 12
+        assert not any(row.feasible for row in rows)
+        assert all(row.r is None and row.tau_opt_ent is None for row in rows)
+        assert Counter(solve_log)[(1.0, 1)] == 1
 
 
 class TestOutput:
