@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import DomainError, SolverError, ValidationError
+from .errors import SolverError, ValidationError, check_finite_nonnegative, check_finite_positive
 
 __all__ = [
     "BathKind",
@@ -80,10 +80,7 @@ class BathModel:
                     raise ValidationError(
                         f"{self.kind.value} model requires field '{name}'"
                     )
-                if not value > 0.0:
-                    raise ValidationError(
-                        f"field '{name}' must be strictly positive, got {value!r}"
-                    )
+                check_finite_positive(value, f"field '{name}'", ValidationError)
                 object.__setattr__(self, name, float(value))
             elif value is not None:
                 raise ValidationError(
@@ -168,8 +165,8 @@ def _dlog_sinhc(x: float) -> float:
 
 def decay_exponent(model: BathModel, tau: float) -> float:
     """Accumulated dephasing exponent Gamma(tau) for one probe particle."""
-    if tau < 0.0:
-        raise DomainError(f"sensing time must be non-negative, got {tau!r}")
+    if not 0.0 <= tau < math.inf:
+        check_finite_nonnegative(tau, "sensing time")
     if model.kind is BathKind.ISOLATED:
         return 0.0
     if model.kind is BathKind.MARKOVIAN:
@@ -187,8 +184,8 @@ def decay_exponent(model: BathModel, tau: float) -> float:
 
 def decay_exponent_derivative(model: BathModel, tau: float) -> float:
     """dGamma/dtau.  At tau = 0 the Ohmic form returns its analytic limit 0."""
-    if tau < 0.0:
-        raise DomainError(f"sensing time must be non-negative, got {tau!r}")
+    if not 0.0 <= tau < math.inf:
+        check_finite_nonnegative(tau, "sensing time")
     if model.kind is BathKind.ISOLATED:
         return 0.0
     if model.kind is BathKind.MARKOVIAN:
@@ -252,10 +249,7 @@ def ohmic_limit_rates(alpha: float, beta: float, omega_c: float) -> tuple[float,
     Markovian rate reached for tau >> beta and the quadratic-law
     coefficient reached for tau << beta with omega_c*tau << 1.
     """
-    if alpha < 0.0:
-        raise DomainError(f"coupling alpha must be non-negative, got {alpha!r}")
-    if not beta > 0.0:
-        raise DomainError(f"inverse temperature beta must be positive, got {beta!r}")
-    if not omega_c > 0.0:
-        raise DomainError(f"cutoff frequency omega_c must be positive, got {omega_c!r}")
+    check_finite_nonnegative(alpha, "coupling alpha")
+    check_finite_positive(beta, "inverse temperature beta")
+    check_finite_positive(omega_c, "cutoff frequency omega_c")
     return alpha * math.pi / beta, alpha * omega_c * omega_c / 2.0

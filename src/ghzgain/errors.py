@@ -1,11 +1,12 @@
-"""Exception hierarchy shared across the package, and the input check
-that every overhead passes through.
+"""Exception hierarchy shared across the package, and the input checks
+that every particle count, rate and time passes through.
 
 The CLI maps these onto process exit codes: validation/domain problems
 exit with 2, infeasible timing with 3, solver failures with 4.
 """
 
 import math
+import operator
 
 
 class GhzGainError(Exception):
@@ -71,3 +72,20 @@ def check_finite_nonnegative(value: float, what: str, error: type = DomainError)
     """
     if not (value >= 0.0 and math.isfinite(value)):
         raise error(f"{what} must be finite and non-negative, got {value!r}")
+
+
+def check_finite_positive(value: float, what: str, error: type = DomainError) -> None:
+    """Raise ``error`` unless ``value`` is a finite number > 0 (rates, t_c, budgets)."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise error(f"{what} must be finite and positive, got {value!r}")
+
+
+def check_count(value, what: str, error: type = DomainError) -> int:
+    """Return ``value`` as an ``int`` if it is an integer >= 1 (numpy's too, not bool)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1 or isinstance(value, bool):
+        raise error(f"{what} must be a positive integer, got {value!r}")
+    return count

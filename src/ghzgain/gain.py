@@ -30,7 +30,9 @@ from .errors import (
     DomainError,
     InfeasibleTimingError,
     NoThresholdError,
+    check_count,
     check_finite_nonnegative,
+    check_finite_positive,
 )
 from .opttime import OptimalTime, optimal_sensing_time
 from .qfi import ProbeKind, qfi_ghz, qfi_separable
@@ -95,11 +97,6 @@ class MonotonicityViolation(NamedTuple):
     r_upper: float
 
 
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"particle count must be a positive integer, got {n!r}")
-
-
 def gain(model: BathModel, n: int, tau_tilde_sep: float, tau_tilde_ent: float) -> GainResult:
     """Gain of an N-particle GHZ probe over N separable particles.
 
@@ -107,7 +104,7 @@ def gain(model: BathModel, n: int, tau_tilde_sep: float, tau_tilde_ent: float) -
     the numeric optimiser otherwise; the gain is then the ratio of the
     two information rates.
     """
-    _check_n(n)
+    n = check_count(n, "particle count")
     check_finite_nonnegative(tau_tilde_sep, "separable overhead time")
     check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
     sep = optimal_sensing_time(model, tau_tilde_sep, 1)
@@ -134,7 +131,7 @@ def gain_isolated(n: int, x_sep: float, x_ent: float) -> float:
     x_sep and x_ent are the overheads in units of the coherence time;
     both must be < 1 for any sensing to happen.
     """
-    _check_n(n)
+    n = check_count(n, "particle count")
     for name, x in (("x_sep", x_sep), ("x_ent", x_ent)):
         check_finite_nonnegative(x, name)
         if x >= 1.0:
@@ -154,7 +151,7 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
     [0, 1e4 t_c]; monotonicity of r in the entangled overhead justifies
     bisection.
     """
-    _check_n(n)
+    n = check_count(n, "particle count")
     check_finite_nonnegative(tau_tilde_sep, "overhead time")
     if model.kind is BathKind.ISOLATED:
         t_c = coherence_time(model)
@@ -198,9 +195,8 @@ def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
     Assumes many rounds fit in the budget; warns when fewer than ten do,
     since the bound is only asymptotically attainable.
     """
-    _check_n(n)
-    if not total_time > 0.0:
-        raise DomainError(f"total time budget must be positive, got {total_time!r}")
+    n = check_count(n, "particle count")
+    check_finite_positive(total_time, "total time budget")
     kind = ProbeKind(kind)
     n_eff = n if kind is ProbeKind.GHZ else 1
     opt = optimal_sensing_time(model, tau_tilde, n_eff)
@@ -220,7 +216,7 @@ def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
 
 def scaling_law_eval(law: ScalingLaw, n: int) -> float:
     """Entangled overhead ratio x_ent = tau_tilde_ent / t_c at size N."""
-    _check_n(n)
+    n = check_count(n, "particle count")
     if law.kind is ScalingKind.CONSTANT:
         return law.base
     if law.kind is ScalingKind.LOGARITHMIC:
@@ -267,7 +263,7 @@ def n_cutoff(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
     """Largest N whose gain still reaches 1, provided nothing above it
     does (0 when no size gains; None when the gain is still above 1 at
     the end of the scanned range, i.e. no cutoff was found)."""
-    if n_search_max < 2:
+    if check_count(n_search_max, "n_search_max") < 2:
         raise DomainError(f"n_search_max must be >= 2, got {n_search_max!r}")
     check_finite_nonnegative(tau_tilde_sep, "overhead time")
     last_qualifying = 0
@@ -289,8 +285,7 @@ def n_max_gain(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
     Splitting a much larger ensemble into blocks of this size keeps the
     per-block gain at the returned value.
     """
-    if n_search_max < 1:
-        raise DomainError(f"n_search_max must be >= 1, got {n_search_max!r}")
+    n_search_max = check_count(n_search_max, "n_search_max")
     check_finite_nonnegative(tau_tilde_sep, "overhead time")
     best_n, best_r = 0, -math.inf
     for n, r in _scan_gain(model, law, tau_tilde_sep, n_search_max):
@@ -312,7 +307,7 @@ def monotonicity_scan(model: BathModel, n: int, tau_tilde_sep: float,
     to 1e-12 relative.  An empty list is the expected outcome for all
     supported models.
     """
-    _check_n(n)
+    n = check_count(n, "particle count")
     grid = [float(x) for x in x_ent_grid]
     if len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")

@@ -35,10 +35,12 @@ from .bath import (
 from .errors import (
     BranchError,
     DivergenceError,
-    DomainError,
     InfeasibleTimingError,
+    SolverError,
     UnsupportedModelError,
+    check_count,
     check_finite_nonnegative,
+    check_finite_positive,
 )
 
 __all__ = [
@@ -66,19 +68,17 @@ class OptimalTime:
     residual: float
 
 
-def _check_n_eff(n_eff: int) -> None:
-    if n_eff < 1:
-        raise DomainError(f"effective particle count must be >= 1, got {n_eff!r}")
-
-
-def _block_rate(model: BathModel, tau_tilde: float, n_eff: int, tau: float) -> float:
-    """QFI rate n_eff^2 tau^2 exp(-2 n_eff Gamma) / (tau_tilde + tau).
+def _block_rate(g: float, tau_tilde: float, n_eff: int, tau: float) -> float:
+    """QFI rate n_eff^2 tau^2 exp(-2 n_eff g) / (tau_tilde + tau), g = Gamma(tau).
 
     For n_eff = N this is the rate of an N-particle GHZ block; for
     n_eff = 1 it is the per-particle rate of the separable strategy.
     """
-    g = decay_exponent(model, tau)
     return n_eff * n_eff * tau * tau * math.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
+
+
+def _residual(dg: float, tau_tilde: float, n_eff: int, tau: float) -> float:
+    return 2.0 * n_eff * tau * dg - 1.0 - tau_tilde / (tau_tilde + tau)
 
 
 def stationarity_residual(model: BathModel, tau_tilde: float, n_eff: int, tau: float) -> float:
@@ -86,10 +86,9 @@ def stationarity_residual(model: BathModel, tau_tilde: float, n_eff: int, tau: f
 
     Vanishes exactly at an interior maximum of the information rate.
     """
-    if tau <= 0.0:
-        raise DomainError(f"sensing time must be positive, got {tau!r}")
-    dg = decay_exponent_derivative(model, tau)
-    return 2.0 * n_eff * tau * dg - 1.0 - tau_tilde / (tau_tilde + tau)
+    n_eff = check_count(n_eff, "effective particle count")
+    check_finite_positive(tau, "sensing time")
+    return _residual(decay_exponent_derivative(model, tau), tau_tilde, n_eff, tau)
 
 
 def tau_opt_isolated(t_c: float, tau_tilde: float) -> OptimalTime:
@@ -99,8 +98,7 @@ def tau_opt_isolated(t_c: float, tau_tilde: float) -> OptimalTime:
     capped at the coherence time and sensing takes what overhead leaves.
     """
     check_finite_nonnegative(tau_tilde, "overhead time")
-    if not t_c > 0.0:
-        raise DomainError(f"coherence time must be positive, got {t_c!r}")
+    check_finite_positive(t_c, "coherence time")
     if tau_tilde >= t_c:
         raise InfeasibleTimingError(
             f"overhead {tau_tilde!r} consumes the whole coherence time {t_c!r}; "
@@ -117,25 +115,26 @@ def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     1/(4 g) + sqrt((tau_tilde/2 + 1/(4 g))^2 + tau_tilde/(2 g)) - tau_tilde/2
     with g = n_eff * gamma.
     """
-    if not gamma > 0.0:
-        raise DomainError(f"dephasing rate must be positive, got {gamma!r}")
+    check_finite_positive(gamma, "dephasing rate")
     check_finite_nonnegative(tau_tilde, "overhead time")
-    _check_n_eff(n_eff)
+    n_eff = check_count(n_eff, "effective particle count")
     # positive root of tau^2 + (tau_tilde - h) tau - 2 h tau_tilde with
     # h = 1/(2 n_eff gamma), evaluated without subtractive cancellation
-    # (the textbook form loses the root when tau_tilde >> h)
+    # (the textbook form loses the root when tau_tilde >> h); b = root = 0
+    # only when h * tau_tilde underflows, and tau then underflows as well
     h = 0.5 / (n_eff * gamma)
     b = tau_tilde - h
     root = math.sqrt(b * b + 8.0 * h * tau_tilde)
-    if b >= 0.0:
+    if b >= 0.0 and root > 0.0:
         tau = 4.0 * h * tau_tilde / (b + root)
     else:
         tau = 0.5 * (root - b)
-    model = BathModel.markovian(gamma)
+    if not tau > 0.0:
+        raise SolverError(f"optimal time underflows at n_eff * gamma = {n_eff * gamma!r}")
     return OptimalTime(
         tau,
-        _block_rate(model, tau_tilde, n_eff, tau),
-        stationarity_residual(model, tau_tilde, n_eff, tau),
+        _block_rate(gamma * tau, tau_tilde, n_eff, tau),
+        _residual(gamma, tau_tilde, n_eff, tau),
     )
 
 
@@ -171,10 +170,9 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     past that the residual imaginary noise can trip the realness check,
     and optimal_sensing_time falls back to the numeric optimiser.
     """
-    if not eta > 0.0:
-        raise DomainError(f"decay coefficient must be positive, got {eta!r}")
+    check_finite_positive(eta, "decay coefficient")
     check_finite_nonnegative(tau_tilde, "overhead time")
-    _check_n_eff(n_eff)
+    n_eff = check_count(n_eff, "effective particle count")
     scale = math.sqrt(n_eff * eta)
     candidates = [t / scale for t in _cubic_candidates(tau_tilde * scale)]
     picked = candidates[0]
@@ -193,32 +191,29 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     g_val = 4.0 * u**3 + 4.0 * u * u * u_tilde - u - 2.0 * u_tilde
     g_der = 12.0 * u * u + 8.0 * u_tilde * u - 1.0
     tau = (u - g_val / g_der) / scale
-    model = BathModel.nonmarkovian(eta)
-    residual = stationarity_residual(model, tau_tilde, n_eff, tau)
+    residual = _residual(2.0 * eta * tau, tau_tilde, n_eff, tau)
     if abs(residual) > 1e-8:
         raise BranchError(
             f"cubic root fails the stationarity condition (residual {residual:.3e})",
             candidates,
         )
-    return OptimalTime(tau, _block_rate(model, tau_tilde, n_eff, tau), residual)
+    return OptimalTime(tau, _block_rate(eta * tau * tau, tau_tilde, n_eff, tau), residual)
 
 
-def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int, tol: float = 1e-10) -> OptimalTime:
+def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:
     """Model-agnostic interior maximum of the information rate.
 
     Works on the log of the rate (immune to exp(-2 N Gamma) underflow).
     The bracket [0, B] starts at the coherence time and doubles until the
     maximum is interior; golden-section narrows it, then bisection on the
-    stationarity residual polishes the root far beyond ``tol``.
+    stationarity residual polishes the root to a relative width of 1e-15.
     """
     if model.kind is BathKind.ISOLATED:
         raise UnsupportedModelError(
             "an isolated probe has no interior optimum; use tau_opt_isolated"
         )
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
     check_finite_nonnegative(tau_tilde, "overhead time")
-    _check_n_eff(n_eff)
+    n_eff = check_count(n_eff, "effective particle count")
 
     def log_rate(t: float) -> float:
         return (
@@ -254,7 +249,7 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int, tol: float =
             fd = log_rate(d)
 
     def res(t: float) -> float:
-        return stationarity_residual(model, tau_tilde, n_eff, t)
+        return _residual(decay_exponent_derivative(model, t), tau_tilde, n_eff, t)
 
     # bisection needs a sign change; the golden bracket has one unless the
     # maximum sat at its very edge, in which case fall back to [0, hi]
@@ -268,26 +263,34 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int, tol: float =
         else:
             up = mid
     tau = 0.5 * (lo + up)
-    return OptimalTime(tau, _block_rate(model, tau_tilde, n_eff, tau), res(tau))
+    rate = _block_rate(decay_exponent(model, tau), tau_tilde, n_eff, tau)
+    return OptimalTime(tau, rate, res(tau))
 
 
-def optimal_sensing_time(model: BathModel, tau_tilde: float, n_eff: int, tol: float = 1e-10) -> OptimalTime:
+def optimal_sensing_time(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:
     """Dispatch to the best available solver for the given bath model.
 
     Closed forms where they exist; if the cubic branch check fails the
-    numeric optimiser takes over and the discrepancy is logged.
+    numeric optimiser takes over and the discrepancy is logged.  An
+    optimum whose rate under- or overflows raises SolverError.
     """
     if model.kind is BathKind.ISOLATED:
-        return tau_opt_isolated(coherence_time(model), tau_tilde)
-    if model.kind is BathKind.MARKOVIAN:
-        return tau_opt_markov(model.gamma, tau_tilde, n_eff)
-    if model.kind is BathKind.NONMARKOVIAN:
+        if n_eff.__class__ is not int or n_eff < 1:
+            check_count(n_eff, "effective particle count")
+        opt = tau_opt_isolated(coherence_time(model), tau_tilde)
+    elif model.kind is BathKind.MARKOVIAN:
+        opt = tau_opt_markov(model.gamma, tau_tilde, n_eff)
+    elif model.kind is BathKind.NONMARKOVIAN:
         try:
-            return tau_opt_nonmarkov(model.eta, tau_tilde, n_eff)
+            opt = tau_opt_nonmarkov(model.eta, tau_tilde, n_eff)
         except BranchError as exc:
             log.warning(
                 "cubic closed form rejected (%s); falling back to numeric optimisation",
                 exc,
             )
-            return tau_opt_numeric(model, tau_tilde, n_eff, tol)
-    return tau_opt_numeric(model, tau_tilde, n_eff, tol)
+            opt = tau_opt_numeric(model, tau_tilde, n_eff)
+    else:
+        opt = tau_opt_numeric(model, tau_tilde, n_eff)
+    if not 0.0 < opt.objective < math.inf:
+        raise SolverError(f"optimal information rate {opt.objective!r} is not finite and > 0")
+    return opt

@@ -30,7 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bath import BathModel, decay_exponent
-from .errors import CapacityError, DomainError, ValidationError
+from .errors import (CapacityError, ValidationError, check_count,
+                     check_finite_nonnegative, check_finite_positive)
 
 __all__ = [
     "MAX_QUBITS",
@@ -63,8 +64,7 @@ class ProbeSpec:
     kind: ProbeKind
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"particle count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", check_count(self.n, "particle count"))
         object.__setattr__(self, "kind", ProbeKind(self.kind))
 
 
@@ -76,8 +76,7 @@ class EvolutionParams:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0.0:
-            raise DomainError(f"sensing time must be non-negative, got {self.tau!r}")
+        check_finite_nonnegative(self.tau, "sensing time")
 
 
 @lru_cache(maxsize=None)
@@ -148,8 +147,7 @@ def apply_dephasing(rho: np.ndarray, gamma_value: float) -> np.ndarray:
     exp(-Gamma * hamming(a, b)), which is how it is applied here
     (O(4^N) instead of expanding 2^N Kraus terms).
     """
-    if gamma_value < 0.0:
-        raise DomainError(f"decay exponent must be non-negative, got {gamma_value!r}")
+    check_finite_nonnegative(gamma_value, "decay exponent")
     n = _num_qubits(rho)
     if gamma_value == 0.0:
         return rho.copy()
@@ -170,6 +168,7 @@ def rho_derivative(rho_omega: np.ndarray, tau: float) -> np.ndarray:
     the computational basis, so the commutator reduces to an elementwise
     factor.  The result is Hermitian and traceless.
     """
+    check_finite_nonnegative(tau, "sensing time")
     n = _num_qubits(rho_omega)
     m = _magnetization(n)
     return -0.5j * tau * (m[:, None] - m[None, :]) * rho_omega
@@ -181,8 +180,7 @@ def qfi_eigen(rho_omega: np.ndarray, drho: np.ndarray, rank_tol: float = 1e-12) 
     Pairs with lambda_i + lambda_j <= rank_tol are outside the support of
     rho and are excluded.
     """
-    if rank_tol <= 0.0:
-        raise DomainError(f"rank tolerance must be positive, got {rank_tol!r}")
+    check_finite_positive(rank_tol, "rank tolerance")
     if rho_omega.shape != drho.shape:
         raise ValidationError(
             f"shape mismatch: rho {rho_omega.shape} vs drho {drho.shape}"
@@ -199,8 +197,8 @@ def qfi_eigen(rho_omega: np.ndarray, drho: np.ndarray, rank_tol: float = 1e-12) 
 
 def qfi_separable(n: int, tau: float, model: BathModel) -> float:
     """Closed form N tau^2 exp(-2 Gamma(tau)) for the product probe state."""
-    if n < 1:
-        raise DomainError(f"particle count must be >= 1, got {n!r}")
+    if n.__class__ is not int or n < 1:
+        n = check_count(n, "particle count")
     gamma_value = decay_exponent(model, tau)
     return n * tau * tau * math.exp(-2.0 * gamma_value)
 
@@ -211,7 +209,7 @@ def qfi_ghz(n: int, tau: float, model: BathModel) -> float:
     The GHZ coherence sits between |0...0> and |1...1>, a Hamming
     distance N apart, hence the N-fold faster decay.
     """
-    if n < 1:
-        raise DomainError(f"particle count must be >= 1, got {n!r}")
+    if n.__class__ is not int or n < 1:
+        n = check_count(n, "particle count")
     gamma_value = decay_exponent(model, tau)
     return n * n * tau * tau * math.exp(-2.0 * n * gamma_value)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -71,7 +72,13 @@ class AxisSpec:
                 f"unknown axis {self.name!r} (expected one of: {', '.join(AXIS_NAMES)})"
             )
         for label, bound in (("min", self.minimum), ("max", self.maximum)):
+            if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
+                raise ValidationError(f"axis '{self.name}': {label} must be a number")
             check_finite_nonnegative(bound, f"axis '{self.name}': {label}", ValidationError)
+        if isinstance(self.points, bool) or not (
+                isinstance(self.points, numbers.Real) and float(self.points).is_integer()):
+            raise ValidationError(f"axis '{self.name}': points must be an integer")
+        object.__setattr__(self, "points", int(self.points))
         if self.points < 2:
             raise ValidationError(f"axis '{self.name}': points must be >= 2")
         if not self.maximum > self.minimum:
@@ -156,18 +163,8 @@ def _axis_from_dict(name: str, data: dict) -> AxisSpec:
     for field in ("min", "max", "points"):
         if field not in data:
             raise ValidationError(f"axes.{name} is missing field '{field}'")
-        if not isinstance(data[field], (int, float)) or isinstance(data[field], bool):
-            raise ValidationError(f"axes.{name}.{field} must be a number")
-    points = data["points"]
-    if not float(points).is_integer():
-        raise ValidationError(f"axes.{name}.points must be an integer")
-    return AxisSpec(
-        name=name,
-        minimum=float(data["min"]),
-        maximum=float(data["max"]),
-        points=int(points),
-        spacing=data.get("spacing", "linear"),
-    )
+    return AxisSpec(name, data["min"], data["max"], data["points"],
+                    data.get("spacing", "linear"))
 
 
 def config_from_dict(data: dict) -> SweepConfig:

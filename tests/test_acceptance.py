@@ -147,9 +147,7 @@ def test_criterion_06_cubic_branch_validity():
                     BathModel.nonmarkovian(eta), tau_tilde, n, opt.tau_opt
                 )
                 worst_res = max(worst_res, abs(res))
-                numeric = tau_opt_numeric(
-                    BathModel.nonmarkovian(eta), tau_tilde, n, 1e-8
-                )
+                numeric = tau_opt_numeric(BathModel.nonmarkovian(eta), tau_tilde, n)
                 worst_match = max(
                     worst_match, abs(opt.tau_opt - numeric.tau_opt) / numeric.tau_opt
                 )

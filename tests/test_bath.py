@@ -44,6 +44,12 @@ class TestDecayExponent:
         with pytest.raises(DomainError):
             decay_exponent(BathModel.markovian(1.0), -0.1)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    @pytest.mark.parametrize("function", [decay_exponent, decay_exponent_derivative])
+    def test_non_finite_time_rejected(self, function, tau):
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            function(BathModel.isolated(1.0), tau)
+
     def test_ohmic_no_overflow_over_many_decades(self):
         model = BathModel.ohmic(0.05, 20.0, 0.5)
         for exponent in range(-12, 9):
@@ -165,6 +171,9 @@ class TestModelValidation:
             lambda: BathModel.ohmic(0.0, 1.0, 1.0),
             lambda: BathModel(BathKind.MARKOVIAN),
             lambda: BathModel(BathKind.MARKOVIAN, gamma=1.0, t_c=1.0),
+            lambda: BathModel.markovian(math.inf),
+            lambda: BathModel.nonmarkovian(math.nan),
+            lambda: BathModel.ohmic(0.05, math.inf, 0.5),
         ],
     )
     def test_invalid_models_rejected(self, factory):

@@ -165,6 +165,59 @@ class TestCutoffCommand:
         assert parse_lines(out)["n_cutoff"] == "none"
 
 
+class TestUnderflow:
+    def test_underflowing_optimum_exits_4(self, capsys):
+        code, out, err = run(capsys, "gain", "--model", "markovian", "--gamma", "1e300",
+                             "--n", "4", "--ttilde-sep", "0.1", "--ttilde-ent", "0.1")
+        assert code == 4
+        assert out == ""
+        assert "error: solver failure" in err
+        assert "Traceback" not in err
+
+
+# Valid flags for each bath kind and each subcommand, and the float flags
+# of each subcommand.  tau-opt sets no override, so its shared --ttilde is
+# the value both strategies read.
+MODEL_FLAGS = {
+    "isolated": {"--tc": "1"},
+    "markovian": {"--gamma": "1"},
+    "nonmarkovian": {"--eta": "1"},
+    "ohmic": {"--alpha": "0.05", "--omega-c": "20", "--beta": "0.5"},
+}
+COMMAND_FLAGS = {
+    "bath": ({"--tau": "0.3"}, ("--tau",)),
+    "qfi": ({"--n": "3", "--tau": "0.3"}, ("--tau",)),
+    "tau-opt": ({"--n": "3"}, ("--ttilde", "--ttilde-sep", "--ttilde-ent")),
+    "gain": ({"--n": "3", "--ttilde-sep": "0.1", "--ttilde-ent": "0.1"},
+             ("--ttilde-sep", "--ttilde-ent")),
+    "threshold": ({"--n": "3", "--ttilde-sep": "0.1"}, ("--ttilde-sep",)),
+    "cutoff": ({"--law": "constant", "--base": "0.03", "--ttilde-sep": "0.03",
+                "--n-search-max": "10"}, ("--base", "--ttilde-sep")),
+}
+BAD_VALUES = ("nan", "inf", "-inf", "-1")
+
+
+def bad_float_cases():
+    for command, (_, float_flags) in COMMAND_FLAGS.items():
+        for kind, model_flags in MODEL_FLAGS.items():
+            for flag in (*model_flags, *float_flags):
+                for value in BAD_VALUES:
+                    yield pytest.param(command, kind, flag, value,
+                                       id=f"{command}-{kind}{flag}={value}")
+
+
+@pytest.mark.parametrize("command,kind,flag,value", list(bad_float_cases()))
+def test_bad_float_flag_exits_2(capsys, command, kind, flag, value):
+    flags = {**MODEL_FLAGS[kind], **COMMAND_FLAGS[command][0], flag: value}
+    # "--flag=value" so that argparse reads "-inf" and "-1" as values
+    code, out, err = run(capsys, command, "--model", kind,
+                         *(f"{name}={v}" for name, v in flags.items()))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def write_config(self, tmp_path, out_path, fmt="csv"):
         config = {

@@ -2,6 +2,7 @@ import importlib
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,16 +13,22 @@ from ghzgain import (
     InfeasibleTimingError,
     NoThresholdError,
     ProbeKind,
+    ProbeSpec,
     ScalingKind,
     ScalingLaw,
+    SolverError,
     coherence_time,
     gain,
     gain_isolated,
     monotonicity_scan,
     n_cutoff,
     n_max_gain,
+    optimal_sensing_time,
     precision_opt,
+    qfi_ghz,
     scaling_law_eval,
+    stationarity_residual,
+    tau_opt_markov,
     threshold_ent_time,
 )
 
@@ -94,6 +101,37 @@ class TestGain:
             gain(model, 4, bad, 0.1)
         with pytest.raises(DomainError, match="entangled overhead"):
             gain(model, 4, 0.1, bad)
+
+    def test_underflowing_optimum_is_a_solver_error(self):
+        # tau_opt ~ 1e-301, so the rate, of order tau_opt^2, underflows to 0
+        with pytest.raises(SolverError, match="not finite and > 0"):
+            gain(BathModel.markovian(1e300), 4, 0.1, 0.1)
+
+
+# Public entry points that take a particle count (or a scan limit), each
+# called with that count as its only free argument.
+COUNT_TAKERS = {
+    "gain": lambda n: gain(BathModel.markovian(1.0), n, 0.1, 0.05),
+    "threshold_ent_time": lambda n: threshold_ent_time(BathModel.nonmarkovian(1.0), n, 0.3),
+    "optimal_sensing_time": lambda n: optimal_sensing_time(BathModel.markovian(1.0), 0.1, n),
+    "optimal_sensing_time-isolated": lambda n: optimal_sensing_time(
+        BathModel.isolated(1.0), 0.1, n),
+    "tau_opt_markov": lambda n: tau_opt_markov(1.0, 0.1, n),
+    "stationarity_residual": lambda n: stationarity_residual(
+        BathModel.markovian(1.0), 0.1, n, 0.3),
+    "qfi_ghz": lambda n: qfi_ghz(n, 0.3, BathModel.markovian(1.0)),
+    "ProbeSpec": lambda n: ProbeSpec(n, ProbeKind.GHZ),
+    "n_max_gain-n_search_max": lambda n: n_max_gain(
+        BathModel.isolated(1.0), ScalingLaw("linear", 0.03), 0.03, n_search_max=n),
+}
+
+
+@pytest.mark.parametrize("call", COUNT_TAKERS.values(), ids=list(COUNT_TAKERS))
+def test_counts_accept_any_integer_type_and_nothing_else(call):
+    assert call(np.int64(4)) == call(4)
+    for bad in (True, 2.5, 0):
+        with pytest.raises(DomainError, match="positive integer"):
+            call(bad)
 
 
 class TestGainIsolated:

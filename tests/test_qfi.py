@@ -155,6 +155,16 @@ class TestPhaseEvolution:
         with pytest.raises(DomainError):
             EvolutionParams(omega=1.0, tau=-0.5)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        rho = build_probe_state(ProbeSpec(2, ProbeKind.GHZ))
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            EvolutionParams(omega=1.0, tau=tau)
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            rho_derivative(rho, tau)
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            apply_dephasing(rho, tau)
+
 
 class TestRhoDerivative:
     def test_diagonal_state_has_zero_derivative(self):

@@ -65,6 +65,9 @@ class TestAxisSpec:
             dict(name="x_ent", minimum=0.0, maximum=math.inf, points=5),
             dict(name="x_sep", minimum=math.nan, maximum=1.0, points=5),
             dict(name="n", minimum=1.0, maximum=math.nan, points=5),
+            dict(name="x_ent", minimum=0.0, maximum=1.0, points=2.5),
+            dict(name="x_ent", minimum=0.0, maximum=1.0, points=True),
+            dict(name="x_ent", minimum="0", maximum=1.0, points=5),
         ],
     )
     def test_invalid_axes_rejected(self, kwargs):
