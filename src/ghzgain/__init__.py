@@ -30,6 +30,7 @@ from .gain import (
     gain_isolated,
     monotonicity_scan,
     n_cutoff,
+    n_cutoff_and_max_gain,
     n_max_gain,
     precision_opt,
     scaling_law_eval,

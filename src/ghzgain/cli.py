@@ -20,7 +20,7 @@ from .bath import (
     ohmic_limit_rates,
 )
 from .errors import GhzGainError, InfeasibleTimingError, SolverError
-from .gain import ScalingLaw, gain, n_cutoff, n_max_gain, threshold_ent_time
+from .gain import ScalingLaw, gain, n_cutoff_and_max_gain, threshold_ent_time
 from .opttime import optimal_sensing_time
 from .qfi import qfi_ghz, qfi_separable
 from .sweep import format_sig, load_config, run_sweep, save_rows
@@ -130,8 +130,8 @@ def _cmd_threshold(args) -> dict:
 def _cmd_cutoff(args) -> dict:
     model = _model_from_args(args)
     law = ScalingLaw(args.law, args.base)
-    cutoff = n_cutoff(model, law, args.ttilde_sep, args.n_search_max)
-    best_n, best_r = n_max_gain(model, law, args.ttilde_sep, args.n_search_max)
+    cutoff, best_n, best_r = n_cutoff_and_max_gain(model, law, args.ttilde_sep,
+                                                   args.n_search_max)
     return {"n_cutoff": cutoff, "n_max": best_n, "r_at_n_max": best_r}
 
 

@@ -63,6 +63,12 @@ class NoThresholdError(SolverError):
         self.side = side
 
 
+def check_finite(value: float, what: str, error: type = DomainError) -> None:
+    """Raise ``error`` unless ``value`` is a finite number, of either sign."""
+    if not math.isfinite(value):
+        raise error(f"{what} must be finite, got {value!r}")
+
+
 def check_finite_nonnegative(value: float, what: str, error: type = DomainError) -> None:
     """Raise ``error`` unless ``value`` is a finite number >= 0.
 

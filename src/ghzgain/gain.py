@@ -49,6 +49,7 @@ __all__ = [
     "scaling_law_eval",
     "n_cutoff",
     "n_max_gain",
+    "n_cutoff_and_max_gain",
     "monotonicity_scan",
 ]
 
@@ -125,6 +126,17 @@ def _gain_from_optima(model: BathModel, n: int, tau_tilde_sep: float,
     return GainResult(r, sep.tau_opt, ent.tau_opt, f_sep, f_ent, round_sep, round_ent)
 
 
+def _gain_at_fixed_sep(model: BathModel, tau_tilde_sep: float):
+    """gain_at(n, tau_tilde_ent) = gain(model, n, tau_tilde_sep, tau_tilde_ent)
+    for valid inputs; solves the separable optimum once, each call the GHZ one."""
+    sep = optimal_sensing_time(model, tau_tilde_sep, 1)
+
+    def gain_at(n: int, tau_tilde_ent: float) -> GainResult:
+        ent = optimal_sensing_time(model, tau_tilde_ent, n)
+        return _gain_from_optima(model, n, tau_tilde_sep, tau_tilde_ent, sep, ent)
+    return gain_at
+
+
 def gain_isolated(n: int, x_sep: float, x_ent: float) -> float:
     """Decoherence-free gain N ((1 - x_ent)/(1 - x_sep))^2.
 
@@ -147,9 +159,10 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
 
     Closed forms: t_c (1 - (1 - x_sep)/sqrt(N)) for an isolated probe and
     tau_tilde_sep / N for linear decay.  The quadratic and Ohmic laws
-    have no known closed form, so the crossing is bisected on
-    [0, 1e4 t_c]; monotonicity of r in the entangled overhead justifies
-    bisection.
+    have no known closed form, so the crossing in [0, 1e4 t_c] is found by
+    bracketed Newton on ln r using the envelope derivative: at an interior
+    optimum d ln r/d tau_tilde_ent = -1/(tau_tilde_ent + tau_ent*), so a
+    step costs one GHZ solve; a step leaving the sign bracket bisects it.
     """
     n = check_count(n, "particle count")
     check_finite_nonnegative(tau_tilde_sep, "overhead time")
@@ -164,28 +177,28 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
     if model.kind is BathKind.MARKOVIAN:
         return tau_tilde_sep / n
 
-    def excess(tau_tilde_ent: float) -> float:
-        return gain(model, n, tau_tilde_sep, tau_tilde_ent).r - 1.0
-
+    gain_at = _gain_at_fixed_sep(model, tau_tilde_sep)
     lo, hi = 0.0, 1e4 * coherence_time(model)
-    at_lo = excess(lo)
-    if at_lo < 0.0:
+    x, at = lo, gain_at(n, lo)
+    if at.r < 1.0:
         raise NoThresholdError(
             "gain is below 1 even at zero entangled overhead", side="below"
         )
-    if at_lo == 0.0:
+    if at.r == 1.0:
         return 0.0
-    if excess(hi) > 0.0:
+    if gain_at(n, hi).r > 1.0:
         raise NoThresholdError(
             f"gain is still above 1 at the bracket end {hi!r}", side="above"
         )
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    for _ in range(200):
+        step = math.log(at.r) * at.round_ent
+        # a next step under 1e-12 relative means |r - 1| < 1e-12 here
+        if abs(step) <= 1e-12 * x or hi - lo <= 1e-15 * hi:
+            break
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        at = gain_at(n, x)
+        lo, hi = (x, hi) if at.r > 1.0 else (lo, x)
+    return x
 
 
 def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
@@ -226,56 +239,50 @@ def scaling_law_eval(law: ScalingLaw, n: int) -> float:
     return n * law.base
 
 
-def _gain_under_law(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
-                    t_c: float, n: int) -> float | None:
-    """Gain at size N with the entangled overhead set by the law;
-    None when the timing is infeasible (isolated probe only)."""
-    tau_tilde_ent = scaling_law_eval(law, n) * t_c
-    try:
-        return gain(model, n, tau_tilde_sep, tau_tilde_ent).r
-    except InfeasibleTimingError:
-        return None
-
-
-def _scan_gain(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
-               n_search_max: int):
-    """Yield (n, r) over 1..n_search_max with r = None for infeasible
-    points, stopping early once the gain has been below 1 for 10
-    consecutive sizes after having been at or above 1 (all supported
-    scalings are eventually monotone in N)."""
+def _scan(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
+          n_search_max: int, minimum: int, need_peak: bool):
+    """(cutoff, best_n, best_r) from one pass over N = 1..n_search_max,
+    infeasible sizes counting as below 1.  The pass stops once the gain
+    has been below 1 for 10 consecutive sizes after having been at or
+    above 1 (all supported scalings are eventually monotone in N)."""
+    if check_count(n_search_max, "n_search_max") < minimum:
+        raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
+    check_finite_nonnegative(tau_tilde_sep, "overhead time")
     t_c = coherence_time(model)
-    seen_advantage = False
-    below = 0
+    try:
+        gain_at = _gain_at_fixed_sep(model, tau_tilde_sep)
+    except InfeasibleTimingError:
+        gain_at = None
+    last_qualifying, best_n, best_r, below = 0, 0, -math.inf, 0
     for n in range(1, n_search_max + 1):
-        r = _gain_under_law(model, law, tau_tilde_sep, t_c, n)
-        yield n, r
+        tau_tilde_ent = scaling_law_eval(law, n) * t_c
+        check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
+        try:
+            r = None if gain_at is None else gain_at(n, tau_tilde_ent).r
+        except InfeasibleTimingError:
+            r = None
+        if r is not None and r > best_r:
+            best_n, best_r = n, r
         if r is not None and r >= 1.0:
-            seen_advantage = True
-            below = 0
+            last_qualifying, below = n, 0
         else:
             below += 1
-            if seen_advantage and below >= 10:
-                return
+            if last_qualifying and below >= 10:
+                break
+    if need_peak and best_n == 0:
+        raise InfeasibleTimingError("every scanned ensemble size has infeasible timing")
+    if n == n_search_max and r is not None and r > 1.0:
+        return None, best_n, best_r
+    return last_qualifying, best_n, best_r
 
 
 def n_cutoff(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
              n_search_max: int = 10**6) -> int | None:
     """Largest N whose gain still reaches 1, provided nothing above it
     does (0 when no size gains; None when the gain is still above 1 at
-    the end of the scanned range, i.e. no cutoff was found)."""
-    if check_count(n_search_max, "n_search_max") < 2:
-        raise DomainError(f"n_search_max must be >= 2, got {n_search_max!r}")
-    check_finite_nonnegative(tau_tilde_sep, "overhead time")
-    last_qualifying = 0
-    last_r = None
-    last_n = 0
-    for n, r in _scan_gain(model, law, tau_tilde_sep, n_search_max):
-        if r is not None and r >= 1.0:
-            last_qualifying = n
-        last_r, last_n = r, n
-    if last_n == n_search_max and last_r is not None and last_r > 1.0:
-        return None
-    return last_qualifying if last_qualifying else 0
+    the end of the scanned range, i.e. no cutoff was found).  Shares its
+    scan with n_max_gain: n_cutoff_and_max_gain gives both in one pass."""
+    return _scan(model, law, tau_tilde_sep, n_search_max, 2, False)[0]
 
 
 def n_max_gain(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
@@ -283,19 +290,16 @@ def n_max_gain(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
     """Size maximising the gain, with ties broken toward smaller N.
 
     Splitting a much larger ensemble into blocks of this size keeps the
-    per-block gain at the returned value.
+    per-block gain at the returned value.  Shares its scan with n_cutoff.
     """
-    n_search_max = check_count(n_search_max, "n_search_max")
-    check_finite_nonnegative(tau_tilde_sep, "overhead time")
-    best_n, best_r = 0, -math.inf
-    for n, r in _scan_gain(model, law, tau_tilde_sep, n_search_max):
-        if r is not None and r > best_r:
-            best_n, best_r = n, r
-    if best_n == 0:
-        raise InfeasibleTimingError(
-            "every scanned ensemble size has infeasible timing"
-        )
-    return best_n, best_r
+    return _scan(model, law, tau_tilde_sep, n_search_max, 1, True)[1:]
+
+
+def n_cutoff_and_max_gain(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
+                          n_search_max: int = 10**6) -> tuple[int | None, int, float]:
+    """(n_cutoff, *n_max_gain) from one scan; n_search_max must be >= 2,
+    and every size being infeasible raises InfeasibleTimingError."""
+    return _scan(model, law, tau_tilde_sep, n_search_max, 2, True)
 
 
 def monotonicity_scan(model: BathModel, n: int, tau_tilde_sep: float,
@@ -314,7 +318,8 @@ def monotonicity_scan(model: BathModel, n: int, tau_tilde_sep: float,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
     t_c = coherence_time(model)
-    rs = [gain(model, n, tau_tilde_sep, x * t_c).r for x in grid]
+    gain_at = _gain_at_fixed_sep(model, tau_tilde_sep)
+    rs = [gain_at(n, x * t_c).r for x in grid]
     violations = []
     for i, (r_lo, r_hi) in enumerate(zip(rs, rs[1:])):
         if r_hi - r_lo > 1e-12 * max(abs(r_lo), abs(r_hi)):

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bath import BathModel, decay_exponent
-from .errors import (CapacityError, ValidationError, check_count,
+from .errors import (CapacityError, ValidationError, check_count, check_finite,
                      check_finite_nonnegative, check_finite_positive)
 
 __all__ = [
@@ -76,6 +76,7 @@ class EvolutionParams:
     tau: float
 
     def __post_init__(self):
+        check_finite(self.omega, "angular frequency omega")
         check_finite_nonnegative(self.tau, "sensing time")
 
 

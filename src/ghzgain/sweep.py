@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 AXIS_NAMES = ("x_ent", "x_sep", "n")
+MAX_AXIS_POINTS = 10**6  # the grid is built in memory
 CSV_COLUMNS = ("x_ent", "x_sep", "n", "r", "tau_opt_sep", "tau_opt_ent",
                "f_sep", "f_ent", "feasible")
 # One row per %-format; "%#.12g" is format_sig's rendering, and infeasible
@@ -75,12 +76,17 @@ class AxisSpec:
             if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
                 raise ValidationError(f"axis '{self.name}': {label} must be a number")
             check_finite_nonnegative(bound, f"axis '{self.name}': {label}", ValidationError)
-        if isinstance(self.points, bool) or not (
-                isinstance(self.points, numbers.Real) and float(self.points).is_integer()):
+        try:
+            points = operator.index(self.points)
+        except TypeError:  # a whole float such as 200.0
+            whole = isinstance(self.points, numbers.Real) and float(self.points).is_integer()
+            points = int(self.points) if whole else None
+        if points is None or isinstance(self.points, bool):
             raise ValidationError(f"axis '{self.name}': points must be an integer")
-        object.__setattr__(self, "points", int(self.points))
-        if self.points < 2:
-            raise ValidationError(f"axis '{self.name}': points must be >= 2")
+        object.__setattr__(self, "points", points)
+        if not 2 <= points <= MAX_AXIS_POINTS:
+            raise ValidationError(
+                f"axis '{self.name}': points must be in 2..{MAX_AXIS_POINTS}")
         if not self.maximum > self.minimum:
             raise ValidationError(f"axis '{self.name}': max must exceed min")
         if self.spacing not in ("linear", "log"):

@@ -1,0 +1,18 @@
+import importlib
+
+import pytest
+
+
+@pytest.fixture
+def gain_solves(monkeypatch):
+    """(tau_tilde, n_eff) of every solve the gain module asks for, in order."""
+    gain_module = importlib.import_module("ghzgain.gain")
+    calls = []
+    solve = gain_module.optimal_sensing_time
+
+    def counting(model, tau_tilde, n_eff):
+        calls.append((tau_tilde, n_eff))
+        return solve(model, tau_tilde, n_eff)
+
+    monkeypatch.setattr(gain_module, "optimal_sensing_time", counting)
+    return calls

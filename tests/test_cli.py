@@ -165,6 +165,36 @@ class TestCutoffCommand:
         assert parse_lines(out)["n_cutoff"] == "none"
 
 
+    def test_one_pass_and_one_separable_solve(self, capsys, gain_solves):
+        code, out, _ = run(
+            capsys, "cutoff", "--model", "isolated", "--tc", "1",
+            "--law", "linear", "--base", "0.03", "--ttilde-sep", "0.03",
+            "--n-search-max", "100",
+        )
+        assert code == 0
+        assert parse_lines(out)["n_cutoff"] == "27"
+        # the scan stops 10 sizes past the cutoff, each size solved once
+        assert gain_solves[0] == (0.03, 1)
+        assert [n_eff for _, n_eff in gain_solves[1:]] == list(range(1, 38))
+
+    @pytest.mark.parametrize(
+        "flags, exit_code, message",
+        [
+            (("--ttilde-sep", "1"), 3, "every scanned ensemble size has infeasible timing"),
+            (("--ttilde-sep", "0.03", "--n-search-max", "1"), 2,
+             "n_search_max must be >= 2, got 1"),
+            (("--ttilde-sep", "0.03", "--n-search-max", "0"), 2, "must be a positive integer"),
+        ],
+        ids=["infeasible-separable", "limit-1", "limit-0"],
+    )
+    def test_edge_cases_keep_their_exit_codes(self, capsys, flags, exit_code, message):
+        code, out, err = run(capsys, "cutoff", "--model", "isolated", "--tc", "1",
+                             "--law", "constant", "--base", "0.03", *flags)
+        assert code == exit_code
+        assert out == ""
+        assert message in err
+
+
 class TestUnderflow:
     def test_underflowing_optimum_exits_4(self, capsys):
         code, out, err = run(capsys, "gain", "--model", "markovian", "--gamma", "1e300",
@@ -252,6 +282,16 @@ class TestSweepCommand:
         assert code == 2
         assert "fixed.x_sep" in err
         assert not out_path.exists()
+
+    def test_huge_point_count_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        config_path = self.write_config(tmp_path, out_path)
+        config = json.loads(config_path.read_text())
+        config["axes"]["x_ent"]["points"] = 10**400
+        config_path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "sweep", "--config", str(config_path))
+        assert code == 2
+        assert "points must be in 2.." in err
 
     def test_invalid_config_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -22,6 +22,7 @@ from ghzgain import (
     gain_isolated,
     monotonicity_scan,
     n_cutoff,
+    n_cutoff_and_max_gain,
     n_max_gain,
     optimal_sensing_time,
     precision_opt,
@@ -176,13 +177,13 @@ class TestThreshold:
         model = BathModel.nonmarkovian(1.0)
         theta = threshold_ent_time(model, 9, 0.3)
         assert theta > 0.1  # the sqrt(N) locus 0.3/3 already gives r = 3
-        assert abs(gain(model, 9, 0.3, theta).r - 1.0) < 1e-8
+        assert abs(gain(model, 9, 0.3, theta).r - 1.0) <= 1e-11
 
     def test_ohmic_bisection(self):
         model = BathModel.ohmic(0.05, 20.0, 0.5)
         tts = 0.2 * coherence_time(model)
         theta = threshold_ent_time(model, 5, tts)
-        assert abs(gain(model, 5, tts, theta).r - 1.0) < 1e-8
+        assert abs(gain(model, 5, tts, theta).r - 1.0) <= 1e-11
 
     @pytest.mark.parametrize(
         "model",
@@ -198,7 +199,24 @@ class TestThreshold:
         for n in (2, 10):
             for tts in (0.1 * t_c, 0.5 * t_c):
                 theta = threshold_ent_time(model, n, tts)
-                assert abs(gain(model, n, tts, theta).r - 1.0) < 1e-8
+                assert abs(gain(model, n, tts, theta).r - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "model, n, x_sep",
+        [
+            (BathModel.nonmarkovian(1.0), 9, 0.3),
+            (BathModel.ohmic(0.05, 20.0, 0.5), 5, 0.2),
+            (BathModel.nonmarkovian(1.0), 10**5, 0.5),  # cubic falls back to numeric
+        ],
+        ids=["nonmarkovian", "ohmic", "nonmarkovian-large-n"],
+    )
+    def test_separable_optimum_is_solved_once(self, gain_solves, model, n, x_sep):
+        tts = x_sep * coherence_time(model)
+        threshold_ent_time(model, n, tts)
+        assert gain_solves[0] == (tts, 1)
+        assert [n_eff for _, n_eff in gain_solves[1:]] == [n] * (len(gain_solves) - 1)
+        # r(0), r(1e4 t_c), then a handful of Newton steps
+        assert len(gain_solves) <= 13
 
     def test_single_particle_threshold_is_the_separable_overhead(self):
         # N = 1: the strategies coincide, so r crosses 1 exactly where
@@ -224,17 +242,17 @@ class TestThreshold:
         gain_module = importlib.import_module("ghzgain.gain")
 
         def fake_gain_factory(r_value):
-            def fake(model, n, tts, tte):
+            def fake(model, n, tts, tte, sep, ent):
                 return gain_module.GainResult(r_value, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
             return fake
 
         model = BathModel.nonmarkovian(1.0)
-        monkeypatch.setattr(gain_module, "gain", fake_gain_factory(0.5))
+        monkeypatch.setattr(gain_module, "_gain_from_optima", fake_gain_factory(0.5))
         with pytest.raises(NoThresholdError) as info:
             gain_module.threshold_ent_time(model, 4, 0.3)
         assert info.value.side == "below"
 
-        monkeypatch.setattr(gain_module, "gain", fake_gain_factory(2.0))
+        monkeypatch.setattr(gain_module, "_gain_from_optima", fake_gain_factory(2.0))
         with pytest.raises(NoThresholdError) as info:
             gain_module.threshold_ent_time(model, 4, 0.3)
         assert info.value.side == "above"
@@ -344,12 +362,43 @@ class TestCutoffScan:
             x_ent = scaling_law_eval(law, neighbour)
             assert gain(model, neighbour, 0.05, x_ent * t_c).r <= best_r
 
+    @pytest.mark.parametrize(
+        "model, law, tts, limit, expected",
+        [
+            (BathModel.isolated(1.0), ScalingLaw("linear", 0.03), 0.03, 100, (27, 11)),
+            (BathModel.isolated(1.0), ScalingLaw("constant", 0.03), 0.03, 100, (None, 100)),
+            (BathModel.markovian(1.0), ScalingLaw("constant", 0.5), 0.5, 100, (1, 1)),
+            (BathModel.markovian(1.0), ScalingLaw("constant", 0.8), 0.1, 50, (0, 1)),
+        ],
+    )
+    def test_one_scan_gives_both_answers(self, model, law, tts, limit, expected):
+        both = n_cutoff_and_max_gain(model, law, tts, limit)
+        assert both[:2] == expected
+        assert both == (n_cutoff(model, law, tts, limit), *n_max_gain(model, law, tts, limit))
+
+    def test_scan_solves_the_separable_optimum_once(self, gain_solves):
+        law = ScalingLaw(ScalingKind.SQUARE_ROOT, 0.05)
+        n_cutoff(BathModel.nonmarkovian(1.0), law, 0.05, 500)
+        assert gain_solves[0] == (0.05, 1)
+        assert [n_eff for _, n_eff in gain_solves[1:]] == list(range(1, len(gain_solves)))
+
+    def test_infeasible_separable_timing_decides_every_size(self, gain_solves):
+        law = ScalingLaw(ScalingKind.CONSTANT, 0.03)
+        assert n_cutoff(BathModel.isolated(1.0), law, 1.0, 100) == 0
+        with pytest.raises(InfeasibleTimingError, match="every scanned ensemble size"):
+            n_max_gain(BathModel.isolated(1.0), law, 1.0, 100)
+        with pytest.raises(InfeasibleTimingError, match="every scanned ensemble size"):
+            n_cutoff_and_max_gain(BathModel.isolated(1.0), law, 1.0, 100)
+        assert gain_solves == [(1.0, 1)] * 3
+
     def test_search_bounds_validated(self):
         law = ScalingLaw(ScalingKind.LINEAR, 0.03)
         with pytest.raises(DomainError):
             n_cutoff(BathModel.isolated(1.0), law, 0.03, 1)
         with pytest.raises(DomainError):
             n_max_gain(BathModel.isolated(1.0), law, 0.03, 0)
+        with pytest.raises(DomainError, match="must be >= 2, got 1"):
+            n_cutoff_and_max_gain(BathModel.isolated(1.0), law, 0.03, 1)
 
 
 class TestMonotonicity:
@@ -366,6 +415,11 @@ class TestMonotonicity:
         grid[0] = 0.0
         assert monotonicity_scan(BathModel.isolated(1.0), 10, 0.03, grid) == []
 
+    def test_separable_optimum_is_solved_once(self, gain_solves):
+        grid = [0.1, 0.2, 0.4]
+        monotonicity_scan(BathModel.nonmarkovian(1.0), 10, 0.03, grid)
+        assert gain_solves == [(0.03, 1)] + [(x, 10) for x in grid]
+
     def test_grid_validation(self):
         model = BathModel.markovian(1.0)
         with pytest.raises(DomainError):
@@ -379,10 +433,10 @@ class TestMonotonicity:
 
         bumpy = iter([3.0, 2.0, 2.5, 1.0])
 
-        def fake(model, n, tts, tte):
+        def fake(model, n, tts, tte, sep, ent):
             return gain_module.GainResult(next(bumpy), 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
-        monkeypatch.setattr(gain_module, "gain", fake)
+        monkeypatch.setattr(gain_module, "_gain_from_optima", fake)
         violations = gain_module.monotonicity_scan(
             BathModel.markovian(1.0), 10, 0.03, [0.1, 0.2, 0.3, 0.4]
         )

@@ -155,6 +155,17 @@ class TestPhaseEvolution:
         with pytest.raises(DomainError):
             EvolutionParams(omega=1.0, tau=-0.5)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_rejected(self, omega):
+        with pytest.raises(DomainError, match="omega must be finite"):
+            EvolutionParams(omega=omega, tau=1.0)
+
+    def test_negative_and_zero_omega_allowed(self):
+        rho = build_probe_state(ProbeSpec(2, ProbeKind.GHZ))
+        for omega in (-0.7, 0.0):
+            out = evolve_phase(rho, EvolutionParams(omega=omega, tau=1.0))
+            assert np.all(np.isfinite(out))
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf])
     def test_non_finite_tau_rejected(self, tau):
         rho = build_probe_state(ProbeSpec(2, ProbeKind.GHZ))

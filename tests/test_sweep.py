@@ -68,6 +68,8 @@ class TestAxisSpec:
             dict(name="x_ent", minimum=0.0, maximum=1.0, points=2.5),
             dict(name="x_ent", minimum=0.0, maximum=1.0, points=True),
             dict(name="x_ent", minimum="0", maximum=1.0, points=5),
+            dict(name="x_ent", minimum=0.0, maximum=1.0, points=10**400),
+            dict(name="x_ent", minimum=0.0, maximum=1.0, points=1e300),
         ],
     )
     def test_invalid_axes_rejected(self, kwargs):
