@@ -143,8 +143,6 @@ def _log_sinhc(x: float) -> float:
     Taylor series x^2/6 - x^4/180 + x^6/2835 below 1e-2 (truncation
     there is under one ulp).
     """
-    if x == 0.0:
-        return 0.0
     if x < 1e-2:
         x2 = x * x
         return x2 / 6.0 - x2 * x2 / 180.0 + x2 * x2 * x2 / 2835.0
@@ -155,8 +153,6 @@ def _log_sinhc(x: float) -> float:
 
 def _dlog_sinhc(x: float) -> float:
     """d/dx ln(sinh(x)/x) = coth(x) - 1/x."""
-    if x == 0.0:
-        return 0.0
     if x < 1e-2:
         x2 = x * x
         return x / 3.0 - x * x2 / 45.0 + 2.0 * x * x2 * x2 / 945.0
@@ -174,8 +170,6 @@ def decay_exponent(model: BathModel, tau: float) -> float:
     if model.kind is BathKind.NONMARKOVIAN:
         return model.eta * tau * tau
     # ohmic; both log terms vanish exactly at tau = 0
-    if tau == 0.0:
-        return 0.0
     wt = model.omega_c * tau
     return 0.5 * model.alpha * math.log1p(wt * wt) + model.alpha * _log_sinhc(
         math.pi * tau / model.beta
@@ -192,8 +186,6 @@ def decay_exponent_derivative(model: BathModel, tau: float) -> float:
         return model.gamma
     if model.kind is BathKind.NONMARKOVIAN:
         return 2.0 * model.eta * tau
-    if tau == 0.0:
-        return 0.0
     wt = model.omega_c * tau
     cutoff_term = model.alpha * model.omega_c * wt / (1.0 + wt * wt)
     thermal_term = model.alpha * (math.pi / model.beta) * _dlog_sinhc(

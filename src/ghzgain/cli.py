@@ -9,6 +9,7 @@ JSON document.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -108,16 +109,7 @@ def _cmd_tau_opt(args) -> dict:
 
 def _cmd_gain(args) -> dict:
     model = _model_from_args(args)
-    result = gain(model, args.n, args.ttilde_sep, args.ttilde_ent)
-    return {
-        "r": result.r,
-        "tau_opt_sep": result.tau_opt_sep,
-        "tau_opt_ent": result.tau_opt_ent,
-        "f_sep": result.f_sep,
-        "f_ent": result.f_ent,
-        "round_sep": result.round_sep,
-        "round_ent": result.round_ent,
-    }
+    return dataclasses.asdict(gain(model, args.n, args.ttilde_sep, args.ttilde_ent))
 
 
 def _cmd_threshold(args) -> dict:

@@ -251,14 +251,15 @@ def _scan(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
     t_c = coherence_time(model)
     try:
         gain_at = _gain_at_fixed_sep(model, tau_tilde_sep)
+        sizes = range(1, n_search_max + 1)
     except InfeasibleTimingError:
-        gain_at = None
-    last_qualifying, best_n, best_r, below = 0, 0, -math.inf, 0
-    for n in range(1, n_search_max + 1):
+        sizes = ()  # every size shares the infeasible separable timing
+    last_qualifying, best_n, best_r, below, r = 0, 0, -math.inf, 0, None
+    for n in sizes:
         tau_tilde_ent = scaling_law_eval(law, n) * t_c
         check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
         try:
-            r = None if gain_at is None else gain_at(n, tau_tilde_ent).r
+            r = gain_at(n, tau_tilde_ent).r
         except InfeasibleTimingError:
             r = None
         if r is not None and r > best_r:
@@ -271,7 +272,7 @@ def _scan(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
                 break
     if need_peak and best_n == 0:
         raise InfeasibleTimingError("every scanned ensemble size has infeasible timing")
-    if n == n_search_max and r is not None and r > 1.0:
+    if r is not None and r > 1.0:  # only a pass that ran to the end stops above 1
         return None, best_n, best_r
     return last_qualifying, best_n, best_r
 

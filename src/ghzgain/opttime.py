@@ -13,9 +13,9 @@ why a single n_eff parameter covers both).
 
 Closed forms exist for the linear decay law (a quadratic in tau) and the
 quadratic law (a cubic, solved in complex arithmetic).  A model-agnostic
-numeric path handles everything else: golden-section maximisation on an
-auto-expanded bracket, then bisection on the stationarity residual to
-polish the root to machine precision.
+numeric path handles everything else: one bisection on the stationarity
+residual, whose sign brackets the root (it is -tau times the slope of the
+log rate).
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass(frozen=True, slots=True)
 class OptimalTime:
     """A located optimum: the time, the rate it achieves, and the
@@ -91,7 +88,7 @@ def stationarity_residual(model: BathModel, tau_tilde: float, n_eff: int, tau: f
     return _residual(decay_exponent_derivative(model, tau), tau_tilde, n_eff, tau)
 
 
-def tau_opt_isolated(t_c: float, tau_tilde: float) -> OptimalTime:
+def tau_opt_isolated(t_c: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     """Boundary optimum t_c - tau_tilde of a decoherence-free probe.
 
     Without dephasing the rate grows with tau, so the whole round is
@@ -99,13 +96,14 @@ def tau_opt_isolated(t_c: float, tau_tilde: float) -> OptimalTime:
     """
     check_finite_nonnegative(tau_tilde, "overhead time")
     check_finite_positive(t_c, "coherence time")
+    n_eff = check_count(n_eff, "effective particle count")
     if tau_tilde >= t_c:
         raise InfeasibleTimingError(
             f"overhead {tau_tilde!r} consumes the whole coherence time {t_c!r}; "
             "no sensing time remains"
         )
     tau = t_c - tau_tilde
-    return OptimalTime(tau, tau * tau / t_c, 0.0)
+    return OptimalTime(tau, _block_rate(0.0, tau_tilde, n_eff, tau), 0.0)
 
 
 def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
@@ -203,10 +201,11 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
 def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:
     """Model-agnostic interior maximum of the information rate.
 
-    Works on the log of the rate (immune to exp(-2 N Gamma) underflow).
-    The bracket [0, B] starts at the coherence time and doubles until the
-    maximum is interior; golden-section narrows it, then bisection on the
-    stationarity residual polishes the root to a relative width of 1e-15.
+    The stationarity residual equals -tau d ln(rate)/d tau: negative while
+    the rate rises, positive once it falls, and -1 - tau_tilde/(tau_tilde
+    + tau) < 0 as tau -> 0.  So B starts at the coherence time and
+    doubles until the residual at B is positive, and bisection on the
+    residual over [0, B] narrows the root to a relative width of 1e-15.
     """
     if model.kind is BathKind.ISOLATED:
         raise UnsupportedModelError(
@@ -215,47 +214,20 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
 
-    def log_rate(t: float) -> float:
-        return (
-            2.0 * math.log(t)
-            - 2.0 * n_eff * decay_exponent(model, t)
-            - math.log(tau_tilde + t)
-        )
+    def res(t: float) -> float:
+        return _residual(decay_exponent_derivative(model, t), tau_tilde, n_eff, t)
 
-    t_c = coherence_time(model)
-    hi = t_c
+    up = coherence_time(model)
     for _ in range(61):
-        if log_rate(hi) < log_rate(0.5 * hi):
+        if res(up) > 0.0:
             break
-        hi *= 2.0
+        up *= 2.0
     else:
         raise DivergenceError(
             "information rate still rising after expanding the bracket to "
             "2^60 coherence times; no interior maximum found"
         )
-
-    a, b = 0.0, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = log_rate(c), log_rate(d)
-    while b - a > 1e-2 * d:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = log_rate(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = log_rate(d)
-
-    def res(t: float) -> float:
-        return _residual(decay_exponent_derivative(model, t), tau_tilde, n_eff, t)
-
-    # bisection needs a sign change; the golden bracket has one unless the
-    # maximum sat at its very edge, in which case fall back to [0, hi]
-    lo, up = a, b
-    if lo <= 0.0 or res(lo) > 0.0 or res(up) < 0.0:
-        lo, up = 0.0, hi
+    lo = 0.0
     while up - lo > 1e-15 * up:
         mid = 0.5 * (lo + up)
         if res(mid) < 0.0:
@@ -275,9 +247,7 @@ def optimal_sensing_time(model: BathModel, tau_tilde: float, n_eff: int) -> Opti
     optimum whose rate under- or overflows raises SolverError.
     """
     if model.kind is BathKind.ISOLATED:
-        if n_eff.__class__ is not int or n_eff < 1:
-            check_count(n_eff, "effective particle count")
-        opt = tau_opt_isolated(coherence_time(model), tau_tilde)
+        opt = tau_opt_isolated(coherence_time(model), tau_tilde, n_eff)
     elif model.kind is BathKind.MARKOVIAN:
         opt = tau_opt_markov(model.gamma, tau_tilde, n_eff)
     elif model.kind is BathKind.NONMARKOVIAN:

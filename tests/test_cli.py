@@ -181,11 +181,15 @@ class TestCutoffCommand:
         "flags, exit_code, message",
         [
             (("--ttilde-sep", "1"), 3, "every scanned ensemble size has infeasible timing"),
+            # no law is evaluated once the separable timing is infeasible
+            (("--ttilde-sep", "1", "--law", "linear", "--base", "1e306"), 3,
+             "every scanned ensemble size has infeasible timing"),
             (("--ttilde-sep", "0.03", "--n-search-max", "1"), 2,
              "n_search_max must be >= 2, got 1"),
             (("--ttilde-sep", "0.03", "--n-search-max", "0"), 2, "must be a positive integer"),
         ],
-        ids=["infeasible-separable", "limit-1", "limit-0"],
+        ids=["infeasible-separable", "infeasible-separable-overflowing-law", "limit-1",
+             "limit-0"],
     )
     def test_edge_cases_keep_their_exit_codes(self, capsys, flags, exit_code, message):
         code, out, err = run(capsys, "cutoff", "--model", "isolated", "--tc", "1",

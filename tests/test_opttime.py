@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from ghzgain import (
     BathModel,
     BranchError,
+    DivergenceError,
     DomainError,
     InfeasibleTimingError,
     SolverError,
@@ -25,7 +27,9 @@ DEPHASING_MODELS = [
     BathModel.markovian(1.0),
     BathModel.nonmarkovian(1.0),
     BathModel.ohmic(0.05, 20.0, 0.5),
+    BathModel.ohmic(0.1, 100.0, 10.0),
 ]
+MODEL_IDS = ["markovian", "nonmarkovian", "ohmic", "cold-ohmic"]
 
 
 def rate(model, tau_tilde, n_eff, tau):
@@ -36,14 +40,14 @@ def rate(model, tau_tilde, n_eff, tau):
 
 class TestIsolated:
     def test_subtraction(self):
-        assert tau_opt_isolated(1.0, 0.2).tau_opt == pytest.approx(0.8)
+        assert tau_opt_isolated(1.0, 0.2, 1).tau_opt == pytest.approx(0.8)
 
     def test_zero_overhead(self):
-        assert tau_opt_isolated(1.0, 0.0).tau_opt == 1.0
+        assert tau_opt_isolated(1.0, 0.0, 1).tau_opt == 1.0
 
     def test_boundary_is_infeasible(self):
         with pytest.raises(InfeasibleTimingError):
-            tau_opt_isolated(1.0, 1.0)
+            tau_opt_isolated(1.0, 1.0, 1)
 
 
 class TestMarkovClosedForm:
@@ -121,6 +125,33 @@ class TestNumeric:
         opt = tau_opt_numeric(model, 0.1, 3)
         assert abs(opt.residual) < 1e-8
 
+    def test_rate_rising_for_ever_diverges(self, monkeypatch):
+        # with Gamma = 0 the residual stays at -1 - tau_tilde/(tau_tilde + tau)
+        monkeypatch.setattr("ghzgain.opttime.decay_exponent", lambda model, tau: 0.0)
+        monkeypatch.setattr("ghzgain.opttime.decay_exponent_derivative",
+                            lambda model, tau: 0.0)
+        with pytest.raises(DivergenceError, match="2\\^60 coherence times"):
+            tau_opt_numeric(BathModel.ohmic(0.05, 20.0, 0.5), 0.1, 1)
+
+    @pytest.mark.parametrize("alpha, omega_c, beta", [(0.05, 20.0, 0.5), (0.1, 100.0, 10.0),
+                                                      (0.01, 5.0, 2.0)])
+    @pytest.mark.parametrize("x, n_eff", [(0.0, 1), (0.1, 10), (1.0, 1000), (0.5, 10**5)])
+    def test_ohmic_matches_mpmath_root(self, alpha, omega_c, beta, x, n_eff):
+        model = BathModel.ohmic(alpha, omega_c, beta)
+        tau_tilde = x * coherence_time(model)
+        opt = tau_opt_numeric(model, tau_tilde, n_eff)
+        with mpmath.workdps(50):
+            a, w, k = mpmath.mpf(alpha), mpmath.mpf(omega_c), mpmath.pi / mpmath.mpf(beta)
+
+            def residual(t):
+                wt, kt = w * t, k * t
+                dgamma = a * w * wt / (1 + wt * wt) + a * k * (mpmath.coth(kt) - 1 / kt)
+                return 2 * n_eff * t * dgamma - 1 - tau_tilde / (tau_tilde + t)
+
+            root = mpmath.findroot(residual, (opt.tau_opt / 2, 2 * opt.tau_opt),
+                                   solver="anderson")
+            assert abs(opt.tau_opt - root) <= 1e-12 * root
+
     def test_isolated_unsupported(self):
         with pytest.raises(UnsupportedModelError):
             tau_opt_numeric(BathModel.isolated(1.0), 0.1, 1)
@@ -162,7 +193,7 @@ class TestStationarityResidual:
 
 
 class TestInteriorMaximum:
-    @pytest.mark.parametrize("model", DEPHASING_MODELS, ids=lambda m: m.kind.value)
+    @pytest.mark.parametrize("model", DEPHASING_MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("overhead_factor", [0.0, 0.1, 1.0])
     def test_residual_tiny_and_neighbours_lower(self, model, overhead_factor):
         t_c = coherence_time(model)
@@ -176,9 +207,12 @@ class TestInteriorMaximum:
                 assert rate(model, tau_tilde, n_eff, neighbour) < best
 
     def test_objective_field_matches_rate(self):
-        model = BathModel.markovian(2.0)
-        opt = optimal_sensing_time(model, 0.3, 4)
-        assert opt.objective == pytest.approx(rate(model, 0.3, 4, opt.tau_opt), rel=1e-12)
+        for model in [BathModel.isolated(1.0)] + DEPHASING_MODELS:
+            tau_tilde = 0.3 * coherence_time(model)
+            for n_eff in (1, 5):
+                opt = optimal_sensing_time(model, tau_tilde, n_eff)
+                expected = rate(model, tau_tilde, n_eff, opt.tau_opt)
+                assert opt.objective == pytest.approx(expected, rel=1e-12), (model, n_eff)
 
 
 @given(
