@@ -18,10 +18,13 @@ concurrently.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+
+import numpy as np
 
 from .errors import SolverError, ValidationError, check_finite_nonnegative, check_finite_positive
 
@@ -135,28 +138,64 @@ class BathModel:
         return cls(kind, **params)
 
 
-def _log_sinhc(x: float) -> float:
-    """ln(sinh(x)/x), stable over many decades of x.
-
-    Large x would overflow sinh; small x loses the result to log
-    cancellation.  Uses sinh(x) = e^x (1 - e^{-2x})/2 for x > 20 and the
-    Taylor series x^2/6 - x^4/180 + x^6/2835 below 1e-2 (truncation
-    there is under one ulp).
-    """
-    if x < 1e-2:
-        x2 = x * x
-        return x2 / 6.0 - x2 * x2 / 180.0 + x2 * x2 * x2 / 2835.0
-    if x > 20.0:
-        return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * x)
-    return math.log(math.sinh(x)) - math.log(x)
+# sinh(x)/x - 1 = sum_k x^(2k)/(2k+1)!: no cancellation, and k <= 9 is one ulp below x = 1
+_SINHC_TAYLOR = tuple(1.0 / math.factorial(2 * k + 1) for k in range(9, 0, -1))
 
 
-def _dlog_sinhc(x: float) -> float:
-    """d/dx ln(sinh(x)/x) = coth(x) - 1/x."""
-    if x < 1e-2:
-        x2 = x * x
-        return x / 3.0 - x * x2 / 45.0 + 2.0 * x * x2 * x2 / 945.0
-    return 1.0 / math.tanh(x) - 1.0 / x
+def _sinhc_minus_one(x2):
+    """sinh(x)/x - 1 for x2 = x*x < 1, a float or an array."""
+    return functools.reduce(lambda acc, c: acc * x2 + c, _SINHC_TAYLOR, 0.0) * x2
+
+
+# ln(sinh(x)/x), stable over many decades, by branch: its Taylor series
+# below 1e-2 (truncation under one ulp); log1p of sinh(x)/x - 1 by series
+# below 1, where ln(sinh x) - ln x cancels to ~4e-11 relative; the direct
+# form below 20; and sinh(x) = e^x (1 - e^{-2x})/2 above, where sinh
+# overflows.  Its derivative coth(x) - 1/x takes a series below 1e-2.
+# Formula k takes x, x*x and xp (math or numpy), from edge k - 1 to edge k.
+_LOG_SINHC_EDGES = (1e-2, 1.0, 20.0)
+_LOG_SINHC = (
+    lambda x, x2, xp: x2 / 6.0 - x2 * x2 / 180.0 + x2 * x2 * x2 / 2835.0,
+    lambda x, x2, xp: xp.log1p(_sinhc_minus_one(x2)),
+    lambda x, x2, xp: xp.log(xp.sinh(x)) - xp.log(x),
+    lambda x, x2, xp: x + xp.log1p(-xp.exp(-2.0 * x)) - xp.log(2.0 * x),
+)
+_DLOG_SINHC_EDGES = (1e-2,)
+_DLOG_SINHC = (
+    lambda x, x2, xp: x / 3.0 - x * x2 / 45.0 + 2.0 * x * x2 * x2 / 945.0,
+    lambda x, x2, xp: 1.0 / xp.tanh(x) - 1.0 / x,
+)
+
+
+def _by_branch(formulas, edges, x, xp):
+    """The formula whose edges hold x, at a float x (xp = math) or at
+    each element of an array x (xp = numpy)."""
+    if xp is math:
+        return formulas[bisect.bisect_right(edges, x)](x, x * x, math)
+    x2 = x * x
+    with np.errstate(all="ignore"):
+        out = formulas[0](x, x2, np)
+        for edge, formula in zip(edges, formulas[1:]):
+            out = np.where(x >= edge, formula(x, x2, np), out)
+    return out
+
+
+def _ohmic_exponent(model: BathModel, tau, xp=math):
+    """Ohmic Gamma at a float tau, or elementwise over an array with xp =
+    numpy (not checked); both log terms vanish exactly at tau = 0."""
+    wt = model.omega_c * tau
+    return 0.5 * model.alpha * xp.log1p(wt * wt) + model.alpha * _by_branch(
+        _LOG_SINHC, _LOG_SINHC_EDGES, math.pi * tau / model.beta, xp
+    )
+
+
+def _ohmic_exponent_derivative(model: BathModel, tau, xp=math):
+    """Ohmic dGamma/dtau at a float tau, or elementwise over an array with
+    xp = numpy (not checked)."""
+    wt, x = model.omega_c * tau, math.pi * tau / model.beta
+    dlog_sinhc = _by_branch(_DLOG_SINHC, _DLOG_SINHC_EDGES, x, xp)
+    cutoff_term = model.alpha * model.omega_c * wt / (1.0 + wt * wt)
+    return cutoff_term + model.alpha * (math.pi / model.beta) * dlog_sinhc
 
 
 def decay_exponent(model: BathModel, tau: float) -> float:
@@ -169,11 +208,7 @@ def decay_exponent(model: BathModel, tau: float) -> float:
         return model.gamma * tau
     if model.kind is BathKind.NONMARKOVIAN:
         return model.eta * tau * tau
-    # ohmic; both log terms vanish exactly at tau = 0
-    wt = model.omega_c * tau
-    return 0.5 * model.alpha * math.log1p(wt * wt) + model.alpha * _log_sinhc(
-        math.pi * tau / model.beta
-    )
+    return _ohmic_exponent(model, tau)
 
 
 def decay_exponent_derivative(model: BathModel, tau: float) -> float:
@@ -186,15 +221,10 @@ def decay_exponent_derivative(model: BathModel, tau: float) -> float:
         return model.gamma
     if model.kind is BathKind.NONMARKOVIAN:
         return 2.0 * model.eta * tau
-    wt = model.omega_c * tau
-    cutoff_term = model.alpha * model.omega_c * wt / (1.0 + wt * wt)
-    thermal_term = model.alpha * (math.pi / model.beta) * _dlog_sinhc(
-        math.pi * tau / model.beta
-    )
-    return cutoff_term + thermal_term
+    return _ohmic_exponent_derivative(model, tau)
 
 
-@lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=512)
 def coherence_time(model: BathModel) -> float:
     """Single-particle coherence time t_c.
 

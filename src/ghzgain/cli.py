@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 infeasible
-timing, 4 solver or branch failure.  All numbers print with 12
-significant digits; --json replaces the key = value lines with a single
-JSON document.
+timing, 4 solver or branch failure or a result that is not finite.  All
+numbers print with 12 significant digits; --json replaces the key = value
+lines with a single JSON document.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -20,7 +21,7 @@ from .bath import (
     decay_exponent_derivative,
     ohmic_limit_rates,
 )
-from .errors import GhzGainError, InfeasibleTimingError, SolverError
+from .errors import GhzGainError, InfeasibleTimingError, SolverError, check_finite
 from .gain import ScalingLaw, gain, n_cutoff_and_max_gain, threshold_ent_time
 from .opttime import optimal_sensing_time
 from .qfi import qfi_ghz, qfi_separable
@@ -55,6 +56,9 @@ def _model_from_args(args: argparse.Namespace) -> BathModel:
 
 
 def _emit(payload: dict, as_json: bool) -> None:
+    for key, value in payload.items():
+        if isinstance(value, float):
+            check_finite(value, key, SolverError)
     if as_json:
         rounded = {
             key: (float(format_sig(value)) if isinstance(value, float) else value)
@@ -134,6 +138,7 @@ def _cmd_sweep(args) -> dict:
     return {"rows": len(rows), "path": config.output_path}
 
 
+@functools.cache  # building costs more than most queries; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghzgain",
@@ -199,7 +204,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        payload = args.handler(args)
+        _emit(args.handler(args), args.json)
     except InfeasibleTimingError as exc:
         print(f"error: infeasible timing: {exc}", file=sys.stderr)
         return 3
@@ -209,7 +214,6 @@ def cli_main(argv=None) -> int:
     except (GhzGainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.json)
     return 0
 
 

@@ -7,6 +7,9 @@ exit with 2, infeasible timing with 3, solver failures with 4.
 
 import math
 import operator
+import sys
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class GhzGainError(Exception):
@@ -87,11 +90,13 @@ def check_finite_positive(value: float, what: str, error: type = DomainError) ->
 
 
 def check_count(value, what: str, error: type = DomainError) -> int:
-    """Return ``value`` as an ``int`` if it is an integer >= 1 (numpy's too, not bool)."""
+    """``value`` as an ``int`` if it is an integer in [1, _FLOAT_MAX] (numpy's, not bool)."""
     try:
         count = operator.index(value)
     except TypeError:
         count = 0
     if count < 1 or isinstance(value, bool):
         raise error(f"{what} must be a positive integer, got {value!r}")
+    if count > _FLOAT_MAX:  # the solvers compute in floats
+        raise error(f"{what} must not exceed the largest float, got {value!r}")
     return count

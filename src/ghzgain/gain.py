@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .bath import BathKind, BathModel, coherence_time
 from .errors import (
     DomainError,
@@ -34,7 +36,7 @@ from .errors import (
     check_finite_nonnegative,
     check_finite_positive,
 )
-from .opttime import OptimalTime, optimal_sensing_time
+from .opttime import OptimalTime, _optimal_sensing_times, optimal_sensing_time
 from .qfi import ProbeKind, qfi_ghz, qfi_separable
 
 __all__ = [
@@ -229,14 +231,58 @@ def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
 
 def scaling_law_eval(law: ScalingLaw, n: int) -> float:
     """Entangled overhead ratio x_ent = tau_tilde_ent / t_c at size N."""
-    n = check_count(n, "particle count")
+    return _law_ratio(law, check_count(n, "particle count"), math)
+
+
+def _law_ratio(law: ScalingLaw, n, xp):
+    """x_ent at size n with xp = math, or at a float array of sizes with xp = numpy."""
     if law.kind is ScalingKind.CONSTANT:
-        return law.base
+        return law.base + 0.0 * n
     if law.kind is ScalingKind.LOGARITHMIC:
-        return (1.0 + math.log2(n)) * law.base
+        return (1.0 + xp.log2(n)) * law.base
     if law.kind is ScalingKind.SQUARE_ROOT:
-        return math.sqrt(n) * law.base
+        return xp.sqrt(n) * law.base
     return n * law.base
+
+
+_SCAN_CHUNK = 8192  # most sizes per array pass: 64 kB per float temporary
+
+
+def _scan_gains(model: BathModel, law: ScalingLaw, tau_tilde_sep: float, n_search_max: int):
+    """Yield (sizes, r) pieces covering N = 1..n_search_max in order, r =
+    -inf where the timing is infeasible.  A scalar re-solve where the array
+    path cannot certify the optimum, or the error of a non-finite entangled
+    overhead, comes only when the caller asks for the piece reaching it.
+    Passes start at 16 sizes and double up to _SCAN_CHUNK: an Ohmic pass
+    costs ~0.8 ms however short, and scans often stop within a few dozen."""
+    t_c = coherence_time(model)
+    try:
+        sep = optimal_sensing_time(model, tau_tilde_sep, 1)
+    except InfeasibleTimingError:
+        return  # every size shares the infeasible separable timing
+    start, width = 1, 16
+    while start <= n_search_max:
+        sizes = np.arange(start, min(start + width, n_search_max + 1), dtype=float)
+        start, width = start + width, min(2 * width, _SCAN_CHUNK)
+        with np.errstate(over="ignore"):
+            tau_tilde_ent = _law_ratio(law, sizes, np) * t_c
+        rate = _optimal_sensing_times(model, tau_tilde_ent, sizes)[1]
+        rate[~np.isfinite(tau_tilde_ent)] = math.nan
+        if sizes[0] == 1.0 and tau_tilde_ent[0] == tau_tilde_sep:
+            rate[0] = sep.objective  # N = 1 at the separable overhead is sep: r = 1 exactly
+        r = rate / (sizes * sep.objective)
+        r[rate == 0.0] = -math.inf
+        done = 0
+        for i in np.flatnonzero(np.isnan(r)):
+            yield sizes[done:i], r[done:i]
+            n, done, overhead = int(sizes[i]), i, float(tau_tilde_ent[i])
+            check_finite_nonnegative(overhead, "entangled overhead time")
+            try:
+                ent = optimal_sensing_time(model, overhead, n)
+                r[i] = _gain_from_optima(model, n, tau_tilde_sep, overhead, sep, ent).r
+            except InfeasibleTimingError:
+                r[i] = -math.inf
+        yield sizes[done:], r[done:]
 
 
 def _scan(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
@@ -248,31 +294,25 @@ def _scan(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
     if check_count(n_search_max, "n_search_max") < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
     check_finite_nonnegative(tau_tilde_sep, "overhead time")
-    t_c = coherence_time(model)
-    try:
-        gain_at = _gain_at_fixed_sep(model, tau_tilde_sep)
-        sizes = range(1, n_search_max + 1)
-    except InfeasibleTimingError:
-        sizes = ()  # every size shares the infeasible separable timing
-    last_qualifying, best_n, best_r, below, r = 0, 0, -math.inf, 0, None
-    for n in sizes:
-        tau_tilde_ent = scaling_law_eval(law, n) * t_c
-        check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
-        try:
-            r = gain_at(n, tau_tilde_ent).r
-        except InfeasibleTimingError:
-            r = None
-        if r is not None and r > best_r:
-            best_n, best_r = n, r
-        if r is not None and r >= 1.0:
-            last_qualifying, below = n, 0
-        else:
-            below += 1
-            if last_qualifying and below >= 10:
-                break
+    last_qualifying, best_n, best_r, r_last = 0, 0, -math.inf, -math.inf
+    for sizes, r in _scan_gains(model, law, tau_tilde_sep, n_search_max):
+        if not sizes.size:
+            continue
+        # the last qualifying size at or before each N; N minus it is the
+        # count of consecutive sizes below 1
+        last = np.maximum.accumulate(np.where(r >= 1.0, sizes, last_qualifying))
+        stop = np.flatnonzero((last > 0.0) & (sizes - last >= 10.0))[:1]
+        if stop.size:
+            sizes, r, last = sizes[:stop[0] + 1], r[:stop[0] + 1], last[:stop[0] + 1]
+        peak = np.argmax(r)
+        if r[peak] > best_r:
+            best_n, best_r = int(sizes[peak]), float(r[peak])
+        last_qualifying, r_last = int(last[-1]), r[-1]
+        if stop.size:
+            break
     if need_peak and best_n == 0:
         raise InfeasibleTimingError("every scanned ensemble size has infeasible timing")
-    if r is not None and r > 1.0:  # only a pass that ran to the end stops above 1
+    if r_last > 1.0:  # only a pass that ran to the end stops above 1
         return None, best_n, best_r
     return last_qualifying, best_n, best_r
 

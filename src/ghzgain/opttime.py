@@ -25,9 +25,13 @@ import logging
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bath import (
     BathKind,
     BathModel,
+    _ohmic_exponent,
+    _ohmic_exponent_derivative,
     coherence_time,
     decay_exponent,
     decay_exponent_derivative,
@@ -214,8 +218,12 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
 
+    # every t below is finite and >= 0: the Ohmic form skips the checks and dispatch
+    slope = (_ohmic_exponent_derivative if model.kind is BathKind.OHMIC
+             else decay_exponent_derivative)
+
     def res(t: float) -> float:
-        return _residual(decay_exponent_derivative(model, t), tau_tilde, n_eff, t)
+        return _residual(slope(model, t), tau_tilde, n_eff, t)
 
     up = coherence_time(model)
     for _ in range(61):
@@ -237,6 +245,65 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     tau = 0.5 * (lo + up)
     rate = _block_rate(decay_exponent(model, tau), tau_tilde, n_eff, tau)
     return OptimalTime(tau, rate, res(tau))
+
+
+_BRANCH = cmath.exp(2j * math.pi / 3.0)  # the factor of _cubic_candidates' first root
+
+
+def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
+                           n_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, rate) of optimal_sensing_time over float arrays of overheads
+    >= 0 and particle counts >= 1 (not checked), by the same formulas; rate
+    is 0 where the timing is infeasible and NaN where this path cannot
+    certify the optimum (failed cubic branch check, no bracket, rate not
+    finite and > 0), for optimal_sensing_time to re-solve."""
+    ok = True
+    with np.errstate(all="ignore"):
+        if model.kind is BathKind.ISOLATED:
+            tau = coherence_time(model) - tau_tilde
+            g = 0.0
+        elif model.kind is BathKind.MARKOVIAN:
+            h = 0.5 / (n_eff * model.gamma)
+            b = tau_tilde - h
+            root = np.sqrt(b * b + 8.0 * h * tau_tilde)
+            tau = np.where((b >= 0.0) & (root > 0.0), 4.0 * h * tau_tilde / (b + root),
+                           0.5 * (root - b))
+            g = model.gamma * tau
+        elif model.kind is BathKind.NONMARKOVIAN:
+            scale = np.sqrt(n_eff * model.eta)
+            u = tau_tilde * scale
+            disc = -13.5 * u**4 + 29.953125 * u * u - 0.421875
+            z = (u * u * u - 5.625 * u + np.sqrt(disc + 0j)) ** (1.0 / 3.0) * _BRANCH
+            picked = (-z / 3.0 - (u * u + 0.75) / (3.0 * z) - u / 3.0) / scale
+            ok = (picked.real > 0.0) & (np.abs(picked.imag) < 1e-9 * picked.real)
+            v = picked.real * scale
+            g_val = 4.0 * v**3 + 4.0 * v * v * u - v - 2.0 * u
+            tau = (v - g_val / (12.0 * v * v + 8.0 * u * v - 1.0)) / scale
+            ok &= np.abs(_residual(2.0 * model.eta * tau, tau_tilde, n_eff, tau)) <= 1e-8
+            g = model.eta * tau * tau
+        else:
+            def res(t):
+                return _residual(_ohmic_exponent_derivative(model, t, np), tau_tilde, n_eff, t)
+
+            up = np.full_like(tau_tilde, coherence_time(model))
+            for _ in range(61):
+                ok = res(up) > 0.0
+                if ok.all():
+                    break
+                up = np.where(ok, up, 2.0 * up)
+            lo = np.zeros_like(up)
+            while (active := up - lo > 1e-15 * up).any():
+                mid = 0.5 * (lo + up)
+                rising = res(mid) < 0.0
+                lo = np.where(active & rising, mid, lo)
+                up = np.where(active & ~rising, mid, up)
+            tau = 0.5 * (lo + up)
+            g = _ohmic_exponent(model, tau, np)
+        rate = n_eff * n_eff * tau * tau * np.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
+    rate = np.where(ok & (rate > 0.0) & (rate < math.inf), rate, math.nan)
+    if model.kind is BathKind.ISOLATED:
+        rate[tau <= 0.0] = 0.0
+    return tau, rate
 
 
 def optimal_sensing_time(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:

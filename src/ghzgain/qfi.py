@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bath import BathModel, decay_exponent
-from .errors import (CapacityError, ValidationError, check_count, check_finite,
+from .errors import (_FLOAT_MAX, CapacityError, ValidationError, check_count, check_finite,
                      check_finite_nonnegative, check_finite_positive)
 
 __all__ = [
@@ -198,10 +198,11 @@ def qfi_eigen(rho_omega: np.ndarray, drho: np.ndarray, rank_tol: float = 1e-12) 
 
 def qfi_separable(n: int, tau: float, model: BathModel) -> float:
     """Closed form N tau^2 exp(-2 Gamma(tau)) for the product probe state."""
-    if n.__class__ is not int or n < 1:
+    if n.__class__ is not int or not 1 <= n <= _FLOAT_MAX:
         n = check_count(n, "particle count")
-    gamma_value = decay_exponent(model, tau)
-    return n * tau * tau * math.exp(-2.0 * gamma_value)
+    decay = math.exp(-2.0 * decay_exponent(model, tau))
+    # an underflowed decay wins over an overflowing tau^2 (not inf * 0 = nan)
+    return n * tau * tau * decay if decay else 0.0
 
 
 def qfi_ghz(n: int, tau: float, model: BathModel) -> float:
@@ -210,7 +211,7 @@ def qfi_ghz(n: int, tau: float, model: BathModel) -> float:
     The GHZ coherence sits between |0...0> and |1...1>, a Hamming
     distance N apart, hence the N-fold faster decay.
     """
-    if n.__class__ is not int or n < 1:
+    if n.__class__ is not int or not 1 <= n <= _FLOAT_MAX:
         n = check_count(n, "particle count")
-    gamma_value = decay_exponent(model, tau)
-    return n * n * tau * tau * math.exp(-2.0 * n * gamma_value)
+    decay = math.exp(-2.0 * n * decay_exponent(model, tau))
+    return n * n * tau * tau * decay if decay else 0.0

@@ -290,7 +290,7 @@ def rows_to_json(rows: list[SweepRow]) -> str:
     payload = [
         {col: _json_cell(getattr(row, col)) for col in CSV_COLUMNS} for row in rows
     ]
-    return json.dumps(payload, indent=1) + "\n"
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
 def save_rows(rows: list[SweepRow], config: SweepConfig) -> None:

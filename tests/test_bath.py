@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from ghzgain import (
     decay_exponent_derivative,
     ohmic_limit_rates,
 )
+from ghzgain.bath import (_LOG_SINHC, _LOG_SINHC_EDGES, _by_branch, _ohmic_exponent,
+                          _ohmic_exponent_derivative)
 
 
 def central_diff(model, tau, h):
@@ -55,6 +59,39 @@ class TestDecayExponent:
         for exponent in range(-12, 9):
             value = decay_exponent(model, 10.0**exponent)
             assert math.isfinite(value) and value >= 0.0
+
+
+def _log_sinhc(x, xp=math):
+    return _by_branch(_LOG_SINHC, _LOG_SINHC_EDGES, x, xp)
+
+
+class TestOhmicBranches:
+    # the four branches of ln(sinh x / x) meet at 1e-2, 1 and 20
+    XS = [x * f for x in (1e-2, 1.0, 20.0) for f in (0.999, 1.0, 1.001)] + [
+        1e-6, 3e-2, 0.3, 3.0, 200.0]
+
+    def test_log_sinhc_matches_mpmath(self):
+        with mpmath.workdps(50):
+            for x in np.logspace(-6, 2.5, 400).tolist() + self.XS:
+                exact = mpmath.log(mpmath.sinh(mpmath.mpf(x)) / mpmath.mpf(x))
+                assert abs(_log_sinhc(x) - exact) <= 1e-15 * exact
+
+    def test_array_log_sinhc_matches_the_float_form(self):
+        xs = np.array(self.XS + np.logspace(-6, 2.5, 400).tolist())
+        for x, value in zip(xs.tolist(), _log_sinhc(xs, np)):
+            assert value == pytest.approx(_log_sinhc(x), rel=1e-15)
+
+    def test_array_forms_take_the_same_branches(self):
+        model = BathModel.ohmic(0.05, 20.0, 0.5)
+        # times that put pi tau / beta on both sides of each cut-off
+        taus = np.array([x * 0.5 / math.pi for x in self.XS])
+        gammas = _ohmic_exponent(model, taus, np)
+        slopes = _ohmic_exponent_derivative(model, taus, np)
+        for tau, g, dg in zip(taus.tolist(), gammas, slopes):
+            assert g == pytest.approx(decay_exponent(model, tau), rel=1e-14)
+            # coth(x) - 1/x cancels just above its series cut-off x = 1e-2,
+            # to ~3e-12 relative in either form
+            assert dg == pytest.approx(decay_exponent_derivative(model, tau), rel=1e-11)
 
 
 class TestDerivative:

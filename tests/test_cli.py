@@ -4,6 +4,7 @@ import math
 import pytest
 
 from ghzgain import BathModel, NoThresholdError, threshold_ent_time
+from ghzgain import cli
 from ghzgain.cli import cli_main
 
 
@@ -173,9 +174,9 @@ class TestCutoffCommand:
         )
         assert code == 0
         assert parse_lines(out)["n_cutoff"] == "27"
-        # the scan stops 10 sizes past the cutoff, each size solved once
-        assert gain_solves[0] == (0.03, 1)
-        assert [n_eff for _, n_eff in gain_solves[1:]] == list(range(1, 38))
+        # one scalar solve, the separable optimum; the array pass certifies
+        # the GHZ optimum of every size up to the stop at N = 37
+        assert gain_solves == [(0.03, 1)]
 
     @pytest.mark.parametrize(
         "flags, exit_code, message",
@@ -197,6 +198,50 @@ class TestCutoffCommand:
         assert code == exit_code
         assert out == ""
         assert message in err
+
+
+class TestNonFiniteResult:
+    @pytest.mark.parametrize("argv", [
+        # tau^2 overflows while the decay factor underflows
+        ("qfi", "--model", "markovian", "--gamma", "1", "--n", "3", "--tau", "1e200"),
+        ("qfi", "--model", "markovian", "--gamma", "1", "--n", "3", "--tau", "1e200", "--json"),
+    ])
+    def test_underflowed_decay_gives_zero_information(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        values = json.loads(out) if "--json" in argv else parse_lines(out)
+        assert float(values["f_sep"]) == 0.0
+        assert float(values["f_ent"]) == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ("bath", "--model", "markovian", "--gamma", "1e300", "--tau", "1e300"),
+        ("bath", "--model", "markovian", "--gamma", "1e300", "--tau", "1e300", "--json"),
+        ("qfi", "--model", "isolated", "--tc", "1", "--n", "3", "--tau", "1e200", "--json"),
+    ])
+    def test_overflowing_result_exits_4(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "must be finite, got inf" in err
+        assert "Traceback" not in err
+
+
+class TestParserCache:
+    def test_cached_parser_answers_like_a_fresh_one(self, capsys, monkeypatch):
+        calls = [
+            ("gain", "--model", "markovian", "--gamma", "1", "--n", "five"),
+            ("gain", "--model", "markovian", "--gamma", "1", "--n", "5", "--json"),
+            ("--help",),
+            ("--help",),
+            ("cutoff", "--help"),
+        ]
+        cached = [run(capsys, *argv) for argv in calls]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in calls]
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0]
+        assert "invalid int value: 'five'" in cached[0][2]
+        assert cached[2] == cached[3]
 
 
 class TestUnderflow:
@@ -229,6 +274,10 @@ COMMAND_FLAGS = {
                 "--n-search-max": "10"}, ("--base", "--ttilde-sep")),
 }
 BAD_VALUES = ("nan", "inf", "-inf", "-1")
+# particle-count flags, and a count that parses but does not fit in a float
+COUNT_FLAGS = {"qfi": "--n", "tau-opt": "--n", "gain": "--n", "threshold": "--n",
+               "cutoff": "--n-search-max"}
+HUGE_COUNT = "1" + "0" * 400
 
 
 def bad_float_cases():
@@ -238,6 +287,9 @@ def bad_float_cases():
                 for value in BAD_VALUES:
                     yield pytest.param(command, kind, flag, value,
                                        id=f"{command}-{kind}{flag}={value}")
+            if command in COUNT_FLAGS:
+                yield pytest.param(command, kind, COUNT_FLAGS[command], HUGE_COUNT,
+                                   id=f"{command}-{kind}{COUNT_FLAGS[command]}=1e400")
 
 
 @pytest.mark.parametrize("command,kind,flag,value", list(bad_float_cases()))

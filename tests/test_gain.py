@@ -378,9 +378,10 @@ class TestCutoffScan:
 
     def test_scan_solves_the_separable_optimum_once(self, gain_solves):
         law = ScalingLaw(ScalingKind.SQUARE_ROOT, 0.05)
-        n_cutoff(BathModel.nonmarkovian(1.0), law, 0.05, 500)
-        assert gain_solves[0] == (0.05, 1)
-        assert [n_eff for _, n_eff in gain_solves[1:]] == list(range(1, len(gain_solves)))
+        # the per-size scalar scan's answer; the array pass certifies every
+        # size's GHZ optimum here, so the one scalar solve is the separable one
+        assert n_cutoff(BathModel.nonmarkovian(1.0), law, 0.05, 500) == 148
+        assert gain_solves == [(0.05, 1)]
 
     def test_infeasible_separable_timing_decides_every_size(self, gain_solves):
         law = ScalingLaw(ScalingKind.CONSTANT, 0.03)

@@ -128,7 +128,8 @@ class TestNumeric:
     def test_rate_rising_for_ever_diverges(self, monkeypatch):
         # with Gamma = 0 the residual stays at -1 - tau_tilde/(tau_tilde + tau)
         monkeypatch.setattr("ghzgain.opttime.decay_exponent", lambda model, tau: 0.0)
-        monkeypatch.setattr("ghzgain.opttime.decay_exponent_derivative",
+        # (an Ohmic solve takes Gamma' from the Ohmic form directly)
+        monkeypatch.setattr("ghzgain.opttime._ohmic_exponent_derivative",
                             lambda model, tau: 0.0)
         with pytest.raises(DivergenceError, match="2\\^60 coherence times"):
             tau_opt_numeric(BathModel.ohmic(0.05, 20.0, 0.5), 0.1, 1)
@@ -151,6 +152,10 @@ class TestNumeric:
             root = mpmath.findroot(residual, (opt.tau_opt / 2, 2 * opt.tau_opt),
                                    solver="anderson")
             assert abs(opt.tau_opt - root) <= 1e-12 * root
+
+    def test_count_too_large_for_a_float_rejected(self):
+        with pytest.raises(DomainError, match="largest float"):
+            tau_opt_numeric(BathModel.ohmic(0.05, 20.0, 0.5), 0.0, 10**400)
 
     def test_isolated_unsupported(self):
         with pytest.raises(UnsupportedModelError):

@@ -252,6 +252,16 @@ class TestClosedForms:
     def test_zero_sensing_time(self):
         assert qfi_separable(7, 0.0, BathModel.markovian(1.0)) == 0.0
 
+    @pytest.mark.parametrize("form", [qfi_separable, qfi_ghz])
+    def test_underflowed_decay_beats_an_overflowing_square(self, form):
+        # tau^2 = inf, exp(-2 Gamma) = 0: no information, not inf * 0 = nan
+        assert form(3, 1e200, BathModel.markovian(1.0)) == 0.0
+
+    @pytest.mark.parametrize("form", [qfi_separable, qfi_ghz])
+    def test_count_too_large_for_a_float_rejected(self, form):
+        with pytest.raises(DomainError, match="largest float"):
+            form(10**400, 0.5, BathModel.markovian(1.0))
+
     def test_single_particle_forms_coincide(self):
         model = BathModel.nonmarkovian(2.0)
         for tau in (0.1, 0.5, 2.0):
