@@ -188,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ttilde-sep", type=float, required=True,
                    help="separable overhead (absolute time)")
     p.add_argument("--n-search-max", type=int, default=10**6,
-                   help="scan limit (default 1e6)")
+                   help="scan limit (default 1e6, at most 1e9)")
 
     p = command("sweep", _cmd_sweep, "run a sweep described by a JSON config",
                 with_model=False)

@@ -128,6 +128,16 @@ def _gain_from_optima(model: BathModel, n: int, tau_tilde_sep: float,
     return GainResult(r, sep.tau_opt, ent.tau_opt, f_sep, f_ent, round_sep, round_ent)
 
 
+def _gains_from_optima(n, tau_tilde_sep, tau_tilde_ent, tau_sep, decay_sep, tau_ent, decay_ent):
+    """(r, f_sep, f_ent) of _gain_from_optima over arrays, by its operations in its order,
+    given decay = exp(-2 n_eff Gamma) by math.exp (np.exp's last bit can differ)."""
+    with np.errstate(all="ignore"):
+        f_sep = np.where(decay_sep != 0.0, n * tau_sep * tau_sep * decay_sep, 0.0)
+        f_ent = np.where(decay_ent != 0.0, n * n * tau_ent * tau_ent * decay_ent, 0.0)
+        r = (f_ent / (tau_tilde_ent + tau_ent)) / (f_sep / (tau_tilde_sep + tau_sep))
+    return r, f_sep, f_ent
+
+
 def _gain_at_fixed_sep(model: BathModel, tau_tilde_sep: float):
     """gain_at(n, tau_tilde_ent) = gain(model, n, tau_tilde_sep, tau_tilde_ent)
     for valid inputs; solves the separable optimum once, each call the GHZ one."""
@@ -246,6 +256,7 @@ def _law_ratio(law: ScalingLaw, n, xp):
 
 
 _SCAN_CHUNK = 8192  # most sizes per array pass: 64 kB per float temporary
+_N_SEARCH_CAP = 10**9  # a scan that never stops ends; every size is an exact float
 
 
 def _scan_gains(model: BathModel, law: ScalingLaw, tau_tilde_sep: float, n_search_max: int):
@@ -293,6 +304,8 @@ def _scan(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
     above 1 (all supported scalings are eventually monotone in N)."""
     if check_count(n_search_max, "n_search_max") < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
+    if n_search_max > _N_SEARCH_CAP:
+        raise DomainError(f"n_search_max must be <= {_N_SEARCH_CAP}, got {n_search_max!r}")
     check_finite_nonnegative(tau_tilde_sep, "overhead time")
     last_qualifying, best_n, best_r, r_last = 0, 0, -math.inf, -math.inf
     for sizes, r in _scan_gains(model, law, tau_tilde_sep, n_search_max):

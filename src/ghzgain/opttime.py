@@ -73,9 +73,10 @@ def _block_rate(g: float, tau_tilde: float, n_eff: int, tau: float) -> float:
     """QFI rate n_eff^2 tau^2 exp(-2 n_eff g) / (tau_tilde + tau), g = Gamma(tau).
 
     For n_eff = N this is the rate of an N-particle GHZ block; for
-    n_eff = 1 it is the per-particle rate of the separable strategy.
+    n_eff = 1 it is the per-particle rate of the separable strategy.  The
+    square is a float: an int square past ~1.3e154 overflows in `* tau`.
     """
-    return n_eff * n_eff * tau * tau * math.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
+    return float(n_eff) * n_eff * tau * tau * math.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
 
 
 def _residual(dg: float, tau_tilde: float, n_eff: int, tau: float) -> float:

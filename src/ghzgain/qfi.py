@@ -214,4 +214,4 @@ def qfi_ghz(n: int, tau: float, model: BathModel) -> float:
     if n.__class__ is not int or not 1 <= n <= _FLOAT_MAX:
         n = check_count(n, "particle count")
     decay = math.exp(-2.0 * n * decay_exponent(model, tau))
-    return n * n * tau * tau * decay if decay else 0.0
+    return float(n) * n * tau * tau * decay if decay else 0.0

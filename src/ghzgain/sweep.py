@@ -5,12 +5,12 @@ x_ent = tau_tilde_ent/t_c and x_sep = tau_tilde_sep/t_c, and the particle
 number n.  A sweep fixes one (or two) of them and grids the rest.  Output
 is a deterministic table: same config, byte-identical file.
 
-Each distinct optimum is solved once per sweep.  The separable optimum
-depends only on x_sep and the GHZ optimum only on (x_ent, n), so a grid
-over x_sep and x_ent needs one solve per axis value rather than two per
-point.  The solves are kept for the duration of ``run_sweep`` only: its
-memory grows with the number of distinct (x_ent, n) pairs, and the rows
-and output bytes are the same as solving every point afresh.
+Each distinct optimum is solved once, in two array passes: the distinct
+x_sep, then, unless no separable timing is feasible, the distinct
+(x_ent, n); ``optimal_sensing_time`` re-solves what a pass cannot certify.
+Rows are assembled in numpy by the float operations of a per-point
+``gain``.  ``save_rows`` writes over the old file, then truncates it:
+truncating a recently written file on open waits for it to be flushed.
 """
 
 from __future__ import annotations
@@ -20,12 +20,17 @@ import json
 import math
 import numbers
 import operator
+import os
+import stat
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .bath import BathModel, coherence_time
+import numpy as np
+
+from .bath import BathModel, coherence_time, decay_exponent
 from .errors import InfeasibleTimingError, ValidationError, check_finite_nonnegative
-from .gain import _gain_from_optima
-from .opttime import optimal_sensing_time
+from .gain import _gains_from_optima
+from .opttime import _optimal_sensing_times, optimal_sensing_time
 
 __all__ = [
     "AXIS_NAMES",
@@ -145,8 +150,7 @@ class SweepConfig:
             raise ValidationError("output.path must be a non-empty string")
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point; the value fields are None when infeasible."""
 
     x_ent: float
@@ -214,16 +218,38 @@ def load_config(path: str) -> SweepConfig:
     return config_from_dict(data)
 
 
-def _grid_points(config: SweepConfig):
-    """(x_ent, x_sep, n) of every grid point, row-major in axis order,
-    with n rounded to a positive integer."""
+def _grid(config: SweepConfig):
+    """Each variable's values (floats; ints for n, rounded to >= 1) and every
+    grid point's index into them, row-major in axis order."""
     columns = {axis.name: axis.values() for axis in config.axes}
     columns.update((name, [value]) for name, value in config.fixed.items())
     columns["n"] = [max(1, int(round(v))) for v in columns["n"]]
     for name in ("x_ent", "x_sep"):
         columns[name] = [float(v) for v in columns[name]]
-    pick = operator.itemgetter(*(list(columns).index(name) for name in AXIS_NAMES))
-    return map(pick, itertools.product(*columns.values()))
+    index = np.indices([len(v) for v in columns.values()]).reshape(len(columns), -1)
+    return columns, dict(zip(columns, index))
+
+
+def _take(values, at: np.ndarray) -> list:
+    """values[at] as a list, sharing one Python object per value among the rows."""
+    return np.array(values, dtype=object)[at].tolist()
+
+
+def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
+    """[tau_opt, exp(-2 n_eff Gamma(tau_opt))] at keys tau_tilde + 1j n_eff, NaN where
+    infeasible; what the array pass cannot certify, optimal_sensing_time re-solves."""
+    tau_tilde, n_eff = keys.real, keys.imag
+    tau, rate = _optimal_sensing_times(model, tau_tilde, n_eff)
+    rate[~np.isfinite(tau_tilde)] = math.nan  # for the scalar solver's DomainError
+    for i in np.flatnonzero(np.isnan(rate)).tolist():
+        try:
+            tau[i] = optimal_sensing_time(model, float(tau_tilde[i]), int(n_eff[i])).tau_opt
+        except InfeasibleTimingError:
+            rate[i] = 0.0
+    tau[rate == 0.0] = math.nan
+    decay = [math.nan if t != t else math.exp(-2.0 * k * decay_exponent(model, t))
+             for t, k in zip(tau.tolist(), n_eff.tolist())]  # math.exp: see _gains_from_optima
+    return np.array([tau, decay])
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -235,48 +261,36 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """
     model = config.model
     t_c = coherence_time(model)
-    # (tau_tilde, n_eff) -> OptimalTime, or None where the timing is
-    # infeasible; n_eff = 1 is the separable solve, whatever n is
-    optima = {}
-
-    def optimum(tau_tilde: float, n_eff: int):
-        key = (tau_tilde, n_eff)
-        if key not in optima:
-            try:
-                optima[key] = optimal_sensing_time(model, tau_tilde, n_eff)
-            except InfeasibleTimingError:
-                optima[key] = None
-        return optima[key]
-
-    rows = []
-    for x_ent, x_sep, n in _grid_points(config):
+    columns, at = _grid(config)
+    x_ent, x_sep, n = (np.array(columns[name], dtype=float) for name in AXIS_NAMES)
+    with np.errstate(over="ignore"):  # an infinite overhead is re-solved, and rejected
         tau_tilde_sep, tau_tilde_ent = x_sep * t_c, x_ent * t_c
-        # separable first, as gain() does: an infeasible separable timing
-        # decides the row without an entangled solve
-        sep = optimum(tau_tilde_sep, 1)
-        ent = None if sep is None else optimum(tau_tilde_ent, n)
-        if ent is None:
-            rows.append(SweepRow(x_ent, x_sep, n, None, None, None, None, None, False))
-            continue
-        result = _gain_from_optima(model, n, tau_tilde_sep, tau_tilde_ent, sep, ent)
-        rows.append(SweepRow(
-            x_ent, x_sep, n,
-            result.r, result.tau_opt_sep, result.tau_opt_ent,
-            result.f_sep, result.f_ent, True,
-        ))
+    # np.unique orders complex keys by real, then imaginary part: each pair once
+    sep_keys, sep_at = np.unique(tau_tilde_sep + 1j, return_inverse=True)
+    ent_keys, ent_at = np.unique((tau_tilde_ent[:, None] + 1j * n).ravel(), return_inverse=True)
+    sep = _solve(model, sep_keys)
+    ent = np.full((2, ent_keys.size), math.nan)
+    if not np.isnan(sep[0]).all():  # as in gain(), an infeasible sep timing ends a row
+        known = np.isin(ent_keys, sep_keys)  # n = 1 at a separable overhead: solved
+        ent[:, known] = sep[:, np.searchsorted(sep_keys, ent_keys[known])]
+        ent[:, ~known] = _solve(model, ent_keys[~known])
+    row_sep, row_ent = sep_at[at["x_sep"]], ent_at[at["x_ent"] * n.size + at["n"]]
+    r, f_sep, f_ent = _gains_from_optima(n[at["n"]], tau_tilde_sep[at["x_sep"]],
+                                         tau_tilde_ent[at["x_ent"]], *sep[:, row_sep],
+                                         *ent[:, row_ent])
+    rows = list(map(SweepRow._make, zip(
+        *(_take(columns[name], at[name]) for name in AXIS_NAMES), r.tolist(),
+        _take(sep[0], row_sep), _take(ent[0], row_ent), f_sep.tolist(), f_ent.tolist(),
+        itertools.repeat(True))))
+    for i in np.flatnonzero(np.isnan(sep[0, row_sep]) | np.isnan(ent[0, row_ent])).tolist():
+        rows[i] = SweepRow(*rows[i][:3], None, None, None, None, None, False)
     return rows
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        if row.feasible:
-            lines.append(_CSV_FEASIBLE_ROW % (
-                row.x_ent, row.x_sep, row.n, row.r, row.tau_opt_sep,
-                row.tau_opt_ent, row.f_sep, row.f_ent,
-            ))
-        else:
-            lines.append(_CSV_INFEASIBLE_ROW % (row.x_ent, row.x_sep, row.n))
+    lines += [_CSV_FEASIBLE_ROW % row[:8] if row.feasible else _CSV_INFEASIBLE_ROW % row[:3]
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -295,5 +309,7 @@ def rows_to_json(rows: list[SweepRow]) -> str:
 
 def save_rows(rows: list[SweepRow], config: SweepConfig) -> None:
     text = rows_to_csv(rows) if config.output_format == "csv" else rows_to_json(rows)
-    with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open(os.open(config.output_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null, a pipe...
+            fh.truncate()

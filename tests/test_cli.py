@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -188,9 +189,12 @@ class TestCutoffCommand:
             (("--ttilde-sep", "0.03", "--n-search-max", "1"), 2,
              "n_search_max must be >= 2, got 1"),
             (("--ttilde-sep", "0.03", "--n-search-max", "0"), 2, "must be a positive integer"),
+            # a constant-law scan to 1e18 would never end
+            (("--ttilde-sep", "0.03", "--n-search-max", str(10**18)), 2,
+             "n_search_max must be <= 1000000000, got 1000000000000000000"),
         ],
         ids=["infeasible-separable", "infeasible-separable-overflowing-law", "limit-1",
-             "limit-0"],
+             "limit-0", "limit-1e18"],
     )
     def test_edge_cases_keep_their_exit_codes(self, capsys, flags, exit_code, message):
         code, out, err = run(capsys, "cutoff", "--model", "isolated", "--tc", "1",
@@ -224,6 +228,22 @@ class TestNonFiniteResult:
         assert out == ""
         assert "must be finite, got inf" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gain", "--model", "isolated", "--tc", "1", "--ttilde-sep", "0.1",
+          "--ttilde-ent", "0.1"), "optimal information rate inf is not finite"),
+        (("tau-opt", "--model", "markovian", "--gamma", "1", "--ttilde-sep", "0.1",
+          "--ttilde-ent", "0.1"), "optimal information rate inf is not finite"),
+        (("qfi", "--model", "isolated", "--tc", "1", "--tau", "1"),
+         "f_ent must be finite, got inf"),
+    ], ids=["gain", "tau-opt", "qfi"])
+    def test_count_whose_square_overflows_exits_4(self, capsys, argv, message):
+        # n^2 of a 201-digit count is past the largest float
+        code, out, err = run(capsys, *argv, "--n", str(10**200))
+        assert code == 4
+        assert out == ""
+        assert message in err
 
 
 class TestParserCache:
@@ -338,6 +358,24 @@ class TestSweepCommand:
         assert code == 2
         assert "fixed.x_sep" in err
         assert not out_path.exists()
+
+    def test_count_whose_square_overflows_exits_4(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        config_path = self.write_config(tmp_path, out_path)
+        config = json.loads(config_path.read_text())
+        del config["axes"]["n"]
+        config["fixed"]["n"] = 1e200
+        config_path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "sweep", "--config", str(config_path))
+        assert code == 4
+        assert "optimal information rate inf is not finite" in err
+        assert not out_path.exists()
+
+    def test_null_device_output_exits_0(self, capsys, tmp_path):
+        config_path = self.write_config(tmp_path, os.devnull)
+        code, out, _ = run(capsys, "sweep", "--config", str(config_path))
+        assert code == 0
+        assert os.devnull in out
 
     def test_huge_point_count_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"

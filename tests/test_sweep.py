@@ -1,12 +1,18 @@
 import hashlib
 import json
+import logging
 import math
+import os
+import random
+import stat
 from collections import Counter
 
 import pytest
 
 from ghzgain import (
     BathModel,
+    DomainError,
+    InfeasibleTimingError,
     ValidationError,
     coherence_time,
     config_from_dict,
@@ -216,18 +222,27 @@ def golden_panel_config(name):
 
 @pytest.fixture
 def solve_log(monkeypatch):
-    """(tau_tilde, n_eff) of every solve a sweep asks for."""
+    """(tau_tilde, n_eff) of every key a sweep hands to the array solver."""
     import ghzgain.sweep as sweep_module
 
     calls = []
-    solve = sweep_module.optimal_sensing_time
+    solve = sweep_module._optimal_sensing_times
 
-    def counting(model, tau_tilde, n_eff, *args, **kwargs):
-        calls.append((tau_tilde, n_eff))
-        return solve(model, tau_tilde, n_eff, *args, **kwargs)
+    def counting(model, tau_tilde, n_eff):
+        calls.extend(zip(tau_tilde.tolist(), n_eff.tolist()))
+        return solve(model, tau_tilde, n_eff)
 
-    monkeypatch.setattr(sweep_module, "optimal_sensing_time", counting)
+    monkeypatch.setattr(sweep_module, "_optimal_sensing_times", counting)
     return calls
+
+
+def shared_key_config():
+    # the n = 1, x_ent = 0.1 entangled optimum is the separable one
+    return make_config(
+        axes={"x_ent": {"min": 0.1, "max": 0.2, "points": 2},
+              "n": {"min": 1, "max": 100, "points": 3, "spacing": "log"}},
+        fixed={"x_sep": 0.1},
+    )
 
 
 class TestSharedSolves:
@@ -236,9 +251,11 @@ class TestSharedSolves:
         text = rows_to_csv(run_sweep(golden_panel_config(name)))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PANELS[name][-1]
 
-    @pytest.mark.parametrize("name", ["c", "f"])
-    def test_one_solve_per_distinct_optimum(self, name, solve_log):
-        config = golden_panel_config(name)
+    @pytest.mark.parametrize("config", [
+        lambda: golden_panel_config("c"), lambda: golden_panel_config("f"), shared_key_config,
+    ], ids=["c", "f", "shared-key"])
+    def test_one_solve_per_distinct_optimum(self, config, solve_log):
+        config = config()
         rows = run_sweep(config)
         t_c = coherence_time(config.model)
         needed = {(row.x_sep * t_c, 1) for row in rows}
@@ -261,7 +278,119 @@ class TestSharedSolves:
         assert len(rows) == 12
         assert not any(row.feasible for row in rows)
         assert all(row.r is None and row.tau_opt_ent is None for row in rows)
-        assert Counter(solve_log)[(1.0, 1)] == 1
+        assert solve_log == [(1.0, 1)]  # and no entangled solve
+
+
+def random_sweep_config(rng, kind):
+    """A small one- or two-axis grid on a random model of the given kind;
+    overhead ratios run past 1, where isolated timings become infeasible."""
+    model = {
+        "isolated": {"kind": "isolated", "t_c": 10 ** rng.uniform(-1, 1)},
+        "markovian": {"kind": "markovian", "gamma": 10 ** rng.uniform(-1, 1)},
+        "nonmarkovian": {"kind": "nonmarkovian", "eta": 10 ** rng.uniform(-1, 1)},
+        "ohmic": {"kind": "ohmic", "alpha": rng.uniform(0.01, 0.1),
+                  "omega_c": rng.uniform(5, 50), "beta": rng.uniform(0.2, 2)},
+    }[kind]
+    names = rng.sample(["x_ent", "x_sep", "n"], rng.randint(1, 2))
+    axes, fixed = {}, {}
+    for name in ("x_ent", "x_sep", "n"):
+        points = rng.randint(2, 7)
+        if name == "n":
+            if name in names:
+                axes[name] = {"min": 1, "max": 10 ** rng.uniform(1, 4), "points": points,
+                              "spacing": "log"}
+            else:
+                fixed[name] = rng.randint(1, 1000)
+        elif name in names:
+            axes[name] = {"min": rng.uniform(0, 0.5), "max": rng.uniform(0.6, 1.4),
+                          "points": points}
+        else:
+            fixed[name] = rng.uniform(0, 1.5)
+    return config_from_dict({"model": model, "axes": axes, "fixed": fixed,
+                             "output": {"format": "csv", "path": "unused.csv"}})
+
+
+def pointwise_rows(config, sweep_rows):
+    """The expected rows at the grid points of sweep_rows, from one gain()
+    call per point."""
+    t_c = coherence_time(config.model)
+    rows = []
+    for row in sweep_rows:
+        try:
+            result = gain(config.model, row.n, row.x_sep * t_c, row.x_ent * t_c)
+        except InfeasibleTimingError:
+            rows.append(row[:3] + (None,) * 5 + (False,))
+            continue
+        rows.append(row[:3] + (result.r, result.tau_opt_sep, result.tau_opt_ent,
+                               result.f_sep, result.f_ent, True))
+    return rows
+
+
+# relative tolerance per kind: the isolated and Markovian array solves use
+# the scalar operations, so every double matches; numpy rounds the complex
+# cube root of the cubic differently in the last bit; the Ohmic bisection
+# evaluates the exponent's derivative with numpy's transcendentals
+AGREEMENT_REL = {"isolated": 0.0, "markovian": 0.0, "nonmarkovian": 1e-15, "ohmic": 1e-12}
+
+
+def assert_rows_agree(rows, expected, rel):
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert row[:3] == want[:3] and row.feasible == want[-1]
+        for got, value in zip(row[3:8], want[3:8]):
+            if rel == 0.0 or value is None:
+                assert got == value
+            else:
+                assert got == pytest.approx(value, rel=rel, abs=0.0)
+
+
+class TestArraySweep:
+    @pytest.mark.parametrize("kind", sorted(AGREEMENT_REL))
+    def test_rows_match_pointwise_gain(self, kind):
+        rng = random.Random(f"sweep-{kind}")
+        for _ in range(8):
+            config = random_sweep_config(rng, kind)
+            rows = run_sweep(config)
+            assert_rows_agree(rows, pointwise_rows(config, rows), AGREEMENT_REL[kind])
+
+    def test_infeasible_points_of_either_timing(self):
+        config = make_config(
+            model={"kind": "isolated", "t_c": 2.0},
+            axes={"x_ent": {"min": 0.5, "max": 1.5, "points": 3},
+                  "x_sep": {"min": 0.5, "max": 1.5, "points": 3}},
+            fixed={"n": 7},
+        )
+        rows = run_sweep(config)
+        assert [row.feasible for row in rows] == [True, False, False] + [False] * 6
+        assert_rows_agree(rows, pointwise_rows(config, rows), 0.0)
+
+    @pytest.mark.parametrize("model, axis, other", [
+        ({"kind": "markovian", "gamma": 1e-10}, "x_ent", "x_sep"),
+        # the array path alone would call this timing infeasible
+        ({"kind": "isolated", "t_c": 1e10}, "x_sep", "x_ent"),
+    ])
+    def test_overhead_overflowing_to_inf_is_rejected(self, model, axis, other):
+        config = make_config(model=model, axes={axis: {"min": 0.0, "max": 1e308, "points": 3}},
+                             fixed={other: 0.1, "n": 4})
+        with pytest.raises(DomainError, match="overhead time must be finite"):
+            run_sweep(config)
+
+    def test_uncertified_cubic_falls_back_to_the_scalar_solver(self, caplog):
+        # scaled overheads of ~1e5 fail the array cubic's realness check
+        config = make_config(
+            model={"kind": "nonmarkovian", "eta": 7.5},
+            axes={"x_ent": {"min": 2e4, "max": 4e4, "points": 3},
+                  "n": {"min": 1e6, "max": 1e7, "points": 2, "spacing": "log"}},
+            fixed={"x_sep": 0.1},
+        )
+        with caplog.at_level(logging.WARNING, logger="ghzgain.opttime"):
+            rows = run_sweep(config)
+        fallbacks = len(caplog.records)
+        assert fallbacks > 0
+        with caplog.at_level(logging.WARNING, logger="ghzgain.opttime"):
+            expected = pointwise_rows(config, rows)
+        assert len(caplog.records) == 2 * fallbacks  # the same solves fell back
+        assert_rows_agree(rows, expected, AGREEMENT_REL["nonmarkovian"])
 
 
 class TestOutput:
@@ -318,3 +447,32 @@ class TestOutput:
             config = make_config(output={"format": "csv", "path": str(path)})
             save_rows(run_sweep(config), config)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_rows_over_a_longer_file_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "out"
+        sizes = []
+        for fmt, render, points in (("csv", rows_to_csv, 40), ("csv", rows_to_csv, 10),
+                                    ("json", rows_to_json, 2)):
+            config = make_config(axes={"x_ent": {"min": 0.0, "max": 0.5, "points": points}},
+                                 fixed={"x_sep": 0.1, "n": 10},
+                                 output={"format": fmt, "path": str(path)})
+            rows = run_sweep(config)
+            save_rows(rows, config)
+            assert path.read_bytes() == render(rows).encode()
+            sizes.append(path.stat().st_size)
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_new_file_gets_the_default_permissions(self, tmp_path):
+        path = tmp_path / "new.csv"
+        config = make_config(output={"format": "csv", "path": str(path)})
+        rows = run_sweep(config)
+        umask = os.umask(0o027)
+        try:
+            save_rows(rows, config)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+
+    def test_rows_are_tuples(self):
+        row = run_sweep(make_config())[0]
+        assert row == tuple(row) and row[:3] == (row.x_ent, row.x_sep, row.n)
