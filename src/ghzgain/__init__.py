@@ -63,6 +63,7 @@ from .sweep import (
     AxisSpec,
     SweepConfig,
     SweepRow,
+    SweepTable,
     config_from_dict,
     load_config,
     run_sweep,

@@ -128,14 +128,14 @@ def _gain_from_optima(model: BathModel, n: int, tau_tilde_sep: float,
     return GainResult(r, sep.tau_opt, ent.tau_opt, f_sep, f_ent, round_sep, round_ent)
 
 
-def _gains_from_optima(n, tau_tilde_sep, tau_tilde_ent, tau_sep, decay_sep, tau_ent, decay_ent):
-    """(r, f_sep, f_ent) of _gain_from_optima over arrays, by its operations in its order,
-    given decay = exp(-2 n_eff Gamma) by math.exp (np.exp's last bit can differ)."""
+def _rates_from_optima(weight, tau_tilde, tau, decay):
+    """(f, f / (tau_tilde + tau)) of _gain_from_optima over arrays, by its operations in
+    its order: f is f_sep for weight n and f_ent for weight n * n, and r is the GHZ rate
+    over the separable one; decay = exp(-2 n_eff Gamma) by math.exp (np.exp's last bit
+    can differ)."""
     with np.errstate(all="ignore"):
-        f_sep = np.where(decay_sep != 0.0, n * tau_sep * tau_sep * decay_sep, 0.0)
-        f_ent = np.where(decay_ent != 0.0, n * n * tau_ent * tau_ent * decay_ent, 0.0)
-        r = (f_ent / (tau_tilde_ent + tau_ent)) / (f_sep / (tau_tilde_sep + tau_sep))
-    return r, f_sep, f_ent
+        f = np.where(decay != 0.0, weight * tau * tau * decay, 0.0)
+        return f, f / (tau_tilde + tau)
 
 
 def _gain_at_fixed_sep(model: BathModel, tau_tilde_sep: float):

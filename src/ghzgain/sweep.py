@@ -8,8 +8,12 @@ is a deterministic table: same config, byte-identical file.
 Each distinct optimum is solved once, in two array passes: the distinct
 x_sep, then, unless no separable timing is feasible, the distinct
 (x_ent, n); ``optimal_sensing_time`` re-solves what a pass cannot certify.
-Rows are assembled in numpy by the float operations of a per-point
-``gain``.  ``save_rows`` writes over the old file, then truncates it:
+``run_sweep`` returns a ``SweepTable``, a read-only sequence of rows kept
+in factored form: the axis values, each row's index into them, f_sep per
+(separable optimum, n), f_ent per entangled optimum and r per row, formed
+by the float operations of a per-point ``gain``.  ``rows_to_csv`` and
+``rows_to_json`` render each distinct cell once and gather the cells per
+row.  ``save_rows`` writes over the old file, then truncates it:
 truncating a recently written file on open waits for it to be flushed.
 """
 
@@ -22,6 +26,7 @@ import numbers
 import operator
 import os
 import stat
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +34,7 @@ import numpy as np
 
 from .bath import BathModel, coherence_time, decay_exponent
 from .errors import InfeasibleTimingError, ValidationError, check_finite_nonnegative
-from .gain import _gains_from_optima
+from .gain import _rates_from_optima
 from .opttime import _optimal_sensing_times, optimal_sensing_time
 
 __all__ = [
@@ -39,6 +44,7 @@ __all__ = [
     "AxisSpec",
     "SweepConfig",
     "SweepRow",
+    "SweepTable",
     "load_config",
     "config_from_dict",
     "run_sweep",
@@ -49,12 +55,9 @@ __all__ = [
 
 AXIS_NAMES = ("x_ent", "x_sep", "n")
 MAX_AXIS_POINTS = 10**6  # the grid is built in memory
+MAX_GRID_ROWS = 10**7
 CSV_COLUMNS = ("x_ent", "x_sep", "n", "r", "tau_opt_sep", "tau_opt_ent",
                "f_sep", "f_ent", "feasible")
-# One row per %-format; "%#.12g" is format_sig's rendering, and infeasible
-# rows leave their five value cells empty.
-_CSV_FEASIBLE_ROW = "%#.12g,%#.12g,%d,%#.12g,%#.12g,%#.12g,%#.12g,%#.12g,true"
-_CSV_INFEASIBLE_ROW = "%#.12g,%#.12g,%d,,,,,,false"
 
 
 def format_sig(value: float) -> str:
@@ -132,6 +135,8 @@ class SweepConfig:
         axis_names = [a.name for a in self.axes]
         if len(set(axis_names)) != len(axis_names):
             raise ValidationError("axes must sweep distinct variables")
+        if math.prod(axis.points for axis in self.axes) > MAX_GRID_ROWS:
+            raise ValidationError(f"a sweep grid has at most {MAX_GRID_ROWS} rows")
         expected_fixed = set(AXIS_NAMES) - set(axis_names)
         if set(self.fixed) != expected_fixed:
             raise ValidationError(
@@ -162,6 +167,38 @@ class SweepRow(NamedTuple):
     f_sep: float | None
     f_ent: float | None
     feasible: bool
+
+
+class SweepTable(Sequence):
+    """The SweepRows of a sweep, read-only and kept factored: per column, the
+    distinct values once and every row's index into them.  A row is built
+    only when it is indexed or iterated."""
+
+    def __init__(self, columns: list, feasible: np.ndarray):
+        # (values, index per row) for each CSV column; a value column's index
+        # is -1 in infeasible rows
+        self._columns = columns + [([False, True], feasible.astype(np.intp))]
+
+    def __len__(self) -> int:
+        return self._columns[0][1].size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # IndexError past either end
+        cells = [values[at[i]] for values, at in self._columns]
+        if not cells[-1]:
+            return SweepRow(*cells[:3], None, None, None, None, None, False)
+        return SweepRow(*cells[:3], *map(float, cells[3:8]), True)
+
+    def __iter__(self):
+        return map(SweepRow._make, zip(*self._cells(lambda values: values, None)))
+
+    def _cells(self, render, missing) -> list[list]:
+        """Each column as a list of cells, one per row: render(values) once on the
+        distinct values of each column, missing in the value cells of infeasible rows."""
+        return [np.array(render(np.asarray(values, dtype=object).tolist()) + [missing],
+                         dtype=object)[at].tolist() for values, at in self._columns]
 
 
 def _axis_from_dict(name: str, data: dict) -> AxisSpec:
@@ -230,11 +267,6 @@ def _grid(config: SweepConfig):
     return columns, dict(zip(columns, index))
 
 
-def _take(values, at: np.ndarray) -> list:
-    """values[at] as a list, sharing one Python object per value among the rows."""
-    return np.array(values, dtype=object)[at].tolist()
-
-
 def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
     """[tau_opt, exp(-2 n_eff Gamma(tau_opt))] at keys tau_tilde + 1j n_eff, NaN where
     infeasible; what the array pass cannot certify, optimal_sensing_time re-solves."""
@@ -252,7 +284,7 @@ def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
     return np.array([tau, decay])
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate the gain on the configured grid, row-major in axis order.
 
     Each distinct optimum is solved once and shared by every row that
@@ -274,41 +306,47 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         known = np.isin(ent_keys, sep_keys)  # n = 1 at a separable overhead: solved
         ent[:, known] = sep[:, np.searchsorted(sep_keys, ent_keys[known])]
         ent[:, ~known] = _solve(model, ent_keys[~known])
+    f_sep, rate_sep = _rates_from_optima(n, sep_keys.real[:, None], *sep[:, :, None])
+    f_ent, rate_ent = _rates_from_optima(ent_keys.imag * ent_keys.imag, ent_keys.real, *ent)
     row_sep, row_ent = sep_at[at["x_sep"]], ent_at[at["x_ent"] * n.size + at["n"]]
-    r, f_sep, f_ent = _gains_from_optima(n[at["n"]], tau_tilde_sep[at["x_sep"]],
-                                         tau_tilde_ent[at["x_ent"]], *sep[:, row_sep],
-                                         *ent[:, row_ent])
-    rows = list(map(SweepRow._make, zip(
-        *(_take(columns[name], at[name]) for name in AXIS_NAMES), r.tolist(),
-        _take(sep[0], row_sep), _take(ent[0], row_ent), f_sep.tolist(), f_ent.tolist(),
-        itertools.repeat(True))))
-    for i in np.flatnonzero(np.isnan(sep[0, row_sep]) | np.isnan(ent[0, row_ent])).tolist():
-        rows[i] = SweepRow(*rows[i][:3], None, None, None, None, None, False)
-    return rows
+    row_f_sep = row_sep * n.size + at["n"]
+    with np.errstate(all="ignore"):
+        r = rate_ent[row_ent] / rate_sep.ravel()[row_f_sep]
+    feasible = ~(np.isnan(sep[0, row_sep]) | np.isnan(ent[0, row_ent]))
+    value_columns = [(r, np.arange(r.size)), (sep[0], row_sep), (ent[0], row_ent),
+                     (f_sep.ravel(), row_f_sep), (f_ent, row_ent)]
+    return SweepTable([(columns[name], at[name]) for name in AXIS_NAMES] +
+                      [(values, np.where(feasible, row, -1)) for values, row in value_columns],
+                      feasible)
 
 
-def rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [_CSV_FEASIBLE_ROW % row[:8] if row.feasible else _CSV_INFEASIBLE_ROW % row[:3]
-              for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_cells(values: list) -> list[str]:
+    """format_sig's rendering ("%#.12g") of floats, n as "%d", feasible as true/false."""
+    if isinstance(values[0], bool):
+        return ["true" if value else "false" for value in values]
+    cell = "%d" if isinstance(values[0], int) else "%#.12g"
+    return [cell % value for value in values]
 
 
-def _json_cell(value):
-    if value is None or isinstance(value, (bool, int)):
-        return value
-    return float(format_sig(value))
+def rows_to_csv(table: SweepTable) -> str:
+    lines = map(",".join, zip(*table._cells(_csv_cells, "")))
+    return "\n".join(itertools.chain([",".join(CSV_COLUMNS)], lines, [""]))
 
 
-def rows_to_json(rows: list[SweepRow]) -> str:
-    payload = [
-        {col: _json_cell(getattr(row, col)) for col in CSV_COLUMNS} for row in rows
-    ]
+def _json_cells(values: list) -> list:
+    """Floats as printed in the CSV, then parsed; n and feasible as they are."""
+    if isinstance(values[0], int):  # bool included
+        return values
+    return [float(format_sig(value)) for value in values]
+
+
+def rows_to_json(table: SweepTable) -> str:
+    payload = [dict(zip(CSV_COLUMNS, row)) for row in zip(*table._cells(_json_cells, None))]
     return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
-def save_rows(rows: list[SweepRow], config: SweepConfig) -> None:
-    text = rows_to_csv(rows) if config.output_format == "csv" else rows_to_json(rows)
+def save_rows(table: SweepTable, config: SweepConfig) -> None:
+    text = rows_to_csv(table) if config.output_format == "csv" else rows_to_json(table)
     with open(os.open(config.output_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(text.encode("utf-8"))
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null, a pipe...

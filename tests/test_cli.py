@@ -387,6 +387,18 @@ class TestSweepCommand:
         assert code == 2
         assert "points must be in 2.." in err
 
+    def test_grid_over_the_row_cap_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        config_path = self.write_config(tmp_path, out_path)
+        config = json.loads(config_path.read_text())
+        for axis in config["axes"].values():
+            axis["points"] = 10**6  # each axis allowed, 10^12 rows together
+        config_path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "sweep", "--config", str(config_path))
+        assert code == 2
+        assert "at most 10000000 rows" in err
+        assert not out_path.exists()
+
     def test_invalid_config_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"model": {"kind": "markovian", "gamma": 1}}')

@@ -6,6 +6,7 @@ import os
 import random
 import stat
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
 
@@ -13,6 +14,8 @@ from ghzgain import (
     BathModel,
     DomainError,
     InfeasibleTimingError,
+    SweepRow,
+    SweepTable,
     ValidationError,
     coherence_time,
     config_from_dict,
@@ -21,7 +24,7 @@ from ghzgain import (
     run_sweep,
     save_rows,
 )
-from ghzgain.sweep import AxisSpec, format_sig, rows_to_csv, rows_to_json
+from ghzgain.sweep import CSV_COLUMNS, AxisSpec, format_sig, rows_to_csv, rows_to_json
 
 
 def make_config(**overrides):
@@ -121,6 +124,15 @@ class TestConfigParsing:
     def test_invalid_configs_name_the_field(self, patch, message):
         with pytest.raises(ValidationError, match=message):
             make_config(**patch)
+
+    def test_grid_size_is_capped(self):
+        def grid(ent_points, sep_points):
+            return make_config(axes={"x_ent": {"min": 0.0, "max": 1.0, "points": ent_points},
+                                     "x_sep": {"min": 0.0, "max": 1.0, "points": sep_points}})
+
+        assert len(grid(10**4, 10**3).axes) == 2  # 10^7 rows: built only when run
+        with pytest.raises(ValidationError, match="at most 10000000 rows"):
+            grid(10**4, 10**3 + 1)
 
     def test_three_axes_rejected(self):
         with pytest.raises(ValidationError):
@@ -245,6 +257,26 @@ def shared_key_config():
     )
 
 
+def either_timing_infeasible_config():
+    # x_sep = 1 leaves the separable probe no time while x_ent = 0.5 still has
+    # a finite optimum, and the reverse at x_ent = 1, x_sep = 0.5
+    return make_config(
+        model={"kind": "isolated", "t_c": 2.0},
+        axes={"x_ent": {"min": 0.5, "max": 1.5, "points": 3},
+              "x_sep": {"min": 0.5, "max": 1.5, "points": 3}},
+        fixed={"n": 7},
+    )
+
+
+def no_separable_timing_config():
+    return make_config(
+        model={"kind": "isolated", "t_c": 1.0},
+        axes={"x_ent": {"min": 0.0, "max": 0.5, "points": 4},
+              "n": {"min": 1, "max": 100, "points": 3, "spacing": "log"}},
+        fixed={"x_sep": 1.0},
+    )
+
+
 class TestSharedSolves:
     @pytest.mark.parametrize("name", sorted(GOLDEN_PANELS))
     def test_panel_csv_matches_golden_hash(self, name):
@@ -266,15 +298,7 @@ class TestSharedSolves:
         assert len(solve_log) < 2 * len(rows)
 
     def test_infeasible_separable_point_is_solved_once(self, solve_log):
-        config = make_config(
-            model={"kind": "isolated", "t_c": 1.0},
-            axes={
-                "x_ent": {"min": 0.0, "max": 0.5, "points": 4},
-                "n": {"min": 1, "max": 100, "points": 3, "spacing": "log"},
-            },
-            fixed={"x_sep": 1.0},
-        )
-        rows = run_sweep(config)
+        rows = run_sweep(no_separable_timing_config())
         assert len(rows) == 12
         assert not any(row.feasible for row in rows)
         assert all(row.r is None and row.tau_opt_ent is None for row in rows)
@@ -354,12 +378,7 @@ class TestArraySweep:
             assert_rows_agree(rows, pointwise_rows(config, rows), AGREEMENT_REL[kind])
 
     def test_infeasible_points_of_either_timing(self):
-        config = make_config(
-            model={"kind": "isolated", "t_c": 2.0},
-            axes={"x_ent": {"min": 0.5, "max": 1.5, "points": 3},
-                  "x_sep": {"min": 0.5, "max": 1.5, "points": 3}},
-            fixed={"n": 7},
-        )
+        config = either_timing_infeasible_config()
         rows = run_sweep(config)
         assert [row.feasible for row in rows] == [True, False, False] + [False] * 6
         assert_rows_agree(rows, pointwise_rows(config, rows), 0.0)
@@ -391,6 +410,57 @@ class TestArraySweep:
             expected = pointwise_rows(config, rows)
         assert len(caplog.records) == 2 * fallbacks  # the same solves fell back
         assert_rows_agree(rows, expected, AGREEMENT_REL["nonmarkovian"])
+
+
+# The per-row rendering that rows_to_csv replaced: one %-format per row, with
+# format_sig's "%#.12g" and the five value cells of an infeasible row empty.
+FEASIBLE_ROW = "%#.12g,%#.12g,%d,%#.12g,%#.12g,%#.12g,%#.12g,%#.12g,true"
+INFEASIBLE_ROW = "%#.12g,%#.12g,%d,,,,,,false"
+
+
+def assert_csv_matches_oracle(table):
+    rows = list(table)
+    assert rows == [table[i] for i in range(len(table))]  # not only the CSV's gather
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [FEASIBLE_ROW % row[:8] if row.feasible else INFEASIBLE_ROW % row[:3]
+              for row in rows]
+    assert rows_to_csv(table) == "\n".join(lines) + "\n"
+
+
+class TestColumnarCsv:
+    @pytest.mark.parametrize("kind", sorted(AGREEMENT_REL))
+    def test_random_sweeps_match_the_per_row_format(self, kind):
+        rng = random.Random(f"csv-{kind}")
+        for _ in range(8):
+            assert_csv_matches_oracle(run_sweep(random_sweep_config(rng, kind)))
+
+    @pytest.mark.parametrize("config", [
+        shared_key_config, either_timing_infeasible_config, no_separable_timing_config,
+    ], ids=["shared-n1-key", "either-timing-infeasible", "no-separable-timing"])
+    def test_edge_grids_match_the_per_row_format(self, config):
+        assert_csv_matches_oracle(run_sweep(config()))
+
+
+class TestSweepTable:
+    def test_sequence_contract(self):
+        table = run_sweep(either_timing_infeasible_config())
+        assert isinstance(table, SweepTable) and isinstance(table, Sequence)
+        assert len(table) == 9
+        rows = list(table)
+        assert rows == [table[i] for i in range(len(table))]
+        assert [row[:2] for row in rows] == [(e, s) for e in (0.5, 1.0, 1.5)
+                                             for s in (0.5, 1.0, 1.5)]
+        assert table[-1] == rows[-1] and table[-len(table)] == rows[0]
+        assert table[2:7:2] == rows[2:7:2] and list(reversed(table)) == rows[::-1]
+        assert table.index(rows[4]) == 4 and rows[4] in table
+        for bad in (len(table), -len(table) - 1):
+            with pytest.raises(IndexError):
+                table[bad]
+        for row in rows:
+            assert isinstance(row, SweepRow) and row == tuple(row)
+            assert type(row.n) is int and type(row.feasible) is bool
+            assert all(type(v) is float for v in row[:2])
+            assert all(type(v) is float if row.feasible else v is None for v in row[3:8])
 
 
 class TestOutput:
@@ -428,6 +498,20 @@ class TestOutput:
             for field in ("x_ent", "x_sep", "r", "tau_opt_sep", "tau_opt_ent",
                           "f_sep", "f_ent"):
                 assert entry[field] == float(format_sig(getattr(row, field)))
+
+    @pytest.mark.parametrize("config, digest", [
+        (make_config, "a5597732220a3d4c83dafbed6f1ea2cb5cb140296f3ed55a2faea452919f38b2"),
+        (lambda: make_config(
+            model={"kind": "isolated", "t_c": 2.0},
+            axes={"x_ent": {"min": 0.5, "max": 1.5, "points": 3},
+                  "n": {"min": 1, "max": 100, "points": 3, "spacing": "log"}},
+            fixed={"x_sep": 0.25}),
+         "f3860dc4dec69457578cd9e3d2b52c0cf8cad2421a114fca9f73bbe7fe4c3551"),
+    ], ids=["markovian", "isolated-infeasible"])
+    def test_json_matches_pinned_hash(self, config, digest):
+        # the sha256 of each JSON as written when every row was rendered on its own
+        text = rows_to_json(run_sweep(config()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_save_rows_writes_requested_format(self, tmp_path):
         csv_path = tmp_path / "out.csv"
