@@ -191,9 +191,6 @@ class SweepTable(Sequence):
             return SweepRow(*cells[:3], None, None, None, None, None, False)
         return SweepRow(*cells[:3], *map(float, cells[3:8]), True)
 
-    def __iter__(self):
-        return map(SweepRow._make, zip(*self._cells(lambda values: values, None)))
-
     def _cells(self, render, missing) -> list[list]:
         """Each column as a list of cells, one per row: render(values) once on the
         distinct values of each column, missing in the value cells of infeasible rows."""
@@ -280,7 +277,7 @@ def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
             rate[i] = 0.0
     tau[rate == 0.0] = math.nan
     decay = [math.nan if t != t else math.exp(-2.0 * k * decay_exponent(model, t))
-             for t, k in zip(tau.tolist(), n_eff.tolist())]  # math.exp: see _gains_from_optima
+             for t, k in zip(tau.tolist(), n_eff.tolist())]  # math.exp: see _rates_from_optima
     return np.array([tau, decay])
 
 

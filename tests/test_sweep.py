@@ -419,8 +419,7 @@ INFEASIBLE_ROW = "%#.12g,%#.12g,%d,,,,,,false"
 
 
 def assert_csv_matches_oracle(table):
-    rows = list(table)
-    assert rows == [table[i] for i in range(len(table))]  # not only the CSV's gather
+    rows = list(table)  # built by indexing, not by the CSV's gather
     lines = [",".join(CSV_COLUMNS)]
     lines += [FEASIBLE_ROW % row[:8] if row.feasible else INFEASIBLE_ROW % row[:3]
               for row in rows]
@@ -446,8 +445,8 @@ class TestSweepTable:
         table = run_sweep(either_timing_infeasible_config())
         assert isinstance(table, SweepTable) and isinstance(table, Sequence)
         assert len(table) == 9
-        rows = list(table)
-        assert rows == [table[i] for i in range(len(table))]
+        rows = [table[i] for i in range(len(table))]
+        assert list(table) == rows
         assert [row[:2] for row in rows] == [(e, s) for e in (0.5, 1.0, 1.5)
                                              for s in (0.5, 1.0, 1.5)]
         assert table[-1] == rows[-1] and table[-len(table)] == rows[0]
