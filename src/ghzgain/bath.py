@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -151,7 +152,11 @@ def _sinhc_minus_one(x2):
 # below 1e-2 (truncation under one ulp); log1p of sinh(x)/x - 1 by series
 # below 1, where ln(sinh x) - ln x cancels to ~4e-11 relative; the direct
 # form below 20; and sinh(x) = e^x (1 - e^{-2x})/2 above, where sinh
-# overflows.  Its derivative coth(x) - 1/x takes a series below 1e-2.
+# overflows.  Its derivative coth(x) - 1/x takes a series below 1e-2 and,
+# below 1, where 1/tanh(x) - 1/x cancels to ~7e-12 relative, Lambert's
+# continued fraction x/(3 + x^2/(5 + x^2/(7 + ... + x^2/17))) written as a
+# ratio of polynomials in x^2 with positive coefficients: no cancellation,
+# and the truncation is under one ulp below 1.
 # Formula k takes x, x*x and xp (math or numpy), from edge k - 1 to edge k.
 _LOG_SINHC_EDGES = (1e-2, 1.0, 20.0)
 _LOG_SINHC = (
@@ -160,9 +165,11 @@ _LOG_SINHC = (
     lambda x, x2, xp: xp.log(xp.sinh(x)) - xp.log(x),
     lambda x, x2, xp: x + xp.log1p(-xp.exp(-2.0 * x)) - xp.log(2.0 * x),
 )
-_DLOG_SINHC_EDGES = (1e-2,)
+_DLOG_SINHC_EDGES = (1e-2, 1.0)
 _DLOG_SINHC = (
     lambda x, x2, xp: x / 3.0 - x * x2 / 45.0 + 2.0 * x * x2 * x2 / 945.0,
+    lambda x, x2, xp: x * (11486475.0 + x2 * (810810.0 + x2 * (12870.0 + x2 * 44.0)))
+    / (34459425.0 + x2 * (4729725.0 + x2 * (135135.0 + x2 * (990.0 + x2)))),
     lambda x, x2, xp: 1.0 / xp.tanh(x) - 1.0 / x,
 )
 
@@ -192,10 +199,96 @@ def _ohmic_exponent(model: BathModel, tau, xp=math):
 def _ohmic_exponent_derivative(model: BathModel, tau, xp=math):
     """Ohmic dGamma/dtau at a float tau, or elementwise over an array with
     xp = numpy (not checked)."""
-    wt, x = model.omega_c * tau, math.pi * tau / model.beta
-    dlog_sinhc = _by_branch(_DLOG_SINHC, _DLOG_SINHC_EDGES, x, xp)
-    cutoff_term = model.alpha * model.omega_c * wt / (1.0 + wt * wt)
-    return cutoff_term + model.alpha * (math.pi / model.beta) * dlog_sinhc
+    k, w = math.pi / model.beta, model.omega_c
+    wt = w * tau
+    dlog_sinhc = _by_branch(_DLOG_SINHC, _DLOG_SINHC_EDGES, k * tau, xp)
+    return model.alpha * (w * wt / (1.0 + wt * wt) + k * dlog_sinhc)
+
+
+_BRENT_MAX_ITER = 100
+_BRENT_HALF_TOL = 2.0 * sys.float_info.epsilon  # half the relative bracket width it stops at
+
+
+def _brent(f, lo, hi, f_lo, f_hi):
+    """Root of f between lo and hi, given f_lo = f(lo) and f_hi = f(hi) of
+    opposite signs (or one of them 0), by Brent's method (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4, in the
+    form of scipy's brentq).  Each step takes a secant or inverse quadratic
+    step that stays well inside the sign bracket and shrinks fast enough,
+    and bisects otherwise.  Returns (x, f(x)) at the bracket end with the
+    smaller |f| once the bracket is narrower than 4 eps x or f(x) is 0;
+    raises SolverError after _BRENT_MAX_ITER evaluations of f without that.
+    """
+    # cur: best point; pre: the point before it; blk: the end of the sign
+    # bracket opposite cur; s_cur, s_pre: the last two steps
+    pre, f_pre, cur, f_cur = lo, f_lo, hi, f_hi
+    blk, f_blk, s_pre, s_cur = lo, f_lo, 0.0, 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if (f_pre < 0.0) != (f_cur < 0.0):
+            blk, f_blk = pre, f_pre
+            s_pre = s_cur = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, cur, blk, f_pre, f_cur, f_blk = cur, blk, cur, f_cur, f_blk, f_cur
+        tol = _BRENT_HALF_TOL * abs(cur)
+        s_bis = 0.5 * (blk - cur)
+        if f_cur == 0.0 or abs(s_bis) < tol:
+            return cur, f_cur
+        interpolate = abs(s_pre) > tol and abs(f_cur) < abs(f_pre)
+        if interpolate:
+            if pre == blk:  # secant
+                step = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (pre - cur)
+                d_blk = (f_blk - f_cur) / (blk - cur)
+                step = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            interpolate = 2.0 * abs(step) < min(abs(s_pre), 3.0 * abs(s_bis) - tol)
+        if interpolate:
+            s_pre, s_cur = s_cur, step
+        else:
+            s_pre = s_cur = s_bis
+        pre, f_pre = cur, f_cur
+        cur += s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
+        f_cur = f(cur)
+    raise SolverError(
+        f"Brent's zero finder did not converge in {_BRENT_MAX_ITER} evaluations"
+    )
+
+
+def _brent_arrays(f, lo, hi, f_lo, f_hi):
+    """_brent elementwise over float arrays of brackets, for an elementwise
+    f.  Every element takes _brent's steps; one that has converged stands
+    still while the others go on.  Returns (x, converged), converged False
+    where _BRENT_MAX_ITER evaluations did not suffice."""
+    pre, f_pre, cur, f_cur = lo, f_lo, hi, f_hi
+    blk, f_blk = lo, f_lo
+    s_pre = s_cur = np.zeros_like(lo)
+    with np.errstate(all="ignore"):  # the unused trial steps may divide by 0
+        for _ in range(_BRENT_MAX_ITER):
+            flip = (f_pre < 0.0) != (f_cur < 0.0)
+            blk, f_blk = np.where(flip, pre, blk), np.where(flip, f_pre, f_blk)
+            s_pre, s_cur = np.where(flip, cur - pre, s_pre), np.where(flip, cur - pre, s_cur)
+            swap = np.abs(f_blk) < np.abs(f_cur)
+            pre, cur, blk, f_pre, f_cur, f_blk = (
+                np.where(swap, cur, pre), np.where(swap, blk, cur), np.where(swap, cur, blk),
+                np.where(swap, f_cur, f_pre), np.where(swap, f_blk, f_cur), np.where(swap, f_cur, f_blk),
+            )
+            tol = _BRENT_HALF_TOL * np.abs(cur)
+            s_bis = 0.5 * (blk - cur)
+            converged = (f_cur == 0.0) | (np.abs(s_bis) < tol)
+            if converged.all():
+                break
+            d_pre = (f_pre - f_cur) / (pre - cur)
+            d_blk = (f_blk - f_cur) / (blk - cur)
+            step = np.where(pre == blk, -f_cur * (cur - pre) / (f_cur - f_pre),
+                            -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre)))
+            interpolate = ((np.abs(s_pre) > tol) & (np.abs(f_cur) < np.abs(f_pre))
+                           & (2.0 * np.abs(step) < np.minimum(np.abs(s_pre), 3.0 * np.abs(s_bis) - tol)))
+            s_pre, s_cur = np.where(interpolate, s_cur, s_bis), np.where(interpolate, step, s_bis)
+            pre, f_pre = cur, f_cur
+            cur = np.where(converged, cur,
+                           cur + np.where(np.abs(s_cur) > tol, s_cur, np.copysign(tol, s_bis)))
+            f_cur = f(cur)
+    return cur, converged
 
 
 def decay_exponent(model: BathModel, tau: float) -> float:
@@ -230,9 +323,10 @@ def coherence_time(model: BathModel) -> float:
 
     Isolated models return the configured t_c; the two limiting laws give
     1/gamma and 1/sqrt(eta).  For the full Ohmic law the convention used
-    here is the time at which Gamma first reaches 1, located by bisection
-    (the two limits of that convention recover 1/gamma and 1/sqrt(eta));
-    cached, since sweeps ask for it per grid point.
+    here is the time at which Gamma first reaches 1 (the two limits of
+    that convention recover 1/gamma and 1/sqrt(eta)), located by Brent's
+    zero finder on Gamma - 1 to a relative width of 4 eps; cached, since
+    sweeps ask for it per grid point.
     """
     if model.kind is BathKind.ISOLATED:
         return model.t_c
@@ -242,26 +336,22 @@ def coherence_time(model: BathModel) -> float:
         return 1.0 / math.sqrt(model.eta)
     lo = 1e-12 * model.beta
     hi = 1e12 * model.beta
-    if decay_exponent(model, lo) >= 1.0:
+    g_lo = decay_exponent(model, lo) - 1.0
+    if g_lo >= 0.0:
         raise SolverError(
-            "Ohmic coherence time lies below the bisection bracket; "
+            "Ohmic coherence time lies below the search bracket; "
             "the coupling is too strong for this convention"
         )
     for _ in range(200):
-        if decay_exponent(model, hi) >= 1.0:
+        g_hi = decay_exponent(model, hi) - 1.0
+        if g_hi >= 0.0:
             break
         hi *= 2.0
     else:
         raise SolverError(
             "Ohmic decay exponent never reaches 1 inside the expanded bracket"
         )
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if decay_exponent(model, mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _brent(lambda t: decay_exponent(model, t) - 1.0, lo, hi, g_lo, g_hi)[0]
 
 
 def ohmic_limit_rates(alpha: float, beta: float, omega_c: float) -> tuple[float, float]:

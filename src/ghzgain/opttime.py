@@ -13,9 +13,9 @@ why a single n_eff parameter covers both).
 
 Closed forms exist for the linear decay law (a quadratic in tau) and the
 quadratic law (a cubic, solved in complex arithmetic).  A model-agnostic
-numeric path handles everything else: one bisection on the stationarity
-residual, whose sign brackets the root (it is -tau times the slope of the
-log rate).
+numeric path handles everything else: Brent's zero finder on the
+stationarity residual, whose sign brackets the root (it is -tau times the
+slope of the log rate).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import numpy as np
 from .bath import (
     BathKind,
     BathModel,
+    _brent,
+    _brent_arrays,
     _ohmic_exponent,
     _ohmic_exponent_derivative,
     coherence_time,
@@ -207,10 +209,12 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     """Model-agnostic interior maximum of the information rate.
 
     The stationarity residual equals -tau d ln(rate)/d tau: negative while
-    the rate rises, positive once it falls, and -1 - tau_tilde/(tau_tilde
-    + tau) < 0 as tau -> 0.  So B starts at the coherence time and
-    doubles until the residual at B is positive, and bisection on the
-    residual over [0, B] narrows the root to a relative width of 1e-15.
+    the rate rises, positive once it falls, with the limit -1 - [tau_tilde
+    > 0] as tau -> 0 (at tau_tilde = 0 it is 0/0 there, so tau = 0 is
+    never evaluated).  So B starts at the coherence time and doubles until
+    the residual at B is positive; the last B where it was not, or else
+    tau = 0, is the bracket's lower end; and Brent's zero finder narrows
+    the root to a relative width of 4 eps.
     """
     if model.kind is BathKind.ISOLATED:
         raise UnsupportedModelError(
@@ -226,26 +230,21 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     def res(t: float) -> float:
         return _residual(slope(model, t), tau_tilde, n_eff, t)
 
+    lo, f_lo = 0.0, -2.0 if tau_tilde > 0.0 else -1.0
     up = coherence_time(model)
     for _ in range(61):
-        if res(up) > 0.0:
+        f_up = res(up)
+        if f_up > 0.0:
             break
-        up *= 2.0
+        lo, f_lo, up = up, f_up, 2.0 * up
     else:
         raise DivergenceError(
             "information rate still rising after expanding the bracket to "
             "2^60 coherence times; no interior maximum found"
         )
-    lo = 0.0
-    while up - lo > 1e-15 * up:
-        mid = 0.5 * (lo + up)
-        if res(mid) < 0.0:
-            lo = mid
-        else:
-            up = mid
-    tau = 0.5 * (lo + up)
+    tau, residual = _brent(res, lo, up, f_lo, f_up)
     rate = _block_rate(decay_exponent(model, tau), tau_tilde, n_eff, tau)
-    return OptimalTime(tau, rate, res(tau))
+    return OptimalTime(tau, rate, residual)
 
 
 _BRANCH = cmath.exp(2j * math.pi / 3.0)  # the factor of _cubic_candidates' first root
@@ -256,8 +255,9 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
     """(tau, rate) of optimal_sensing_time over float arrays of overheads
     >= 0 and particle counts >= 1 (not checked), by the same formulas; rate
     is 0 where the timing is infeasible and NaN where this path cannot
-    certify the optimum (failed cubic branch check, no bracket, rate not
-    finite and > 0), for optimal_sensing_time to re-solve."""
+    certify the optimum (failed cubic branch check, no bracket or no
+    convergence, rate not finite and > 0), for optimal_sensing_time to
+    re-solve."""
     ok = True
     with np.errstate(all="ignore"):
         if model.kind is BathKind.ISOLATED:
@@ -286,19 +286,18 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
             def res(t):
                 return _residual(_ohmic_exponent_derivative(model, t, np), tau_tilde, n_eff, t)
 
+            # tau_opt_numeric's bracket and steps, elementwise
+            lo, f_lo = np.zeros_like(tau_tilde), -1.0 - (tau_tilde > 0.0)
             up = np.full_like(tau_tilde, coherence_time(model))
             for _ in range(61):
-                ok = res(up) > 0.0
+                f_up = res(up)
+                ok = f_up > 0.0
                 if ok.all():
                     break
-                up = np.where(ok, up, 2.0 * up)
-            lo = np.zeros_like(up)
-            while (active := up - lo > 1e-15 * up).any():
-                mid = 0.5 * (lo + up)
-                rising = res(mid) < 0.0
-                lo = np.where(active & rising, mid, lo)
-                up = np.where(active & ~rising, mid, up)
-            tau = 0.5 * (lo + up)
+                lo, f_lo, up = np.where(ok, lo, up), np.where(ok, f_lo, f_up), np.where(ok, up, 2.0 * up)
+            # f = 0 at the upper end stops a size with no bracket at once
+            tau, converged = _brent_arrays(res, lo, up, f_lo, np.where(ok, f_up, 0.0))
+            ok &= converged
             g = _ohmic_exponent(model, tau, np)
         rate = n_eff * n_eff * tau * tau * np.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
     rate = np.where(ok & (rate > 0.0) & (rate < math.inf), rate, math.nan)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -16,8 +17,8 @@ from ghzgain import (
     decay_exponent_derivative,
     ohmic_limit_rates,
 )
-from ghzgain.bath import (_LOG_SINHC, _LOG_SINHC_EDGES, _by_branch, _ohmic_exponent,
-                          _ohmic_exponent_derivative)
+from ghzgain.bath import (_DLOG_SINHC, _DLOG_SINHC_EDGES, _LOG_SINHC, _LOG_SINHC_EDGES, _brent,
+                          _brent_arrays, _by_branch, _ohmic_exponent, _ohmic_exponent_derivative)
 
 
 def central_diff(model, tau, h):
@@ -65,6 +66,17 @@ def _log_sinhc(x, xp=math):
     return _by_branch(_LOG_SINHC, _LOG_SINHC_EDGES, x, xp)
 
 
+def _dlog_sinhc(x, xp=math):
+    return _by_branch(_DLOG_SINHC, _DLOG_SINHC_EDGES, x, xp)
+
+
+def mp_ohmic_exponent(alpha, omega_c, beta, tau):
+    """The Ohmic Gamma at 50 digits (call under mpmath.workdps(50))."""
+    a, w, t = mpmath.mpf(alpha), mpmath.mpf(omega_c), mpmath.mpf(tau)
+    x = mpmath.pi * t / mpmath.mpf(beta)
+    return a / 2 * mpmath.log1p((w * t) ** 2) + a * mpmath.log(mpmath.sinh(x) / x)
+
+
 class TestOhmicBranches:
     # the four branches of ln(sinh x / x) meet at 1e-2, 1 and 20
     XS = [x * f for x in (1e-2, 1.0, 20.0) for f in (0.999, 1.0, 1.001)] + [
@@ -75,6 +87,26 @@ class TestOhmicBranches:
             for x in np.logspace(-6, 2.5, 400).tolist() + self.XS:
                 exact = mpmath.log(mpmath.sinh(mpmath.mpf(x)) / mpmath.mpf(x))
                 assert abs(_log_sinhc(x) - exact) <= 1e-15 * exact
+
+    def test_dlog_sinhc_matches_mpmath(self):
+        # coth(x) - 1/x on its series, continued-fraction and direct branches
+        with mpmath.workdps(50):
+            for x in np.logspace(-6, 2.5, 400).tolist() + self.XS:
+                exact = mpmath.coth(mpmath.mpf(x)) - 1 / mpmath.mpf(x)
+                assert abs(_dlog_sinhc(x) - exact) <= 1e-15 * exact
+                assert abs(_dlog_sinhc(np.array([x]), np)[0] - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("alpha, omega_c, beta", [(0.05, 20.0, 0.5), (0.1, 100.0, 10.0),
+                                                      (0.3, 0.5, 0.02)])
+    @pytest.mark.parametrize("x_lo, x_hi", [(1e-6, 1e-2), (1e-2, 1.0), (1.0, 20.0), (20.0, 300.0)],
+                             ids=["series", "log1p", "direct", "asymptotic"])
+    def test_ohmic_exponent_matches_mpmath_on_each_branch(self, alpha, omega_c, beta, x_lo, x_hi):
+        model = BathModel.ohmic(alpha, omega_c, beta)
+        with mpmath.workdps(50):
+            for x in np.geomspace(x_lo, x_hi, 40, endpoint=False).tolist():
+                tau = x * beta / math.pi
+                exact = mp_ohmic_exponent(alpha, omega_c, beta, tau)
+                assert abs(decay_exponent(model, tau) - exact) <= 1e-15 * exact
 
     def test_array_log_sinhc_matches_the_float_form(self):
         xs = np.array(self.XS + np.logspace(-6, 2.5, 400).tolist())
@@ -89,9 +121,7 @@ class TestOhmicBranches:
         slopes = _ohmic_exponent_derivative(model, taus, np)
         for tau, g, dg in zip(taus.tolist(), gammas, slopes):
             assert g == pytest.approx(decay_exponent(model, tau), rel=1e-14)
-            # coth(x) - 1/x cancels just above its series cut-off x = 1e-2,
-            # to ~3e-12 relative in either form
-            assert dg == pytest.approx(decay_exponent_derivative(model, tau), rel=1e-11)
+            assert dg == pytest.approx(decay_exponent_derivative(model, tau), rel=1e-14)
 
 
 class TestDerivative:
@@ -142,6 +172,16 @@ class TestCoherenceTime:
         model = BathModel.ohmic(0.05, 20.0, 0.5)
         t_c = coherence_time(model)
         assert decay_exponent(model, t_c) == pytest.approx(1.0, rel=1e-9)
+
+    def test_ohmic_matches_mpmath_root(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(120):
+            alpha, omega_c, beta = 10.0 ** rng.uniform([-3.0, -1.0, -2.0], [0.0, 3.0, 2.0])
+            t_c = coherence_time(BathModel.ohmic(alpha, omega_c, beta))
+            with mpmath.workdps(50):
+                root = mpmath.findroot(lambda t: mp_ohmic_exponent(alpha, omega_c, beta, t) - 1,
+                                       (t_c / 2, 2 * t_c), solver="anderson")
+                assert abs(t_c - root) <= 1e-14 * root
 
     def test_ohmic_limits_recover_simple_laws(self):
         # deep Markovian regime: t_c should approach 1/gamma
@@ -266,3 +306,39 @@ def test_exponent_nondecreasing_up_to_ten_coherence_times(model):
     values = [decay_exponent(model, tau) for tau in taus]
     assert values[0] == 0.0
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+class TestBrent:
+    # cubics with one sign change on [0, 2]; numpy and math agree on them
+    CASES = [(c, lo, hi) for c in (0.1, 0.5, 1.0, 3.0, 7.0) for lo, hi in ((0.0, 2.0), (2.0, 0.0))]
+
+    @staticmethod
+    def cubic(c):
+        return lambda x: x * x * x + c * x - 1.0
+
+    @pytest.mark.parametrize("c, lo, hi", CASES)
+    def test_root_to_four_eps(self, c, lo, hi):
+        f = self.cubic(c)
+        x, fx = _brent(f, lo, hi, f(lo), f(hi))
+        assert fx == f(x)
+        with mpmath.workdps(50):
+            root = mpmath.findroot(lambda t: t**3 + c * t - 1, 0.5)
+        assert abs(x - root) <= 4 * sys.float_info.epsilon * root
+
+    def test_array_form_takes_the_same_steps(self):
+        c = np.array([case[0] for case in self.CASES])
+        lo, hi = np.array([case[1] for case in self.CASES]), np.array([case[2] for case in self.CASES])
+        f = self.cubic(c)
+        x, converged = _brent_arrays(f, lo, hi, f(lo), f(hi))
+        assert converged.all()
+        for i, (ci, lo_i, hi_i) in enumerate(self.CASES):
+            g = self.cubic(ci)
+            assert x[i] == _brent(g, lo_i, hi_i, g(lo_i), g(hi_i))[0]
+
+    def test_a_zero_end_is_the_root(self):
+        f = self.cubic(0.0)
+        assert _brent(f, 1.0, 3.0, 0.0, f(3.0)) == (1.0, 0.0)
+        assert _brent(f, -1.0, 1.0, f(-1.0), 0.0) == (1.0, 0.0)
+        x, converged = _brent_arrays(f, np.array([1.0, -1.0]), np.array([3.0, 1.0]),
+                                     np.array([0.0, -2.0]), np.array([26.0, 0.0]))
+        assert x.tolist() == [1.0, 1.0] and converged.all()

@@ -1,11 +1,14 @@
 import math
+import statistics
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzgain import (
+    BathKind,
     BathModel,
     BranchError,
     DivergenceError,
@@ -22,6 +25,8 @@ from ghzgain import (
     tau_opt_nonmarkov,
     tau_opt_numeric,
 )
+from ghzgain import opttime
+from ghzgain.cli import cli_main
 
 DEPHASING_MODELS = [
     BathModel.markovian(1.0),
@@ -151,7 +156,63 @@ class TestNumeric:
 
             root = mpmath.findroot(residual, (opt.tau_opt / 2, 2 * opt.tau_opt),
                                    solver="anderson")
-            assert abs(opt.tau_opt - root) <= 1e-12 * root
+            assert abs(opt.tau_opt - root) <= 1e-14 * root
+
+    def test_ohmic_solve_takes_few_residual_evaluations(self, monkeypatch):
+        # each residual evaluation is one call of the Ohmic Gamma'
+        slope, taus = opttime._ohmic_exponent_derivative, []
+
+        def recording(model, tau, xp=math):
+            taus.append(tau)
+            return slope(model, tau, xp)
+
+        monkeypatch.setattr(opttime, "_ohmic_exponent_derivative", recording)
+        rng = np.random.default_rng(20261018)
+        counts = []
+        for _ in range(300):
+            alpha, omega_c, beta = 10.0 ** rng.uniform([-3.0, -1.0, -2.0], [0.0, 3.0, 2.0])
+            model = BathModel.ohmic(alpha, omega_c, beta)
+            tau_tilde = 10.0 ** rng.uniform(-4.0, 2.0) * coherence_time(model)
+            taus.clear()
+            tau_opt_numeric(model, tau_tilde, round(10.0 ** rng.uniform(0.0, 6.0)))
+            counts.append(len(taus))
+        assert statistics.median(counts) <= 15
+        assert max(counts) <= 40
+
+    @pytest.mark.parametrize("model", [BathModel.ohmic(0.05, 20.0, 0.5),
+                                       BathModel.nonmarkovian(1.0)], ids=["ohmic", "nonmarkovian"])
+    def test_zero_overhead_never_evaluates_the_residual_at_zero(self, model, monkeypatch):
+        # at tau_tilde = 0 the residual's last term is 0/0 at tau = 0; the
+        # lower end of the bracket takes its limit -1 instead
+        taus = []
+        for name in ("_ohmic_exponent_derivative", "decay_exponent_derivative"):
+            def recording(model, tau, *xp, slope=getattr(opttime, name)):
+                taus.append(np.min(tau))
+                return slope(model, tau, *xp)
+
+            monkeypatch.setattr(opttime, name, recording)
+        opt = tau_opt_numeric(model, 0.0, 100)
+        assert opt.tau_opt < coherence_time(model)  # so the bracket starts at 0
+        assert abs(opt.residual) < 1e-14
+        if model.kind is BathKind.OHMIC:
+            opttime._optimal_sensing_times(model, np.zeros(3), np.array([1.0, 100.0, 1e4]))
+        assert min(taus) > 0.0
+
+    def test_brent_iteration_cap_raises_solver_error(self, monkeypatch, capsys):
+        model = BathModel.ohmic(0.05, 20.0, 0.5)
+        t_c = coherence_time(model)  # cached before the cap drops
+        monkeypatch.setattr("ghzgain.bath._BRENT_MAX_ITER", 3)
+        with pytest.raises(SolverError, match="did not converge in 3 evaluations"):
+            tau_opt_numeric(model, 0.1 * t_c, 10)
+        with pytest.raises(SolverError, match="did not converge"):
+            coherence_time.__wrapped__(model)
+        # the array pass leaves the size to the scalar solver, which raises
+        rate = opttime._optimal_sensing_times(model, np.array([0.1 * t_c]), np.array([10.0]))[1]
+        assert math.isnan(rate[0])
+        code = cli_main(["tau-opt", "--model", "ohmic", "--alpha", "0.05", "--omega-c", "20",
+                         "--beta", "0.5", "--n", "10", "--ttilde", "0.3"])
+        assert code == 4
+        assert "did not converge" in capsys.readouterr().err
 
     def test_count_too_large_for_a_float_rejected(self):
         with pytest.raises(DomainError, match="largest float"):

@@ -71,11 +71,6 @@ def test_array_optimum_matches_the_scalar_solver(kind):
     tau_tilde = rng.uniform(0.0, 1.2 if kind == "isolated" else 3.0, 300) * t_c
     tau, rate = _optimal_sensing_times(model, tau_tilde, n)
     sep = optimal_sensing_time(model, 0.1 * t_c, 1)
-    # both Ohmic solvers bisect a residual whose coth(x) - 1/x carries up to
-    # ~3e-12 relative rounding noise just above x = 1e-2; where the thermal
-    # term is a fair share of Gamma' there (beta * omega_c = 10, not 1000)
-    # that moves the root by ~1e-13, while the rate is flat and stays at 1e-15
-    tau_rel = 1e-12 if kind == "ohmic" else 1e-13
     for i in range(len(n)):
         args = (float(tau_tilde[i]), int(n[i]))
         try:
@@ -83,7 +78,9 @@ def test_array_optimum_matches_the_scalar_solver(kind):
         except InfeasibleTimingError:
             assert rate[i] == 0.0
             continue
-        assert tau[i] == pytest.approx(opt.tau_opt, rel=tau_rel)
+        # both Ohmic solvers run Brent's zero finder to 4 eps relative; numpy's
+        # transcendentals in the array residual move the root by ~1e-15
+        assert tau[i] == pytest.approx(opt.tau_opt, rel=1e-13)
         assert rate[i] == pytest.approx(opt.objective, rel=1e-13)
         # the scan's r = rate_ent / (n rate_sep)
         r = gain(model, int(n[i]), 0.1 * t_c, args[0]).r
