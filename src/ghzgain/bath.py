@@ -135,7 +135,7 @@ class BathModel:
                 raise ValidationError(f"unknown bath model field '{name}'")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValidationError(f"bath model field '{name}' must be a number")
-            params[name] = float(value)
+            params[name] = value  # __post_init__ checks it, then makes it a float
         return cls(kind, **params)
 
 
@@ -207,6 +207,7 @@ def _ohmic_exponent_derivative(model: BathModel, tau, xp=math):
 
 _BRENT_MAX_ITER = 100
 _BRENT_HALF_TOL = 2.0 * sys.float_info.epsilon  # half the relative bracket width it stops at
+_BRENT_MIN_TOL = math.ulp(0.0)  # added to the tolerance: never 0 at an underflowing root
 
 
 def _brent(f, lo, hi, f_lo, f_hi):
@@ -229,7 +230,7 @@ def _brent(f, lo, hi, f_lo, f_hi):
             s_pre = s_cur = cur - pre
         if abs(f_blk) < abs(f_cur):
             pre, cur, blk, f_pre, f_cur, f_blk = cur, blk, cur, f_cur, f_blk, f_cur
-        tol = _BRENT_HALF_TOL * abs(cur)
+        tol = _BRENT_HALF_TOL * abs(cur) + _BRENT_MIN_TOL
         s_bis = 0.5 * (blk - cur)
         if f_cur == 0.0 or abs(s_bis) < tol:
             return cur, f_cur
@@ -272,7 +273,7 @@ def _brent_arrays(f, lo, hi, f_lo, f_hi):
                 np.where(swap, cur, pre), np.where(swap, blk, cur), np.where(swap, cur, blk),
                 np.where(swap, f_cur, f_pre), np.where(swap, f_blk, f_cur), np.where(swap, f_cur, f_blk),
             )
-            tol = _BRENT_HALF_TOL * np.abs(cur)
+            tol = _BRENT_HALF_TOL * np.abs(cur) + _BRENT_MIN_TOL
             s_bis = 0.5 * (blk - cur)
             converged = (f_cur == 0.0) | (np.abs(s_bis) < tol)
             if converged.all():
@@ -295,13 +296,18 @@ def decay_exponent(model: BathModel, tau: float) -> float:
     """Accumulated dephasing exponent Gamma(tau) for one probe particle."""
     if not 0.0 <= tau < math.inf:
         check_finite_nonnegative(tau, "sensing time")
+    return _decay_exponent(model, tau)
+
+
+def _decay_exponent(model: BathModel, tau, xp=math):
+    """Gamma at a float tau, or elementwise over an array with xp = numpy (not checked)."""
     if model.kind is BathKind.ISOLATED:
-        return 0.0
+        return 0.0 * tau
     if model.kind is BathKind.MARKOVIAN:
         return model.gamma * tau
     if model.kind is BathKind.NONMARKOVIAN:
         return model.eta * tau * tau
-    return _ohmic_exponent(model, tau)
+    return _ohmic_exponent(model, tau, xp)
 
 
 def decay_exponent_derivative(model: BathModel, tau: float) -> float:

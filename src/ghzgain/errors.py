@@ -68,7 +68,7 @@ class NoThresholdError(SolverError):
 
 def check_finite(value: float, what: str, error: type = DomainError) -> None:
     """Raise ``error`` unless ``value`` is a finite number, of either sign."""
-    if not math.isfinite(value):
+    if not abs(value) <= _FLOAT_MAX:  # an int past the largest float is not finite either
         raise error(f"{what} must be finite, got {value!r}")
 
 
@@ -79,13 +79,13 @@ def check_finite_nonnegative(value: float, what: str, error: type = DomainError)
     ``value < 0.0`` test lets NaN through, which then surfaces as
     ``r = nan`` on a row or a printout marked as a valid result.
     """
-    if not (value >= 0.0 and math.isfinite(value)):
+    if not 0.0 <= value <= _FLOAT_MAX:
         raise error(f"{what} must be finite and non-negative, got {value!r}")
 
 
 def check_finite_positive(value: float, what: str, error: type = DomainError) -> None:
     """Raise ``error`` unless ``value`` is a finite number > 0 (rates, t_c, budgets)."""
-    if not (value > 0.0 and math.isfinite(value)):
+    if not 0.0 < value <= _FLOAT_MAX:
         raise error(f"{what} must be finite and positive, got {value!r}")
 
 

@@ -32,7 +32,7 @@ from .bath import (
     BathModel,
     _brent,
     _brent_arrays,
-    _ohmic_exponent,
+    _decay_exponent,
     _ohmic_exponent_derivative,
     coherence_time,
     decay_exponent,
@@ -179,7 +179,10 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
     scale = math.sqrt(n_eff * eta)
-    candidates = [t / scale for t in _cubic_candidates(tau_tilde * scale)]
+    try:
+        candidates = [t / scale for t in _cubic_candidates(tau_tilde * scale)]
+    except OverflowError as exc:  # u^4, or the cube root's argument, past the largest float
+        raise BranchError(f"cubic overflows at scaled overhead {tau_tilde * scale!r}") from exc
     picked = candidates[0]
     if not picked.real > 0.0:
         raise BranchError(
@@ -243,6 +246,8 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
             "2^60 coherence times; no interior maximum found"
         )
     tau, residual = _brent(res, lo, up, f_lo, f_up)
+    if not tau > 0.0:
+        raise SolverError(f"optimal time underflows at coherence time {coherence_time(model)!r}")
     rate = _block_rate(decay_exponent(model, tau), tau_tilde, n_eff, tau)
     return OptimalTime(tau, rate, residual)
 
@@ -262,14 +267,12 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
     with np.errstate(all="ignore"):
         if model.kind is BathKind.ISOLATED:
             tau = coherence_time(model) - tau_tilde
-            g = 0.0
         elif model.kind is BathKind.MARKOVIAN:
             h = 0.5 / (n_eff * model.gamma)
             b = tau_tilde - h
             root = np.sqrt(b * b + 8.0 * h * tau_tilde)
             tau = np.where((b >= 0.0) & (root > 0.0), 4.0 * h * tau_tilde / (b + root),
                            0.5 * (root - b))
-            g = model.gamma * tau
         elif model.kind is BathKind.NONMARKOVIAN:
             scale = np.sqrt(n_eff * model.eta)
             u = tau_tilde * scale
@@ -281,7 +284,6 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
             g_val = 4.0 * v**3 + 4.0 * v * v * u - v - 2.0 * u
             tau = (v - g_val / (12.0 * v * v + 8.0 * u * v - 1.0)) / scale
             ok &= np.abs(_residual(2.0 * model.eta * tau, tau_tilde, n_eff, tau)) <= 1e-8
-            g = model.eta * tau * tau
         else:
             def res(t):
                 return _residual(_ohmic_exponent_derivative(model, t, np), tau_tilde, n_eff, t)
@@ -298,7 +300,7 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
             # f = 0 at the upper end stops a size with no bracket at once
             tau, converged = _brent_arrays(res, lo, up, f_lo, np.where(ok, f_up, 0.0))
             ok &= converged
-            g = _ohmic_exponent(model, tau, np)
+        g = _decay_exponent(model, tau, np)
         rate = n_eff * n_eff * tau * tau * np.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
     rate = np.where(ok & (rate > 0.0) & (rate < math.inf), rate, math.nan)
     if model.kind is BathKind.ISOLATED:

@@ -12,14 +12,16 @@ x_sep, then, unless no separable timing is feasible, the distinct
 in factored form: the axis values, each row's index into them, f_sep per
 (separable optimum, n), f_ent per entangled optimum and r per row, formed
 by the float operations of a per-point ``gain``.  ``rows_to_csv`` and
-``rows_to_json`` render each distinct cell once and gather the cells per
-row.  ``save_rows`` writes over the old file, then truncates it:
-truncating a recently written file on open waits for it to be flushed.
+``rows_to_json`` render each distinct float once, in numpy, with
+``format_sig``'s exact bytes, and gather the cells per row; the CSV is
+assembled as bytes in blocks of 2^16 lines, which ``save_rows`` writes as
+they come, over the old file, then truncates it: truncating a recently
+written file on open waits for it to be flushed.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
 import numbers
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath import BathModel, coherence_time, decay_exponent
+from .bath import BathModel, _decay_exponent, coherence_time, decay_exponent
 from .errors import InfeasibleTimingError, ValidationError, check_finite_nonnegative
 from .gain import _rates_from_optima
 from .opttime import _optimal_sensing_times, optimal_sensing_time
@@ -191,12 +193,6 @@ class SweepTable(Sequence):
             return SweepRow(*cells[:3], None, None, None, None, None, False)
         return SweepRow(*cells[:3], *map(float, cells[3:8]), True)
 
-    def _cells(self, render, missing) -> list[list]:
-        """Each column as a list of cells, one per row: render(values) once on the
-        distinct values of each column, missing in the value cells of infeasible rows."""
-        return [np.array(render(np.asarray(values, dtype=object).tolist()) + [missing],
-                         dtype=object)[at].tolist() for values, at in self._columns]
-
 
 def _axis_from_dict(name: str, data: dict) -> AxisSpec:
     if not isinstance(data, dict):
@@ -265,19 +261,21 @@ def _grid(config: SweepConfig):
 
 
 def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
-    """[tau_opt, exp(-2 n_eff Gamma(tau_opt))] at keys tau_tilde + 1j n_eff, NaN where
-    infeasible; what the array pass cannot certify, optimal_sensing_time re-solves."""
+    """[tau_opt, exp(-2 n_eff Gamma(tau_opt))] at keys tau_tilde + 1j n_eff, tau NaN where
+    infeasible; what the array pass cannot certify, the scalar solver and Gamma redo."""
     tau_tilde, n_eff = keys.real, keys.imag
     tau, rate = _optimal_sensing_times(model, tau_tilde, n_eff)
     rate[~np.isfinite(tau_tilde)] = math.nan  # for the scalar solver's DomainError
+    with np.errstate(all="ignore"):
+        g = _decay_exponent(model, tau, np)
     for i in np.flatnonzero(np.isnan(rate)).tolist():
         try:
             tau[i] = optimal_sensing_time(model, float(tau_tilde[i]), int(n_eff[i])).tau_opt
+            g[i] = decay_exponent(model, tau[i])
         except InfeasibleTimingError:
             rate[i] = 0.0
     tau[rate == 0.0] = math.nan
-    decay = [math.nan if t != t else math.exp(-2.0 * k * decay_exponent(model, t))
-             for t, k in zip(tau.tolist(), n_eff.tolist())]  # math.exp: see _rates_from_optima
+    decay = [math.exp(x) for x in (-2.0 * n_eff * g).tolist()]  # see _rates_from_optima
     return np.array([tau, decay])
 
 
@@ -317,34 +315,108 @@ def run_sweep(config: SweepConfig) -> SweepTable:
                       feasible)
 
 
-def _csv_cells(values: list) -> list[str]:
-    """format_sig's rendering ("%#.12g") of floats, n as "%d", feasible as true/false."""
-    if isinstance(values[0], bool):
-        return ["true" if value else "false" for value in values]
-    cell = "%d" if isinstance(values[0], int) else "%#.12g"
-    return [cell % value for value in values]
+_BLOCK_ROWS = 2**16  # CSV lines rendered at a time, so the text never exists whole
+
+
+def _cell_layout(x: int) -> list[int]:
+    if 0 <= x < 12:
+        return [*range(x + 1), 13, *range(x + 1, 12)]
+    if -4 <= x < 0:
+        return [14, 13] + [14] * (-x - 1) + [*range(12)]
+    return [0, 13, *range(1, 12), 15, 16 if x > 0 else 17, 18 + abs(x) // 10, 18 + abs(x) % 10]
+
+
+@functools.cache  # built on first use: at import, their numpy calls took ~0.5 MB of RSS
+def _format_tables():
+    """Tables of _format_sig_cells.  Row x + 11 (decimal exponent x = -11..33) of the first
+    three: the exact powers of ten (one of them 1) that scale a value to a 12-digit
+    mantissa; where each byte of its cell comes from, a mantissa digit (0..11) or byte
+    i - 12 of the last table (12, the NUL, pads); the cell's width.  Then "0000".."9999"
+    as uint32s, and the bytes a cell adds to its digits."""
+    layouts = [_cell_layout(x) for x in range(-11, 34)]
+    return (np.array([[float(10 ** max(0, e)), float(10 ** max(0, -e))] for e in range(22, -23, -1)]),
+            np.array([layout + [12] * (17 - len(layout)) for layout in layouts]),
+            np.array([len(layout) for layout in layouts]),
+            (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).copy().view(np.uint32)[:, 0],
+            np.frombuffer(b"\0.0e+-0123456789", np.uint8))
+
+
+def _format_sig_cells(values: np.ndarray) -> np.ndarray:
+    """format_sig's bytes for each float of an array, as an S array.  A value with
+    decimal exponent x in -11..33, scaled by 10^(11 - x) (one rounding), rounds to
+    "%#.12g"'s 12-digit mantissa unless the scaled fraction lies within 4 ulp of 1/2;
+    those values, mantissas outside [10^11, 10^12), and zero, negative or non-finite
+    values (x NaN or infinite) go to format_sig."""
+    if values.size > _BLOCK_ROWS:  # bounds the temporaries, ~200 bytes a value
+        return np.concatenate([_format_sig_cells(values[start:start + _BLOCK_ROWS])
+                               for start in range(0, values.size, _BLOCK_ROWS)])
+    scale, layout, widths, digit_groups, cell_bytes = _format_tables()
+    with np.errstate(all="ignore"):
+        x = np.floor(np.log10(values))
+        fast = (x >= -11.0) & (x <= 33.0)
+        row = np.where(fast, x, 0.0).astype(np.intp) + 11
+        scaled = values * scale[row, 0] / scale[row, 1]
+        mantissa = np.rint(scaled)
+        fast &= (scaled >= 1e11) & (mantissa < 1e12)
+        fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 4.0 * np.spacing(scaled)
+    m = np.where(fast, mantissa, 1e11).astype(np.int64)
+    digits = digit_groups[np.stack([m // 10**8, m // 10**4 % 10**4, m % 10**4], 1)].view(np.uint8)
+    source = np.hstack([digits, np.broadcast_to(cell_bytes, (values.size, cell_bytes.size))])
+    width = widths[row].max()
+    at = np.take(layout, row, axis=0)[:, :width]
+    at += source.shape[1] * np.arange(values.size)[:, None]
+    cells = np.take(source, at).view(f"S{width}").ravel()
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [format_sig(value).encode() for value in values[slow].tolist()]
+        cells = cells.astype(f"S{max(width, *map(len, text))}")
+        cells[slow] = text
+    return cells
+
+
+def _csv_blocks(table: SweepTable):
+    """The CSV as bytes: the header, then blocks of _BLOCK_ROWS lines.  Each column's
+    distinct values are rendered once ("%#.12g", "%d" for n, true/false), then the
+    empty cell that index -1 picks, each with its comma or newline; a block gathers
+    its rows' cells as NUL-padded records and drops the NULs."""
+    yield ",".join(CSV_COLUMNS).encode() + b"\n"
+    columns = []
+    for (values, at), end in zip(table._columns, [b","] * (len(CSV_COLUMNS) - 1) + [b"\n"]):
+        if isinstance(values[0], int):  # n as "%d", feasible (a bool) as true/false
+            cells = np.array([str(value).lower() for value in values], dtype=bytes)
+        else:
+            cells = _format_sig_cells(np.asarray(values, dtype=float))
+        columns.append((np.char.add(np.append(cells, b""), end), at))
+    for start in range(0, len(table), _BLOCK_ROWS):
+        lines = np.empty(min(_BLOCK_ROWS, len(table) - start),
+                         [("", cells.dtype) for cells, _ in columns])
+        for name, (cells, at) in zip(lines.dtype.names, columns):
+            lines[name] = cells[at[start:start + _BLOCK_ROWS]]
+        yield lines.tobytes().translate(None, b"\0")
 
 
 def rows_to_csv(table: SweepTable) -> str:
-    lines = map(",".join, zip(*table._cells(_csv_cells, "")))
-    return "\n".join(itertools.chain([",".join(CSV_COLUMNS)], lines, [""]))
+    return b"".join(_csv_blocks(table)).decode()
 
 
-def _json_cells(values: list) -> list:
+def _json_cells(values) -> list:
     """Floats as printed in the CSV, then parsed; n and feasible as they are."""
     if isinstance(values[0], int):  # bool included
         return values
-    return [float(format_sig(value)) for value in values]
+    return [float(cell) for cell in _format_sig_cells(np.asarray(values, dtype=float)).tolist()]
 
 
 def rows_to_json(table: SweepTable) -> str:
-    payload = [dict(zip(CSV_COLUMNS, row)) for row in zip(*table._cells(_json_cells, None))]
+    """Each column's distinct values once, gathered per row; None where infeasible."""
+    columns = [np.array(_json_cells(values) + [None], dtype=object)[at].tolist()
+               for values, at in table._columns]
+    payload = [dict(zip(CSV_COLUMNS, row)) for row in zip(*columns)]
     return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
 def save_rows(table: SweepTable, config: SweepConfig) -> None:
-    text = rows_to_csv(table) if config.output_format == "csv" else rows_to_json(table)
+    chunks = _csv_blocks(table) if config.output_format == "csv" else [rows_to_json(table).encode()]
     with open(os.open(config.output_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode("utf-8"))
+        fh.writelines(chunks)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null, a pipe...
             fh.truncate()

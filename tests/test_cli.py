@@ -3,10 +3,13 @@ import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from ghzgain import BathModel, NoThresholdError, threshold_ent_time
 from ghzgain import cli
 from ghzgain.cli import cli_main
+from ghzgain.sweep import AXIS_NAMES
 
 
 def run(capsys, *argv):
@@ -415,3 +418,115 @@ class TestSweepCommand:
         config_path = self.write_config(tmp_path, out_path)
         code, _, err = run(capsys, "sweep", "--config", str(config_path))
         assert code == 2
+
+
+# cli_main on generated argument lists: every subcommand and bath kind.  Each
+# number is mostly a moderate value, so that most calls get past validation, and
+# otherwise any float (NaN, infinities, subnormals and huge values) or any count
+# up to 400 digits.  Scan limits stay small or exceed the 10^9 cap, so that no
+# cutoff scan runs long.
+def mostly(moderate, anything):
+    return st.one_of(moderate, moderate, moderate, anything)
+
+
+def ranged(lo, hi):
+    return mostly(st.floats(lo, hi), st.floats())
+
+
+COUNT = mostly(st.integers(1, 10**4), st.integers(-3, 10**400))
+# each kind's config fields and their flags
+MODEL_FIELDS = {"isolated": {"t_c": "--tc"}, "markovian": {"gamma": "--gamma"},
+                "nonmarkovian": {"eta": "--eta"},
+                "ohmic": {"alpha": "--alpha", "omega_c": "--omega-c", "beta": "--beta"}}
+COMMAND_ARGS = {
+    "bath": {"--tau": ranged(0.0, 10.0)},
+    "qfi": {"--n": COUNT, "--tau": ranged(0.0, 10.0)},
+    "tau-opt": {"--n": COUNT, "--ttilde": ranged(0.0, 2.0), "--ttilde-sep": ranged(0.0, 2.0),
+                "--ttilde-ent": ranged(0.0, 2.0)},
+    "gain": {"--n": COUNT, "--ttilde-sep": ranged(0.0, 2.0), "--ttilde-ent": ranged(0.0, 2.0)},
+    "threshold": {"--n": COUNT, "--ttilde-sep": ranged(0.0, 1.0)},
+    "cutoff": {"--law": st.sampled_from(["constant", "logarithmic", "square-root", "linear"]),
+               "--base": ranged(0.0, 0.5), "--ttilde-sep": ranged(0.0, 0.5),
+               "--n-search-max": mostly(st.integers(1, 200), st.one_of(
+                   st.integers(-3, 0), st.integers(10**9 + 1, 10**400)))},
+}
+# flags given in every call: the required ones, and the scan limit (its default is 10^6)
+REQUIRED = {"--n", "--tau", "--law", "--base", "--n-search-max"}
+MODEL_VALUE = ranged(0.01, 100.0)
+
+
+@st.composite
+def cli_argv(draw, command, kind):
+    argv = [command, "--model", kind]
+    argv += [f"{flag}={draw(MODEL_VALUE)}" for flag in MODEL_FIELDS[kind].values()]
+    for flag, values in COMMAND_ARGS[command].items():
+        if flag in REQUIRED or command == "cutoff" or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@st.composite
+def sweep_config(draw, kind):
+    names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=1, max_size=2, unique=True))
+    axes = {name: {"min": draw(ranged(float(name == "n"), 2.0)), "max": draw(ranged(2.0, 1e4)),
+                   "points": draw(mostly(st.integers(2, 4), st.integers(-1, 10**400))),
+                   "spacing": draw(st.sampled_from(["linear", "log"]))} for name in names}
+    fixed = {name: draw(COUNT if name == "n" else ranged(0.0, 2.0)) for name in AXIS_NAMES
+             if name not in names}
+    model = {field: draw(MODEL_VALUE) for field in MODEL_FIELDS[kind]}
+    return {"model": {"kind": kind, **model}, "axes": axes, "fixed": fixed,
+            "output": {"format": draw(st.sampled_from(["csv", "json"])), "path": ""}}
+
+
+def assert_numbers_finite(text):
+    """Every number printed as key = value, in JSON or in a sweep file is finite."""
+    text = text.strip()
+    if not text:
+        return
+    if text[0] in "[{":
+        json.loads(text, parse_constant=lambda name: pytest.fail(f"printed {name}"))
+        return
+    for line in text.split("\n"):
+        for cell in line.partition(" = ")[2].split(",") if " = " in line else line.split(","):
+            try:
+                number = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(number), line
+
+
+def assert_clean_exit(code, out, err):
+    event(f"exit {code}")  # the share of each, with --hypothesis-show-statistics
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in out + err
+    assert (out == "") == (code != 0)
+    assert_numbers_finite(out)
+
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@FUZZ
+@given(data=st.data())
+def test_generated_queries_exit_cleanly(capsys, command, data):
+    kind = data.draw(st.sampled_from(sorted(MODEL_FIELDS)))
+    assert_clean_exit(*run(capsys, *data.draw(cli_argv(command, kind))))
+
+
+@FUZZ
+@given(data=st.data())
+def test_generated_sweeps_exit_cleanly(capsys, tmp_path, data):
+    config = data.draw(sweep_config(data.draw(st.sampled_from(sorted(MODEL_FIELDS)))))
+    out_path, config_path = tmp_path / f"out.{config['output']['format']}", tmp_path / "config"
+    for path in (out_path, config_path):  # truncating a file just written waits for a flush
+        path.unlink(missing_ok=True)
+    config["output"]["path"] = str(out_path)
+    config_path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "sweep", "--config", str(config_path))
+    assert_clean_exit(code, out, err)
+    if code == 0:
+        assert_numbers_finite(out_path.read_text())

@@ -109,6 +109,13 @@ class TestNonMarkovClosedForm:
             tau_opt_nonmarkov(7.5, 1e4, 10**6)
         assert len(info.value.candidates) == 3
 
+    def test_overflowing_cubic_falls_back_to_numeric(self):
+        # u^4 of the scaled overhead u = 1.2e77 is past the largest float
+        with pytest.raises(BranchError, match="cubic overflows"):
+            tau_opt_nonmarkov(462.0, 5.387135536218671e72, 10**6)
+        opt = optimal_sensing_time(BathModel.nonmarkovian(462.0), 5.387135536218671e72, 10**6)
+        assert 0.0 < opt.tau_opt < math.inf and 0.0 < opt.objective < math.inf
+
     def test_dispatcher_falls_back_to_numeric(self):
         model = BathModel.nonmarkovian(7.5)
         opt = optimal_sensing_time(model, 1e4, 10**6)
@@ -213,6 +220,12 @@ class TestNumeric:
                          "--beta", "0.5", "--n", "10", "--ttilde", "0.3"])
         assert code == 4
         assert "did not converge" in capsys.readouterr().err
+
+    def test_underflowing_optimum_is_a_solver_error(self):
+        # t_c = 7.7e-155 and tau_tilde = 0: Brent's steps reach tau = 0, where the
+        # residual is 0/0, and the optimum underflows
+        with pytest.raises(SolverError, match="underflows"):
+            tau_opt_numeric(BathModel.nonmarkovian(1.7e308), 0.0, 1)
 
     def test_count_too_large_for_a_float_rejected(self):
         with pytest.raises(DomainError, match="largest float"):

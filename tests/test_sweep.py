@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import logging
@@ -5,9 +6,11 @@ import math
 import os
 import random
 import stat
+import sys
 from collections import Counter
 from collections.abc import Sequence
 
+import numpy as np
 import pytest
 
 from ghzgain import (
@@ -24,7 +27,15 @@ from ghzgain import (
     run_sweep,
     save_rows,
 )
-from ghzgain.sweep import CSV_COLUMNS, AxisSpec, format_sig, rows_to_csv, rows_to_json
+from ghzgain import sweep as sweep_module
+from ghzgain.sweep import (
+    CSV_COLUMNS,
+    AxisSpec,
+    _format_sig_cells,
+    format_sig,
+    rows_to_csv,
+    rows_to_json,
+)
 
 
 def make_config(**overrides):
@@ -47,6 +58,50 @@ class TestFormat:
         assert format_sig(0.03) == "0.0300000000000"
         assert format_sig(123456789.0) == "123456789.000"
         assert format_sig(1e-30) == "1.00000000000e-30"
+
+
+def format_sig_oracle_cases():
+    """10^6 + seeded doubles for the array formatter: log-uniform over the whole
+    double range (both signs), subnormals, special values, exact binary ties of
+    the 12th digit, a few ulps around 12-digit rounding points, each power of ten
+    from 1e-5 to 1e13 and the carry into it, and 3-digit exponents."""
+    rng = np.random.default_rng(20261018)
+    whole = 10.0 ** rng.uniform(-307.0, 308.0, 100_000)
+    whole[::2] *= -1.0
+    subnormal = rng.integers(1, 2**52, 20_000).view(np.float64)
+    special = np.array([0.0, -0.0, -1.5, math.inf, -math.inf, math.nan, 5e-324,
+                        sys.float_info.min, sys.float_info.max])
+    fast_range = 10.0 ** rng.uniform(-12.0, 34.0, 520_000)
+    unit = rng.random(100_000)
+    # an integer below 10^6 plus k / 1024: exact in binary, and 3,518 of them exact ties
+    # at the 12th significant digit, which "%#.12g" rounds half to even
+    ties = (rng.integers(0, 10**6, 50_000) * 1024 + rng.integers(1, 1024, 50_000)) / 1024.0
+    # (12-digit mantissa + 1/2) * 10^(x - 11), and 1 to 16 ulps either side
+    mantissa = rng.integers(10**11, 10**12, 20_000)
+    points = (mantissa + 0.5) * 10.0 ** rng.integers(-14, 37, 20_000).astype(float)
+    ulps = np.array([-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16])
+    near = (points.view(np.int64)[:, None] + ulps).view(np.float64).ravel()
+    decades = 10.0 ** np.arange(-5, 14)
+    carry = np.concatenate([decades, decades * (1 - 5e-13), decades * (1 - 4e-13)])
+    carry = (carry.view(np.int64)[:, None] + np.arange(-3, 4)).view(np.float64).ravel()
+    three_digit = 10.0 ** np.concatenate([rng.uniform(-307, -100, 10_000),
+                                          rng.uniform(100, 308, 10_000)])
+    return np.concatenate([whole, subnormal, special, fast_range, unit, ties, near, carry,
+                           three_digit])
+
+
+class TestFormatSigCells:
+    def test_matches_format_sig_on_a_million_doubles(self):
+        values = format_sig_oracle_cases()
+        assert values.size >= 10**6
+        cells = _format_sig_cells(values).tolist()
+        mismatches = [(value, cell) for value, cell in zip(values.tolist(), cells)
+                      if cell != format_sig(value).encode()]
+        assert mismatches == []
+
+    def test_twelve_digit_ties_round_half_to_even(self):
+        cells = _format_sig_cells(np.array([100.0009765625, 100.0029296875, 0.5]))
+        assert cells.tolist() == [b"100.000976562", b"100.002929688", b"0.500000000000"]
 
 
 class TestAxisSpec:
@@ -79,6 +134,7 @@ class TestAxisSpec:
             dict(name="x_ent", minimum="0", maximum=1.0, points=5),
             dict(name="x_ent", minimum=0.0, maximum=1.0, points=10**400),
             dict(name="x_ent", minimum=0.0, maximum=1.0, points=1e300),
+            dict(name="x_ent", minimum=0.0, maximum=10**400, points=5),
         ],
     )
     def test_invalid_axes_rejected(self, kwargs):
@@ -113,6 +169,8 @@ class TestConfigParsing:
             (dict(extra_key=1), "unknown"),
             (dict(fixed={"n": math.nan}), "fixed.n"),
             (dict(fixed={"n": math.inf}), "fixed.n"),
+            (dict(fixed={"n": 10**400}), "fixed.n"),
+            (dict(model={"kind": "markovian", "gamma": 10**400}), "gamma"),
             (dict(axes={"x_ent": {"min": 0.0, "max": math.inf, "points": 2}},
                   fixed={"n": 10, "x_sep": 0.1}), "max"),
             (dict(axes={"x_ent": {"min": 0.0, "max": 1.0, "points": math.inf}},
@@ -438,6 +496,19 @@ class TestColumnarCsv:
     ], ids=["shared-n1-key", "either-timing-infeasible", "no-separable-timing"])
     def test_edge_grids_match_the_per_row_format(self, config):
         assert_csv_matches_oracle(run_sweep(config()))
+
+    @pytest.mark.parametrize("block_rows", [1, 5])
+    def test_lines_rendered_in_blocks_match_the_per_row_format(self, monkeypatch, tmp_path,
+                                                               block_rows):
+        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", block_rows)
+        rng = random.Random("csv-blocks")
+        for kind in sorted(AGREEMENT_REL):
+            config = random_sweep_config(rng, kind)
+            table = run_sweep(config)
+            assert_csv_matches_oracle(table)
+            path = tmp_path / f"{kind}.csv"
+            save_rows(table, dataclasses.replace(config, output_path=str(path)))
+            assert path.read_bytes() == rows_to_csv(table).encode()
 
 
 class TestSweepTable:
