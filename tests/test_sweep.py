@@ -169,14 +169,14 @@ class TestConfigParsing:
             (dict(extra_key=1), "unknown"),
             (dict(fixed={"n": math.nan}), "fixed.n"),
             (dict(fixed={"n": math.inf}), "fixed.n"),
-            (dict(fixed={"n": 10**400}), "fixed.n"),
-            (dict(model={"kind": "markovian", "gamma": 10**400}), "gamma"),
             (dict(axes={"x_ent": {"min": 0.0, "max": math.inf, "points": 2}},
                   fixed={"n": 10, "x_sep": 0.1}), "max"),
             (dict(axes={"x_ent": {"min": 0.0, "max": 1.0, "points": math.inf}},
                   fixed={"n": 10, "x_sep": 0.1}), "points"),
             (dict(axes={"x_ent": {"min": 0.0, "max": 1.0, "points": 2}},
                   fixed={"n": 10, "x_sep": math.nan}), "fixed.x_sep"),
+            (dict(fixed={"n": 10**400}), "fixed.n"),
+            (dict(model={"kind": "markovian", "gamma": 10**400}), "gamma"),
         ],
     )
     def test_invalid_configs_name_the_field(self, patch, message):
