@@ -10,7 +10,6 @@ from .bath import (
     ohmic_limit_rates,
 )
 from .errors import (
-    BranchError,
     CapacityError,
     DivergenceError,
     DomainError,

@@ -175,15 +175,16 @@ _DLOG_SINHC = (
 
 
 def _by_branch(formulas, edges, x, xp):
-    """The formula whose edges hold x, at a float x (xp = math) or at
-    each element of an array x (xp = numpy)."""
+    """The formula whose edges hold x, at a float x (xp = math) or at each
+    element of an array x (xp = numpy; each formula runs on its own elements)."""
     if xp is math:
         return formulas[bisect.bisect_right(edges, x)](x, x * x, math)
-    x2 = x * x
+    branch = np.searchsorted(edges, x, side="right")
+    out = np.empty_like(x)
     with np.errstate(all="ignore"):
-        out = formulas[0](x, x2, np)
-        for edge, formula in zip(edges, formulas[1:]):
-            out = np.where(x >= edge, formula(x, x2, np), out)
+        for k, formula in enumerate(formulas):
+            if (at := branch == k).any():
+                out[at] = formula(x[at], x[at] * x[at], np)
     return out
 
 

@@ -40,17 +40,6 @@ class SolverError(GhzGainError):
     """A numerical solver failed to produce a trustworthy result."""
 
 
-class BranchError(SolverError):
-    """The closed-form cubic produced no valid (real, positive) root.
-
-    Carries all three cube-root candidates for diagnosis.
-    """
-
-    def __init__(self, message, candidates=()):
-        super().__init__(message)
-        self.candidates = tuple(candidates)
-
-
 class DivergenceError(SolverError):
     """Bracket expansion exceeded its hard limit without bracketing a maximum."""
 

@@ -12,16 +12,15 @@ with n_eff = 1 for the separable probe and n_eff = N for the GHZ probe
 why a single n_eff parameter covers both).
 
 Closed forms exist for the linear decay law (a quadratic in tau) and the
-quadratic law (a cubic, solved in complex arithmetic).  A model-agnostic
-numeric path handles everything else: Brent's zero finder on the
-stationarity residual, whose sign brackets the root (it is -tau times the
-slope of the log rate).
+quadratic law (a cubic with one positive root, taken by Viete's real
+forms and one Newton step, shared by the scalar and array paths).  A
+model-agnostic numeric path handles everything else: Brent's zero finder
+on the stationarity residual, whose sign brackets the root (it is -tau
+times the slope of the log rate).
 """
 
 from __future__ import annotations
 
-import cmath
-import logging
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ from .bath import (
     BathModel,
     _brent,
     _brent_arrays,
+    _by_branch,
     _decay_exponent,
     _ohmic_exponent_derivative,
     coherence_time,
@@ -39,7 +39,6 @@ from .bath import (
     decay_exponent_derivative,
 )
 from .errors import (
-    BranchError,
     DivergenceError,
     InfeasibleTimingError,
     SolverError,
@@ -58,8 +57,6 @@ __all__ = [
     "tau_opt_numeric",
     "optimal_sensing_time",
 ]
-
-log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, slots=True)
 class OptimalTime:
@@ -143,68 +140,71 @@ def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     )
 
 
-def _cubic_candidates(u: float) -> list[complex]:
-    """The three Cardano branches for the scaled cubic
-    4 t^3 + 4 t^2 u - t - 2 u = 0 (quadratic decay law, unit coefficient).
+def _acos(x, xp):
+    """arccos of x clamped to [-1, 1] (numpy 1.x has no xp.acos)."""
+    if xp is math:
+        return math.acos(min(max(x, -1.0), 1.0))
+    return np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))
 
-    The bracket is A + sqrt(A^2 - (u^2 + 3/4)^3) with A = u^3 - 45 u / 8;
-    the difference under the square root is expanded exactly to avoid the
-    catastrophic cancellation of forming A^2 first.  The physically
-    correct branch carries the principal cube root times e^{i 2 pi / 3};
-    candidates are ordered with it first.
-    """
-    a_term = u * u * u - 5.625 * u
-    disc = -13.5 * u**4 + 29.953125 * u * u - 0.421875
-    p_term = u * u + 0.75
-    w = (a_term + cmath.sqrt(complex(disc))) ** (1.0 / 3.0)
-    roots = []
-    for k in (1, 2, 0):
-        z = w * cmath.exp(2j * math.pi * k / 3.0)
-        roots.append(-z / 3.0 - p_term / (3.0 * z) - u / 3.0)
-    return roots
+
+def _viete(a, b, c, trig, xp):
+    """Largest real root of x^3 + a x^2 + b x + c by Viete's forms (Numerical
+    Recipes 3rd ed., 5.6): trigonometric for three real roots, else
+    hyperbolic, for r < 0.  Both are stationary in the clamped quantity
+    where the discriminant vanishes, so rounding there costs nothing."""
+    q = (a * a - 3.0 * b) / 9.0
+    r = (a * (2.0 * a * a - 9.0 * b) + 27.0 * c) / 54.0
+    if trig:
+        sq = xp.sqrt(q)
+        return 2.0 * sq * xp.cos(_acos(-r / (q * sq), xp) / 3.0) - a / 3.0
+    d = r * r - q * q * q
+    m = (xp.sqrt(d * (d > 0.0)) - r) ** (1.0 / 3.0)  # d clamped at 0
+    return m + q / m - a / 3.0
+
+
+def _newton(v, s, t):
+    """v after a Newton step on s v (2 v - 1)(2 v + 1) + t (4 v^2 - 2): the
+    cubic below at s = 1, t = u, the cubic over u at s = 1/u, t = 1."""
+    f = s * v * (2.0 * v - 1.0) * (2.0 * v + 1.0) + t * (4.0 * v * v - 2.0)
+    return v - f / (s * (12.0 * v * v - 1.0) + 8.0 * t * v)
+
+
+# The stationarity condition of Gamma = eta tau^2 is the cubic 4 v^3 + 4 u v^2
+# - v - 2 u = 0 in v = tau sqrt(n_eff eta) and u = tau_tilde sqrt(n_eff eta).
+# Its coefficient signs +, +, -, - give one positive root, the largest, rising
+# from 1/2 at u = 0 to 1/sqrt(2) as u -> inf.  The edges are the zeros of its
+# discriminant 13.5 u^4 - 29.953125 u^2 + 0.421875: three real roots below the
+# first and above the second, one between.  Above, the root is taken of the cubic
+# in z = 1/v, z^3 + z^2/(2u) - 2z - 2/u, whose coefficients stay bounded.
+_NONMARKOV_ROOT_EDGES = (0.11905909539093985, 1.484781105686859)
+_NONMARKOV_ROOT = (
+    lambda u, u2, xp: _newton(_viete(u, -0.25, -0.5 * u, True, xp), 1.0, u),
+    lambda u, u2, xp: _newton(_viete(u, -0.25, -0.5 * u, False, xp), 1.0, u),
+    lambda u, u2, xp: _newton(1.0 / _viete(0.5 / u, -2.0, -2.0 / u, True, xp), 1.0 / u, 1.0),
+)
+
+
+def _nonmarkov_root(u, xp=math):
+    """Positive root v, within an ulp, of 4 v^3 + 4 u v^2 - v - 2 u at a float
+    u >= 0 (xp = math), or at each element of an array u (xp = numpy)."""
+    return _by_branch(_NONMARKOV_ROOT, _NONMARKOV_ROOT_EDGES, u, xp)
 
 
 def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     """Closed-form optimum for Gamma = eta * tau^2 (rate scaled by n_eff).
 
-    Solved in units of the block coherence time 1/sqrt(n_eff * eta),
-    which reduces the cubic to a single-parameter family and keeps it
-    well conditioned for large n_eff.  The selected branch must come out
-    real and positive; otherwise all three candidates are reported.
-    Certified up to scaled overheads tau_tilde*sqrt(n_eff*eta) of ~1e5;
-    past that the residual imaginary noise can trip the realness check,
-    and optimal_sensing_time falls back to the numeric optimiser.
+    Solved in units of the block coherence time 1/sqrt(n_eff * eta), which
+    reduces the cubic to the one-parameter family of _nonmarkov_root, at any
+    overhead.  An n_eff * eta past the largest float raises SolverError.
     """
     check_finite_positive(eta, "decay coefficient")
     check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
     scale = math.sqrt(n_eff * eta)
-    try:
-        candidates = [t / scale for t in _cubic_candidates(tau_tilde * scale)]
-    except OverflowError as exc:  # u^4, or the cube root's argument, past the largest float
-        raise BranchError(f"cubic overflows at scaled overhead {tau_tilde * scale!r}") from exc
-    picked = candidates[0]
-    if not picked.real > 0.0:
-        raise BranchError(
-            f"selected cubic branch has non-positive real part {picked!r}", candidates
-        )
-    if abs(picked.imag) >= 1e-9 * picked.real:
-        raise BranchError(
-            f"selected cubic branch is not real: {picked!r}", candidates
-        )
-    # one Newton step in scaled units scrubs the O(u*eps) noise the root
-    # assembly picks up when the scaled overhead u is large
-    u_tilde = tau_tilde * scale
-    u = picked.real * scale
-    g_val = 4.0 * u**3 + 4.0 * u * u * u_tilde - u - 2.0 * u_tilde
-    g_der = 12.0 * u * u + 8.0 * u_tilde * u - 1.0
-    tau = (u - g_val / g_der) / scale
-    residual = _residual(2.0 * eta * tau, tau_tilde, n_eff, tau)
-    if abs(residual) > 1e-8:
-        raise BranchError(
-            f"cubic root fails the stationarity condition (residual {residual:.3e})",
-            candidates,
-        )
+    tau = _nonmarkov_root(tau_tilde * scale) / scale
+    if not tau > 0.0:
+        raise SolverError(f"optimal time underflows at n_eff * eta = {n_eff * eta!r}")
+    residual = _residual(2.0 * (eta * tau), tau_tilde, n_eff, tau)  # 2 eta may overflow
     return OptimalTime(tau, _block_rate(eta * tau * tau, tau_tilde, n_eff, tau), residual)
 
 
@@ -252,17 +252,13 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     return OptimalTime(tau, rate, residual)
 
 
-_BRANCH = cmath.exp(2j * math.pi / 3.0)  # the factor of _cubic_candidates' first root
-
-
 def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
                            n_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(tau, rate) of optimal_sensing_time over float arrays of overheads
     >= 0 and particle counts >= 1 (not checked), by the same formulas; rate
     is 0 where the timing is infeasible and NaN where this path cannot
-    certify the optimum (failed cubic branch check, no bracket or no
-    convergence, rate not finite and > 0), for optimal_sensing_time to
-    re-solve."""
+    certify the optimum (Ohmic root with no bracket or no convergence, rate
+    not finite and > 0), for optimal_sensing_time to re-solve or reject."""
     ok = True
     with np.errstate(all="ignore"):
         if model.kind is BathKind.ISOLATED:
@@ -275,15 +271,7 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
                            0.5 * (root - b))
         elif model.kind is BathKind.NONMARKOVIAN:
             scale = np.sqrt(n_eff * model.eta)
-            u = tau_tilde * scale
-            disc = -13.5 * u**4 + 29.953125 * u * u - 0.421875
-            z = (u * u * u - 5.625 * u + np.sqrt(disc + 0j)) ** (1.0 / 3.0) * _BRANCH
-            picked = (-z / 3.0 - (u * u + 0.75) / (3.0 * z) - u / 3.0) / scale
-            ok = (picked.real > 0.0) & (np.abs(picked.imag) < 1e-9 * picked.real)
-            v = picked.real * scale
-            g_val = 4.0 * v**3 + 4.0 * v * v * u - v - 2.0 * u
-            tau = (v - g_val / (12.0 * v * v + 8.0 * u * v - 1.0)) / scale
-            ok &= np.abs(_residual(2.0 * model.eta * tau, tau_tilde, n_eff, tau)) <= 1e-8
+            tau = _nonmarkov_root(tau_tilde * scale, np) / scale
         else:
             def res(t):
                 return _residual(_ohmic_exponent_derivative(model, t, np), tau_tilde, n_eff, t)
@@ -311,23 +299,16 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
 def optimal_sensing_time(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:
     """Dispatch to the best available solver for the given bath model.
 
-    Closed forms where they exist; if the cubic branch check fails the
-    numeric optimiser takes over and the discrepancy is logged.  An
-    optimum whose rate under- or overflows raises SolverError.
+    Closed forms for the isolated, Markovian and non-Markovian laws, the
+    numeric optimiser for the Ohmic one.  An optimum whose rate under- or
+    overflows raises SolverError.
     """
     if model.kind is BathKind.ISOLATED:
         opt = tau_opt_isolated(coherence_time(model), tau_tilde, n_eff)
     elif model.kind is BathKind.MARKOVIAN:
         opt = tau_opt_markov(model.gamma, tau_tilde, n_eff)
     elif model.kind is BathKind.NONMARKOVIAN:
-        try:
-            opt = tau_opt_nonmarkov(model.eta, tau_tilde, n_eff)
-        except BranchError as exc:
-            log.warning(
-                "cubic closed form rejected (%s); falling back to numeric optimisation",
-                exc,
-            )
-            opt = tau_opt_numeric(model, tau_tilde, n_eff)
+        opt = tau_opt_nonmarkov(model.eta, tau_tilde, n_eff)
     else:
         opt = tau_opt_numeric(model, tau_tilde, n_eff)
     if not 0.0 < opt.objective < math.inf:

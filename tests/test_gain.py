@@ -206,7 +206,7 @@ class TestThreshold:
         [
             (BathModel.nonmarkovian(1.0), 9, 0.3),
             (BathModel.ohmic(0.05, 20.0, 0.5), 5, 0.2),
-            (BathModel.nonmarkovian(1.0), 10**5, 0.5),  # cubic falls back to numeric
+            (BathModel.nonmarkovian(1.0), 10**5, 0.5),  # scaled overheads up to 3e6
         ],
         ids=["nonmarkovian", "ohmic", "nonmarkovian-large-n"],
     )

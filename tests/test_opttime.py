@@ -1,16 +1,16 @@
+import logging
 import math
 import statistics
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ghzgain import (
     BathKind,
     BathModel,
-    BranchError,
     DivergenceError,
     DomainError,
     InfeasibleTimingError,
@@ -102,24 +102,71 @@ class TestNonMarkovClosedForm:
         assert closed.tau_opt == pytest.approx(numeric.tau_opt, rel=1e-8)
         assert abs(closed.residual) < 1e-10
 
-    def test_branch_rejection_reports_all_roots(self):
-        # absurd overhead/block size drives the root assembly past the
-        # realness tolerance; the candidates come along for diagnosis
-        with pytest.raises(BranchError) as info:
-            tau_opt_nonmarkov(7.5, 1e4, 10**6)
-        assert len(info.value.candidates) == 3
+    # the points where the former complex-arithmetic root failed its checks
+    # and the dispatcher fell back to tau_opt_numeric, with a logged warning:
+    # u = 2.7e6, u = 1.2e77 (u^4 past the largest float) and u = inf
+    @pytest.mark.parametrize("eta, tau_tilde, n_eff", [(7.5, 1e4, 10**6),
+                                                       (462.0, 5.387135536218671e72, 10**6),
+                                                       (1.0, 1.7e308, 4)])
+    def test_former_fallback_points_are_solved_in_closed_form(self, caplog, eta, tau_tilde,
+                                                              n_eff):
+        model = BathModel.nonmarkovian(eta)
+        with caplog.at_level(logging.DEBUG, logger="ghzgain.opttime"):
+            closed = tau_opt_nonmarkov(eta, tau_tilde, n_eff)
+            assert optimal_sensing_time(model, tau_tilde, n_eff) == closed
+        assert not caplog.records
+        assert 0.0 < closed.tau_opt < math.inf and 0.0 < closed.objective < math.inf
+        numeric = tau_opt_numeric(model, tau_tilde, n_eff)
+        assert closed.tau_opt == pytest.approx(numeric.tau_opt, rel=1e-12)
+        assert closed.objective == pytest.approx(numeric.objective, rel=1e-12)
 
-    def test_overflowing_cubic_falls_back_to_numeric(self):
-        # u^4 of the scaled overhead u = 1.2e77 is past the largest float
-        with pytest.raises(BranchError, match="cubic overflows"):
-            tau_opt_nonmarkov(462.0, 5.387135536218671e72, 10**6)
-        opt = optimal_sensing_time(BathModel.nonmarkovian(462.0), 5.387135536218671e72, 10**6)
-        assert 0.0 < opt.tau_opt < math.inf and 0.0 < opt.objective < math.inf
+    @pytest.mark.parametrize("eta, tau_tilde, n_eff", [(1e308, 0.0, 10),
+                                                       (1e308, 1.0, 10)])
+    def test_overflowing_n_eff_eta_is_a_solver_error(self, eta, tau_tilde, n_eff):
+        # n_eff * eta = inf: u is NaN at tau_tilde = 0, and tau = v / inf = 0 otherwise
+        with pytest.raises(SolverError, match="underflows"):
+            tau_opt_nonmarkov(eta, tau_tilde, n_eff)
 
-    def test_dispatcher_falls_back_to_numeric(self):
-        model = BathModel.nonmarkovian(7.5)
-        opt = optimal_sensing_time(model, 1e4, 10**6)
-        assert abs(stationarity_residual(model, 1e4, 10**6, opt.tau_opt)) < 1e-9
+
+def exact_nonmarkov_root(u):
+    """The positive root of 4 v^3 + 4 u v^2 - v - 2 u to 50 digits."""
+    with mpmath.workdps(50):
+        if u == math.inf:
+            return 1 / mpmath.sqrt(2)
+        u = mpmath.mpf(u)
+        # the cubic over 1 + u, so its scale does not grow with u
+        return mpmath.findroot(lambda v: ((4 * v * v - 1) * v + u * (4 * v * v - 2)) / (1 + u),
+                               (mpmath.mpf(0.5), 1 / mpmath.sqrt(2)), solver="illinois",
+                               verify=False)
+
+
+def edge_points(edge):
+    """edge and the doubles 1, 1e3 and 1e6 ulp on either side of it."""
+    points = [edge]
+    for k in (1, 10**3, 10**6):
+        points += [edge + sign * k * math.ulp(edge) for sign in (-1, 1)]
+    return points
+
+
+# u = 0, 1,200 log-spaced u in [1e-6, 1e150], u = inf, and both zeros of
+# the discriminant, where the root changes form
+ROOT_GRID = ([0.0] + np.logspace(-6, 150, 1200).tolist() + [math.inf]
+             + [u for edge in opttime._NONMARKOV_ROOT_EDGES for u in edge_points(edge)])
+
+
+class TestNonMarkovRoot:
+    def test_within_an_ulp_of_the_exact_root(self):
+        worst = 0.0
+        for u in ROOT_GRID:
+            exact = exact_nonmarkov_root(u)
+            v = opttime._nonmarkov_root(u)
+            worst = max(worst, float(abs(v - exact)) / math.ulp(float(exact)))
+        assert worst <= 1.0
+
+    def test_array_form_matches_the_scalar_form(self):
+        v = opttime._nonmarkov_root(np.array(ROOT_GRID), np)
+        scalar = np.array([opttime._nonmarkov_root(u) for u in ROOT_GRID])
+        assert np.all(np.abs(v - scalar) <= np.spacing(scalar))
 
 
 class TestNumeric:
@@ -306,9 +353,8 @@ def test_markov_closed_form_always_stationary(gamma, tau_tilde, n_eff):
     assert abs(opt.residual) < 1e-9
 
 
-# domain kept inside the closed form's certified envelope (scaled
-# overhead tau_tilde*sqrt(n*eta) up to ~1e5); beyond it the dispatcher
-# falls back to the numeric optimiser, covered separately above
+# moderate inputs; test_nonmarkov_optimum_is_stationary_or_a_solver_error
+# below takes any finite ones
 @given(
     eta=st.floats(1e-3, 1e2),
     tau_tilde=st.floats(0.0, 10.0),
@@ -319,3 +365,34 @@ def test_nonmarkov_closed_form_always_stationary(eta, tau_tilde, n_eff):
     opt = tau_opt_nonmarkov(eta, tau_tilde, n_eff)
     assert opt.tau_opt > 0.0
     assert abs(opt.residual) < 1e-9
+
+
+POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(
+    eta=st.one_of(st.floats(1e-3, 1e3), POSITIVE_FLOATS),
+    tau_tilde=st.one_of(st.floats(0.0, 1e3), st.just(0.0), POSITIVE_FLOATS),
+    n_eff=st.one_of(st.integers(1, 100), st.integers(1, 10**9)),
+)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_nonmarkov_optimum_is_stationary_or_a_solver_error(caplog, eta, tau_tilde, n_eff):
+    # any finite eta > 0, tau_tilde >= 0 and n_eff up to 1e9, so n_eff * eta
+    # and the scaled overhead tau_tilde * sqrt(n_eff * eta) overflow too
+    model = BathModel.nonmarkovian(eta)
+    with caplog.at_level(logging.DEBUG, logger="ghzgain.opttime"):
+        tau, rate = opttime._optimal_sensing_times(model, np.array([tau_tilde]),
+                                                   np.array([float(n_eff)]))
+        try:
+            opt = optimal_sensing_time(model, tau_tilde, n_eff)
+        except SolverError:
+            opt = None
+    assert not caplog.records
+    if opt is None:
+        assert math.isnan(rate[0])
+        return
+    assert 0.0 < opt.tau_opt < math.inf and 0.0 < opt.objective < math.inf
+    assert abs(opt.residual) <= 1e-10  # criterion 6's bound
+    assert abs(tau[0] - opt.tau_opt) <= math.ulp(opt.tau_opt)
+    assert not math.isnan(rate[0])
