@@ -320,7 +320,7 @@ def decay_exponent_derivative(model: BathModel, tau: float) -> float:
     if model.kind is BathKind.MARKOVIAN:
         return model.gamma
     if model.kind is BathKind.NONMARKOVIAN:
-        return 2.0 * model.eta * tau
+        return 2.0 * (model.eta * tau)  # 2 eta may overflow
     return _ohmic_exponent_derivative(model, tau)
 
 

@@ -32,7 +32,9 @@ from .errors import (
     DomainError,
     InfeasibleTimingError,
     NoThresholdError,
+    SolverError,
     check_count,
+    check_finite,
     check_finite_nonnegative,
     check_finite_positive,
 )
@@ -105,14 +107,17 @@ def gain(model: BathModel, n: int, tau_tilde_sep: float, tau_tilde_ent: float) -
 
     Optimal sensing times come from the closed forms where available and
     the numeric optimiser otherwise; the gain is then the ratio of the
-    two information rates.
+    two information rates.  A field that is not finite raises SolverError.
     """
     n = check_count(n, "particle count")
     check_finite_nonnegative(tau_tilde_sep, "separable overhead time")
     check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
     sep = optimal_sensing_time(model, tau_tilde_sep, 1)
     ent = optimal_sensing_time(model, tau_tilde_ent, n)
-    return _gain_from_optima(model, n, tau_tilde_sep, tau_tilde_ent, sep, ent)
+    result = _gain_from_optima(model, n, tau_tilde_sep, tau_tilde_ent, sep, ent)
+    for field, value in vars(result).items():
+        check_finite(value, field, SolverError)
+    return result
 
 
 def _gain_from_optima(model: BathModel, n: int, tau_tilde_sep: float,
@@ -278,7 +283,6 @@ def _scan_gains(model: BathModel, law: ScalingLaw, tau_tilde_sep: float, n_searc
         with np.errstate(over="ignore"):
             tau_tilde_ent = _law_ratio(law, sizes, np) * t_c
         rate = _optimal_sensing_times(model, tau_tilde_ent, sizes)[1]
-        rate[~np.isfinite(tau_tilde_ent)] = math.nan
         if sizes[0] == 1.0 and tau_tilde_ent[0] == tau_tilde_sep:
             rate[0] = sep.objective  # N = 1 at the separable overhead is sep: r = 1 exactly
         r = rate / (sizes * sep.objective)

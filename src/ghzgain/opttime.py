@@ -127,7 +127,9 @@ def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     h = 0.5 / (n_eff * gamma)
     b = tau_tilde - h
     root = math.sqrt(b * b + 8.0 * h * tau_tilde)
-    if b >= 0.0 and root > 0.0:
+    if root == math.inf:
+        tau = _markov_root_scaled(h, tau_tilde)
+    elif b >= 0.0 and root > 0.0:
         tau = 4.0 * h * tau_tilde / (b + root)
     else:
         tau = 0.5 * (root - b)
@@ -138,6 +140,16 @@ def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
         _block_rate(gamma * tau, tau_tilde, n_eff, tau),
         _residual(gamma, tau_tilde, n_eff, tau),
     )
+
+
+def _markov_root_scaled(h: float, tau_tilde: float) -> float:
+    """tau_opt_markov's root where b * b + 8 h tau_tilde overflows: the same
+    formula with b, h and tau_tilde scaled by a power of two below the larger
+    of h and tau_tilde, so no bit moves except of a term negligible beside it."""
+    s = math.ldexp(1.0, -math.frexp(max(h, tau_tilde))[1])
+    b, t = (tau_tilde - h) * s, tau_tilde * s
+    root = math.sqrt(b * b + 8.0 * (h * s) * t)
+    return 4.0 * h * (t / (b + root)) if b >= 0.0 else 0.5 * (root - b) / s
 
 
 def _acos(x, xp):
@@ -258,7 +270,8 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
     >= 0 and particle counts >= 1 (not checked), by the same formulas; rate
     is 0 where the timing is infeasible and NaN where this path cannot
     certify the optimum (Ohmic root with no bracket or no convergence, rate
-    not finite and > 0), for optimal_sensing_time to re-solve or reject."""
+    not finite and > 0, overhead not finite), for optimal_sensing_time to
+    re-solve or reject."""
     ok = True
     with np.errstate(all="ignore"):
         if model.kind is BathKind.ISOLATED:
@@ -269,6 +282,8 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
             root = np.sqrt(b * b + 8.0 * h * tau_tilde)
             tau = np.where((b >= 0.0) & (root > 0.0), 4.0 * h * tau_tilde / (b + root),
                            0.5 * (root - b))
+            for i in np.flatnonzero(root == math.inf).tolist():
+                tau[i] = _markov_root_scaled(float(h[i]), float(tau_tilde[i]))
         elif model.kind is BathKind.NONMARKOVIAN:
             scale = np.sqrt(n_eff * model.eta)
             tau = _nonmarkov_root(tau_tilde * scale, np) / scale
@@ -293,6 +308,7 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
     rate = np.where(ok & (rate > 0.0) & (rate < math.inf), rate, math.nan)
     if model.kind is BathKind.ISOLATED:
         rate[tau <= 0.0] = 0.0
+    rate[~np.isfinite(tau_tilde)] = math.nan  # for the scalar solver's DomainError
     return tau, rate
 
 

@@ -9,13 +9,12 @@ Each distinct optimum is solved once, in two array passes: the distinct
 x_sep, then, unless no separable timing is feasible, the distinct
 (x_ent, n); ``optimal_sensing_time`` re-solves what a pass cannot certify.
 ``run_sweep`` returns a ``SweepTable``, a read-only sequence of rows kept
-in factored form: the axis values, each row's index into them, f_sep per
-(separable optimum, n), f_ent per entangled optimum and r per row, formed
-by the float operations of a per-point ``gain``.  ``rows_to_csv`` and
-``rows_to_json`` render each distinct float once, in numpy, with
-``format_sig``'s exact bytes, and gather the cells per row; the CSV is
-assembled as bytes in blocks of 2^16 lines, which ``save_rows`` writes as
-they come, over the old file, then truncates it: truncating a recently
+in factored form: the axis values and the results per distinct optimum.
+Rows are derived in blocks of 2^16, their indices by ``np.unravel_index``
+and r by the float operations of a per-point ``gain``.  One writer renders
+each distinct float once, in numpy, with ``format_sig``'s exact bytes, and
+gathers a block's cells into CSV or JSON text, which ``save_rows`` writes
+as it comes, over the old file, then truncates it: truncating a recently
 written file on open waits for it to be flushed.
 """
 
@@ -35,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bath import BathModel, _decay_exponent, coherence_time, decay_exponent
-from .errors import InfeasibleTimingError, ValidationError, check_finite_nonnegative
+from .errors import InfeasibleTimingError, SolverError, ValidationError, check_finite_nonnegative
 from .gain import _rates_from_optima
 from .opttime import _optimal_sensing_times, optimal_sensing_time
 
@@ -172,26 +171,59 @@ class SweepRow(NamedTuple):
 
 
 class SweepTable(Sequence):
-    """The SweepRows of a sweep, read-only and kept factored: per column, the
-    distinct values once and every row's index into them.  A row is built
-    only when it is indexed or iterated."""
+    """The SweepRows of a sweep, read-only and kept factored: each variable's
+    values, the grid shape and the results per distinct optimum.  Rows are
+    derived in blocks, when indexed, iterated or written."""
 
-    def __init__(self, columns: list, feasible: np.ndarray):
-        # (values, index per row) for each CSV column; a value column's index
-        # is -1 in infeasible rows
-        self._columns = columns + [([False, True], feasible.astype(np.intp))]
+    _FEASIBLE = np.array([False, True])
+
+    def __init__(self, columns: dict, sep_at, ent_at, sep: tuple, ent: tuple):
+        # each variable's values, in row-major order; the separable key of each x_sep, the
+        # entangled key of each (x_ent, n); (tau_opt, f, rate) per key, f_sep per (key, n)
+        self._columns, self._sep_at, self._ent_at, self._sep, self._ent = (
+            columns, sep_at, ent_at, sep, ent)
 
     def __len__(self) -> int:
-        return self._columns[0][1].size
+        return math.prod(map(len, self._columns.values()))
 
     def __getitem__(self, i):
+        rows = range(len(self))[i]  # IndexError past either end
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]  # IndexError past either end
-        cells = [values[at[i]] for values, at in self._columns]
-        if not cells[-1]:
-            return SweepRow(*cells[:3], None, None, None, None, None, False)
-        return SweepRow(*cells[:3], *map(float, cells[3:8]), True)
+            return list(self._rows(rows))
+        return next(self._rows(range(rows, rows + 1)))
+
+    def __iter__(self):
+        return self._rows(range(len(self)))
+
+    def __reversed__(self):
+        return self._rows(range(len(self))[::-1])
+
+    def _rows(self, rows: range):
+        for block in self._blocks(rows):
+            for cells in zip(*[values[at].tolist() for values, at in block]):
+                yield SweepRow(*cells) if cells[-1] else SweepRow(*cells[:3], *[None] * 5, False)
+
+    def _blocks(self, rows: range):
+        """For each _BLOCK_ROWS of rows in turn, the (values, index) of each CSV
+        column; a value column's index is -1 in infeasible rows.  r is formed by
+        the gathered division of a per-point gain."""
+        (tau_sep, f_sep, rate_sep), (tau_ent, f_ent, rate_ent) = self._sep, self._ent
+        shape, n_size = [len(values) for values in self._columns.values()], len(self._columns["n"])
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            at = dict(zip(self._columns, np.unravel_index(
+                np.arange(block.start, block.stop, block.step), shape)))
+            row_sep, row_ent = self._sep_at[at["x_sep"]], self._ent_at[at["x_ent"] * n_size + at["n"]]
+            row_f_sep = row_sep * n_size + at["n"]
+            with np.errstate(all="ignore"):
+                r = rate_ent[row_ent] / rate_sep[row_f_sep]
+            feasible = ~(np.isnan(tau_sep[row_sep]) | np.isnan(tau_ent[row_ent]))
+            value_columns = [(r, np.arange(r.size)), (tau_sep, row_sep), (tau_ent, row_ent),
+                             (f_sep, row_f_sep), (f_ent, row_ent)]
+            if not feasible.all():
+                value_columns = [(values, np.where(feasible, row, -1)) for values, row in value_columns]
+            yield ([(self._columns[name], at[name]) for name in AXIS_NAMES] + value_columns +
+                   [(self._FEASIBLE, feasible.astype(np.intp))])
 
 
 def _axis_from_dict(name: str, data: dict) -> AxisSpec:
@@ -248,16 +280,13 @@ def load_config(path: str) -> SweepConfig:
     return config_from_dict(data)
 
 
-def _grid(config: SweepConfig):
-    """Each variable's values (floats; ints for n, rounded to >= 1) and every
-    grid point's index into them, row-major in axis order."""
+def _grid(config: SweepConfig) -> dict:
+    """Each variable's values as an array (n as Python ints, rounded to >= 1),
+    in the grid's row-major order: the axes, then the fixed values."""
     columns = {axis.name: axis.values() for axis in config.axes}
     columns.update((name, [value]) for name, value in config.fixed.items())
-    columns["n"] = [max(1, int(round(v))) for v in columns["n"]]
-    for name in ("x_ent", "x_sep"):
-        columns[name] = [float(v) for v in columns[name]]
-    index = np.indices([len(v) for v in columns.values()]).reshape(len(columns), -1)
-    return columns, dict(zip(columns, index))
+    return {name: np.array([max(1, int(round(v))) for v in values], dtype=object)
+            if name == "n" else np.array(values, dtype=float) for name, values in columns.items()}
 
 
 def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
@@ -265,7 +294,6 @@ def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
     infeasible; what the array pass cannot certify, the scalar solver and Gamma redo."""
     tau_tilde, n_eff = keys.real, keys.imag
     tau, rate = _optimal_sensing_times(model, tau_tilde, n_eff)
-    rate[~np.isfinite(tau_tilde)] = math.nan  # for the scalar solver's DomainError
     with np.errstate(all="ignore"):
         g = _decay_exponent(model, tau, np)
     for i in np.flatnonzero(np.isnan(rate)).tolist():
@@ -284,14 +312,15 @@ def run_sweep(config: SweepConfig) -> SweepTable:
 
     Each distinct optimum is solved once and shared by every row that
     needs it.  Infeasible points (isolated probe with overhead >= t_c)
-    become rows with feasible=False instead of aborting the sweep.
+    become rows with feasible=False instead of aborting the sweep; a value
+    that is not finite raises SolverError.
     """
     model = config.model
     t_c = coherence_time(model)
-    columns, at = _grid(config)
-    x_ent, x_sep, n = (np.array(columns[name], dtype=float) for name in AXIS_NAMES)
+    columns = _grid(config)
+    n = columns["n"].astype(float)
     with np.errstate(over="ignore"):  # an infinite overhead is re-solved, and rejected
-        tau_tilde_sep, tau_tilde_ent = x_sep * t_c, x_ent * t_c
+        tau_tilde_sep, tau_tilde_ent = columns["x_sep"] * t_c, columns["x_ent"] * t_c
     # np.unique orders complex keys by real, then imaginary part: each pair once
     sep_keys, sep_at = np.unique(tau_tilde_sep + 1j, return_inverse=True)
     ent_keys, ent_at = np.unique((tau_tilde_ent[:, None] + 1j * n).ravel(), return_inverse=True)
@@ -301,21 +330,29 @@ def run_sweep(config: SweepConfig) -> SweepTable:
         known = np.isin(ent_keys, sep_keys)  # n = 1 at a separable overhead: solved
         ent[:, known] = sep[:, np.searchsorted(sep_keys, ent_keys[known])]
         ent[:, ~known] = _solve(model, ent_keys[~known])
-    f_sep, rate_sep = _rates_from_optima(n, sep_keys.real[:, None], *sep[:, :, None])
+    f_sep, rate_sep = (a.ravel() for a in _rates_from_optima(n, sep_keys.real[:, None],
+                                                               *sep[:, :, None]))
     f_ent, rate_ent = _rates_from_optima(ent_keys.imag * ent_keys.imag, ent_keys.real, *ent)
-    row_sep, row_ent = sep_at[at["x_sep"]], ent_at[at["x_ent"] * n.size + at["n"]]
-    row_f_sep = row_sep * n.size + at["n"]
-    with np.errstate(all="ignore"):
-        r = rate_ent[row_ent] / rate_sep.ravel()[row_f_sep]
-    feasible = ~(np.isnan(sep[0, row_sep]) | np.isnan(ent[0, row_ent]))
-    value_columns = [(r, np.arange(r.size)), (sep[0], row_sep), (ent[0], row_ent),
-                     (f_sep.ravel(), row_f_sep), (f_ent, row_ent)]
-    return SweepTable([(columns[name], at[name]) for name in AXIS_NAMES] +
-                      [(values, np.where(feasible, row, -1)) for values, row in value_columns],
-                      feasible)
+    table = SweepTable(columns, sep_at, ent_at, (sep[0], f_sep, rate_sep), (ent[0], f_ent, rate_ent))
+    with np.errstate(all="ignore"):  # no row's r is past the largest rate over the smallest
+        r_bound = np.fmax.reduce(rate_ent) / np.fmin.reduce(rate_sep)
+    if not r_bound < math.inf or np.isinf(f_sep).any() or np.isinf(f_ent).any():
+        _check_finite(table)
+    return table
 
 
-_BLOCK_ROWS = 2**16  # CSV lines rendered at a time, so the text never exists whole
+def _check_finite(table: SweepTable) -> None:
+    """SolverError, as from gain(), at the first value of a feasible row that is not finite."""
+    for k, block in enumerate(table._blocks(range(len(table)))):
+        for name, (values, at) in zip(CSV_COLUMNS[3:8], block[3:8]):
+            bad = np.flatnonzero((at >= 0) & ~np.isfinite(values[at]))
+            if bad.size:
+                row = table[k * _BLOCK_ROWS + int(bad[0])]
+                raise SolverError(f"{name} must be finite, got {getattr(row, name)!r} at "
+                                  f"x_ent = {row.x_ent!r}, x_sep = {row.x_sep!r}, n = {row.n}")
+
+
+_BLOCK_ROWS = 2**16  # rows derived and rendered at a time, so no per-row array exists whole
 
 
 def _cell_layout(x: int) -> list[int]:
@@ -337,7 +374,8 @@ def _format_tables():
     return (np.array([[float(10 ** max(0, e)), float(10 ** max(0, -e))] for e in range(22, -23, -1)]),
             np.array([layout + [12] * (17 - len(layout)) for layout in layouts]),
             np.array([len(layout) for layout in layouts]),
-            (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).copy().view(np.uint32)[:, 0],
+            np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+            .reshape(-1, 4).view(np.uint32)[:, 0],
             np.frombuffer(b"\0.0e+-0123456789", np.uint8))
 
 
@@ -374,48 +412,55 @@ def _format_sig_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _csv_blocks(table: SweepTable):
-    """The CSV as bytes: the header, then blocks of _BLOCK_ROWS lines.  Each column's
-    distinct values are rendered once ("%#.12g", "%d" for n, true/false), then the
-    empty cell that index -1 picks, each with its comma or newline; a block gathers
-    its rows' cells as NUL-padded records and drops the NULs."""
-    yield ",".join(CSV_COLUMNS).encode() + b"\n"
-    columns = []
-    for (values, at), end in zip(table._columns, [b","] * (len(CSV_COLUMNS) - 1) + [b"\n"]):
-        if isinstance(values[0], int):  # n as "%d", feasible (a bool) as true/false
-            cells = np.array([str(value).lower() for value in values], dtype=bytes)
-        else:
-            cells = _format_sig_cells(np.asarray(values, dtype=float))
-        columns.append((np.char.add(np.append(cells, b""), end), at))
-    for start in range(0, len(table), _BLOCK_ROWS):
-        lines = np.empty(min(_BLOCK_ROWS, len(table) - start),
-                         [("", cells.dtype) for cells, _ in columns])
-        for name, (cells, at) in zip(lines.dtype.names, columns):
-            lines[name] = cells[at[start:start + _BLOCK_ROWS]]
-        yield lines.tobytes().translate(None, b"\0")
+# Per format: the text before the rows, a row with {} for each cell, the text between
+# two rows and after the rows, and the cell of an infeasible row's values
+_LAYOUTS = {"csv": (",".join(CSV_COLUMNS) + "\n", ",".join(["{}"] * 9) + "\n", "", "", ""),
+            "json": ("[", "\n {" + ",".join(f'\n  "{name}": {{}}' for name in CSV_COLUMNS) + "\n }",
+                     ",", "\n]\n", "null")}
+
+
+def _text_blocks(table: SweepTable, output_format: str):
+    """The file as bytes: the head, blocks of _BLOCK_ROWS rows, the tail.  Each column's
+    values are rendered once (r once per block), with the cell that index -1 picks, each
+    cell after the text before it; a row's last text leads into the next row.  A block
+    gathers its rows' cells as NUL-padded records and drops the NULs."""
+    head, row, between, tail, empty = (text.encode() for text in _LAYOUTS[output_format])
+    pieces = row.split(b"{}")
+    lead = pieces[-1] + between  # ends a row and leads into the next
+    prefixes = [lead + pieces[0], *pieces[1:-1]]
+    rendered = [(None, None)] * len(prefixes)
+    yield head
+    for k, block in enumerate(table._blocks(range(len(table)))):
+        for i, ((values, _), prefix) in enumerate(zip(block, prefixes)):
+            if rendered[i][0] is not values:
+                if values.dtype.kind in "bO":  # n as "%d", feasible as true/false
+                    cells = np.array([str(v).lower() for v in values.tolist()], dtype=bytes)
+                else:
+                    cells = _format_sig_cells(values)
+                    if output_format == "json":  # the float that the cell parses to, as json
+                        cells = np.array([repr(float(c)) for c in cells.tolist()], dtype=bytes)
+                rendered[i] = values, np.char.add(prefix, np.append(cells, empty))
+        lines = np.empty(block[0][1].size, [("", cells.dtype) for _, cells in rendered])
+        for name, (_, cells), (_, at) in zip(lines.dtype.names, rendered, block):
+            lines[name] = cells[at]
+        text = lines.tobytes().translate(None, b"\0")
+        del lines, block  # the next block is derived with no earlier one alive
+        yield memoryview(text)[len(lead):] if k == 0 else text
+        del text
+    yield pieces[-1] + tail
 
 
 def rows_to_csv(table: SweepTable) -> str:
-    return b"".join(_csv_blocks(table)).decode()
-
-
-def _json_cells(values) -> list:
-    """Floats as printed in the CSV, then parsed; n and feasible as they are."""
-    if isinstance(values[0], int):  # bool included
-        return values
-    return [float(cell) for cell in _format_sig_cells(np.asarray(values, dtype=float)).tolist()]
+    return b"".join(_text_blocks(table, "csv")).decode()
 
 
 def rows_to_json(table: SweepTable) -> str:
-    """Each column's distinct values once, gathered per row; None where infeasible."""
-    columns = [np.array(_json_cells(values) + [None], dtype=object)[at].tolist()
-               for values, at in table._columns]
-    payload = [dict(zip(CSV_COLUMNS, row)) for row in zip(*columns)]
-    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    """A list of one object per row, in the json module's indent=1 layout."""
+    return b"".join(_text_blocks(table, "json")).decode()
 
 
 def save_rows(table: SweepTable, config: SweepConfig) -> None:
-    chunks = _csv_blocks(table) if config.output_format == "csv" else [rows_to_json(table).encode()]
+    chunks = _text_blocks(table, config.output_format)
     with open(os.open(config.output_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.writelines(chunks)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null, a pipe...

@@ -374,6 +374,29 @@ class TestSweepCommand:
         assert "optimal information rate inf is not finite" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("config, message", [
+        # a separable overhead of 1e307 t_c: r = rate_ent / rate_sep overflows
+        ({"model": {"kind": "nonmarkovian", "eta": 1},
+          "axes": {"x_sep": {"min": 1e306, "max": 1e307, "points": 2}},
+          "fixed": {"n": 10000, "x_ent": 0}}, "r must be finite, got inf"),
+        # n tau^2 = 1e5 (1e152)^2: f_sep overflows, and r would print as 0
+        ({"model": {"kind": "isolated", "t_c": 1e152},
+          "axes": {"x_ent": {"min": 0.9999999999, "max": 0.99999999999, "points": 2}},
+          "fixed": {"n": 10**5, "x_sep": 0}}, "f_sep must be finite, got inf"),
+    ], ids=["r", "f_sep"])
+    def test_non_finite_value_exits_4_before_writing(self, capsys, tmp_path, fmt, config,
+                                                      message):
+        out_path = tmp_path / f"grid.{fmt}"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {**config, "output": {"format": fmt, "path": str(out_path)}}))
+        code, out, err = run(capsys, "sweep", "--config", str(config_path))
+        assert code == 4
+        assert out == ""
+        assert message in err and "Traceback" not in err
+        assert not out_path.exists()
+
     def test_null_device_output_exits_0(self, capsys, tmp_path):
         config_path = self.write_config(tmp_path, os.devnull)
         code, out, _ = run(capsys, "sweep", "--config", str(config_path))

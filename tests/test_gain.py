@@ -103,6 +103,11 @@ class TestGain:
         with pytest.raises(DomainError, match="entangled overhead"):
             gain(model, 4, 0.1, bad)
 
+    def test_overflowing_field_is_a_solver_error(self):
+        # f_sep = n tau^2 = 1e5 (1e152)^2 overflows, and r would be 0
+        with pytest.raises(SolverError, match="f_sep must be finite, got inf"):
+            gain(BathModel.isolated(1e152), 10**5, 0.0, 0.9999999999e152)
+
     def test_underflowing_optimum_is_a_solver_error(self):
         # tau_opt ~ 1e-301, so the rate, of order tau_opt^2, underflows to 0
         with pytest.raises(SolverError, match="not finite and > 0"):

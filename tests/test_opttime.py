@@ -89,6 +89,23 @@ class TestMarkovClosedForm:
             tau_opt_markov(gamma, tau_tilde, n_eff)
 
 
+    # b = tau_tilde - 1/(2 n_eff gamma): |b| just under 1.3e154, where b * b is
+    # finite, then b * b or 8 h tau_tilde past the largest float, for b > 0, b < 0
+    # (h = 5e159 > tau_tilde) and b ~ 0 (h ~ tau_tilde)
+    @pytest.mark.parametrize("gamma, tau_tilde, n_eff", [
+        (1.0, 1.3e154, 1), (1.0, 1e155, 1), (1.0, 1e308, 1), (3.0, 1.7976931348623157e308, 7),
+        (1e-160, 1e155, 1), (2e-160, 5e159, 3), (1e-160, 1.7e308, 1)])
+    def test_root_past_an_overflowing_square_matches_numeric(self, gamma, tau_tilde, n_eff):
+        model = BathModel.markovian(gamma)
+        closed = tau_opt_markov(gamma, tau_tilde, n_eff)
+        assert closed.tau_opt == pytest.approx(tau_opt_numeric(model, tau_tilde, n_eff).tau_opt,
+                                               rel=1e-15)
+        assert abs(closed.residual) < 1e-15
+        taus = opttime._optimal_sensing_times(model, np.array([0.1, tau_tilde]),
+                                              np.array([1.0, float(n_eff)]))[0]
+        assert taus.tolist() == [tau_opt_markov(gamma, 0.1, 1).tau_opt, closed.tau_opt]
+
+
 class TestNonMarkovClosedForm:
     def test_half_block_coherence_time(self):
         assert tau_opt_nonmarkov(1.0, 0.0, 1).tau_opt == pytest.approx(0.5)
@@ -268,11 +285,13 @@ class TestNumeric:
         assert code == 4
         assert "did not converge" in capsys.readouterr().err
 
-    def test_underflowing_optimum_is_a_solver_error(self):
-        # t_c = 7.7e-155 and tau_tilde = 0: Brent's steps reach tau = 0, where the
-        # residual is 0/0, and the optimum underflows
-        with pytest.raises(SolverError, match="underflows"):
-            tau_opt_numeric(BathModel.nonmarkovian(1.7e308), 0.0, 1)
+    def test_optimum_at_an_eta_near_the_largest_float_is_the_closed_form(self):
+        # t_c = 7.7e-155 and tau_tilde = 0: Gamma' = 2 (eta tau) stays finite where
+        # 2 eta overflows, so the residual brackets the optimum 3.8e-155
+        numeric = tau_opt_numeric(BathModel.nonmarkovian(1.7e308), 0.0, 1)
+        assert numeric.tau_opt == tau_opt_nonmarkov(1.7e308, 0.0, 1).tau_opt
+        assert numeric.tau_opt == 3.8348249442368524e-155
+        assert abs(numeric.residual) < 1e-14
 
     def test_count_too_large_for_a_float_rejected(self):
         with pytest.raises(DomainError, match="largest float"):

@@ -7,6 +7,7 @@ import os
 import random
 import stat
 import sys
+import tracemalloc
 from collections import Counter
 from collections.abc import Sequence
 
@@ -476,12 +477,17 @@ FEASIBLE_ROW = "%#.12g,%#.12g,%d,%#.12g,%#.12g,%#.12g,%#.12g,%#.12g,true"
 INFEASIBLE_ROW = "%#.12g,%#.12g,%d,,,,,,false"
 
 
-def assert_csv_matches_oracle(table):
-    rows = list(table)  # built by indexing, not by the CSV's gather
+def assert_output_matches_oracle(table):
+    rows = list(table)  # built row by row, not by the block writer's gather
     lines = [",".join(CSV_COLUMNS)]
     lines += [FEASIBLE_ROW % row[:8] if row.feasible else INFEASIBLE_ROW % row[:3]
               for row in rows]
     assert rows_to_csv(table) == "\n".join(lines) + "\n"
+    # the per-row JSON rendering: one dict per row, each float as printed in
+    # the CSV and parsed back, through json.dumps
+    payload = [{name: float(format_sig(value)) if isinstance(value, float) else value
+                for name, value in zip(CSV_COLUMNS, row)} for row in rows]
+    assert rows_to_json(table) == json.dumps(payload, indent=1) + "\n"
 
 
 class TestColumnarCsv:
@@ -489,13 +495,13 @@ class TestColumnarCsv:
     def test_random_sweeps_match_the_per_row_format(self, kind):
         rng = random.Random(f"csv-{kind}")
         for _ in range(8):
-            assert_csv_matches_oracle(run_sweep(random_sweep_config(rng, kind)))
+            assert_output_matches_oracle(run_sweep(random_sweep_config(rng, kind)))
 
     @pytest.mark.parametrize("config", [
         shared_key_config, either_timing_infeasible_config, no_separable_timing_config,
     ], ids=["shared-n1-key", "either-timing-infeasible", "no-separable-timing"])
     def test_edge_grids_match_the_per_row_format(self, config):
-        assert_csv_matches_oracle(run_sweep(config()))
+        assert_output_matches_oracle(run_sweep(config()))
 
     @pytest.mark.parametrize("block_rows", [1, 5])
     def test_lines_rendered_in_blocks_match_the_per_row_format(self, monkeypatch, tmp_path,
@@ -505,10 +511,23 @@ class TestColumnarCsv:
         for kind in sorted(AGREEMENT_REL):
             config = random_sweep_config(rng, kind)
             table = run_sweep(config)
-            assert_csv_matches_oracle(table)
-            path = tmp_path / f"{kind}.csv"
-            save_rows(table, dataclasses.replace(config, output_path=str(path)))
-            assert path.read_bytes() == rows_to_csv(table).encode()
+            assert_output_matches_oracle(table)
+            for fmt, render in (("csv", rows_to_csv), ("json", rows_to_json)):
+                path = tmp_path / f"{kind}.{fmt}"
+                save_rows(table, dataclasses.replace(config, output_format=fmt,
+                                                     output_path=str(path)))
+                assert path.read_bytes() == render(table).encode()
+
+    def test_huge_fixed_count_is_printed_exactly(self):
+        # n = 10^30 is no float: a numpy float array would print 1.00000000000e+30
+        table = run_sweep(make_config(
+            model={"kind": "isolated", "t_c": 1.0},
+            axes={"x_ent": {"min": 0.0, "max": 1.5, "points": 4}},
+            fixed={"x_sep": 0.1, "n": 10**30}))
+        assert [row.n for row in table] == [10**30] * 4
+        assert [row.feasible for row in table] == [True, True, False, False]
+        assert_output_matches_oracle(table)
+        assert f",{10**30}," in rows_to_csv(table)
 
 
 class TestSweepTable:
@@ -531,6 +550,32 @@ class TestSweepTable:
             assert type(row.n) is int and type(row.feasible) is bool
             assert all(type(v) is float for v in row[:2])
             assert all(type(v) is float if row.feasible else v is None for v in row[3:8])
+
+    def test_slices_and_iteration_read_the_indexed_rows(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 4)  # slices span blocks
+        table = run_sweep(make_config(
+            model={"kind": "isolated", "t_c": 2.0},
+            axes={"x_ent": {"min": 0.5, "max": 2.5, "points": 5},
+                  "n": {"min": 1, "max": 100, "points": 5, "spacing": "log"}},
+            fixed={"x_sep": 0.25}))
+        rows = [table[i] for i in range(len(table))]
+        assert any(row.feasible for row in rows) and not all(row.feasible for row in rows)
+        assert list(table) == rows and list(reversed(table)) == rows[::-1]
+        for i in [slice(None), slice(None, None, -1), slice(None, None, -3), slice(-2, 3, -2),
+                  slice(20, 1, -4), slice(3, 3), slice(None, None, 7), slice(-100, 100)]:
+            assert table[i] == rows[i]
+
+    def test_table_memory_is_bounded_by_the_distinct_keys(self):
+        config = make_config(axes={"x_ent": {"min": 0.0, "max": 0.5, "points": 1000},
+                                   "x_sep": {"min": 0.0, "max": 0.9, "points": 1000}})
+        tracemalloc.start()
+        try:
+            table = run_sweep(config)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 10**6
+        assert held < 5e6
 
 
 class TestOutput:
