@@ -27,7 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SolverError, ValidationError, check_finite_nonnegative, check_finite_positive
+from .errors import (SolverError, ValidationError, check_fields, check_finite_nonnegative,
+                     check_finite_positive, check_number)
 
 __all__ = [
     "BathKind",
@@ -84,7 +85,9 @@ class BathModel:
                     raise ValidationError(
                         f"{self.kind.value} model requires field '{name}'"
                     )
-                check_finite_positive(value, f"field '{name}'", ValidationError)
+                what = f"field '{name}'"
+                check_number(value, what)
+                check_finite_positive(value, what, ValidationError)
                 object.__setattr__(self, name, float(value))
             elif value is not None:
                 raise ValidationError(
@@ -116,10 +119,7 @@ class BathModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BathModel":
-        if not isinstance(data, dict):
-            raise ValidationError(f"bath model must be an object, got {type(data).__name__}")
-        if "kind" not in data:
-            raise ValidationError("bath model is missing field 'kind'")
+        check_fields(data, "bath model", ("kind",), _FIELDS)
         try:
             kind = BathKind(data["kind"])
         except ValueError:
@@ -127,16 +127,7 @@ class BathModel:
             raise ValidationError(
                 f"unknown bath kind {data['kind']!r} (expected one of: {valid})"
             ) from None
-        params = {}
-        for name, value in data.items():
-            if name == "kind":
-                continue
-            if name not in _FIELDS:
-                raise ValidationError(f"unknown bath model field '{name}'")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"bath model field '{name}' must be a number")
-            params[name] = value  # __post_init__ checks it, then makes it a float
-        return cls(kind, **params)
+        return cls(kind, **{name: value for name, value in data.items() if name != "kind"})
 
 
 # sinh(x)/x - 1 = sum_k x^(2k)/(2k+1)!: no cancellation, and k <= 9 is one ulp below x = 1
@@ -239,10 +230,11 @@ def _brent(f, lo, hi, f_lo, f_hi):
         if interpolate:
             if pre == blk:  # secant
                 step = -f_cur * (cur - pre) / (f_cur - f_pre)
-            else:  # inverse quadratic
+            else:  # inverse quadratic; a denominator that underflows to 0 bisects
                 d_pre = (f_pre - f_cur) / (pre - cur)
                 d_blk = (f_blk - f_cur) / (blk - cur)
-                step = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+                den = d_blk * d_pre * (f_blk - f_pre)
+                step = -f_cur * (f_blk * d_blk - f_pre * d_pre) / den if den else math.inf
             interpolate = 2.0 * abs(step) < min(abs(s_pre), 3.0 * abs(s_bis) - tol)
         if interpolate:
             s_pre, s_cur = s_cur, step
@@ -358,7 +350,10 @@ def coherence_time(model: BathModel) -> float:
         raise SolverError(
             "Ohmic decay exponent never reaches 1 inside the expanded bracket"
         )
-    return _brent(lambda t: decay_exponent(model, t) - 1.0, lo, hi, g_lo, g_hi)[0]
+    t_c = _brent(lambda t: decay_exponent(model, t) - 1.0, lo, hi, g_lo, g_hi)[0]
+    if not t_c > 0.0:  # lo underflowed to 0, and so did the root
+        raise SolverError(f"Ohmic coherence time underflows at beta = {model.beta!r}")
+    return t_c
 
 
 def ohmic_limit_rates(alpha: float, beta: float, omega_c: float) -> tuple[float, float]:

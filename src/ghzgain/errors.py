@@ -1,13 +1,25 @@
 """Exception hierarchy shared across the package, and the input checks
-that every particle count, rate and time passes through.
+that every particle count, rate, time and config object passes through.
 
 The CLI maps these onto process exit codes: validation/domain problems
 exit with 2, infeasible timing with 3, solver failures with 4.
 """
 
-import math
+import numbers
 import operator
 import sys
+
+__all__ = [
+    "GhzGainError",
+    "DomainError",
+    "CapacityError",
+    "ValidationError",
+    "UnsupportedModelError",
+    "InfeasibleTimingError",
+    "SolverError",
+    "DivergenceError",
+    "NoThresholdError",
+]
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -53,6 +65,28 @@ class NoThresholdError(SolverError):
     def __init__(self, message, side=None):
         super().__init__(message)
         self.side = side
+
+
+def check_fields(data, where: str, required, optional=()) -> None:
+    """Raise ValidationError unless ``data`` is a dict (a JSON object) that
+    has every field in ``required`` and no field outside ``required`` and
+    ``optional``."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be an object, got {type(data).__name__}")
+    for name in data:
+        if name not in required and name not in optional:
+            raise ValidationError(f"{where}: unknown field {name!r}")
+    for name in required:
+        if name not in data:
+            raise ValidationError(f"{where} is missing field '{name}'")
+
+
+def check_number(value, what: str) -> None:
+    """Raise ValidationError unless ``value`` is a real number (numpy's too) that is
+    not a bool; ints and floats are tested first, as the common case."""
+    if type(value) is not float and type(value) is not int and (
+            not isinstance(value, numbers.Real) or isinstance(value, bool)):
+        raise ValidationError(f"{what} must be a number")
 
 
 def check_finite(value: float, what: str, error: type = DomainError) -> None:

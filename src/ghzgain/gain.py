@@ -241,7 +241,10 @@ def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
             "precision bound may not be attainable",
             stacklevel=2,
         )
-    return 1.0 / math.sqrt(total_time * f / round_time)
+    information = total_time * f / round_time
+    if not 0.0 < information < math.inf:
+        raise SolverError(f"information over the budget {information!r} is not finite and > 0")
+    return 1.0 / math.sqrt(information)
 
 
 def scaling_law_eval(law: ScalingLaw, n: int) -> float:

@@ -68,18 +68,33 @@ class OptimalTime:
     residual: float
 
 
-def _block_rate(g: float, tau_tilde: float, n_eff: int, tau: float) -> float:
-    """QFI rate n_eff^2 tau^2 exp(-2 n_eff g) / (tau_tilde + tau), g = Gamma(tau).
+def _rate(g, tau_tilde, n_eff, tau, xp=math):
+    """QFI rate n_eff^2 tau^2 exp(-2 n_eff g) / (tau_tilde + tau), g = Gamma(tau), at
+    floats (xp = math) or elementwise over float arrays (xp = numpy).
 
     For n_eff = N this is the rate of an N-particle GHZ block; for
     n_eff = 1 it is the per-particle rate of the separable strategy.  The
     square is a float: an int square past ~1.3e154 overflows in `* tau`.
     """
-    return float(n_eff) * n_eff * tau * tau * math.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
+    return 1.0 * n_eff * n_eff * tau * tau * xp.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
 
 
 def _residual(dg: float, tau_tilde: float, n_eff: int, tau: float) -> float:
     return 2.0 * n_eff * tau * dg - 1.0 - tau_tilde / (tau_tilde + tau)
+
+
+def _optimum(tau, g, tau_tilde, n_eff, at, dg=None, residual=0.0) -> OptimalTime:
+    """The OptimalTime at tau, given g = Gamma(tau) and, for an interior optimum,
+    dg = Gamma'(tau) or its residual.  Raises SolverError, naming at = (quantity,
+    value), unless tau > 0 and the rate is finite and > 0."""
+    if not tau > 0.0:
+        raise SolverError(f"optimal time underflows at {at[0]} = {at[1]!r}")
+    rate = _rate(g, tau_tilde, n_eff, tau)
+    if not 0.0 < rate < math.inf:
+        raise SolverError(f"optimal information rate {rate!r} is not finite and > 0")
+    if dg is not None:
+        residual = _residual(dg, tau_tilde, n_eff, tau)
+    return OptimalTime(tau, rate, residual)
 
 
 def stationarity_residual(model: BathModel, tau_tilde: float, n_eff: int, tau: float) -> float:
@@ -106,8 +121,7 @@ def tau_opt_isolated(t_c: float, tau_tilde: float, n_eff: int) -> OptimalTime:
             f"overhead {tau_tilde!r} consumes the whole coherence time {t_c!r}; "
             "no sensing time remains"
         )
-    tau = t_c - tau_tilde
-    return OptimalTime(tau, _block_rate(0.0, tau_tilde, n_eff, tau), 0.0)
+    return _optimum(t_c - tau_tilde, 0.0, tau_tilde, n_eff, ("coherence time", t_c))
 
 
 def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
@@ -133,13 +147,7 @@ def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
         tau = 4.0 * h * tau_tilde / (b + root)
     else:
         tau = 0.5 * (root - b)
-    if not tau > 0.0:
-        raise SolverError(f"optimal time underflows at n_eff * gamma = {n_eff * gamma!r}")
-    return OptimalTime(
-        tau,
-        _block_rate(gamma * tau, tau_tilde, n_eff, tau),
-        _residual(gamma, tau_tilde, n_eff, tau),
-    )
+    return _optimum(tau, gamma * tau, tau_tilde, n_eff, ("n_eff * gamma", n_eff * gamma), gamma)
 
 
 def _markov_root_scaled(h: float, tau_tilde: float) -> float:
@@ -214,10 +222,8 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     n_eff = check_count(n_eff, "effective particle count")
     scale = math.sqrt(n_eff * eta)
     tau = _nonmarkov_root(tau_tilde * scale) / scale
-    if not tau > 0.0:
-        raise SolverError(f"optimal time underflows at n_eff * eta = {n_eff * eta!r}")
-    residual = _residual(2.0 * (eta * tau), tau_tilde, n_eff, tau)  # 2 eta may overflow
-    return OptimalTime(tau, _block_rate(eta * tau * tau, tau_tilde, n_eff, tau), residual)
+    return _optimum(tau, eta * tau * tau, tau_tilde, n_eff, ("n_eff * eta", n_eff * eta),
+                    2.0 * (eta * tau))  # 2 eta may overflow
 
 
 def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:
@@ -258,10 +264,8 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
             "2^60 coherence times; no interior maximum found"
         )
     tau, residual = _brent(res, lo, up, f_lo, f_up)
-    if not tau > 0.0:
-        raise SolverError(f"optimal time underflows at coherence time {coherence_time(model)!r}")
-    rate = _block_rate(decay_exponent(model, tau), tau_tilde, n_eff, tau)
-    return OptimalTime(tau, rate, residual)
+    return _optimum(tau, decay_exponent(model, tau), tau_tilde, n_eff,
+                    ("coherence time", coherence_time(model)), residual=residual)
 
 
 def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
@@ -304,7 +308,7 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
             tau, converged = _brent_arrays(res, lo, up, f_lo, np.where(ok, f_up, 0.0))
             ok &= converged
         g = _decay_exponent(model, tau, np)
-        rate = n_eff * n_eff * tau * tau * np.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
+        rate = _rate(g, tau_tilde, n_eff, tau, np)
     rate = np.where(ok & (rate > 0.0) & (rate < math.inf), rate, math.nan)
     if model.kind is BathKind.ISOLATED:
         rate[tau <= 0.0] = 0.0
@@ -316,17 +320,13 @@ def optimal_sensing_time(model: BathModel, tau_tilde: float, n_eff: int) -> Opti
     """Dispatch to the best available solver for the given bath model.
 
     Closed forms for the isolated, Markovian and non-Markovian laws, the
-    numeric optimiser for the Ohmic one.  An optimum whose rate under- or
-    overflows raises SolverError.
+    numeric optimiser for the Ohmic one.  Like each of them, it raises
+    SolverError for an optimum whose rate under- or overflows.
     """
     if model.kind is BathKind.ISOLATED:
-        opt = tau_opt_isolated(coherence_time(model), tau_tilde, n_eff)
-    elif model.kind is BathKind.MARKOVIAN:
-        opt = tau_opt_markov(model.gamma, tau_tilde, n_eff)
-    elif model.kind is BathKind.NONMARKOVIAN:
-        opt = tau_opt_nonmarkov(model.eta, tau_tilde, n_eff)
-    else:
-        opt = tau_opt_numeric(model, tau_tilde, n_eff)
-    if not 0.0 < opt.objective < math.inf:
-        raise SolverError(f"optimal information rate {opt.objective!r} is not finite and > 0")
-    return opt
+        return tau_opt_isolated(coherence_time(model), tau_tilde, n_eff)
+    if model.kind is BathKind.MARKOVIAN:
+        return tau_opt_markov(model.gamma, tau_tilde, n_eff)
+    if model.kind is BathKind.NONMARKOVIAN:
+        return tau_opt_nonmarkov(model.eta, tau_tilde, n_eff)
+    return tau_opt_numeric(model, tau_tilde, n_eff)

@@ -34,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bath import BathModel, _decay_exponent, coherence_time, decay_exponent
-from .errors import InfeasibleTimingError, SolverError, ValidationError, check_finite_nonnegative
+from .errors import (InfeasibleTimingError, SolverError, ValidationError, check_fields,
+                     check_finite_nonnegative, check_number)
 from .gain import _rates_from_optima
 from .opttime import _optimal_sensing_times, optimal_sensing_time
 
@@ -82,8 +83,7 @@ class AxisSpec:
                 f"unknown axis {self.name!r} (expected one of: {', '.join(AXIS_NAMES)})"
             )
         for label, bound in (("min", self.minimum), ("max", self.maximum)):
-            if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
-                raise ValidationError(f"axis '{self.name}': {label} must be a number")
+            check_number(bound, f"axis '{self.name}': {label}")
             check_finite_nonnegative(bound, f"axis '{self.name}': {label}", ValidationError)
         try:
             points = operator.index(self.points)
@@ -145,8 +145,7 @@ class SweepConfig:
                 f"got {sorted(self.fixed)}"
             )
         for name, value in self.fixed.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"fixed.{name} must be a number")
+            check_number(value, f"fixed.{name}")
             check_finite_nonnegative(value, f"fixed.{name}", ValidationError)
             if name == "n" and (int(value) != value or value < 1):
                 raise ValidationError("fixed.n must be a positive integer")
@@ -226,43 +225,22 @@ class SweepTable(Sequence):
                    [(self._FEASIBLE, feasible.astype(np.intp))])
 
 
-def _axis_from_dict(name: str, data: dict) -> AxisSpec:
-    if not isinstance(data, dict):
-        raise ValidationError(f"axes.{name} must be an object")
-    unknown = set(data) - {"min", "max", "points", "spacing"}
-    if unknown:
-        raise ValidationError(f"axes.{name}: unknown fields {sorted(unknown)}")
-    for field in ("min", "max", "points"):
-        if field not in data:
-            raise ValidationError(f"axes.{name} is missing field '{field}'")
-    return AxisSpec(name, data["min"], data["max"], data["points"],
-                    data.get("spacing", "linear"))
-
-
 def config_from_dict(data: dict) -> SweepConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("sweep config must be a JSON object")
-    unknown = set(data) - {"model", "axes", "fixed", "output"}
-    if unknown:
-        raise ValidationError(f"unknown top-level fields {sorted(unknown)}")
-    for field in ("model", "axes", "output"):
-        if field not in data:
-            raise ValidationError(f"config is missing field '{field}'")
+    check_fields(data, "sweep config", ("model", "axes", "output"), ("fixed",))
     model = BathModel.from_dict(data["model"])
     if not isinstance(data["axes"], dict) or not data["axes"]:
         raise ValidationError("axes must be a non-empty object")
-    axes = tuple(_axis_from_dict(name, spec) for name, spec in data["axes"].items())
-    fixed = data.get("fixed", {})
-    if not isinstance(fixed, dict):
-        raise ValidationError("fixed must be an object")
-    output = data["output"]
-    if not isinstance(output, dict):
-        raise ValidationError("output must be an object")
-    if "format" not in output or "path" not in output:
-        raise ValidationError("output needs fields 'format' and 'path'")
+    axes = []
+    for name, spec in data["axes"].items():
+        check_fields(spec, f"axes.{name}", ("min", "max", "points"), ("spacing",))
+        axes.append(AxisSpec(name, spec["min"], spec["max"], spec["points"],
+                             spec.get("spacing", "linear")))
+    fixed, output = data.get("fixed", {}), data["output"]
+    check_fields(fixed, "fixed", (), AXIS_NAMES)
+    check_fields(output, "output", ("format", "path"))
     return SweepConfig(
         model=model,
-        axes=axes,
+        axes=tuple(axes),
         fixed=dict(fixed),
         output_format=output["format"],
         output_path=str(output["path"]),

@@ -251,6 +251,8 @@ class TestModelValidation:
             lambda: BathModel.markovian(math.inf),
             lambda: BathModel.nonmarkovian(math.nan),
             lambda: BathModel.ohmic(0.05, math.inf, 0.5),
+            lambda: BathModel.markovian(True),
+            lambda: BathModel.markovian("1.0"),
         ],
     )
     def test_invalid_models_rejected(self, factory):
@@ -275,6 +277,10 @@ class TestModelValidation:
             BathModel.from_dict({"kind": "markovian"})
         with pytest.raises(ValidationError, match="t_c"):
             BathModel.from_dict({"kind": "markovian", "gamma": 1.0, "t_c": 2.0})
+        with pytest.raises(ValidationError, match="unknown field 'rate'"):
+            BathModel.from_dict({"kind": "markovian", "rate": 1.0})
+        with pytest.raises(ValidationError, match="'gamma' must be a number"):
+            BathModel.from_dict({"kind": "markovian", "gamma": "1.0"})
 
 
 @given(

@@ -300,6 +300,13 @@ class TestPrecision:
         with pytest.raises(DomainError):
             precision_opt(BathModel.isolated(1.0), 4, ProbeKind.GHZ, 0.0, 0.0)
 
+    def test_underflowing_information_is_a_solver_error(self):
+        # T * F(tau*) / (tau_tilde + tau*) underflows to 0: the error would be 1/0
+        model = BathModel.ohmic(0.4912340637932445, 0.0013205417131547522, 0.3654690205146478)
+        with pytest.warns(UserWarning, match="rounds"), \
+                pytest.raises(SolverError, match="not finite and > 0"):
+            precision_opt(model, 10**15, ProbeKind.GHZ, 1.7e308, 1.324059760658427e-49)
+
 
 class TestScalingLaws:
     def test_logarithmic(self):

@@ -97,6 +97,20 @@ class TestMarkovClosedForm:
         (1e-160, 1e155, 1), (2e-160, 5e159, 3), (1e-160, 1.7e308, 1)])
     def test_root_past_an_overflowing_square_matches_numeric(self, gamma, tau_tilde, n_eff):
         model = BathModel.markovian(gamma)
+        h = 0.5 / (n_eff * gamma)
+        if h * h == math.inf:
+            # tau ~ h ~ 1e160, so tau^2 and the rate overflow: both solvers raise, and
+            # the scaled root and the array pass's tau match the exact root instead
+            with pytest.raises(SolverError, match="not finite and > 0"):
+                tau_opt_markov(gamma, tau_tilde, n_eff)
+            with pytest.raises(SolverError, match="not finite and > 0"):
+                tau_opt_numeric(model, tau_tilde, n_eff)
+            taus = opttime._optimal_sensing_times(model, np.array([tau_tilde]),
+                                                  np.array([float(n_eff)]))[0]
+            exact = exact_markov_root(gamma, tau_tilde, n_eff)
+            for tau in (opttime._markov_root_scaled(h, tau_tilde), float(taus[0])):
+                assert abs(tau - exact) <= 1e-15 * exact
+            return
         closed = tau_opt_markov(gamma, tau_tilde, n_eff)
         assert closed.tau_opt == pytest.approx(tau_opt_numeric(model, tau_tilde, n_eff).tau_opt,
                                                rel=1e-15)
@@ -104,6 +118,17 @@ class TestMarkovClosedForm:
         taus = opttime._optimal_sensing_times(model, np.array([0.1, tau_tilde]),
                                               np.array([1.0, float(n_eff)]))[0]
         assert taus.tolist() == [tau_opt_markov(gamma, 0.1, 1).tau_opt, closed.tau_opt]
+
+
+def exact_markov_root(gamma, tau_tilde, n_eff):
+    """The positive root of tau^2 + (tau_tilde - h) tau - 2 h tau_tilde, h = 1/(2 n_eff
+    gamma), to 50 digits, in forms without cancellation."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(tau_tilde)
+        h = 1 / (2 * n_eff * mpmath.mpf(gamma))
+        b = t - h
+        root = mpmath.sqrt(b * b + 8 * h * t)
+        return 4 * h * t / (b + root) if b >= 0 else (root - b) / 2
 
 
 class TestNonMarkovClosedForm:
@@ -200,6 +225,23 @@ class TestNumeric:
         model = BathModel.ohmic(0.05, 20.0, 0.5)
         opt = tau_opt_numeric(model, 0.1, 3)
         assert abs(opt.residual) < 1e-8
+
+    # Brent's inverse quadratic step on these once divided by a product that
+    # underflowed to 0, a raw ZeroDivisionError; it bisects instead
+    @pytest.mark.parametrize("gamma, tau_tilde", [(1e-160, 5e159),
+                                                  (2.729239323083489e-166, 21.19621653749579)])
+    def test_underflowing_interpolation_bisects(self, monkeypatch, gamma, tau_tilde):
+        optimum, taus = opttime._optimum, []
+
+        def recording(tau, *args, **kwargs):
+            taus.append(tau)
+            return optimum(tau, *args, **kwargs)
+
+        monkeypatch.setattr(opttime, "_optimum", recording)
+        with pytest.raises(SolverError, match="not finite and > 0"):  # tau^2 overflows
+            tau_opt_numeric(BathModel.markovian(gamma), tau_tilde, 1)
+        exact = exact_markov_root(gamma, tau_tilde, 1)
+        assert abs(taus[0] - exact) <= 1e-15 * exact
 
     def test_rate_rising_for_ever_diverges(self, monkeypatch):
         # with Gamma = 0 the residual stays at -1 - tau_tilde/(tau_tilde + tau)

@@ -178,11 +178,25 @@ class TestConfigParsing:
                   fixed={"n": 10, "x_sep": math.nan}), "fixed.x_sep"),
             (dict(fixed={"n": 10**400}), "fixed.n"),
             (dict(model={"kind": "markovian", "gamma": 10**400}), "gamma"),
+            (dict(output={"format": "csv", "path": "x", "mode": "a"}), "unknown field 'mode'"),
+            (dict(output=["csv"]), "output must be an object"),
+            (dict(axes={"x_ent": {"min": 0.0, "max": 1.0, "points": 2, "step": 1}},
+                  fixed={"n": 10, "x_sep": 0.1}), "axes.x_ent: unknown field 'step'"),
+            (dict(fixed={"n": True}), "fixed.n must be a number"),
+            (dict(model={"kind": "markovian", "gamma": True}), "'gamma' must be a number"),
         ],
     )
     def test_invalid_configs_name_the_field(self, patch, message):
         with pytest.raises(ValidationError, match=message):
             make_config(**patch)
+
+    def test_numpy_numbers_are_numbers_in_every_field(self):
+        config = make_config(
+            model={"kind": "markovian", "gamma": np.int64(1)},
+            axes={"x_ent": {"min": np.int64(0), "max": np.float64(0.5), "points": np.int64(2)}},
+            fixed={"n": np.int64(10), "x_sep": np.float64(0.1)})
+        assert config.model == BathModel.markovian(1.0)
+        assert config.axes[0].values() == [0.0, 0.5] and config.fixed["n"] == 10
 
     def test_grid_size_is_capped(self):
         def grid(ent_points, sep_points):
