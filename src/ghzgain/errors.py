@@ -21,7 +21,12 @@ __all__ = [
     "NoThresholdError",
 ]
 
-_FLOAT_MAX = sys.float_info.max
+
+class _Double(float):
+    """A float numpy compares as a double, not cast to a float32's type (inf)."""
+
+
+_FLOAT_MAX = _Double(sys.float_info.max)
 
 
 class GhzGainError(Exception):

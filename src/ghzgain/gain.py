@@ -177,9 +177,9 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
     Closed forms: t_c (1 - (1 - x_sep)/sqrt(N)) for an isolated probe and
     tau_tilde_sep / N for linear decay.  The quadratic and Ohmic laws
     have no known closed form, so the crossing in [0, 1e4 t_c] is found by
-    bracketed Newton on ln r using the envelope derivative: at an interior
-    optimum d ln r/d tau_tilde_ent = -1/(tau_tilde_ent + tau_ent*), so a
-    step costs one GHZ solve; a step leaving the sign bracket bisects it.
+    the frozen-optimum step x' = r (x + tau_ent*) - tau_ent*, one GHZ solve
+    each (the last none): with tau_ent* kept, the rate at x' is not optimal,
+    so r(x') >= 1; a step bisects the sign bracket only if rounding leaves it.
     """
     n = check_count(n, "particle count")
     check_finite_nonnegative(tau_tilde_sep, "overhead time")
@@ -208,14 +208,14 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
             f"gain is still above 1 at the bracket end {hi!r}", side="above"
         )
     for _ in range(200):
-        step = math.log(at.r) * at.round_ent
+        step = (at.r - 1.0) * at.round_ent
         # a next step under 1e-12 relative means |r - 1| < 1e-12 here
         if abs(step) <= 1e-12 * x or hi - lo <= 1e-15 * hi:
             break
         x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
         at = gain_at(n, x)
         lo, hi = (x, hi) if at.r > 1.0 else (lo, x)
-    return x
+    return x + step if lo <= x + step <= hi else x  # the last step needs no solve
 
 
 def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,

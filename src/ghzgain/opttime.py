@@ -12,11 +12,12 @@ with n_eff = 1 for the separable probe and n_eff = N for the GHZ probe
 why a single n_eff parameter covers both).
 
 Closed forms exist for the linear decay law (a quadratic in tau) and the
-quadratic law (a cubic with one positive root, taken by Viete's real
-forms and one Newton step, shared by the scalar and array paths).  A
-model-agnostic numeric path handles everything else: Brent's zero finder
-on the stationarity residual, whose sign brackets the root (it is -tau
-times the slope of the log rate).
+quadratic law (a cubic with one positive root, taken by Viete's real forms
+and one Newton step, shared by the scalar and array paths).  A model-agnostic
+numeric path handles everything else: Brent's zero finder on the stationarity
+residual, whose sign brackets the root (it is -tau times the slope of the log
+rate).  For the Ohmic law a proven short-time lower bound and a Markov-limit
+trial seed the bracket, on both paths.
 """
 
 from __future__ import annotations
@@ -226,16 +227,40 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
                     2.0 * (eta * tau))  # 2 eta may overflow
 
 
+def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, res, f_zero, xp=math):
+    """(lo, f_lo, up), the start of the Ohmic optimum's bracket, at floats (xp = math) or
+    over arrays, for the residual res with the limit f_zero at 0.  ln(1 + y) <= y and
+    coth x - 1/x <= x/3 give Gamma' <= 2 eta0 tau, eta0 = alpha omega_c^2/2 + alpha
+    (pi/beta)^2/6, so the residual is <= 4 (tau/t)^2 - 1 - tau_tilde/(tau_tilde + tau),
+    t = 1/sqrt(n_eff eta0), which is <= 0 at tau0 = (t/2) sqrt(1 + tau_tilde/(tau_tilde
+    + t/sqrt 2)) <= t/sqrt 2.  So lo = tau0, and up is the larger of 2 tau0 and the finite
+    optimum of the Markov limit gamma = alpha pi/beta; but where rounding, or eta0 past
+    1e300, leaves the residual at tau0 > 0, the bracket is [0, tau0]."""
+    k = math.pi / model.beta
+    eta0 = model.alpha * (0.5 * model.omega_c * model.omega_c + k * k / 6.0)
+    t = 1.0 / (xp.sqrt(n_eff) * math.sqrt(min(max(eta0, 1e-300), 1e300)))  # tau0 > 0
+    tau0 = 0.5 * t * xp.sqrt(1.0 + tau_tilde / (tau_tilde + math.sqrt(0.5) * t))
+    h = 0.5 / (n_eff * max(model.alpha * k, 1e-300))
+    b = tau_tilde - h
+    markov = 0.5 * (xp.sqrt(b * b + 8.0 * h * tau_tilde) - b)
+    f0 = res(tau0)
+    if xp is math:
+        up = markov if 2.0 * tau0 < markov < math.inf else 2.0 * tau0
+        return (tau0, f0, up) if f0 <= 0.0 else (0.0, f_zero, tau0)
+    up, ok = np.where((2.0 * tau0 < markov) & (markov < math.inf), markov, 2.0 * tau0), f0 <= 0.0
+    return np.where(ok, tau0, 0.0), np.where(ok, f0, f_zero), np.where(ok, up, tau0)
+
+
 def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:
     """Model-agnostic interior maximum of the information rate.
 
     The stationarity residual equals -tau d ln(rate)/d tau: negative while
     the rate rises, positive once it falls, with the limit -1 - [tau_tilde
     > 0] as tau -> 0 (at tau_tilde = 0 it is 0/0 there, so tau = 0 is
-    never evaluated).  So B starts at the coherence time and doubles until
-    the residual at B is positive; the last B where it was not, or else
-    tau = 0, is the bracket's lower end; and Brent's zero finder narrows
-    the root to a relative width of 4 eps.
+    never evaluated).  The bracket starts as [0, t_c], or as _ohmic_bracket
+    seeds it for the Ohmic law.  Its upper end doubles, up to 2^60 t_c, while the
+    residual there is not positive, each becoming the lower end; Brent's
+    zero finder then narrows the root to a relative width of 4 eps.
     """
     if model.kind is BathKind.ISOLATED:
         raise UnsupportedModelError(
@@ -251,18 +276,14 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     def res(t: float) -> float:
         return _residual(slope(model, t), tau_tilde, n_eff, t)
 
-    lo, f_lo = 0.0, -2.0 if tau_tilde > 0.0 else -1.0
-    up = coherence_time(model)
-    for _ in range(61):
-        f_up = res(up)
-        if f_up > 0.0:
-            break
+    lo, f_lo, up = 0.0, -2.0 if tau_tilde > 0.0 else -1.0, coherence_time(model)
+    if model.kind is BathKind.OHMIC:
+        lo, f_lo, up = _ohmic_bracket(model, tau_tilde, n_eff, res, f_lo)
+    while not (f_up := res(up)) > 0.0:
+        if up >= 2.0 ** 60 * coherence_time(model):
+            raise DivergenceError("information rate still rising after expanding the bracket "
+                                  "to 2^60 coherence times; no interior maximum found")
         lo, f_lo, up = up, f_up, 2.0 * up
-    else:
-        raise DivergenceError(
-            "information rate still rising after expanding the bracket to "
-            "2^60 coherence times; no interior maximum found"
-        )
     tau, residual = _brent(res, lo, up, f_lo, f_up)
     return _optimum(tau, decay_exponent(model, tau), tau_tilde, n_eff,
                     ("coherence time", coherence_time(model)), residual=residual)
@@ -296,8 +317,7 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
                 return _residual(_ohmic_exponent_derivative(model, t, np), tau_tilde, n_eff, t)
 
             # tau_opt_numeric's bracket and steps, elementwise
-            lo, f_lo = np.zeros_like(tau_tilde), -1.0 - (tau_tilde > 0.0)
-            up = np.full_like(tau_tilde, coherence_time(model))
+            lo, f_lo, up = _ohmic_bracket(model, tau_tilde, n_eff, res, -1.0 - (tau_tilde > 0.0), np)
             for _ in range(61):
                 f_up = res(up)
                 ok = f_up > 0.0

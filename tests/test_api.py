@@ -5,12 +5,15 @@ import importlib
 import math
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghzgain
 from ghzgain import (
     BathModel,
+    DomainError,
     GhzGainError,
     OptimalTime,
     errors,
@@ -110,3 +113,22 @@ def test_public_solvers_return_checked_results_or_raise(model, tau_tilde, n, kin
     assert_checked(lambda: tau_opt_numeric(model, tau_tilde, n))
     assert_checked(lambda: optimal_sensing_time(model, tau_tilde, n))
     assert_checked(lambda: precision_opt(model, n, kind, tau_tilde, total_time))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_input_checks_take_narrow_numpy_floats_without_a_warning(dtype):
+    # numpy compares a float32 with a plain Python float in float32, where the
+    # largest double overflows to inf with a RuntimeWarning
+    checks = (errors.check_finite, errors.check_finite_nonnegative, errors.check_finite_positive)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in checks:
+            check(dtype(0.5), "value")
+            check(dtype(np.finfo(dtype).max), "value")
+            for bad in (dtype("inf"), dtype("nan"), 10**400, 2**1024):
+                with pytest.raises(DomainError, match="must be finite"):
+                    check(bad, "value")
+        errors.check_finite(dtype(-0.5), "value")
+        with pytest.raises(DomainError, match="must be finite"):
+            errors.check_finite(-10**400, "value")
+        assert BathModel.ohmic(dtype(0.05), dtype(20.0), dtype(0.5)).alpha == float(dtype(0.05))

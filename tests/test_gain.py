@@ -1,7 +1,11 @@
 import importlib
 import math
+import random
+import sys
 import warnings
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +41,39 @@ from ghzgain import (
 def log_grid(lo, hi, points):
     step = (math.log(hi) - math.log(lo)) / (points - 1)
     return [math.exp(math.log(lo) + i * step) for i in range(points)]
+
+
+def mp_threshold(model, n, tau_tilde_sep, x):
+    """(x_mp, tau_ent*) at the r = 1 crossing near x, to 50 digits for the double
+    inputs: Newton on ln r, each optimum an mpmath root of its stationarity condition."""
+    with mpmath.workdps(50):
+        if model.kind.value == "nonmarkovian":
+            eta = mpmath.mpf(model.eta)
+            gamma, dgamma = (lambda t: eta * t * t), (lambda t: 2 * eta * t)
+        else:
+            a, w = mpmath.mpf(model.alpha), mpmath.mpf(model.omega_c)
+            k = mpmath.pi / mpmath.mpf(model.beta)
+
+            def gamma(t):
+                return a / 2 * mpmath.log(1 + (w * t) ** 2) + a * mpmath.log(mpmath.sinh(k * t) / (k * t))
+
+            def dgamma(t):
+                return a * w * w * t / (1 + (w * t) ** 2) + a * k * (mpmath.coth(k * t) - 1 / (k * t))
+
+        def log_rate(tau_tilde, n_eff):
+            guess = mpmath.mpf(optimal_sensing_time(model, float(tau_tilde), n_eff).tau_opt)
+            tau = mpmath.findroot(lambda t: 2 * n_eff * t * dgamma(t) - 1 - tau_tilde / (tau_tilde + t),
+                                  (guess / 2, 2 * guess), solver="anderson")
+            return 2 * mpmath.log(n_eff * tau) - 2 * n_eff * gamma(tau) - mpmath.log(tau_tilde + tau), tau
+
+        target = mpmath.log(n) + log_rate(mpmath.mpf(tau_tilde_sep), 1)[0]
+        x = mpmath.mpf(x)
+        for _ in range(20):
+            log_r, tau = log_rate(x, n)
+            x += (log_r - target) * (x + tau)  # d ln r/dx = -1/(x + tau*)
+            if abs(log_r - target) < mpmath.mpf(10) ** -45:
+                return x, tau
+        raise AssertionError("the 50-digit threshold did not converge")
 
 
 class TestGain:
@@ -222,6 +259,36 @@ class TestThreshold:
         assert [n_eff for _, n_eff in gain_solves[1:]] == [n] * (len(gain_solves) - 1)
         # r(0), r(1e4 t_c), then a handful of Newton steps
         assert len(gain_solves) <= 13
+
+    @pytest.mark.parametrize("model, n, x_sep", [
+        (BathModel.ohmic(0.05, 20.0, 0.5), 15934, 0.23094068743633142),  # a benchmark case
+        (BathModel.ohmic(0.05, 20.0, 0.5), 5, 0.2),
+        (BathModel.ohmic(0.01, 5.0, 2.0), 300, 0.5),
+        (BathModel.nonmarkovian(1.0), 9, 0.3),
+        (BathModel.nonmarkovian(1.0), 10**5, 0.5),
+    ])
+    def test_matches_a_50_digit_threshold(self, model, n, x_sep):
+        tts = x_sep * coherence_time(model)
+        x = threshold_ent_time(model, n, tts)
+        exact, tau_ent = mp_threshold(model, n, tts, x)
+        assert abs(x - exact) <= 1e-12 * (x + tau_ent)
+
+    @pytest.mark.parametrize("model", [BathModel.nonmarkovian(1.0),
+                                       BathModel.ohmic(0.05, 20.0, 0.5)], ids=["nonmarkovian", "ohmic"])
+    def test_few_solves_per_threshold(self, gain_solves, model):
+        # the frozen-optimum step never passes the crossing: r(0), r(1e4 t_c)
+        # and about 3.5 steps (the Newton step on ln r took about 6)
+        rng, t_c, counts = random.Random(14), coherence_time(model), []
+        for _ in range(60):
+            n, x_sep = max(1, round(10.0 ** (6.0 * rng.random()))), 0.9 * rng.random()
+            start = len(gain_solves)
+            try:
+                threshold_ent_time(model, n, x_sep * t_c)
+            except NoThresholdError:  # r < 1 at zero overhead: small N, small x_sep
+                continue
+            counts.append(len(gain_solves) - start - 1)  # less the separable solve
+        assert len(counts) >= 50
+        assert sum(counts) / len(counts) <= 6.0
 
     def test_single_particle_threshold_is_the_separable_overhead(self):
         # N = 1: the strategies coincide, so r crosses 1 exactly where
@@ -547,3 +614,27 @@ def test_isolated_gain_decreases_in_entangled_overhead(n, x_sep, x_lo, dx):
 def test_markovian_crossing_identity_everywhere(gamma, n, tts):
     result = gain(BathModel.markovian(gamma), n, tts, tts / n)
     assert abs(result.r - 1.0) < 1e-9
+
+
+@given(model=st.sampled_from([BathModel.nonmarkovian(1.0), BathModel.nonmarkovian(37.0),
+                              BathModel.ohmic(0.05, 20.0, 0.5), BathModel.ohmic(0.01, 5.0, 2.0)]),
+       n=st.integers(1, 10**6), x_sep=st.floats(0.0, 0.9))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_threshold_iterates_never_pass_the_crossing(model, n, x_sep):
+    # keeping tau_ent* fixed is suboptimal at the next overhead, so the
+    # frozen-optimum step lands at r >= 1 up to rounding; r(0) and r(1e4 t_c)
+    # are the first two gains
+    gain_module = importlib.import_module("ghzgain.gain")
+    assemble, gains = gain_module._gain_from_optima, []
+
+    def recording(*args):
+        result = assemble(*args)
+        gains.append(result.r)
+        return result
+
+    with mock.patch.object(gain_module, "_gain_from_optima", recording):
+        try:
+            threshold_ent_time(model, n, x_sep * coherence_time(model))
+        except NoThresholdError:
+            return
+    assert min(gains[2:], default=1.0) >= 1.0 - 4.0 * sys.float_info.epsilon
