@@ -21,7 +21,7 @@ from .bath import (
     decay_exponent_derivative,
     ohmic_limit_rates,
 )
-from .errors import GhzGainError, InfeasibleTimingError, SolverError, check_finite
+from .errors import DomainError, GhzGainError, InfeasibleTimingError, SolverError, check_finite
 from .gain import ScalingLaw, gain, n_cutoff_and_max_gain, threshold_ent_time
 from .opttime import optimal_sensing_time
 from .qfi import qfi_ghz, qfi_separable
@@ -126,8 +126,10 @@ def _cmd_threshold(args) -> dict:
 def _cmd_cutoff(args) -> dict:
     model = _model_from_args(args)
     law = ScalingLaw(args.law, args.base)
-    cutoff, best_n, best_r = n_cutoff_and_max_gain(model, law, args.ttilde_sep,
-                                                   args.n_search_max)
+    tau_tilde_sep = format_sig(law.base * coherence_time(model))  # the scan's, to 12 digits
+    if args.ttilde_sep is not None and format_sig(args.ttilde_sep) != tau_tilde_sep:
+        raise DomainError(f"--ttilde-sep {args.ttilde_sep!r} is not base * t_c = {tau_tilde_sep}")
+    cutoff, best_n, best_r = n_cutoff_and_max_gain(model, law, args.n_search_max)
     return {"n_cutoff": cutoff, "n_max": best_n, "r_at_n_max": best_r}
 
 
@@ -185,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="N-scaling of the entangled overhead")
     p.add_argument("--base", type=float, required=True,
                    help="separable overhead in units of t_c")
-    p.add_argument("--ttilde-sep", type=float, required=True,
-                   help="separable overhead (absolute time)")
+    p.add_argument("--ttilde-sep", type=float,
+                   help="separable overhead, if given equal to base * t_c (12 digits)")
     p.add_argument("--n-search-max", type=int, default=10**6,
                    help="scan limit (default 1e6, at most 1e9)")
 

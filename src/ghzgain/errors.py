@@ -94,27 +94,32 @@ def check_number(value, what: str) -> None:
         raise ValidationError(f"{what} must be a number")
 
 
-def check_finite(value: float, what: str, error: type = DomainError) -> None:
-    """Raise ``error`` unless ``value`` is a finite number, of either sign."""
+def check_finite(value: float, what: str, error: type = DomainError) -> float:
+    """``value`` as a ``float`` if it is a finite number, of either sign, else raise ``error``."""
     if not abs(value) <= _FLOAT_MAX:  # an int past the largest float is not finite either
         raise error(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
-def check_finite_nonnegative(value: float, what: str, error: type = DomainError) -> None:
-    """Raise ``error`` unless ``value`` is a finite number >= 0.
+def check_finite_nonnegative(value: float, what: str, error: type = DomainError) -> float:
+    """``value`` as a ``float`` if it is a finite number >= 0, else raise ``error``.
 
     The one guard for overhead times and overhead ratios: a plain
     ``value < 0.0`` test lets NaN through, which then surfaces as
-    ``r = nan`` on a row or a printout marked as a valid result.
+    ``r = nan`` on a row or a printout marked as a valid result.  The
+    returned double keeps a numpy float32 out of the arithmetic after it.
     """
     if not 0.0 <= value <= _FLOAT_MAX:
         raise error(f"{what} must be finite and non-negative, got {value!r}")
+    return float(value)
 
 
-def check_finite_positive(value: float, what: str, error: type = DomainError) -> None:
-    """Raise ``error`` unless ``value`` is a finite number > 0 (rates, t_c, budgets)."""
+def check_finite_positive(value: float, what: str, error: type = DomainError) -> float:
+    """``value`` as a ``float`` if it is a finite number > 0 (rates, t_c, budgets),
+    else raise ``error``."""
     if not 0.0 < value <= _FLOAT_MAX:
         raise error(f"{what} must be finite and positive, got {value!r}")
+    return float(value)
 
 
 def check_count(value, what: str, error: type = DomainError) -> int:

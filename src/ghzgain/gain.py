@@ -83,7 +83,7 @@ class ScalingLaw:
     """How the entangled overhead (in units of t_c) grows with N.
 
     ``base`` is the separable overhead ratio tau_tilde_sep / t_c that the
-    law is anchored to.
+    law is anchored to: at N = 1 every law gives ``base`` exactly.
     """
 
     kind: ScalingKind
@@ -91,7 +91,7 @@ class ScalingLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ScalingKind(self.kind))
-        check_finite_nonnegative(self.base, "scaling base")
+        object.__setattr__(self, "base", check_finite_nonnegative(self.base, "scaling base"))
 
 
 class MonotonicityViolation(NamedTuple):
@@ -110,8 +110,8 @@ def gain(model: BathModel, n: int, tau_tilde_sep: float, tau_tilde_ent: float) -
     two information rates.  A field that is not finite raises SolverError.
     """
     n = check_count(n, "particle count")
-    check_finite_nonnegative(tau_tilde_sep, "separable overhead time")
-    check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
+    tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "separable overhead time")
+    tau_tilde_ent = check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
     sep = optimal_sensing_time(model, tau_tilde_sep, 1)
     ent = optimal_sensing_time(model, tau_tilde_ent, n)
     result = _gain_from_optima(model, n, tau_tilde_sep, tau_tilde_ent, sep, ent)
@@ -158,17 +158,18 @@ def gain_isolated(n: int, x_sep: float, x_ent: float) -> float:
     """Decoherence-free gain N ((1 - x_ent)/(1 - x_sep))^2.
 
     x_sep and x_ent are the overheads in units of the coherence time;
-    both must be < 1 for any sensing to happen.
+    both must be < 1 for any sensing to happen.  A gain past the largest
+    float raises SolverError.
     """
     n = check_count(n, "particle count")
+    x_sep, x_ent = check_finite_nonnegative(x_sep, "x_sep"), check_finite_nonnegative(x_ent, "x_ent")
     for name, x in (("x_sep", x_sep), ("x_ent", x_ent)):
-        check_finite_nonnegative(x, name)
         if x >= 1.0:
             raise InfeasibleTimingError(
                 f"{name} = {x!r} consumes the whole coherence time"
             )
     ratio = (1.0 - x_ent) / (1.0 - x_sep)
-    return n * ratio * ratio
+    return check_finite(n * ratio * ratio, "gain", SolverError)
 
 
 def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
@@ -182,7 +183,7 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
     so r(x') >= 1; a step bisects the sign bracket only if rounding leaves it.
     """
     n = check_count(n, "particle count")
-    check_finite_nonnegative(tau_tilde_sep, "overhead time")
+    tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "overhead time")
     if model.kind is BathKind.ISOLATED:
         t_c = coherence_time(model)
         x_sep = tau_tilde_sep / t_c
@@ -226,7 +227,8 @@ def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
     since the bound is only asymptotically attainable.
     """
     n = check_count(n, "particle count")
-    check_finite_positive(total_time, "total time budget")
+    tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
+    total_time = check_finite_positive(total_time, "total time budget")
     kind = ProbeKind(kind)
     n_eff = n if kind is ProbeKind.GHZ else 1
     opt = optimal_sensing_time(model, tau_tilde, n_eff)
@@ -248,8 +250,10 @@ def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
 
 
 def scaling_law_eval(law: ScalingLaw, n: int) -> float:
-    """Entangled overhead ratio x_ent = tau_tilde_ent / t_c at size N."""
-    return _law_ratio(law, check_count(n, "particle count"), math)
+    """Entangled overhead ratio x_ent = tau_tilde_ent / t_c at size N; a
+    ratio past the largest float raises DomainError."""
+    return check_finite(_law_ratio(law, check_count(n, "particle count"), math),
+                        "entangled overhead ratio")
 
 
 def _law_ratio(law: ScalingLaw, n, xp):
@@ -267,14 +271,15 @@ _SCAN_CHUNK = 8192  # most sizes per array pass: 64 kB per float temporary
 _N_SEARCH_CAP = 10**9  # a scan that never stops ends; every size is an exact float
 
 
-def _scan_gains(model: BathModel, law: ScalingLaw, tau_tilde_sep: float, n_search_max: int):
-    """Yield (sizes, r) pieces covering N = 1..n_search_max in order, r =
-    -inf where the timing is infeasible.  A scalar re-solve where the array
-    path cannot certify the optimum, or the error of a non-finite entangled
-    overhead, comes only when the caller asks for the piece reaching it.
-    Passes start at 16 sizes and double up to _SCAN_CHUNK: an Ohmic pass
-    costs ~0.8 ms however short, and scans often stop within a few dozen."""
+def _scan_gains(model: BathModel, law: ScalingLaw, n_search_max: int):
+    """Yield (sizes, r) pieces covering N = 1..n_search_max in order, r = -inf
+    where the timing is infeasible; none if the separable timing is.  A scalar
+    re-solve where the array path cannot certify the optimum, or the error of a
+    non-finite entangled overhead, comes only when the caller asks for the piece
+    reaching it.  Passes start at 16 sizes and double up to _SCAN_CHUNK: an Ohmic
+    pass costs ~0.8 ms however short, and scans often stop within a few dozen."""
     t_c = coherence_time(model)
+    tau_tilde_sep = law.base * t_c  # the law's overhead at N = 1, bit for bit
     try:
         sep = optimal_sensing_time(model, tau_tilde_sep, 1)
     except InfeasibleTimingError:
@@ -286,8 +291,8 @@ def _scan_gains(model: BathModel, law: ScalingLaw, tau_tilde_sep: float, n_searc
         with np.errstate(over="ignore"):
             tau_tilde_ent = _law_ratio(law, sizes, np) * t_c
         rate = _optimal_sensing_times(model, tau_tilde_ent, sizes)[1]
-        if sizes[0] == 1.0 and tau_tilde_ent[0] == tau_tilde_sep:
-            rate[0] = sep.objective  # N = 1 at the separable overhead is sep: r = 1 exactly
+        if sizes[0] == 1.0:
+            rate[0] = sep.objective  # N = 1 is the separable probe: r = 1 exactly
         r = rate / (sizes * sep.objective)
         r[rate == 0.0] = -math.inf
         done = 0
@@ -303,25 +308,23 @@ def _scan_gains(model: BathModel, law: ScalingLaw, tau_tilde_sep: float, n_searc
         yield sizes[done:], r[done:]
 
 
-def _scan(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
-          n_search_max: int, minimum: int, need_peak: bool):
+def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, need_peak: bool):
     """(cutoff, best_n, best_r) from one pass over N = 1..n_search_max,
     infeasible sizes counting as below 1.  The pass stops once the gain
-    has been below 1 for 10 consecutive sizes after having been at or
-    above 1 (all supported scalings are eventually monotone in N)."""
+    has been below 1 for 10 consecutive sizes; r(1) = 1, so some size has
+    reached 1 (all supported scalings are eventually monotone in N)."""
     if check_count(n_search_max, "n_search_max") < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
     if n_search_max > _N_SEARCH_CAP:
         raise DomainError(f"n_search_max must be <= {_N_SEARCH_CAP}, got {n_search_max!r}")
-    check_finite_nonnegative(tau_tilde_sep, "overhead time")
     last_qualifying, best_n, best_r, r_last = 0, 0, -math.inf, -math.inf
-    for sizes, r in _scan_gains(model, law, tau_tilde_sep, n_search_max):
+    for sizes, r in _scan_gains(model, law, n_search_max):
         if not sizes.size:
             continue
         # the last qualifying size at or before each N; N minus it is the
         # count of consecutive sizes below 1
         last = np.maximum.accumulate(np.where(r >= 1.0, sizes, last_qualifying))
-        stop = np.flatnonzero((last > 0.0) & (sizes - last >= 10.0))[:1]
+        stop = np.flatnonzero(sizes - last >= 10.0)[:1]
         if stop.size:
             sizes, r, last = sizes[:stop[0] + 1], r[:stop[0] + 1], last[:stop[0] + 1]
         peak = np.argmax(r)
@@ -337,30 +340,28 @@ def _scan(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
     return last_qualifying, best_n, best_r
 
 
-def n_cutoff(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
-             n_search_max: int = 10**6) -> int | None:
+def n_cutoff(model: BathModel, law: ScalingLaw, n_search_max: int = 10**6) -> int | None:
     """Largest N whose gain still reaches 1, provided nothing above it
-    does (0 when no size gains; None when the gain is still above 1 at
-    the end of the scanned range, i.e. no cutoff was found).  Shares its
-    scan with n_max_gain: n_cutoff_and_max_gain gives both in one pass."""
-    return _scan(model, law, tau_tilde_sep, n_search_max, 2, False)[0]
+    does (0 only when the separable timing, at law.base t_c, is infeasible;
+    None when the gain is still above 1 at the end of the scanned range).
+    Shares its scan with n_max_gain: n_cutoff_and_max_gain gives both."""
+    return _scan(model, law, n_search_max, 2, False)[0]
 
 
-def n_max_gain(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
-               n_search_max: int = 10**6) -> tuple[int, float]:
+def n_max_gain(model: BathModel, law: ScalingLaw, n_search_max: int = 10**6) -> tuple[int, float]:
     """Size maximising the gain, with ties broken toward smaller N.
 
     Splitting a much larger ensemble into blocks of this size keeps the
     per-block gain at the returned value.  Shares its scan with n_cutoff.
     """
-    return _scan(model, law, tau_tilde_sep, n_search_max, 1, True)[1:]
+    return _scan(model, law, n_search_max, 1, True)[1:]
 
 
-def n_cutoff_and_max_gain(model: BathModel, law: ScalingLaw, tau_tilde_sep: float,
+def n_cutoff_and_max_gain(model: BathModel, law: ScalingLaw,
                           n_search_max: int = 10**6) -> tuple[int | None, int, float]:
     """(n_cutoff, *n_max_gain) from one scan; n_search_max must be >= 2,
     and every size being infeasible raises InfeasibleTimingError."""
-    return _scan(model, law, tau_tilde_sep, n_search_max, 2, True)
+    return _scan(model, law, n_search_max, 2, True)
 
 
 def monotonicity_scan(model: BathModel, n: int, tau_tilde_sep: float,
@@ -373,6 +374,7 @@ def monotonicity_scan(model: BathModel, n: int, tau_tilde_sep: float,
     supported models.
     """
     n = check_count(n, "particle count")
+    tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "overhead time")
     grid = [float(x) for x in x_ent_grid]
     if len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")

@@ -104,7 +104,7 @@ def stationarity_residual(model: BathModel, tau_tilde: float, n_eff: int, tau: f
     Vanishes exactly at an interior maximum of the information rate.
     """
     n_eff = check_count(n_eff, "effective particle count")
-    check_finite_positive(tau, "sensing time")
+    tau = check_finite_positive(tau, "sensing time")
     return _residual(decay_exponent_derivative(model, tau), tau_tilde, n_eff, tau)
 
 
@@ -114,8 +114,8 @@ def tau_opt_isolated(t_c: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     Without dephasing the rate grows with tau, so the whole round is
     capped at the coherence time and sensing takes what overhead leaves.
     """
-    check_finite_nonnegative(tau_tilde, "overhead time")
-    check_finite_positive(t_c, "coherence time")
+    tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
+    t_c = check_finite_positive(t_c, "coherence time")
     n_eff = check_count(n_eff, "effective particle count")
     if tau_tilde >= t_c:
         raise InfeasibleTimingError(
@@ -132,8 +132,8 @@ def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     1/(4 g) + sqrt((tau_tilde/2 + 1/(4 g))^2 + tau_tilde/(2 g)) - tau_tilde/2
     with g = n_eff * gamma.
     """
-    check_finite_positive(gamma, "dephasing rate")
-    check_finite_nonnegative(tau_tilde, "overhead time")
+    gamma = check_finite_positive(gamma, "dephasing rate")
+    tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
     # positive root of tau^2 + (tau_tilde - h) tau - 2 h tau_tilde with
     # h = 1/(2 n_eff gamma), evaluated without subtractive cancellation
@@ -218,8 +218,8 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     reduces the cubic to the one-parameter family of _nonmarkov_root, at any
     overhead.  An n_eff * eta past the largest float raises SolverError.
     """
-    check_finite_positive(eta, "decay coefficient")
-    check_finite_nonnegative(tau_tilde, "overhead time")
+    eta = check_finite_positive(eta, "decay coefficient")
+    tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
     scale = math.sqrt(n_eff * eta)
     tau = _nonmarkov_root(tau_tilde * scale) / scale
@@ -266,7 +266,7 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
         raise UnsupportedModelError(
             "an isolated probe has no interior optimum; use tau_opt_isolated"
         )
-    check_finite_nonnegative(tau_tilde, "overhead time")
+    tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
 
     # every t below is finite and >= 0: the Ohmic form skips the checks and dispatch

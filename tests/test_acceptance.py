@@ -187,8 +187,8 @@ def test_criterion_08_cutoff_and_peak_sizes():
     start = time.perf_counter()
     law = ScalingLaw(ScalingKind.LINEAR, 0.03)
     model = BathModel.isolated(1.0)
-    cutoff = n_cutoff(model, law, 0.03, 100)
-    best_n, best_r = n_max_gain(model, law, 0.03, 100)
+    cutoff = n_cutoff(model, law, 100)
+    best_n, best_r = n_max_gain(model, law, 100)
     elapsed = time.perf_counter() - start
 
     # independent re-derivation from the closed-form gain

@@ -1,6 +1,7 @@
 """The package namespace, and the contract of every public solver: a finite,
 checked result or a GhzGainError, never a raw exception."""
 
+import dataclasses
 import importlib
 import math
 import warnings
@@ -132,3 +133,58 @@ def test_input_checks_take_narrow_numpy_floats_without_a_warning(dtype):
         with pytest.raises(DomainError, match="must be finite"):
             errors.check_finite(-10**400, "value")
         assert BathModel.ohmic(dtype(0.05), dtype(20.0), dtype(0.5)).alpha == float(dtype(0.05))
+
+
+NONMARKOVIAN = BathModel.nonmarkovian(1.0)
+
+
+def gains_assembled(call):
+    """The r of every gain that call assembles, as a tuple."""
+    gain_module, gains = importlib.import_module("ghzgain.gain"), []
+    assemble = gain_module._gain_from_optima
+
+    def recording(*args):
+        gains.append(assemble(*args))
+        return gains[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gain_module, "_gain_from_optima", recording)
+        call()
+    return tuple(result.r for result in gains)
+
+# each public call at two overheads (or an overhead and a rate) a and b
+NARROW_CALLS = {
+    "gain": lambda a, b: ghzgain.gain(NONMARKOVIAN, 10, a, b),
+    "gain-ohmic": lambda a, b: ghzgain.gain(BathModel.ohmic(0.05, 20.0, 0.5), 10, a, b),
+    "gain_isolated": lambda a, b: ghzgain.gain_isolated(10, a, b),
+    **{f"threshold_ent_time-{kind}": (lambda model: lambda a, b: ghzgain.threshold_ent_time(
+        model, 10, a))(model) for kind, model in (
+            ("isolated", BathModel.isolated(1.0)), ("markovian", BathModel.markovian(1.0)),
+            ("nonmarkovian", NONMARKOVIAN))},
+    "precision_opt": lambda a, b: precision_opt(NONMARKOVIAN, 10, "ghz", a, b),
+    **{f"optimal_sensing_time-{model.kind.value}": (lambda model: lambda a, b: (
+        optimal_sensing_time(model, a, 3)))(model) for model in (
+            BathModel.isolated(1.0), BathModel.markovian(1.0), NONMARKOVIAN,
+            BathModel.ohmic(0.05, 20.0, 0.5))},
+    "tau_opt_isolated": lambda a, b: tau_opt_isolated(b, a, 3),
+    "tau_opt_markov": lambda a, b: tau_opt_markov(b, a, 3),
+    "tau_opt_nonmarkov": lambda a, b: tau_opt_nonmarkov(b, a, 3),
+    "scaling_law_eval": lambda a, b: ghzgain.scaling_law_eval(ghzgain.ScalingLaw("linear", a), 7),
+    "monotonicity_scan": lambda a, b: gains_assembled(
+        lambda: ghzgain.monotonicity_scan(NONMARKOVIAN, 10, a, [0.1, 0.2])),
+    "n_cutoff_and_max_gain": lambda a, b: ghzgain.n_cutoff_and_max_gain(
+        NONMARKOVIAN, ghzgain.ScalingLaw("square-root", a), 300),
+}
+
+
+@pytest.mark.filterwarnings("ignore:fewer than 10 rounds")
+@pytest.mark.parametrize("call", NARROW_CALLS.values(), ids=list(NARROW_CALLS))
+def test_float32_inputs_give_the_doubles_answers_bit_for_bit(call):
+    a, b = np.float32(0.1), np.float32(0.2)
+    narrow, double = call(a, b), call(float(a), float(b))
+    if dataclasses.is_dataclass(narrow):
+        narrow, double = dataclasses.astuple(narrow), dataclasses.astuple(double)
+    elif not isinstance(narrow, tuple):
+        narrow, double = (narrow,), (double,)
+    assert all(type(value) in (float, int) for value in narrow)
+    assert narrow == double

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from ghzgain import BathModel, NoThresholdError, threshold_ent_time
+from ghzgain import BathModel, GhzGainError, NoThresholdError, coherence_time, threshold_ent_time
 from ghzgain import cli
 from ghzgain.cli import cli_main
 from ghzgain.sweep import AXIS_NAMES
@@ -182,18 +182,36 @@ class TestCutoffCommand:
         # the GHZ optimum of every size up to the stop at N = 37
         assert gain_solves == [(0.03, 1)]
 
+    OHMIC = ("cutoff", "--model", "ohmic", "--alpha", "0.05", "--omega-c", "20",
+             "--beta", "0.5", "--law", "constant", "--base", "0.03")
+
+    @pytest.mark.parametrize("flags", [(), ("--ttilde-sep", "0.0932735311343")],
+                             ids=["derived", "equal-to-12-digits"])
+    def test_separable_overhead_is_base_times_tc(self, capsys, flags):
+        # t_c = 3.109, so base * t_c = 0.0933; N = 1 is the separable probe
+        code, out, _ = run(capsys, *self.OHMIC, *flags)
+        assert code == 0
+        assert parse_lines(out) == {"n_cutoff": "1", "n_max": "1",
+                                    "r_at_n_max": "1.00000000000"}
+
+    @pytest.mark.parametrize("value", ["0.03", "0.0932735311342", "nan"])
+    def test_inconsistent_separable_overhead_exits_2(self, capsys, value):
+        code, out, err = run(capsys, *self.OHMIC, "--ttilde-sep", value)
+        assert code == 2
+        assert out == ""
+        assert f"--ttilde-sep {float(value)!r} is not base * t_c = 0.0932735311343" in err
+
     @pytest.mark.parametrize(
         "flags, exit_code, message",
         [
-            (("--ttilde-sep", "1"), 3, "every scanned ensemble size has infeasible timing"),
+            (("--base", "1"), 3, "every scanned ensemble size has infeasible timing"),
             # no law is evaluated once the separable timing is infeasible
-            (("--ttilde-sep", "1", "--law", "linear", "--base", "1e306"), 3,
+            (("--law", "linear", "--base", "1e306"), 3,
              "every scanned ensemble size has infeasible timing"),
-            (("--ttilde-sep", "0.03", "--n-search-max", "1"), 2,
-             "n_search_max must be >= 2, got 1"),
-            (("--ttilde-sep", "0.03", "--n-search-max", "0"), 2, "must be a positive integer"),
+            (("--n-search-max", "1"), 2, "n_search_max must be >= 2, got 1"),
+            (("--n-search-max", "0"), 2, "must be a positive integer"),
             # a constant-law scan to 1e18 would never end
-            (("--ttilde-sep", "0.03", "--n-search-max", str(10**18)), 2,
+            (("--n-search-max", str(10**18)), 2,
              "n_search_max must be <= 1000000000, got 1000000000000000000"),
         ],
         ids=["infeasible-separable", "infeasible-separable-overflowing-law", "limit-1",
@@ -293,8 +311,8 @@ COMMAND_FLAGS = {
     "gain": ({"--n": "3", "--ttilde-sep": "0.1", "--ttilde-ent": "0.1"},
              ("--ttilde-sep", "--ttilde-ent")),
     "threshold": ({"--n": "3", "--ttilde-sep": "0.1"}, ("--ttilde-sep",)),
-    "cutoff": ({"--law": "constant", "--base": "0.03", "--ttilde-sep": "0.03",
-                "--n-search-max": "10"}, ("--base", "--ttilde-sep")),
+    "cutoff": ({"--law": "constant", "--base": "0.03", "--n-search-max": "10"},
+               ("--base", "--ttilde-sep")),
 }
 BAD_VALUES = ("nan", "inf", "-inf", "-1")
 # particle-count flags, and a count that parses but does not fit in a float
@@ -469,7 +487,7 @@ COMMAND_ARGS = {
     "gain": {"--n": COUNT, "--ttilde-sep": ranged(0.0, 2.0), "--ttilde-ent": ranged(0.0, 2.0)},
     "threshold": {"--n": COUNT, "--ttilde-sep": ranged(0.0, 1.0)},
     "cutoff": {"--law": st.sampled_from(["constant", "logarithmic", "square-root", "linear"]),
-               "--base": ranged(0.0, 0.5), "--ttilde-sep": ranged(0.0, 0.5),
+               "--base": ranged(0.0, 0.5),
                "--n-search-max": mostly(st.integers(1, 200), st.one_of(
                    st.integers(-3, 0), st.integers(10**9 + 1, 10**400)))},
 }
@@ -478,13 +496,26 @@ REQUIRED = {"--n", "--tau", "--law", "--base", "--n-search-max"}
 MODEL_VALUE = ranged(0.01, 100.0)
 
 
+def separable_overhead(kind, fields, base):
+    """base * t_c as cutoff computes it, or None where the model is invalid."""
+    try:
+        return base * coherence_time(BathModel.from_dict({"kind": kind, **fields}))
+    except GhzGainError:
+        return None
+
+
 @st.composite
 def cli_argv(draw, command, kind):
-    argv = [command, "--model", kind]
-    argv += [f"{flag}={draw(MODEL_VALUE)}" for flag in MODEL_FIELDS[kind].values()]
+    fields = {field: draw(MODEL_VALUE) for field in MODEL_FIELDS[kind]}
+    flags = {MODEL_FIELDS[kind][field]: value for field, value in fields.items()}
     for flag, values in COMMAND_ARGS[command].items():
         if flag in REQUIRED or command == "cutoff" or draw(st.booleans()):
-            argv.append(f"{flag}={draw(values)}")
+            flags[flag] = draw(values)
+    # cutoff's --ttilde-sep is absent or base * t_c, so that the query reaches the scan
+    if command == "cutoff" and draw(st.booleans()):
+        flags["--ttilde-sep"] = separable_overhead(kind, fields, flags["--base"])
+    argv = [command, "--model", kind]
+    argv += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
     if draw(st.booleans()):
         argv.append("--json")
     return argv

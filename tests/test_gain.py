@@ -165,7 +165,7 @@ COUNT_TAKERS = {
     "qfi_ghz": lambda n: qfi_ghz(n, 0.3, BathModel.markovian(1.0)),
     "ProbeSpec": lambda n: ProbeSpec(n, ProbeKind.GHZ),
     "n_max_gain-n_search_max": lambda n: n_max_gain(
-        BathModel.isolated(1.0), ScalingLaw("linear", 0.03), 0.03, n_search_max=n),
+        BathModel.isolated(1.0), ScalingLaw("linear", 0.03), n_search_max=n),
 }
 
 
@@ -197,6 +197,10 @@ class TestGainIsolated:
             gain_isolated(4, 1.0, 0.1)
         with pytest.raises(InfeasibleTimingError):
             gain_isolated(4, 0.1, 1.0)
+
+    def test_gain_past_the_largest_float_raises(self):
+        with pytest.raises(SolverError, match="gain must be finite, got inf"):
+            gain_isolated(10**300, 0.9999999999999999, 0.0)
 
     @pytest.mark.parametrize("x_sep", [0.0, 0.1, 0.4, 0.8])
     @pytest.mark.parametrize("x_ent", [0.0, 0.1, 0.4, 0.8])
@@ -399,41 +403,45 @@ class TestScalingLaws:
         with pytest.raises(DomainError):
             ScalingLaw(ScalingKind.LINEAR, -0.1)
 
+    @pytest.mark.parametrize("law, n", [
+        (ScalingLaw("linear", 1e300), 10**10),
+        (ScalingLaw("square-root", 1e300), 10**300),
+        (ScalingLaw("logarithmic", 1e306), 10**300),
+    ], ids=["linear", "square-root", "logarithmic"])
+    def test_ratio_past_the_largest_float_raises(self, law, n):
+        with pytest.raises(DomainError, match="entangled overhead ratio must be finite, got inf"):
+            scaling_law_eval(law, n)
+
 
 class TestCutoffScan:
     def test_isolated_linear_cutoff(self):
         law = ScalingLaw(ScalingKind.LINEAR, 0.03)
-        assert n_cutoff(BathModel.isolated(1.0), law, 0.03, 100) == 27
+        assert n_cutoff(BathModel.isolated(1.0), law, 100) == 27
 
     def test_isolated_constant_never_cuts_off(self):
         law = ScalingLaw(ScalingKind.CONSTANT, 0.03)
-        assert n_cutoff(BathModel.isolated(1.0), law, 0.03, 100) is None
+        assert n_cutoff(BathModel.isolated(1.0), law, 100) is None
 
     def test_markovian_equal_constant_overheads(self):
         law = ScalingLaw(ScalingKind.CONSTANT, 0.5)
-        assert n_cutoff(BathModel.markovian(1.0), law, 0.5, 100) == 1
-
-    def test_never_gaining_returns_zero(self):
-        # entangled overhead above the separable one from N = 1 on
-        law = ScalingLaw(ScalingKind.CONSTANT, 0.8)
-        assert n_cutoff(BathModel.markovian(1.0), law, 0.1, 50) == 0
+        assert n_cutoff(BathModel.markovian(1.0), law, 100) == 1
 
     def test_isolated_linear_peak(self):
         law = ScalingLaw(ScalingKind.LINEAR, 0.03)
-        best_n, best_r = n_max_gain(BathModel.isolated(1.0), law, 0.03, 100)
+        best_n, best_r = n_max_gain(BathModel.isolated(1.0), law, 100)
         assert best_n == 11
         assert best_r == pytest.approx(11 * (1 - 0.33) ** 2 / 0.97**2, rel=1e-12)
 
     def test_isolated_constant_peak_at_boundary(self):
         law = ScalingLaw(ScalingKind.CONSTANT, 0.03)
-        best_n, best_r = n_max_gain(BathModel.isolated(1.0), law, 0.03, 100)
+        best_n, best_r = n_max_gain(BathModel.isolated(1.0), law, 100)
         assert best_n == 100
         assert best_r == pytest.approx(100.0)
 
     def test_peak_is_a_local_maximum(self):
         law = ScalingLaw(ScalingKind.SQUARE_ROOT, 0.05)
         model = BathModel.markovian(1.0)
-        best_n, best_r = n_max_gain(model, law, 0.05, 200)
+        best_n, best_r = n_max_gain(model, law, 200)
         t_c = 1.0
         for neighbour in (best_n - 1, best_n + 1):
             if neighbour < 1:
@@ -441,44 +449,46 @@ class TestCutoffScan:
             x_ent = scaling_law_eval(law, neighbour)
             assert gain(model, neighbour, 0.05, x_ent * t_c).r <= best_r
 
+    # tts: the separable overhead base * t_c that the scan derives
     @pytest.mark.parametrize(
         "model, law, tts, limit, expected",
         [
             (BathModel.isolated(1.0), ScalingLaw("linear", 0.03), 0.03, 100, (27, 11)),
             (BathModel.isolated(1.0), ScalingLaw("constant", 0.03), 0.03, 100, (None, 100)),
             (BathModel.markovian(1.0), ScalingLaw("constant", 0.5), 0.5, 100, (1, 1)),
-            (BathModel.markovian(1.0), ScalingLaw("constant", 0.8), 0.1, 50, (0, 1)),
         ],
     )
-    def test_one_scan_gives_both_answers(self, model, law, tts, limit, expected):
-        both = n_cutoff_and_max_gain(model, law, tts, limit)
+    def test_one_scan_gives_both_answers(self, model, law, tts, limit, expected, gain_solves):
+        both = n_cutoff_and_max_gain(model, law, limit)
         assert both[:2] == expected
-        assert both == (n_cutoff(model, law, tts, limit), *n_max_gain(model, law, tts, limit))
+        assert both == (n_cutoff(model, law, limit), *n_max_gain(model, law, limit))
+        assert gain_solves == [(tts, 1)] * 3
 
     def test_scan_solves_the_separable_optimum_once(self, gain_solves):
         law = ScalingLaw(ScalingKind.SQUARE_ROOT, 0.05)
         # the per-size scalar scan's answer; the array pass certifies every
         # size's GHZ optimum here, so the one scalar solve is the separable one
-        assert n_cutoff(BathModel.nonmarkovian(1.0), law, 0.05, 500) == 148
+        assert n_cutoff(BathModel.nonmarkovian(1.0), law, 500) == 148
         assert gain_solves == [(0.05, 1)]
 
     def test_infeasible_separable_timing_decides_every_size(self, gain_solves):
-        law = ScalingLaw(ScalingKind.CONSTANT, 0.03)
-        assert n_cutoff(BathModel.isolated(1.0), law, 1.0, 100) == 0
+        # the separable overhead base * t_c consumes the whole coherence time
+        law = ScalingLaw(ScalingKind.CONSTANT, 1.0)
+        assert n_cutoff(BathModel.isolated(1.0), law, 100) == 0
         with pytest.raises(InfeasibleTimingError, match="every scanned ensemble size"):
-            n_max_gain(BathModel.isolated(1.0), law, 1.0, 100)
+            n_max_gain(BathModel.isolated(1.0), law, 100)
         with pytest.raises(InfeasibleTimingError, match="every scanned ensemble size"):
-            n_cutoff_and_max_gain(BathModel.isolated(1.0), law, 1.0, 100)
+            n_cutoff_and_max_gain(BathModel.isolated(1.0), law, 100)
         assert gain_solves == [(1.0, 1)] * 3
 
     def test_search_bounds_validated(self):
         law = ScalingLaw(ScalingKind.LINEAR, 0.03)
         with pytest.raises(DomainError):
-            n_cutoff(BathModel.isolated(1.0), law, 0.03, 1)
+            n_cutoff(BathModel.isolated(1.0), law, 1)
         with pytest.raises(DomainError):
-            n_max_gain(BathModel.isolated(1.0), law, 0.03, 0)
+            n_max_gain(BathModel.isolated(1.0), law, 0)
         with pytest.raises(DomainError, match="must be >= 2, got 1"):
-            n_cutoff_and_max_gain(BathModel.isolated(1.0), law, 0.03, 1)
+            n_cutoff_and_max_gain(BathModel.isolated(1.0), law, 1)
 
 
 class TestMonotonicity:
