@@ -189,100 +189,68 @@ def _ohmic_exponent(model: BathModel, tau, xp=math):
 
 
 def _ohmic_exponent_derivative(model: BathModel, tau, xp=math):
-    """Ohmic dGamma/dtau at a float tau, or elementwise over an array with
-    xp = numpy (not checked)."""
+    """(Gamma', tau Gamma'') of the Ohmic law at a float tau, or elementwise over an array
+    with xp = numpy (not checked): both from one evaluation of L = coth x - 1/x, x = pi
+    tau/beta.  With d = 1 + (omega_c tau)^2 and L' = 1 - L^2 - 2 L/x, tau Gamma'' is
+    alpha [omega_c^2 tau (1 - omega_c^2 tau^2)/d^2 + (pi/beta) x L'(x)]."""
     k, w = math.pi / model.beta, model.omega_c
-    wt = w * tau
-    dlog_sinhc = _by_branch(_DLOG_SINHC, _DLOG_SINHC_EDGES, k * tau, xp)
-    return model.alpha * (w * wt / (1.0 + wt * wt) + k * dlog_sinhc)
+    wt, x = w * tau, k * tau
+    d = 1.0 + wt * wt
+    dlog_sinhc = _by_branch(_DLOG_SINHC, _DLOG_SINHC_EDGES, x, xp)
+    return (model.alpha * (w * wt / d + k * dlog_sinhc),
+            model.alpha * (w * wt / d * (2.0 / d - 1.0)
+                           + k * (x * (1.0 - dlog_sinhc * dlog_sinhc) - 2.0 * dlog_sinhc)))
 
 
-_BRENT_MAX_ITER = 100
-_BRENT_HALF_TOL = 2.0 * sys.float_info.epsilon  # half the relative bracket width it stops at
-_BRENT_MIN_TOL = math.ulp(0.0)  # added to the tolerance: never 0 at an underflowing root
+_NEWTON_MAX_ITER = 100
+_NEWTON_TOL = 4.0 * sys.float_info.epsilon  # the relative step it stops at
 
 
-def _brent(f, lo, hi, f_lo, f_hi):
-    """Root of f between lo and hi, given f_lo = f(lo) and f_hi = f(hi) of
-    opposite signs (or one of them 0), by Brent's method (Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4, in the
-    form of scipy's brentq).  Each step takes a secant or inverse quadratic
-    step that stays well inside the sign bracket and shrinks fast enough,
-    and bisects otherwise.  Returns (x, f(x)) at the bracket end with the
-    smaller |f| once the bracket is narrower than 4 eps x or f(x) is 0;
-    raises SolverError after _BRENT_MAX_ITER evaluations of f without that.
+# where(cond, a, b) for each xp: a conditional at floats, np.where over arrays
+_WHERE = {math: lambda cond, a, b: a if cond else b, np: np.where}
+
+
+def _newton_root(f, lo, f_lo, hi, cap, xp=math):
+    """(x, f(x)) at a root of f above lo, at floats (xp = math) or elementwise over arrays.
+    f(t) returns (f(t), f'(t)); f_lo is that pair at lo >= 0, where f < 0 (NaN: not
+    evaluated).  hi doubles, and lo moves to it, while f(hi) < 0 and hi < cap; x is NaN
+    where f(hi) is then not >= 0.  Newton's steps (rtsafe, Numerical Recipes 3rd ed., 9.4)
+    start at the end with the smaller |f|; a step not strictly inside (lo, hi), or a slope
+    of 0, inf or NaN, bisects at sqrt(lo hi) (hi/2 while lo = 0), and each point replaces
+    the end of its sign.  x is the first point where f = 0 or whose next step or
+    half-bracket is <= 4 eps x; without one in _NEWTON_MAX_ITER evaluations, floats raise
+    SolverError and arrays give NaN (a converged element stands still meanwhile).
     """
-    # cur: best point; pre: the point before it; blk: the end of the sign
-    # bracket opposite cur; s_cur, s_pre: the last two steps
-    pre, f_pre, cur, f_cur = lo, f_lo, hi, f_hi
-    blk, f_blk, s_pre, s_cur = lo, f_lo, 0.0, 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        if (f_pre < 0.0) != (f_cur < 0.0):
-            blk, f_blk = pre, f_pre
-            s_pre = s_cur = cur - pre
-        if abs(f_blk) < abs(f_cur):
-            pre, cur, blk, f_pre, f_cur, f_blk = cur, blk, cur, f_cur, f_blk, f_cur
-        tol = _BRENT_HALF_TOL * abs(cur) + _BRENT_MIN_TOL
-        s_bis = 0.5 * (blk - cur)
-        if f_cur == 0.0 or abs(s_bis) < tol:
-            return cur, f_cur
-        interpolate = abs(s_pre) > tol and abs(f_cur) < abs(f_pre)
-        if interpolate:
-            if pre == blk:  # secant
-                step = -f_cur * (cur - pre) / (f_cur - f_pre)
-            else:  # inverse quadratic; a denominator that underflows to 0 bisects
-                d_pre = (f_pre - f_cur) / (pre - cur)
-                d_blk = (f_blk - f_cur) / (blk - cur)
-                den = d_blk * d_pre * (f_blk - f_pre)
-                step = -f_cur * (f_blk * d_blk - f_pre * d_pre) / den if den else math.inf
-            interpolate = 2.0 * abs(step) < min(abs(s_pre), 3.0 * abs(s_bis) - tol)
-        if interpolate:
-            s_pre, s_cur = s_cur, step
-        else:
-            s_pre = s_cur = s_bis
-        pre, f_pre = cur, f_cur
-        cur += s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
-        f_cur = f(cur)
-    raise SolverError(
-        f"Brent's zero finder did not converge in {_BRENT_MAX_ITER} evaluations"
-    )
-
-
-def _brent_arrays(f, lo, hi, f_lo, f_hi):
-    """_brent elementwise over float arrays of brackets, for an elementwise
-    f.  Every element takes _brent's steps; one that has converged stands
-    still while the others go on.  Returns (x, converged), converged False
-    where _BRENT_MAX_ITER evaluations did not suffice."""
-    pre, f_pre, cur, f_cur = lo, f_lo, hi, f_hi
-    blk, f_blk = lo, f_lo
-    s_pre = s_cur = np.zeros_like(lo)
-    with np.errstate(all="ignore"):  # the unused trial steps may divide by 0
-        for _ in range(_BRENT_MAX_ITER):
-            flip = (f_pre < 0.0) != (f_cur < 0.0)
-            blk, f_blk = np.where(flip, pre, blk), np.where(flip, f_pre, f_blk)
-            s_pre, s_cur = np.where(flip, cur - pre, s_pre), np.where(flip, cur - pre, s_cur)
-            swap = np.abs(f_blk) < np.abs(f_cur)
-            pre, cur, blk, f_pre, f_cur, f_blk = (
-                np.where(swap, cur, pre), np.where(swap, blk, cur), np.where(swap, cur, blk),
-                np.where(swap, f_cur, f_pre), np.where(swap, f_blk, f_cur), np.where(swap, f_cur, f_blk),
-            )
-            tol = _BRENT_HALF_TOL * np.abs(cur) + _BRENT_MIN_TOL
-            s_bis = 0.5 * (blk - cur)
-            converged = (f_cur == 0.0) | (np.abs(s_bis) < tol)
-            if converged.all():
-                break
-            d_pre = (f_pre - f_cur) / (pre - cur)
-            d_blk = (f_blk - f_cur) / (blk - cur)
-            step = np.where(pre == blk, -f_cur * (cur - pre) / (f_cur - f_pre),
-                            -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre)))
-            interpolate = ((np.abs(s_pre) > tol) & (np.abs(f_cur) < np.abs(f_pre))
-                           & (2.0 * np.abs(step) < np.minimum(np.abs(s_pre), 3.0 * np.abs(s_bis) - tol)))
-            s_pre, s_cur = np.where(interpolate, s_cur, s_bis), np.where(interpolate, step, s_bis)
-            pre, f_pre = cur, f_cur
-            cur = np.where(converged, cur,
-                           cur + np.where(np.abs(s_cur) > tol, s_cur, np.copysign(tol, s_bis)))
-            f_cur = f(cur)
-    return cur, converged
+    where = _WHERE[xp]
+    while True:
+        f_hi = f(hi)
+        grow = (f_hi[0] < 0.0) & (hi < cap)
+        if not (grow if xp is math else grow.any()):
+            break
+        lo, hi = where(grow, hi, lo), where(grow, 2.0 * hi, hi)
+        f_lo = where(grow, f_hi[0], f_lo[0]), where(grow, f_hi[1], f_lo[1])
+    bracketed, start = f_hi[0] >= 0.0, abs(f_lo[0]) < abs(f_hi[0])
+    x = where(start, lo, hi)
+    # f = 0 stops an element without a bracket at once
+    fx = where(bracketed, where(start, f_lo[0], f_hi[0]), 0.0)
+    dfx = where(start, f_lo[1], f_hi[1])
+    for _ in range(_NEWTON_MAX_ITER):
+        # a slope of 0, inf or NaN gives a NaN step before anything divides by 0
+        step = -fx / where((0.0 < abs(dfx)) & (abs(dfx) < math.inf), dfx, math.nan)
+        mid = where(lo > 0.0, xp.sqrt(lo) * xp.sqrt(hi), 0.5 * hi)
+        new = where((lo < x + step) & (x + step < hi), x + step, mid)
+        # ulp(0.0): the tolerance is never 0 at an underflowing root
+        tol = _NEWTON_TOL * x + math.ulp(0.0)
+        done = (fx == 0.0) | (abs(step) <= tol) | (abs(mid - x) <= tol)
+        if done if xp is math else done.all():
+            return where(bracketed, x, math.nan), fx
+        x = where(done, x, new)
+        fx, dfx = f(x)
+        lo, hi = where(fx < 0.0, x, lo), where(fx > 0.0, x, hi)
+    if xp is math:
+        raise SolverError(
+            f"Newton's zero finder did not converge in {_NEWTON_MAX_ITER} evaluations")
+    return np.where(done & bracketed, x, math.nan), fx
 
 
 def decay_exponent(model: BathModel, tau: float) -> float:
@@ -313,7 +281,7 @@ def decay_exponent_derivative(model: BathModel, tau: float) -> float:
         return model.gamma
     if model.kind is BathKind.NONMARKOVIAN:
         return 2.0 * (model.eta * tau)  # 2 eta may overflow
-    return _ohmic_exponent_derivative(model, tau)
+    return _ohmic_exponent_derivative(model, tau)[0]
 
 
 @functools.lru_cache(maxsize=512)
@@ -323,8 +291,8 @@ def coherence_time(model: BathModel) -> float:
     Isolated models return the configured t_c; the two limiting laws give
     1/gamma and 1/sqrt(eta).  For the full Ohmic law the convention used
     here is the time at which Gamma first reaches 1 (the two limits of
-    that convention recover 1/gamma and 1/sqrt(eta)), located by Brent's
-    zero finder on Gamma - 1 to a relative width of 4 eps; cached, since
+    that convention recover 1/gamma and 1/sqrt(eta)), located by _newton_root on
+    Gamma - 1 with slope Gamma' to a relative step of 4 eps; cached, since
     sweeps ask for it per grid point.
     """
     if model.kind is BathKind.ISOLATED:
@@ -333,24 +301,21 @@ def coherence_time(model: BathModel) -> float:
         return 1.0 / model.gamma
     if model.kind is BathKind.NONMARKOVIAN:
         return 1.0 / math.sqrt(model.eta)
-    lo = 1e-12 * model.beta
-    hi = 1e12 * model.beta
-    g_lo = decay_exponent(model, lo) - 1.0
-    if g_lo >= 0.0:
+
+    def f(t):
+        return decay_exponent(model, t) - 1.0, _ohmic_exponent_derivative(model, t)[0]
+
+    lo, hi = 1e-12 * model.beta, 1e12 * model.beta
+    if (g_lo := f(lo))[0] >= 0.0:
         raise SolverError(
             "Ohmic coherence time lies below the search bracket; "
             "the coupling is too strong for this convention"
         )
-    for _ in range(200):
-        g_hi = decay_exponent(model, hi) - 1.0
-        if g_hi >= 0.0:
-            break
-        hi *= 2.0
-    else:
+    t_c = _newton_root(f, lo, g_lo, hi, 2.0 ** 199 * hi)[0]
+    if math.isnan(t_c):
         raise SolverError(
             "Ohmic decay exponent never reaches 1 inside the expanded bracket"
         )
-    t_c = _brent(lambda t: decay_exponent(model, t) - 1.0, lo, hi, g_lo, g_hi)[0]
     if not t_c > 0.0:  # lo underflowed to 0, and so did the root
         raise SolverError(f"Ohmic coherence time underflows at beta = {model.beta!r}")
     return t_c

@@ -14,10 +14,11 @@ why a single n_eff parameter covers both).
 Closed forms exist for the linear decay law (a quadratic in tau) and the
 quadratic law (a cubic with one positive root, taken by Viete's real forms
 and one Newton step, shared by the scalar and array paths).  A model-agnostic
-numeric path handles everything else: Brent's zero finder on the stationarity
-residual, whose sign brackets the root (it is -tau times the slope of the log
-rate).  For the Ohmic law a proven short-time lower bound and a Markov-limit
-trial seed the bracket, on both paths.
+numeric path handles everything else: safeguarded Newton steps on the
+stationarity residual, whose sign brackets the root (it is -tau times the slope
+of the log rate), with its slope from Gamma' and tau Gamma''.  For the Ohmic law
+a proven short-time lower bound and a Markov-limit trial seed the bracket, and
+one routine serves the scalar and array paths.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ import numpy as np
 from .bath import (
     BathKind,
     BathModel,
-    _brent,
-    _brent_arrays,
     _by_branch,
     _decay_exponent,
+    _newton_root,
     _ohmic_exponent_derivative,
+    _WHERE,
     coherence_time,
     decay_exponent,
     decay_exponent_derivative,
@@ -103,6 +104,7 @@ def stationarity_residual(model: BathModel, tau_tilde: float, n_eff: int, tau: f
 
     Vanishes exactly at an interior maximum of the information rate.
     """
+    tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
     tau = check_finite_positive(tau, "sensing time")
     return _residual(decay_exponent_derivative(model, tau), tau_tilde, n_eff, tau)
@@ -227,15 +229,16 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
                     2.0 * (eta * tau))  # 2 eta may overflow
 
 
-def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, res, f_zero, xp=math):
-    """(lo, f_lo, up), the start of the Ohmic optimum's bracket, at floats (xp = math) or
-    over arrays, for the residual res with the limit f_zero at 0.  ln(1 + y) <= y and
-    coth x - 1/x <= x/3 give Gamma' <= 2 eta0 tau, eta0 = alpha omega_c^2/2 + alpha
-    (pi/beta)^2/6, so the residual is <= 4 (tau/t)^2 - 1 - tau_tilde/(tau_tilde + tau),
-    t = 1/sqrt(n_eff eta0), which is <= 0 at tau0 = (t/2) sqrt(1 + tau_tilde/(tau_tilde
-    + t/sqrt 2)) <= t/sqrt 2.  So lo = tau0, and up is the larger of 2 tau0 and the finite
-    optimum of the Markov limit gamma = alpha pi/beta; but where rounding, or eta0 past
-    1e300, leaves the residual at tau0 > 0, the bracket is [0, tau0]."""
+def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, res, xp=math):
+    """(lo, res(lo), up), the start of the Ohmic optimum's bracket, at floats (xp = math)
+    or over arrays, for res(tau) = (residual, slope).  ln(1 + y) <= y and coth x - 1/x
+    <= x/3 give Gamma' <= 2 eta0 tau, eta0 = alpha omega_c^2/2 + alpha (pi/beta)^2/6, so
+    the residual is <= 4 (tau/t)^2 - 1 - tau_tilde/(tau_tilde + tau), t = 1/sqrt(n_eff
+    eta0), which is <= 0 at tau0 = (t/2) sqrt(1 + tau_tilde/(tau_tilde + t/sqrt 2)) <=
+    t/sqrt 2.  So lo = tau0, and up is the larger of 2 tau0 and the finite optimum of
+    the Markov limit gamma = alpha pi/beta; but where rounding, or eta0 past 1e300,
+    leaves the residual at tau0 > 0, the bracket is [0, tau0], with res(0) = NaN: it is
+    not evaluated."""
     k = math.pi / model.beta
     eta0 = model.alpha * (0.5 * model.omega_c * model.omega_c + k * k / 6.0)
     t = 1.0 / (xp.sqrt(n_eff) * math.sqrt(min(max(eta0, 1e-300), 1e300)))  # tau0 > 0
@@ -243,12 +246,12 @@ def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, res, f_zero, xp=math):
     h = 0.5 / (n_eff * max(model.alpha * k, 1e-300))
     b = tau_tilde - h
     markov = 0.5 * (xp.sqrt(b * b + 8.0 * h * tau_tilde) - b)
-    f0 = res(tau0)
-    if xp is math:
-        up = markov if 2.0 * tau0 < markov < math.inf else 2.0 * tau0
-        return (tau0, f0, up) if f0 <= 0.0 else (0.0, f_zero, tau0)
-    up, ok = np.where((2.0 * tau0 < markov) & (markov < math.inf), markov, 2.0 * tau0), f0 <= 0.0
-    return np.where(ok, tau0, 0.0), np.where(ok, f0, f_zero), np.where(ok, up, tau0)
+    where = _WHERE[xp]
+    up = where((2.0 * tau0 < markov) & (markov < math.inf), markov, 2.0 * tau0)
+    f0, df0 = res(tau0)
+    ok = f0 <= 0.0
+    f_lo = where(ok, f0, math.nan), where(ok, df0, math.nan)
+    return where(ok, tau0, 0.0), f_lo, where(ok, up, tau0)
 
 
 def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:
@@ -259,8 +262,9 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     > 0] as tau -> 0 (at tau_tilde = 0 it is 0/0 there, so tau = 0 is
     never evaluated).  The bracket starts as [0, t_c], or as _ohmic_bracket
     seeds it for the Ohmic law.  Its upper end doubles, up to 2^60 t_c, while the
-    residual there is not positive, each becoming the lower end; Brent's
-    zero finder then narrows the root to a relative width of 4 eps.
+    residual there is negative, each becoming the lower end; Newton's steps on
+    the residual, with the slope from Gamma' and tau Gamma'' and kept inside the
+    bracket, then stop once a step is at most 4 eps tau (bath._newton_root).
     """
     if model.kind is BathKind.ISOLATED:
         raise UnsupportedModelError(
@@ -269,24 +273,39 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
 
-    # every t below is finite and >= 0: the Ohmic form skips the checks and dispatch
-    slope = (_ohmic_exponent_derivative if model.kind is BathKind.OHMIC
-             else decay_exponent_derivative)
+    def slopes(t: float) -> tuple[float, float]:
+        """(Gamma', t Gamma''): the Ohmic form skips the checks and dispatch, since every t
+        here is finite and > 0; t Gamma'' is 0 for the linear law and 2 eta t = Gamma' for
+        the quadratic one, finite where 2 eta overflows."""
+        if model.kind is BathKind.OHMIC:
+            return _ohmic_exponent_derivative(model, t)
+        dg = decay_exponent_derivative(model, t)
+        return dg, dg if model.kind is BathKind.NONMARKOVIAN else 0.0
 
-    def res(t: float) -> float:
-        return _residual(slope(model, t), tau_tilde, n_eff, t)
-
-    lo, f_lo, up = 0.0, -2.0 if tau_tilde > 0.0 else -1.0, coherence_time(model)
-    if model.kind is BathKind.OHMIC:
-        lo, f_lo, up = _ohmic_bracket(model, tau_tilde, n_eff, res, f_lo)
-    while not (f_up := res(up)) > 0.0:
-        if up >= 2.0 ** 60 * coherence_time(model):
-            raise DivergenceError("information rate still rising after expanding the bracket "
-                                  "to 2^60 coherence times; no interior maximum found")
-        lo, f_lo, up = up, f_up, 2.0 * up
-    tau, residual = _brent(res, lo, up, f_lo, f_up)
+    tau, residual = _numeric_root(model, tau_tilde, n_eff, slopes)
     return _optimum(tau, decay_exponent(model, tau), tau_tilde, n_eff,
                     ("coherence time", coherence_time(model)), residual=residual)
+
+
+def _numeric_root(model: BathModel, tau_tilde, n_eff, slopes, xp=math):
+    """(tau, residual) of tau_opt_numeric, given slopes(t) = (Gamma'(t), t Gamma''(t)), at
+    floats (xp = math) or elementwise over arrays for an Ohmic model, where tau is NaN in
+    place of its errors."""
+
+    def res(t):  # the residual and its slope 2 n_eff (Gamma' + t Gamma'') + tau_tilde/s^2
+        (dg, t_d2g), s = slopes(t), tau_tilde + t
+        return (_residual(dg, tau_tilde, n_eff, t),
+                2.0 * n_eff * (dg + t_d2g) + tau_tilde / s / s)
+
+    t_c = coherence_time(model)
+    lo, f_lo, up = 0.0, (math.nan, math.nan), t_c
+    if model.kind is BathKind.OHMIC:
+        lo, f_lo, up = _ohmic_bracket(model, tau_tilde, n_eff, res, xp)
+    tau, residual = _newton_root(res, lo, f_lo, up, 2.0 ** 60 * t_c, xp)
+    if xp is math and math.isnan(tau):
+        raise DivergenceError("information rate still rising after expanding the bracket "
+                              "to 2^60 coherence times; no interior maximum found")
+    return tau, residual
 
 
 def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
@@ -297,7 +316,6 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
     certify the optimum (Ohmic root with no bracket or no convergence, rate
     not finite and > 0, overhead not finite), for optimal_sensing_time to
     re-solve or reject."""
-    ok = True
     with np.errstate(all="ignore"):
         if model.kind is BathKind.ISOLATED:
             tau = coherence_time(model) - tau_tilde
@@ -313,23 +331,11 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
             scale = np.sqrt(n_eff * model.eta)
             tau = _nonmarkov_root(tau_tilde * scale, np) / scale
         else:
-            def res(t):
-                return _residual(_ohmic_exponent_derivative(model, t, np), tau_tilde, n_eff, t)
-
-            # tau_opt_numeric's bracket and steps, elementwise
-            lo, f_lo, up = _ohmic_bracket(model, tau_tilde, n_eff, res, -1.0 - (tau_tilde > 0.0), np)
-            for _ in range(61):
-                f_up = res(up)
-                ok = f_up > 0.0
-                if ok.all():
-                    break
-                lo, f_lo, up = np.where(ok, lo, up), np.where(ok, f_lo, f_up), np.where(ok, up, 2.0 * up)
-            # f = 0 at the upper end stops a size with no bracket at once
-            tau, converged = _brent_arrays(res, lo, up, f_lo, np.where(ok, f_up, 0.0))
-            ok &= converged
+            tau = _numeric_root(model, tau_tilde, n_eff,
+                                lambda t: _ohmic_exponent_derivative(model, t, np), np)[0]
         g = _decay_exponent(model, tau, np)
         rate = _rate(g, tau_tilde, n_eff, tau, np)
-    rate = np.where(ok & (rate > 0.0) & (rate < math.inf), rate, math.nan)
+    rate = np.where((rate > 0.0) & (rate < math.inf), rate, math.nan)
     if model.kind is BathKind.ISOLATED:
         rate[tau <= 0.0] = 0.0
     rate[~np.isfinite(tau_tilde)] = math.nan  # for the scalar solver's DomainError

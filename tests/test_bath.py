@@ -1,4 +1,5 @@
 import math
+import statistics
 import sys
 
 import mpmath
@@ -17,8 +18,9 @@ from ghzgain import (
     decay_exponent_derivative,
     ohmic_limit_rates,
 )
-from ghzgain.bath import (_DLOG_SINHC, _DLOG_SINHC_EDGES, _LOG_SINHC, _LOG_SINHC_EDGES, _brent,
-                          _brent_arrays, _by_branch, _ohmic_exponent, _ohmic_exponent_derivative)
+from ghzgain import bath
+from ghzgain.bath import (_DLOG_SINHC, _DLOG_SINHC_EDGES, _LOG_SINHC, _LOG_SINHC_EDGES, _by_branch,
+                          _newton_root, _ohmic_exponent, _ohmic_exponent_derivative)
 
 
 def central_diff(model, tau, h):
@@ -108,6 +110,25 @@ class TestOhmicBranches:
                 exact = mp_ohmic_exponent(alpha, omega_c, beta, tau)
                 assert abs(decay_exponent(model, tau) - exact) <= 1e-15 * exact
 
+    @pytest.mark.parametrize("alpha, omega_c, beta", [(0.05, 20.0, 0.5), (0.1, 100.0, 10.0),
+                                                      (0.3, 0.5, 0.02)])
+    def test_ohmic_curvature_matches_mpmath(self, alpha, omega_c, beta):
+        # tau Gamma'' from L' = 1 - L^2 - 2L/x, measured against the scale |Gamma'| + |tau
+        # Gamma''| of the slope it enters: x (1 - L^2) - 2L loses ~eps x for large x
+        model = BathModel.ohmic(alpha, omega_c, beta)
+        with mpmath.workdps(50):
+            a, w, k = mpmath.mpf(alpha), mpmath.mpf(omega_c), mpmath.pi / mpmath.mpf(beta)
+
+            def slope(t):
+                wt, kt = w * t, k * t
+                return a * w * wt / (1 + wt * wt) + a * k * (mpmath.coth(kt) - 1 / kt)
+
+            for x in np.geomspace(1e-6, 300.0, 120).tolist() + self.XS:
+                tau = mpmath.mpf(x * beta / math.pi)
+                exact = tau * mpmath.diff(slope, tau)
+                curvature = _ohmic_exponent_derivative(model, float(tau))[1]
+                assert abs(curvature - exact) <= 1e-13 * (abs(slope(tau)) + abs(exact))
+
     def test_array_log_sinhc_matches_the_float_form(self):
         xs = np.array(self.XS + np.logspace(-6, 2.5, 400).tolist())
         for x, value in zip(xs.tolist(), _log_sinhc(xs, np)):
@@ -118,10 +139,11 @@ class TestOhmicBranches:
         # times that put pi tau / beta on both sides of each cut-off
         taus = np.array([x * 0.5 / math.pi for x in self.XS])
         gammas = _ohmic_exponent(model, taus, np)
-        slopes = _ohmic_exponent_derivative(model, taus, np)
-        for tau, g, dg in zip(taus.tolist(), gammas, slopes):
+        slopes, curvatures = _ohmic_exponent_derivative(model, taus, np)
+        for tau, g, dg, c in zip(taus.tolist(), gammas, slopes, curvatures):
             assert g == pytest.approx(decay_exponent(model, tau), rel=1e-14)
             assert dg == pytest.approx(decay_exponent_derivative(model, tau), rel=1e-14)
+            assert c == pytest.approx(_ohmic_exponent_derivative(model, tau)[1], rel=1e-14)
 
 
 class TestDerivative:
@@ -182,6 +204,25 @@ class TestCoherenceTime:
                 root = mpmath.findroot(lambda t: mp_ohmic_exponent(alpha, omega_c, beta, t) - 1,
                                        (t_c / 2, 2 * t_c), solver="anderson")
                 assert abs(t_c - root) <= 1e-14 * root
+
+    def test_ohmic_takes_few_exponent_evaluations(self, monkeypatch):
+        exponent, taus = bath.decay_exponent, []
+
+        def recording(model, tau):
+            taus.append(tau)
+            return exponent(model, tau)
+
+        monkeypatch.setattr(bath, "decay_exponent", recording)
+        rng = np.random.default_rng(20261018)
+        counts = []
+        for _ in range(300):
+            alpha, omega_c, beta = 10.0 ** rng.uniform([-3.0, -1.0, -2.0], [0.0, 3.0, 2.0])
+            taus.clear()
+            coherence_time.__wrapped__(BathModel.ohmic(alpha, omega_c, beta))
+            counts.append(len(taus))
+        # Newton's steps with Gamma' as the slope, from the end of the bracket nearer the root
+        assert statistics.median(counts) <= 6
+        assert max(counts) <= 16
 
     def test_ohmic_limits_recover_simple_laws(self):
         # deep Markovian regime: t_c should approach 1/gamma
@@ -314,37 +355,73 @@ def test_exponent_nondecreasing_up_to_ten_coherence_times(model):
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-class TestBrent:
-    # cubics with one sign change on [0, 2]; numpy and math agree on them
-    CASES = [(c, lo, hi) for c in (0.1, 0.5, 1.0, 3.0, 7.0) for lo, hi in ((0.0, 2.0), (2.0, 0.0))]
+class TestNewtonRoot:
+    # cubics x^3 + c x - 1 with one root in each bracket; numpy and math agree on them
+    CASES = [(c, lo, 2.0) for c in (0.1, 0.5, 1.0, 3.0, 7.0) for lo in (0.0, 0.125)]
 
     @staticmethod
-    def cubic(c):
-        return lambda x: x * x * x + c * x - 1.0
+    def cubic(c, slope=None):
+        """x -> (f(x), f'(x)), with the slope replaced by slope if given; records x."""
+        def f(x):
+            f.xs.append(x)
+            return x * x * x + c * x - 1.0, 3.0 * x * x + c if slope is None else slope
+        f.xs = []
+        return f
+
+    @staticmethod
+    def solve(f, lo, hi, xp=math, cap=None):
+        f_lo = f(lo)
+        f.xs.clear()
+        return _newton_root(f, lo, f_lo, hi, hi if cap is None else cap, xp)
+
+    @staticmethod
+    def exact_root(c):
+        with mpmath.workdps(50):
+            return mpmath.findroot(lambda t: t**3 + c * t - 1, 0.5)
 
     @pytest.mark.parametrize("c, lo, hi", CASES)
     def test_root_to_four_eps(self, c, lo, hi):
         f = self.cubic(c)
-        x, fx = _brent(f, lo, hi, f(lo), f(hi))
-        assert fx == f(x)
-        with mpmath.workdps(50):
-            root = mpmath.findroot(lambda t: t**3 + c * t - 1, 0.5)
+        x, fx = self.solve(f, lo, hi)
+        assert fx == f(x)[0]
+        root = self.exact_root(c)
         assert abs(x - root) <= 4 * sys.float_info.epsilon * root
 
     def test_array_form_takes_the_same_steps(self):
-        c = np.array([case[0] for case in self.CASES])
-        lo, hi = np.array([case[1] for case in self.CASES]), np.array([case[2] for case in self.CASES])
+        c, lo, hi = (np.array(column) for column in zip(*self.CASES))
         f = self.cubic(c)
-        x, converged = _brent_arrays(f, lo, hi, f(lo), f(hi))
-        assert converged.all()
-        for i, (ci, lo_i, hi_i) in enumerate(self.CASES):
-            g = self.cubic(ci)
-            assert x[i] == _brent(g, lo_i, hi_i, g(lo_i), g(hi_i))[0]
+        x, fx = self.solve(f, lo, hi, np)
+        for i, case in enumerate(self.CASES):
+            g = self.cubic(case[0])
+            assert x[i] == self.solve(g, *case[1:])[0]
+            # a converged element stands still: its points are the scalar ones, then repeats
+            points = [float(xs[i]) for xs in f.xs]
+            assert points[:len(g.xs)] == g.xs and set(points[len(g.xs):]) <= {x[i]}
 
     def test_a_zero_end_is_the_root(self):
-        f = self.cubic(0.0)
-        assert _brent(f, 1.0, 3.0, 0.0, f(3.0)) == (1.0, 0.0)
-        assert _brent(f, -1.0, 1.0, f(-1.0), 0.0) == (1.0, 0.0)
-        x, converged = _brent_arrays(f, np.array([1.0, -1.0]), np.array([3.0, 1.0]),
-                                     np.array([0.0, -2.0]), np.array([26.0, 0.0]))
-        assert x.tolist() == [1.0, 1.0] and converged.all()
+        f = self.cubic(0.0)  # root 1, at the lower end of [1, 3] and the upper end of [0, 1]
+        assert self.solve(f, 1.0, 3.0) == (1.0, 0.0) and f.xs == [3.0]
+        assert self.solve(f, 0.0, 1.0) == (1.0, 0.0) and f.xs == [1.0]
+        x, fx = self.solve(f, np.array([1.0, 0.0]), np.array([3.0, 1.0]), np)
+        assert x.tolist() == [1.0, 1.0] and fx.tolist() == [0.0, 0.0] and len(f.xs) == 1
+
+    def test_the_upper_end_doubles_up_to_the_cap(self):
+        f = self.cubic(1.0)  # root 0.68, above [0, 0.125]: the upper end doubles to 1
+        x, fx = self.solve(f, 0.0, 0.125, cap=1.0)
+        assert f.xs[:4] == [0.125, 0.25, 0.5, 1.0] and abs(x - self.exact_root(1.0)) <= 1e-15
+        # the cap stops it at 0.5, where f < 0: no root, NaN in both forms
+        assert math.isnan(self.solve(f, 0.0, 0.125, cap=0.5)[0]) and f.xs == [0.125, 0.25, 0.5]
+        x = self.solve(f, np.array([0.0, 0.0]), np.array([0.125, 0.125]), np,
+                       np.array([1.0, 0.5]))[0]
+        assert x[0] == self.solve(f, 0.0, 0.125, cap=1.0)[0] and math.isnan(x[1])
+
+    @pytest.mark.parametrize("slope", [0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("c, lo, hi", CASES)
+    def test_a_bad_slope_bisects_to_the_root(self, slope, c, lo, hi):
+        # a step of -f/0 would divide by 0 and -f/inf would stand still at a non-root;
+        # both bisect, and bisection stops at a relative bracket width of 8 eps
+        f = self.cubic(c, slope)
+        x, fx = self.solve(f, lo, hi)
+        root = self.exact_root(c)
+        assert abs(x - root) <= 8 * sys.float_info.epsilon * root
+        assert self.solve(f, np.array([lo]), np.array([hi]), np)[0].tolist() == [x]

@@ -246,9 +246,9 @@ class TestNumeric:
     def test_rate_rising_for_ever_diverges(self, monkeypatch):
         # with Gamma = 0 the residual stays at -1 - tau_tilde/(tau_tilde + tau)
         monkeypatch.setattr("ghzgain.opttime.decay_exponent", lambda model, tau: 0.0)
-        # (an Ohmic solve takes Gamma' from the Ohmic form directly)
+        # (an Ohmic solve takes Gamma' and tau Gamma'' from the Ohmic form directly)
         monkeypatch.setattr("ghzgain.opttime._ohmic_exponent_derivative",
-                            lambda model, tau: 0.0)
+                            lambda model, tau: (0.0, 0.0))
         with pytest.raises(DivergenceError, match="2\\^60 coherence times"):
             tau_opt_numeric(BathModel.ohmic(0.05, 20.0, 0.5), 0.1, 1)
 
@@ -272,7 +272,7 @@ class TestNumeric:
             assert abs(opt.tau_opt - root) <= 1e-14 * root
 
     def test_ohmic_solve_takes_few_residual_evaluations(self, monkeypatch):
-        # each residual evaluation is one call of the Ohmic Gamma'
+        # each evaluation of the residual and its slope is one call of the Ohmic Gamma'
         slope, taus = opttime._ohmic_exponent_derivative, []
 
         def recording(model, tau, xp=math):
@@ -312,10 +312,10 @@ class TestNumeric:
             opttime._optimal_sensing_times(model, np.zeros(3), np.array([1.0, 100.0, 1e4]))
         assert min(taus) > 0.0
 
-    def test_brent_iteration_cap_raises_solver_error(self, monkeypatch, capsys):
+    def test_iteration_cap_raises_solver_error(self, monkeypatch, capsys):
         model = BathModel.ohmic(0.05, 20.0, 0.5)
         t_c = coherence_time(model)  # cached before the cap drops
-        monkeypatch.setattr("ghzgain.bath._BRENT_MAX_ITER", 3)
+        monkeypatch.setattr("ghzgain.bath._NEWTON_MAX_ITER", 3)
         with pytest.raises(SolverError, match="did not converge in 3 evaluations"):
             tau_opt_numeric(model, 0.1 * t_c, 10)
         with pytest.raises(SolverError, match="did not converge"):
@@ -378,6 +378,11 @@ class TestStationarityResidual:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(DomainError):
             stationarity_residual(BathModel.markovian(1.0), 0.1, 1, 0.0)
+
+    @pytest.mark.parametrize("tau_tilde", [math.nan, -5.0, math.inf])
+    def test_bad_overhead_rejected(self, tau_tilde):
+        with pytest.raises(DomainError, match="overhead time"):
+            stationarity_residual(BathModel.markovian(1.0), tau_tilde, 1, 0.3)
 
 
 class TestInteriorMaximum:
@@ -473,19 +478,19 @@ def test_ohmic_bracket_starts_below_the_root(alpha, omega_c, beta, x, n_eff):
     # bound and the bracket falls back to [0, tau0], where it is > 0 at tau0
     model = BathModel.ohmic(alpha, omega_c, beta)
     tau_tilde = x * coherence_time(model)
-    f_zero = -2.0 if tau_tilde > 0.0 else -1.0
 
-    def res(t):
-        return stationarity_residual(model, tau_tilde, n_eff, t)
+    def res(t):  # the bracket passes the second value, the slope, through
+        return stationarity_residual(model, tau_tilde, n_eff, t), t
 
-    lo, f_lo, up = opttime._ohmic_bracket(model, tau_tilde, n_eff, res, f_zero)
-    assert 0.0 <= lo < up < math.inf and f_lo <= 0.0
+    lo, f_lo, up = opttime._ohmic_bracket(model, tau_tilde, n_eff, res)
+    assert 0.0 <= lo < up < math.inf
     if lo == 0.0:
-        assert f_lo == f_zero and res(up) > 0.0
+        assert math.isnan(f_lo[0]) and math.isnan(f_lo[1]) and res(up)[0] > 0.0
     else:
-        assert f_lo == res(lo)
+        assert f_lo == res(lo) and f_lo[0] <= 0.0
     assert tau_opt_numeric(model, tau_tilde, n_eff).tau_opt >= lo
     # the array path starts every element where the scalar path does
     arrays = opttime._ohmic_bracket(model, np.array([tau_tilde]), np.array([float(n_eff)]),
-                                    lambda t: np.array([res(float(t[0]))]), np.array([f_zero]), np)
-    assert [float(a[0]) for a in arrays] == [lo, f_lo, up]
+                                    lambda t: tuple(np.array([v]) for v in res(float(t[0]))), np)
+    assert [float(arrays[0][0]), float(arrays[2][0])] == [lo, up]
+    assert np.array_equal(np.concatenate(arrays[1]), f_lo, equal_nan=True)

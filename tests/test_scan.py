@@ -85,7 +85,7 @@ def test_array_optimum_matches_the_scalar_solver(kind):
         except InfeasibleTimingError:
             assert rate[i] == 0.0
             continue
-        # both Ohmic solvers run Brent's zero finder to 4 eps relative; numpy's
+        # both Ohmic solvers take the same Newton steps to 4 eps relative; numpy's
         # transcendentals in the array residual move the root by ~1e-15
         assert tau[i] == pytest.approx(opt.tau_opt, rel=1e-13)
         assert rate[i] == pytest.approx(opt.objective, rel=1e-13)
