@@ -188,11 +188,20 @@ def _ohmic_exponent(model: BathModel, tau, xp=math):
     )
 
 
-def _ohmic_exponent_derivative(model: BathModel, tau, xp=math):
-    """(Gamma', tau Gamma'') of the Ohmic law at a float tau, or elementwise over an array
-    with xp = numpy (not checked): both from one evaluation of L = coth x - 1/x, x = pi
-    tau/beta.  With d = 1 + (omega_c tau)^2 and L' = 1 - L^2 - 2 L/x, tau Gamma'' is
-    alpha [omega_c^2 tau (1 - omega_c^2 tau^2)/d^2 + (pi/beta) x L'(x)]."""
+def _exponent_slopes(model: BathModel, tau, xp=math):
+    """(Gamma', tau Gamma'') at a float tau, or elementwise over an array with xp = numpy
+    (not checked).  tau Gamma'' is 0 for the isolated and linear laws and 2 eta tau =
+    Gamma' for the quadratic one, finite where 2 eta overflows.  The Ohmic pair comes from
+    one evaluation of L = coth x - 1/x, x = pi tau/beta: with d = 1 + (omega_c tau)^2 and
+    L' = 1 - L^2 - 2 L/x, tau Gamma'' is alpha [omega_c^2 tau (1 - omega_c^2 tau^2)/d^2 +
+    (pi/beta) x L'(x)]."""
+    if model.kind is BathKind.ISOLATED:
+        return 0.0, 0.0
+    if model.kind is BathKind.MARKOVIAN:
+        return model.gamma, 0.0
+    if model.kind is BathKind.NONMARKOVIAN:
+        dg = 2.0 * (model.eta * tau)
+        return dg, dg
     k, w = math.pi / model.beta, model.omega_c
     wt, x = w * tau, k * tau
     d = 1.0 + wt * wt
@@ -275,13 +284,7 @@ def decay_exponent_derivative(model: BathModel, tau: float) -> float:
     """dGamma/dtau.  At tau = 0 the Ohmic form returns its analytic limit 0."""
     if not 0.0 <= tau < math.inf:
         check_finite_nonnegative(tau, "sensing time")
-    if model.kind is BathKind.ISOLATED:
-        return 0.0
-    if model.kind is BathKind.MARKOVIAN:
-        return model.gamma
-    if model.kind is BathKind.NONMARKOVIAN:
-        return 2.0 * (model.eta * tau)  # 2 eta may overflow
-    return _ohmic_exponent_derivative(model, tau)[0]
+    return _exponent_slopes(model, tau)[0]
 
 
 @functools.lru_cache(maxsize=512)
@@ -303,7 +306,7 @@ def coherence_time(model: BathModel) -> float:
         return 1.0 / math.sqrt(model.eta)
 
     def f(t):
-        return decay_exponent(model, t) - 1.0, _ohmic_exponent_derivative(model, t)[0]
+        return decay_exponent(model, t) - 1.0, _exponent_slopes(model, t)[0]
 
     lo, hi = 1e-12 * model.beta, 1e12 * model.beta
     if (g_lo := f(lo))[0] >= 0.0:

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bath import BathKind, BathModel, coherence_time
+from .bath import BathKind, BathModel, coherence_time, decay_exponent
 from .errors import (
     DomainError,
     InfeasibleTimingError,
@@ -38,8 +38,8 @@ from .errors import (
     check_finite_nonnegative,
     check_finite_positive,
 )
-from .opttime import OptimalTime, _optimal_sensing_times, optimal_sensing_time
-from .qfi import ProbeKind, qfi_ghz, qfi_separable
+from .opttime import OptimalTime, _optimal_sensing_times, _rates, optimal_sensing_time
+from .qfi import ProbeKind
 
 __all__ = [
     "GainResult",
@@ -124,23 +124,14 @@ def _gain_from_optima(model: BathModel, n: int, tau_tilde_sep: float,
                       tau_tilde_ent: float, sep: OptimalTime,
                       ent: OptimalTime) -> GainResult:
     """Assemble the gain from the separable (n_eff = 1) and GHZ (n_eff = n)
-    optima, which the caller has located for these validated inputs."""
-    f_sep = qfi_separable(n, sep.tau_opt, model)
-    f_ent = qfi_ghz(n, ent.tau_opt, model)
-    round_sep = tau_tilde_sep + sep.tau_opt
-    round_ent = tau_tilde_ent + ent.tau_opt
-    r = (f_ent / round_ent) / (f_sep / round_sep)
-    return GainResult(r, sep.tau_opt, ent.tau_opt, f_sep, f_ent, round_sep, round_ent)
-
-
-def _rates_from_optima(weight, tau_tilde, tau, decay):
-    """(f, f / (tau_tilde + tau)) of _gain_from_optima over arrays, by its operations in
-    its order: f is f_sep for weight n and f_ent for weight n * n, and r is the GHZ rate
-    over the separable one; decay = exp(-2 n_eff Gamma) by math.exp (np.exp's last bit
-    can differ)."""
-    with np.errstate(all="ignore"):
-        f = np.where(decay != 0.0, weight * tau * tau * decay, 0.0)
-        return f, f / (tau_tilde + tau)
+    optima, which the caller has located for these validated inputs: F_sep of n
+    product-state particles and F_ent of one n-particle GHZ block, each over its round."""
+    f_sep, rate_sep = _rates(n, tau_tilde_sep, sep.tau_opt,
+                             math.exp(-2.0 * decay_exponent(model, sep.tau_opt)))
+    f_ent, rate_ent = _rates(float(n) * n, tau_tilde_ent, ent.tau_opt,
+                             math.exp(-2.0 * n * decay_exponent(model, ent.tau_opt)))
+    return GainResult(rate_ent / rate_sep, sep.tau_opt, ent.tau_opt, f_sep, f_ent,
+                      tau_tilde_sep + sep.tau_opt, tau_tilde_ent + ent.tau_opt)
 
 
 def _gain_at_fixed_sep(model: BathModel, tau_tilde_sep: float):
@@ -232,10 +223,9 @@ def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
     kind = ProbeKind(kind)
     n_eff = n if kind is ProbeKind.GHZ else 1
     opt = optimal_sensing_time(model, tau_tilde, n_eff)
-    if kind is ProbeKind.GHZ:
-        f = qfi_ghz(n, opt.tau_opt, model)
-    else:
-        f = qfi_separable(n, opt.tau_opt, model)
+    # F = n n_eff tau^2 exp(-2 n_eff Gamma): n product-state particles, or one n-particle block
+    f = _rates(float(n) * n_eff, tau_tilde, opt.tau_opt,
+               math.exp(-2.0 * n_eff * decay_exponent(model, opt.tau_opt)))[0]
     round_time = tau_tilde + opt.tau_opt
     if total_time / round_time < 10.0:
         warnings.warn(

@@ -12,13 +12,13 @@ with n_eff = 1 for the separable probe and n_eff = N for the GHZ probe
 why a single n_eff parameter covers both).
 
 Closed forms exist for the linear decay law (a quadratic in tau) and the
-quadratic law (a cubic with one positive root, taken by Viete's real forms
-and one Newton step, shared by the scalar and array paths).  A model-agnostic
-numeric path handles everything else: safeguarded Newton steps on the
-stationarity residual, whose sign brackets the root (it is -tau times the slope
-of the log rate), with its slope from Gamma' and tau Gamma''.  For the Ohmic law
-a proven short-time lower bound and a Markov-limit trial seed the bracket, and
-one routine serves the scalar and array paths.
+quadratic law (a cubic with one positive root, taken by Viete's real forms and
+one Newton step).  A model-agnostic numeric path handles everything else:
+safeguarded Newton steps on the stationarity residual, whose sign brackets the
+root (it is -tau times the slope of the log rate), with its slope from Gamma' and
+tau Gamma''; for the Ohmic law a proven short-time lower bound and a Markov-limit
+trial seed the bracket.  Each optimum, and the rate at it, is written once with an
+xp parameter: the scalar solver runs it on floats, the array pass on numpy arrays.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from .bath import (
     BathModel,
     _by_branch,
     _decay_exponent,
+    _exponent_slopes,
     _newton_root,
-    _ohmic_exponent_derivative,
     _WHERE,
     coherence_time,
-    decay_exponent,
     decay_exponent_derivative,
 )
 from .errors import (
@@ -70,32 +69,38 @@ class OptimalTime:
     residual: float
 
 
-def _rate(g, tau_tilde, n_eff, tau, xp=math):
-    """QFI rate n_eff^2 tau^2 exp(-2 n_eff g) / (tau_tilde + tau), g = Gamma(tau), at
-    floats (xp = math) or elementwise over float arrays (xp = numpy).
-
-    For n_eff = N this is the rate of an N-particle GHZ block; for
-    n_eff = 1 it is the per-particle rate of the separable strategy.  The
-    square is a float: an int square past ~1.3e154 overflows in `* tau`.
-    """
-    return 1.0 * n_eff * n_eff * tau * tau * xp.exp(-2.0 * n_eff * g) / (tau_tilde + tau)
+def _rates(weight, tau_tilde, tau, decay, xp=math):
+    """(F, F / (tau_tilde + tau)) with F = weight tau^2 decay, at floats (xp = math) or
+    elementwise over arrays (xp = numpy): weight n_eff^2 and decay exp(-2 n_eff Gamma(tau))
+    give the rate of an n_eff-particle GHZ block, weight n and decay exp(-2 Gamma(tau)) the
+    F_sep of n product-state particles.  An underflowed decay wins over an overflowing tau^2
+    (not inf * 0 = NaN).  The caller keeps tau_tilde + tau > 0 at floats, and quiets numpy."""
+    f = _WHERE[xp](decay != 0.0, weight * tau * tau * decay, 0.0)
+    return f, f / (tau_tilde + tau)
 
 
 def _residual(dg: float, tau_tilde: float, n_eff: int, tau: float) -> float:
     return 2.0 * n_eff * tau * dg - 1.0 - tau_tilde / (tau_tilde + tau)
 
 
-def _optimum(tau, g, tau_tilde, n_eff, at, dg=None, residual=0.0) -> OptimalTime:
-    """The OptimalTime at tau, given g = Gamma(tau) and, for an interior optimum,
-    dg = Gamma'(tau) or its residual.  Raises SolverError, naming at = (quantity,
-    value), unless tau > 0 and the rate is finite and > 0."""
+def _optimum(model: BathModel, tau_tilde: float, n_eff: int, tau: float,
+             residual: float | None) -> OptimalTime:
+    """The OptimalTime at tau for validated tau_tilde and n_eff, with its residual (None:
+    from Gamma'(tau)).  Raises InfeasibleTimingError where an isolated probe's overhead
+    leaves no sensing time, and SolverError unless tau > 0 and the rate is finite and > 0."""
     if not tau > 0.0:
-        raise SolverError(f"optimal time underflows at {at[0]} = {at[1]!r}")
-    rate = _rate(g, tau_tilde, n_eff, tau)
+        if model.kind is BathKind.ISOLATED:  # tau = t_c - tau_tilde
+            raise InfeasibleTimingError(
+                f"overhead {tau_tilde!r} consumes the whole coherence time {model.t_c!r}; "
+                "no sensing time remains"
+            )
+        raise SolverError(f"optimal time underflows at n_eff = {n_eff!r} for {model.to_dict()}")
+    rate = _rates(1.0 * n_eff * n_eff, tau_tilde, tau,
+                  math.exp(-2.0 * n_eff * _decay_exponent(model, tau)))[1]
     if not 0.0 < rate < math.inf:
         raise SolverError(f"optimal information rate {rate!r} is not finite and > 0")
-    if dg is not None:
-        residual = _residual(dg, tau_tilde, n_eff, tau)
+    if residual is None:
+        residual = _residual(_exponent_slopes(model, tau)[0], tau_tilde, n_eff, tau)
     return OptimalTime(tau, rate, residual)
 
 
@@ -119,12 +124,7 @@ def tau_opt_isolated(t_c: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     t_c = check_finite_positive(t_c, "coherence time")
     n_eff = check_count(n_eff, "effective particle count")
-    if tau_tilde >= t_c:
-        raise InfeasibleTimingError(
-            f"overhead {tau_tilde!r} consumes the whole coherence time {t_c!r}; "
-            "no sensing time remains"
-        )
-    return _optimum(t_c - tau_tilde, 0.0, tau_tilde, n_eff, ("coherence time", t_c))
+    return optimal_sensing_time(BathModel.isolated(t_c), tau_tilde, n_eff)
 
 
 def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
@@ -137,30 +137,25 @@ def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     gamma = check_finite_positive(gamma, "dephasing rate")
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
-    # positive root of tau^2 + (tau_tilde - h) tau - 2 h tau_tilde with
-    # h = 1/(2 n_eff gamma), evaluated without subtractive cancellation
-    # (the textbook form loses the root when tau_tilde >> h); b = root = 0
-    # only when h * tau_tilde underflows, and tau then underflows as well
-    h = 0.5 / (n_eff * gamma)
-    b = tau_tilde - h
-    root = math.sqrt(b * b + 8.0 * h * tau_tilde)
-    if root == math.inf:
-        tau = _markov_root_scaled(h, tau_tilde)
-    elif b >= 0.0 and root > 0.0:
-        tau = 4.0 * h * tau_tilde / (b + root)
-    else:
-        tau = 0.5 * (root - b)
-    return _optimum(tau, gamma * tau, tau_tilde, n_eff, ("n_eff * gamma", n_eff * gamma), gamma)
+    return optimal_sensing_time(BathModel.markovian(gamma), tau_tilde, n_eff)
 
 
-def _markov_root_scaled(h: float, tau_tilde: float) -> float:
-    """tau_opt_markov's root where b * b + 8 h tau_tilde overflows: the same
-    formula with b, h and tau_tilde scaled by a power of two below the larger
-    of h and tau_tilde, so no bit moves except of a term negligible beside it."""
-    s = math.ldexp(1.0, -math.frexp(max(h, tau_tilde))[1])
+def _markov_root(h, tau_tilde, xp=math):
+    """Positive root of tau^2 + (tau_tilde - h) tau - 2 h tau_tilde, the Markovian optimum
+    at h = 1/(2 n_eff gamma), at floats (xp = math) or elementwise over arrays (xp = numpy),
+    in a form without subtractive cancellation (the textbook form loses the root when
+    tau_tilde >> h).  Where the larger of h and tau_tilde is past 2^500, b, tau_tilde and
+    the square under the root are scaled by the power of two that takes it to [1/2, 1), so
+    the square cannot overflow and no bit moves except of a term negligible beside the
+    rest.  The root is 0 only where h tau_tilde underflows, and tau then underflows too."""
+    where = _WHERE[xp]
+    big = where(h > tau_tilde, h, tau_tilde)
+    s = xp.ldexp(1.0, -xp.frexp(where(big > 2.0 ** 500, big, 0.5))[1])  # 1 up to 2^500
     b, t = (tau_tilde - h) * s, tau_tilde * s
-    root = math.sqrt(b * b + 8.0 * (h * s) * t)
-    return 4.0 * h * (t / (b + root)) if b >= 0.0 else 0.5 * (root - b) / s
+    root = xp.sqrt(b * b + 8.0 * (h * s) * t)
+    pos = (b >= 0.0) & (root > 0.0)
+    # h stays unscaled in the numerator, where a scaled h can be subnormal
+    return where(pos, 4.0 * h * t / where(pos, b + root, 1.0), 0.5 * (root - b) / s)
 
 
 def _acos(x, xp):
@@ -223,10 +218,7 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     eta = check_finite_positive(eta, "decay coefficient")
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
-    scale = math.sqrt(n_eff * eta)
-    tau = _nonmarkov_root(tau_tilde * scale) / scale
-    return _optimum(tau, eta * tau * tau, tau_tilde, n_eff, ("n_eff * eta", n_eff * eta),
-                    2.0 * (eta * tau))  # 2 eta may overflow
+    return optimal_sensing_time(BathModel.nonmarkovian(eta), tau_tilde, n_eff)
 
 
 def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, res, xp=math):
@@ -272,28 +264,15 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
         )
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
-
-    def slopes(t: float) -> tuple[float, float]:
-        """(Gamma', t Gamma''): the Ohmic form skips the checks and dispatch, since every t
-        here is finite and > 0; t Gamma'' is 0 for the linear law and 2 eta t = Gamma' for
-        the quadratic one, finite where 2 eta overflows."""
-        if model.kind is BathKind.OHMIC:
-            return _ohmic_exponent_derivative(model, t)
-        dg = decay_exponent_derivative(model, t)
-        return dg, dg if model.kind is BathKind.NONMARKOVIAN else 0.0
-
-    tau, residual = _numeric_root(model, tau_tilde, n_eff, slopes)
-    return _optimum(tau, decay_exponent(model, tau), tau_tilde, n_eff,
-                    ("coherence time", coherence_time(model)), residual=residual)
+    return _optimum(model, tau_tilde, n_eff, *_numeric_root(model, tau_tilde, n_eff))
 
 
-def _numeric_root(model: BathModel, tau_tilde, n_eff, slopes, xp=math):
-    """(tau, residual) of tau_opt_numeric, given slopes(t) = (Gamma'(t), t Gamma''(t)), at
-    floats (xp = math) or elementwise over arrays for an Ohmic model, where tau is NaN in
-    place of its errors."""
+def _numeric_root(model: BathModel, tau_tilde, n_eff, xp=math):
+    """(tau, residual) of tau_opt_numeric at floats (xp = math), or elementwise over arrays
+    for an Ohmic model, where tau is NaN in place of its errors."""
 
     def res(t):  # the residual and its slope 2 n_eff (Gamma' + t Gamma'') + tau_tilde/s^2
-        (dg, t_d2g), s = slopes(t), tau_tilde + t
+        (dg, t_d2g), s = _exponent_slopes(model, t, xp), tau_tilde + t
         return (_residual(dg, tau_tilde, n_eff, t),
                 2.0 * n_eff * (dg + t_d2g) + tau_tilde / s / s)
 
@@ -308,33 +287,36 @@ def _numeric_root(model: BathModel, tau_tilde, n_eff, slopes, xp=math):
     return tau, residual
 
 
+def _tau_opt(model: BathModel, tau_tilde, n_eff, xp=math):
+    """(tau, residual) of the optimum at validated floats (xp = math), or elementwise over
+    float arrays of overheads >= 0 and counts >= 1 (xp = numpy): the boundary t_c -
+    tau_tilde for an isolated probe, the Markov quadratic's root, the non-Markovian cubic's
+    root in units of the block coherence time 1/sqrt(n_eff eta), or the numeric root for
+    the Ohmic law.  tau is not checked: the boundary is <= 0 where the timing is
+    infeasible, and an Ohmic array root is NaN where the scalar one raises.  A closed form
+    gives the residual None, for _optimum to take from Gamma'(tau) once tau is checked."""
+    if model.kind is BathKind.ISOLATED:
+        return model.t_c - tau_tilde, 0.0
+    if model.kind is BathKind.OHMIC:
+        return _numeric_root(model, tau_tilde, n_eff, xp)
+    if model.kind is BathKind.MARKOVIAN:
+        return _markov_root(0.5 / (n_eff * model.gamma), tau_tilde, xp), None
+    scale = xp.sqrt(n_eff * model.eta)
+    return _nonmarkov_root(tau_tilde * scale, xp) / scale, None
+
+
 def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
                            n_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(tau, rate) of optimal_sensing_time over float arrays of overheads
-    >= 0 and particle counts >= 1 (not checked), by the same formulas; rate
+    >= 0 and particle counts >= 1 (not checked), by the same code; rate
     is 0 where the timing is infeasible and NaN where this path cannot
     certify the optimum (Ohmic root with no bracket or no convergence, rate
     not finite and > 0, overhead not finite), for optimal_sensing_time to
     re-solve or reject."""
     with np.errstate(all="ignore"):
-        if model.kind is BathKind.ISOLATED:
-            tau = coherence_time(model) - tau_tilde
-        elif model.kind is BathKind.MARKOVIAN:
-            h = 0.5 / (n_eff * model.gamma)
-            b = tau_tilde - h
-            root = np.sqrt(b * b + 8.0 * h * tau_tilde)
-            tau = np.where((b >= 0.0) & (root > 0.0), 4.0 * h * tau_tilde / (b + root),
-                           0.5 * (root - b))
-            for i in np.flatnonzero(root == math.inf).tolist():
-                tau[i] = _markov_root_scaled(float(h[i]), float(tau_tilde[i]))
-        elif model.kind is BathKind.NONMARKOVIAN:
-            scale = np.sqrt(n_eff * model.eta)
-            tau = _nonmarkov_root(tau_tilde * scale, np) / scale
-        else:
-            tau = _numeric_root(model, tau_tilde, n_eff,
-                                lambda t: _ohmic_exponent_derivative(model, t, np), np)[0]
-        g = _decay_exponent(model, tau, np)
-        rate = _rate(g, tau_tilde, n_eff, tau, np)
+        tau = _tau_opt(model, tau_tilde, n_eff, np)[0]
+        decay = np.exp(-2.0 * n_eff * _decay_exponent(model, tau, np))
+        rate = _rates(n_eff * n_eff, tau_tilde, tau, decay, np)[1]
     rate = np.where((rate > 0.0) & (rate < math.inf), rate, math.nan)
     if model.kind is BathKind.ISOLATED:
         rate[tau <= 0.0] = 0.0
@@ -343,16 +325,13 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
 
 
 def optimal_sensing_time(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:
-    """Dispatch to the best available solver for the given bath model.
+    """The optimum for the given bath model, by the code the array pass runs.
 
     Closed forms for the isolated, Markovian and non-Markovian laws, the
-    numeric optimiser for the Ohmic one.  Like each of them, it raises
-    SolverError for an optimum whose rate under- or overflows.
+    numeric root for the Ohmic one.  It raises InfeasibleTimingError where an
+    isolated probe's overhead consumes t_c, and SolverError for an optimum
+    whose time underflows or whose rate under- or overflows.
     """
-    if model.kind is BathKind.ISOLATED:
-        return tau_opt_isolated(coherence_time(model), tau_tilde, n_eff)
-    if model.kind is BathKind.MARKOVIAN:
-        return tau_opt_markov(model.gamma, tau_tilde, n_eff)
-    if model.kind is BathKind.NONMARKOVIAN:
-        return tau_opt_nonmarkov(model.eta, tau_tilde, n_eff)
-    return tau_opt_numeric(model, tau_tilde, n_eff)
+    tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
+    n_eff = check_count(n_eff, "effective particle count")
+    return _optimum(model, tau_tilde, n_eff, *_tau_opt(model, tau_tilde, n_eff))

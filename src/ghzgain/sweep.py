@@ -36,8 +36,7 @@ import numpy as np
 from .bath import BathModel, _decay_exponent, coherence_time, decay_exponent
 from .errors import (InfeasibleTimingError, SolverError, ValidationError, check_fields,
                      check_finite_nonnegative, check_number)
-from .gain import _rates_from_optima
-from .opttime import _optimal_sensing_times, optimal_sensing_time
+from .opttime import _optimal_sensing_times, _rates, optimal_sensing_time
 
 __all__ = [
     "AXIS_NAMES",
@@ -281,7 +280,7 @@ def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
         except InfeasibleTimingError:
             rate[i] = 0.0
     tau[rate == 0.0] = math.nan
-    decay = [math.exp(x) for x in (-2.0 * n_eff * g).tolist()]  # see _rates_from_optima
+    decay = [math.exp(x) for x in (-2.0 * n_eff * g).tolist()]  # gain()'s math.exp, not np.exp
     return np.array([tau, decay])
 
 
@@ -308,12 +307,13 @@ def run_sweep(config: SweepConfig) -> SweepTable:
         known = np.isin(ent_keys, sep_keys)  # n = 1 at a separable overhead: solved
         ent[:, known] = sep[:, np.searchsorted(sep_keys, ent_keys[known])]
         ent[:, ~known] = _solve(model, ent_keys[~known])
-    f_sep, rate_sep = (a.ravel() for a in _rates_from_optima(n, sep_keys.real[:, None],
-                                                               *sep[:, :, None]))
-    f_ent, rate_ent = _rates_from_optima(ent_keys.imag * ent_keys.imag, ent_keys.real, *ent)
-    table = SweepTable(columns, sep_at, ent_at, (sep[0], f_sep, rate_sep), (ent[0], f_ent, rate_ent))
-    with np.errstate(all="ignore"):  # no row's r is past the largest rate over the smallest
+    with np.errstate(all="ignore"):
+        f_sep, rate_sep = (a.ravel() for a in _rates(n, sep_keys.real[:, None],
+                                                      *sep[:, :, None], np))
+        f_ent, rate_ent = _rates(ent_keys.imag * ent_keys.imag, ent_keys.real, *ent, np)
+        # no row's r is past the largest rate over the smallest
         r_bound = np.fmax.reduce(rate_ent) / np.fmin.reduce(rate_sep)
+    table = SweepTable(columns, sep_at, ent_at, (sep[0], f_sep, rate_sep), (ent[0], f_ent, rate_ent))
     if not r_bound < math.inf or np.isinf(f_sep).any() or np.isinf(f_ent).any():
         _check_finite(table)
     return table

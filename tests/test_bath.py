@@ -20,7 +20,7 @@ from ghzgain import (
 )
 from ghzgain import bath
 from ghzgain.bath import (_DLOG_SINHC, _DLOG_SINHC_EDGES, _LOG_SINHC, _LOG_SINHC_EDGES, _by_branch,
-                          _newton_root, _ohmic_exponent, _ohmic_exponent_derivative)
+                          _exponent_slopes, _newton_root, _ohmic_exponent)
 
 
 def central_diff(model, tau, h):
@@ -126,7 +126,7 @@ class TestOhmicBranches:
             for x in np.geomspace(1e-6, 300.0, 120).tolist() + self.XS:
                 tau = mpmath.mpf(x * beta / math.pi)
                 exact = tau * mpmath.diff(slope, tau)
-                curvature = _ohmic_exponent_derivative(model, float(tau))[1]
+                curvature = _exponent_slopes(model, float(tau))[1]
                 assert abs(curvature - exact) <= 1e-13 * (abs(slope(tau)) + abs(exact))
 
     def test_array_log_sinhc_matches_the_float_form(self):
@@ -139,11 +139,11 @@ class TestOhmicBranches:
         # times that put pi tau / beta on both sides of each cut-off
         taus = np.array([x * 0.5 / math.pi for x in self.XS])
         gammas = _ohmic_exponent(model, taus, np)
-        slopes, curvatures = _ohmic_exponent_derivative(model, taus, np)
+        slopes, curvatures = _exponent_slopes(model, taus, np)
         for tau, g, dg, c in zip(taus.tolist(), gammas, slopes, curvatures):
             assert g == pytest.approx(decay_exponent(model, tau), rel=1e-14)
             assert dg == pytest.approx(decay_exponent_derivative(model, tau), rel=1e-14)
-            assert c == pytest.approx(_ohmic_exponent_derivative(model, tau)[1], rel=1e-14)
+            assert c == pytest.approx(_exponent_slopes(model, tau)[1], rel=1e-14)
 
 
 class TestDerivative:

@@ -108,7 +108,7 @@ class TestMarkovClosedForm:
             taus = opttime._optimal_sensing_times(model, np.array([tau_tilde]),
                                                   np.array([float(n_eff)]))[0]
             exact = exact_markov_root(gamma, tau_tilde, n_eff)
-            for tau in (opttime._markov_root_scaled(h, tau_tilde), float(taus[0])):
+            for tau in (opttime._markov_root(h, tau_tilde), float(taus[0])):
                 assert abs(tau - exact) <= 1e-15 * exact
             return
         closed = tau_opt_markov(gamma, tau_tilde, n_eff)
@@ -118,6 +118,20 @@ class TestMarkovClosedForm:
         taus = opttime._optimal_sensing_times(model, np.array([0.1, tau_tilde]),
                                               np.array([1.0, float(n_eff)]))[0]
         assert taus.tolist() == [tau_opt_markov(gamma, 0.1, 1).tau_opt, closed.tau_opt]
+
+
+    def test_array_root_is_the_float_root(self):
+        # one function at floats and over arrays, bit for bit, from subnormal keys to the
+        # largest; where the square overflows, within 1e-15 of the exact root
+        rng = np.random.default_rng(20261019)
+        h, tau_tilde = 10.0 ** rng.uniform(-320.0, 308.0, (2, 20_000))
+        with np.errstate(all="ignore"):
+            roots = opttime._markov_root(h, tau_tilde, np)
+        assert roots.tolist() == [opttime._markov_root(a, t)
+                                  for a, t in zip(h.tolist(), tau_tilde.tolist())]
+        for gamma, t in 10.0 ** rng.uniform([-160.0, 154.2], [300.0, 308.2], (200, 2)):
+            exact = exact_markov_root(gamma, t, 1)
+            assert abs(opttime._markov_root(0.5 / gamma, t) - exact) <= 1e-15 * exact
 
 
 def exact_markov_root(gamma, tau_tilde, n_eff):
@@ -233,9 +247,9 @@ class TestNumeric:
     def test_underflowing_interpolation_bisects(self, monkeypatch, gamma, tau_tilde):
         optimum, taus = opttime._optimum, []
 
-        def recording(tau, *args, **kwargs):
+        def recording(model, tau_tilde, n_eff, tau, residual):
             taus.append(tau)
-            return optimum(tau, *args, **kwargs)
+            return optimum(model, tau_tilde, n_eff, tau, residual)
 
         monkeypatch.setattr(opttime, "_optimum", recording)
         with pytest.raises(SolverError, match="not finite and > 0"):  # tau^2 overflows
@@ -245,10 +259,10 @@ class TestNumeric:
 
     def test_rate_rising_for_ever_diverges(self, monkeypatch):
         # with Gamma = 0 the residual stays at -1 - tau_tilde/(tau_tilde + tau)
-        monkeypatch.setattr("ghzgain.opttime.decay_exponent", lambda model, tau: 0.0)
-        # (an Ohmic solve takes Gamma' and tau Gamma'' from the Ohmic form directly)
-        monkeypatch.setattr("ghzgain.opttime._ohmic_exponent_derivative",
-                            lambda model, tau: (0.0, 0.0))
+        monkeypatch.setattr("ghzgain.opttime._decay_exponent", lambda model, tau, xp=math: 0.0)
+        # (the numeric root takes Gamma' and tau Gamma'' from one function of every law)
+        monkeypatch.setattr("ghzgain.opttime._exponent_slopes",
+                            lambda model, tau, xp=math: (0.0, 0.0))
         with pytest.raises(DivergenceError, match="2\\^60 coherence times"):
             tau_opt_numeric(BathModel.ohmic(0.05, 20.0, 0.5), 0.1, 1)
 
@@ -272,14 +286,14 @@ class TestNumeric:
             assert abs(opt.tau_opt - root) <= 1e-14 * root
 
     def test_ohmic_solve_takes_few_residual_evaluations(self, monkeypatch):
-        # each evaluation of the residual and its slope is one call of the Ohmic Gamma'
-        slope, taus = opttime._ohmic_exponent_derivative, []
+        # each evaluation of the residual and its slope is one call of Gamma' and tau Gamma''
+        slope, taus = opttime._exponent_slopes, []
 
         def recording(model, tau, xp=math):
             taus.append(tau)
             return slope(model, tau, xp)
 
-        monkeypatch.setattr(opttime, "_ohmic_exponent_derivative", recording)
+        monkeypatch.setattr(opttime, "_exponent_slopes", recording)
         rng = np.random.default_rng(20261018)
         counts = []
         for _ in range(300):
@@ -298,13 +312,13 @@ class TestNumeric:
     def test_zero_overhead_never_evaluates_the_residual_at_zero(self, model, monkeypatch):
         # at tau_tilde = 0 the residual's last term is 0/0 at tau = 0; the
         # lower end of the bracket takes its limit -1 instead
-        taus = []
-        for name in ("_ohmic_exponent_derivative", "decay_exponent_derivative"):
-            def recording(model, tau, *xp, slope=getattr(opttime, name)):
-                taus.append(np.min(tau))
-                return slope(model, tau, *xp)
+        taus, slope = [], opttime._exponent_slopes
 
-            monkeypatch.setattr(opttime, name, recording)
+        def recording(model, tau, xp=math):
+            taus.append(np.min(tau))
+            return slope(model, tau, xp)
+
+        monkeypatch.setattr(opttime, "_exponent_slopes", recording)
         opt = tau_opt_numeric(model, 0.0, 100)
         assert opt.tau_opt < coherence_time(model)  # so the bracket starts at 0
         assert abs(opt.residual) < 1e-14

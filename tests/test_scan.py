@@ -68,16 +68,22 @@ def assert_same_scan(got, want):
     assert got[2] == pytest.approx(want[2], rel=1e-13)
 
 
-@pytest.mark.parametrize("kind", MODELS)
+# Markovian keys where b^2 + 8 h tau_tilde overflows: tau_tilde from 1.3e154 to 1.7e308
+OVERFLOW_MODELS = {"markovian-overflow-tiny-gamma": BathModel.markovian(1e-160),
+                   "markovian-overflow": BathModel.markovian(3.0)}
+
+
+@pytest.mark.parametrize("kind", [*MODELS, *OVERFLOW_MODELS])
 def test_array_optimum_matches_the_scalar_solver(kind):
-    model = MODELS[kind]
+    model = MODELS.get(kind) or OVERFLOW_MODELS[kind]
     rng = np.random.default_rng(20261018)
     t_c = coherence_time(model)
     n = np.round(10.0 ** rng.uniform(0.0, 6.0, 300))
     # isolated overheads run past t_c, where the timing is infeasible
     tau_tilde = rng.uniform(0.0, 1.2 if kind == "isolated" else 3.0, 300) * t_c
+    if kind in OVERFLOW_MODELS:
+        tau_tilde = 10.0 ** rng.uniform(math.log10(1.3e154), math.log10(1.7e308), 300)
     tau, rate = _optimal_sensing_times(model, tau_tilde, n)
-    sep = optimal_sensing_time(model, 0.1 * t_c, 1)
     for i in range(len(n)):
         args = (float(tau_tilde[i]), int(n[i]))
         try:
@@ -85,10 +91,16 @@ def test_array_optimum_matches_the_scalar_solver(kind):
         except InfeasibleTimingError:
             assert rate[i] == 0.0
             continue
+        except SolverError:  # at gamma = 1e-160, tau ~ 1e160 and the rate overflows
+            assert math.isnan(rate[i])
+            continue
+        if kind.startswith(("isolated", "markovian")):  # the same code on the same doubles
+            assert tau[i] == opt.tau_opt  # (the rates take np.exp and math.exp)
         # both Ohmic solvers take the same Newton steps to 4 eps relative; numpy's
         # transcendentals in the array residual move the root by ~1e-15
         assert tau[i] == pytest.approx(opt.tau_opt, rel=1e-13)
         assert rate[i] == pytest.approx(opt.objective, rel=1e-13)
+        sep = optimal_sensing_time(model, 0.1 * t_c, 1)
         # the scan's r = rate_ent / (n rate_sep)
         r = gain(model, int(n[i]), 0.1 * t_c, args[0]).r
         assert rate[i] / (n[i] * sep.objective) == pytest.approx(r, rel=1e-13)
