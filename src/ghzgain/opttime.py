@@ -48,6 +48,7 @@ from .errors import (
     check_finite_nonnegative,
     check_finite_positive,
 )
+from .qfi import _fisher
 
 __all__ = [
     "OptimalTime",
@@ -70,12 +71,9 @@ class OptimalTime:
 
 
 def _rates(weight, tau_tilde, tau, decay, xp=math):
-    """(F, F / (tau_tilde + tau)) with F = weight tau^2 decay, at floats (xp = math) or
-    elementwise over arrays (xp = numpy): weight n_eff^2 and decay exp(-2 n_eff Gamma(tau))
-    give the rate of an n_eff-particle GHZ block, weight n and decay exp(-2 Gamma(tau)) the
-    F_sep of n product-state particles.  An underflowed decay wins over an overflowing tau^2
-    (not inf * 0 = NaN).  The caller keeps tau_tilde + tau > 0 at floats, and quiets numpy."""
-    f = _WHERE[xp](decay != 0.0, weight * tau * tau * decay, 0.0)
+    """(F, F / (tau_tilde + tau)) with F = qfi._fisher(weight, tau, decay, xp), at floats or
+    over arrays; the caller keeps tau_tilde + tau > 0 at floats, and quiets numpy."""
+    f = _fisher(weight, tau, decay, xp)
     return f, f / (tau_tilde + tau)
 
 
@@ -124,7 +122,8 @@ def tau_opt_isolated(t_c: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     t_c = check_finite_positive(t_c, "coherence time")
     n_eff = check_count(n_eff, "effective particle count")
-    return optimal_sensing_time(BathModel.isolated(t_c), tau_tilde, n_eff)
+    model = BathModel.isolated(t_c)
+    return _optimum(model, tau_tilde, n_eff, *_tau_opt(model, tau_tilde, n_eff))
 
 
 def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
@@ -137,7 +136,8 @@ def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     gamma = check_finite_positive(gamma, "dephasing rate")
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
-    return optimal_sensing_time(BathModel.markovian(gamma), tau_tilde, n_eff)
+    model = BathModel.markovian(gamma)
+    return _optimum(model, tau_tilde, n_eff, *_tau_opt(model, tau_tilde, n_eff))
 
 
 def _markov_root(h, tau_tilde, xp=math):
@@ -150,7 +150,9 @@ def _markov_root(h, tau_tilde, xp=math):
     rest.  The root is 0 only where h tau_tilde underflows, and tau then underflows too."""
     where = _WHERE[xp]
     big = where(h > tau_tilde, h, tau_tilde)
-    s = xp.ldexp(1.0, -xp.frexp(where(big > 2.0 ** 500, big, 0.5))[1])  # 1 up to 2^500
+    far, s = big > 2.0 ** 500, 1.0  # s = 1 leaves every bit; frexp costs every key
+    if far if xp is math else far.any():
+        s = xp.ldexp(1.0, -xp.frexp(where(far, big, 0.5))[1])  # 1 up to 2^500
     b, t = (tau_tilde - h) * s, tau_tilde * s
     root = xp.sqrt(b * b + 8.0 * (h * s) * t)
     pos = (b >= 0.0) & (root > 0.0)
@@ -218,7 +220,8 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     eta = check_finite_positive(eta, "decay coefficient")
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
-    return optimal_sensing_time(BathModel.nonmarkovian(eta), tau_tilde, n_eff)
+    model = BathModel.nonmarkovian(eta)
+    return _optimum(model, tau_tilde, n_eff, *_tau_opt(model, tau_tilde, n_eff))
 
 
 def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, res, xp=math):

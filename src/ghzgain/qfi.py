@@ -5,9 +5,9 @@ Two routes are provided.  The closed forms
     F_sep(N, tau) = N   * tau**2 * exp(-2*Gamma(tau))
     F_ghz(N, tau) = N^2 * tau**2 * exp(-2*N*Gamma(tau))
 
-are what the rest of the package consumes.  Independently, an explicit
-density-matrix pipeline (build the prepared state, dephase each qubit,
-apply the collective phase rotation, differentiate, eigendecompose)
+are what the rest of the package consumes (by _fisher).  Independently, an
+explicit density-matrix pipeline (build the prepared state, dephase each
+qubit, apply the collective phase rotation, differentiate, eigendecompose)
 computes the same quantity by the general spectral formula
 
     F = 2 * sum_{ij} |<phi_j| drho/domega |phi_i>|^2 / (lambda_i + lambda_j)
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bath import BathModel, decay_exponent
+from .bath import _WHERE, BathModel, decay_exponent
 from .errors import (CapacityError, ValidationError, check_count, check_finite,
                      check_finite_nonnegative, check_finite_positive)
 
@@ -196,12 +196,18 @@ def qfi_eigen(rho_omega: np.ndarray, drho: np.ndarray, rank_tol: float = 1e-12) 
     return float(2.0 * np.sum(np.abs(a[mask]) ** 2 / denom[mask]))
 
 
+def _fisher(weight, tau, decay, xp=math):
+    """F = weight tau^2 decay at floats (xp = math) or elementwise over arrays (xp = numpy):
+    weight N and decay exp(-2 Gamma(tau)) for N product-state particles, weight N^2 and
+    decay exp(-2 N Gamma(tau)) for an N-particle GHZ block.  An underflowed decay wins over
+    an overflowing tau^2 (not inf * 0 = NaN)."""
+    return _WHERE[xp](decay != 0.0, weight * tau * tau * decay, 0.0)
+
+
 def qfi_separable(n: int, tau: float, model: BathModel) -> float:
     """Closed form N tau^2 exp(-2 Gamma(tau)) for the product probe state."""
     n = check_count(n, "particle count")
-    decay = math.exp(-2.0 * decay_exponent(model, tau))
-    # an underflowed decay wins over an overflowing tau^2 (not inf * 0 = nan)
-    return n * tau * tau * decay if decay else 0.0
+    return _fisher(n, tau, math.exp(-2.0 * decay_exponent(model, tau)))
 
 
 def qfi_ghz(n: int, tau: float, model: BathModel) -> float:
@@ -211,5 +217,4 @@ def qfi_ghz(n: int, tau: float, model: BathModel) -> float:
     distance N apart, hence the N-fold faster decay.
     """
     n = check_count(n, "particle count")
-    decay = math.exp(-2.0 * n * decay_exponent(model, tau))
-    return float(n) * n * tau * tau * decay if decay else 0.0
+    return _fisher(float(n) * n, tau, math.exp(-2.0 * n * decay_exponent(model, tau)))

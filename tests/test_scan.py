@@ -24,7 +24,7 @@ from ghzgain import (
     scaling_law_eval,
 )
 from ghzgain.gain import ScalingKind
-from ghzgain.opttime import _optimal_sensing_times
+from ghzgain.opttime import _optimal_sensing_times, _tau_opt
 
 gain_module = importlib.import_module("ghzgain.gain")  # the package's gain is the function
 CHUNK = gain_module._SCAN_CHUNK
@@ -91,8 +91,10 @@ def test_array_optimum_matches_the_scalar_solver(kind):
         except InfeasibleTimingError:
             assert rate[i] == 0.0
             continue
-        except SolverError:  # at gamma = 1e-160, tau ~ 1e160 and the rate overflows
+        except SolverError:  # at gamma = 1e-160, tau ~ 1e160 / n and F overflows
+            assert kind == "markovian-overflow-tiny-gamma"
             assert math.isnan(rate[i])
+            assert tau[i] == _tau_opt(model, *args)[0]  # the scalar root, bit for bit
             continue
         if kind.startswith(("isolated", "markovian")):  # the same code on the same doubles
             assert tau[i] == opt.tau_opt  # (the rates take np.exp and math.exp)
