@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bath import BathKind, BathModel, coherence_time, decay_exponent
+from .bath import BathKind, BathModel, coherence_time
 from .errors import (
     DomainError,
     InfeasibleTimingError,
@@ -112,24 +112,20 @@ def gain(model: BathModel, n: int, tau_tilde_sep: float, tau_tilde_ent: float) -
     n = check_count(n, "particle count")
     tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "separable overhead time")
     tau_tilde_ent = check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
-    sep = optimal_sensing_time(model, tau_tilde_sep, 1)
-    ent = optimal_sensing_time(model, tau_tilde_ent, n)
-    result = _gain_from_optima(model, n, tau_tilde_sep, tau_tilde_ent, sep, ent)
+    result = _gain_at_fixed_sep(model, tau_tilde_sep)(n, tau_tilde_ent)
     for field, value in vars(result).items():
         check_finite(value, field, SolverError)
     return result
 
 
-def _gain_from_optima(model: BathModel, n: int, tau_tilde_sep: float,
-                      tau_tilde_ent: float, sep: OptimalTime,
-                      ent: OptimalTime) -> GainResult:
+def _gain_from_optima(n: int, tau_tilde_sep: float, tau_tilde_ent: float,
+                      sep: OptimalTime, ent: OptimalTime) -> GainResult:
     """Assemble the gain from the separable (n_eff = 1) and GHZ (n_eff = n)
     optima, which the caller has located for these validated inputs: F_sep of n
-    product-state particles and F_ent of one n-particle GHZ block, each over its round."""
-    f_sep, rate_sep = _rates(n, tau_tilde_sep, sep.tau_opt,
-                             math.exp(-2.0 * decay_exponent(model, sep.tau_opt)))
-    f_ent, rate_ent = _rates(float(n) * n, tau_tilde_ent, ent.tau_opt,
-                             math.exp(-2.0 * n * decay_exponent(model, ent.tau_opt)))
+    product-state particles and F_ent of one n-particle GHZ block, each over its
+    round and at its optimum's decay (so rate_ent is ent.objective)."""
+    f_sep, rate_sep = _rates(n, tau_tilde_sep, sep.tau_opt, sep.decay)
+    f_ent, rate_ent = _rates(float(n) * n, tau_tilde_ent, ent.tau_opt, ent.decay)
     return GainResult(rate_ent / rate_sep, sep.tau_opt, ent.tau_opt, f_sep, f_ent,
                       tau_tilde_sep + sep.tau_opt, tau_tilde_ent + ent.tau_opt)
 
@@ -141,7 +137,7 @@ def _gain_at_fixed_sep(model: BathModel, tau_tilde_sep: float):
 
     def gain_at(n: int, tau_tilde_ent: float) -> GainResult:
         ent = optimal_sensing_time(model, tau_tilde_ent, n)
-        return _gain_from_optima(model, n, tau_tilde_sep, tau_tilde_ent, sep, ent)
+        return _gain_from_optima(n, tau_tilde_sep, tau_tilde_ent, sep, ent)
     return gain_at
 
 
@@ -172,6 +168,7 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
     the frozen-optimum step x' = r (x + tau_ent*) - tau_ent*, one GHZ solve
     each (the last none): with tau_ent* kept, the rate at x' is not optimal,
     so r(x') >= 1; a step bisects the sign bracket only if rounding leaves it.
+    200 steps that do not meet the stop test raise SolverError.
     """
     n = check_count(n, "particle count")
     tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "overhead time")
@@ -203,11 +200,11 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
         step = (at.r - 1.0) * at.round_ent
         # a next step under 1e-12 relative means |r - 1| < 1e-12 here
         if abs(step) <= 1e-12 * x or hi - lo <= 1e-15 * hi:
-            break
+            return x + step if lo <= x + step <= hi else x  # the last step needs no solve
         x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
         at = gain_at(n, x)
         lo, hi = (x, hi) if at.r > 1.0 else (lo, x)
-    return x + step if lo <= x + step <= hi else x  # the last step needs no solve
+    raise SolverError(f"no r = 1 crossing located in 200 steps: r({x!r}) = {at.r!r}")
 
 
 def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
@@ -224,8 +221,7 @@ def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
     n_eff = n if kind is ProbeKind.GHZ else 1
     opt = optimal_sensing_time(model, tau_tilde, n_eff)
     # F = n n_eff tau^2 exp(-2 n_eff Gamma): n product-state particles, or one n-particle block
-    f = _rates(float(n) * n_eff, tau_tilde, opt.tau_opt,
-               math.exp(-2.0 * n_eff * decay_exponent(model, opt.tau_opt)))[0]
+    f = _rates(float(n) * n_eff, tau_tilde, opt.tau_opt, opt.decay)[0]
     round_time = tau_tilde + opt.tau_opt
     if total_time / round_time < 10.0:
         warnings.warn(
@@ -261,68 +257,62 @@ _SCAN_CHUNK = 8192  # most sizes per array pass: 64 kB per float temporary
 _N_SEARCH_CAP = 10**9  # a scan that never stops ends; every size is an exact float
 
 
-def _scan_gains(model: BathModel, law: ScalingLaw, n_search_max: int):
-    """Yield (sizes, r) pieces covering N = 1..n_search_max in order, r = -inf
-    where the timing is infeasible; none if the separable timing is.  A scalar
-    re-solve where the array path cannot certify the optimum, or the error of a
-    non-finite entangled overhead, comes only when the caller asks for the piece
-    reaching it.  Passes start at 16 sizes and double up to _SCAN_CHUNK: an Ohmic
-    pass costs ~0.8 ms however short, and scans often stop within a few dozen."""
-    t_c = coherence_time(model)
-    tau_tilde_sep = law.base * t_c  # the law's overhead at N = 1, bit for bit
-    try:
-        sep = optimal_sensing_time(model, tau_tilde_sep, 1)
-    except InfeasibleTimingError:
-        return  # every size shares the infeasible separable timing
-    start, width = 1, 16
-    while start <= n_search_max:
-        sizes = np.arange(start, min(start + width, n_search_max + 1), dtype=float)
-        start, width = start + width, min(2 * width, _SCAN_CHUNK)
-        with np.errstate(over="ignore"):
-            tau_tilde_ent = _law_ratio(law, sizes, np) * t_c
-        rate = _optimal_sensing_times(model, tau_tilde_ent, sizes)[1]
-        if sizes[0] == 1.0:
-            rate[0] = sep.objective  # N = 1 is the separable probe: r = 1 exactly
-        r = rate / (sizes * sep.objective)
-        r[rate == 0.0] = -math.inf
-        done = 0
-        for i in np.flatnonzero(np.isnan(r)):
-            yield sizes[done:i], r[done:i]
-            n, done, overhead = int(sizes[i]), i, float(tau_tilde_ent[i])
-            check_finite_nonnegative(overhead, "entangled overhead time")
-            try:
-                ent = optimal_sensing_time(model, overhead, n)
-                r[i] = _gain_from_optima(model, n, tau_tilde_sep, overhead, sep, ent).r
-            except InfeasibleTimingError:
-                r[i] = -math.inf
-        yield sizes[done:], r[done:]
-
-
 def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, need_peak: bool):
-    """(cutoff, best_n, best_r) from one pass over N = 1..n_search_max,
-    infeasible sizes counting as below 1.  The pass stops once the gain
-    has been below 1 for 10 consecutive sizes; r(1) = 1, so some size has
-    reached 1 (all supported scalings are eventually monotone in N)."""
+    """(cutoff, best_n, best_r) over N = 1..n_search_max, r = rate_ent / rate_sep(N) as in
+    gain(), infeasible sizes (all, where the separable timing is) counting as below 1.
+    The scan stops once the gain has been below 1 for 10 consecutive sizes; r(1) = 1, so
+    some size has reached 1 (all supported scalings are eventually monotone in N).  Array
+    passes start at 16 sizes and double up to _SCAN_CHUNK (an Ohmic pass costs ~0.8 ms
+    however short, and scans often stop within a few dozen); a size they cannot certify
+    is re-solved, or its non-finite overhead rejected, in size order, unless a stop
+    comes before it."""
     if check_count(n_search_max, "n_search_max") < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
     if n_search_max > _N_SEARCH_CAP:
         raise DomainError(f"n_search_max must be <= {_N_SEARCH_CAP}, got {n_search_max!r}")
+    t_c = coherence_time(model)
+    tau_tilde_sep = law.base * t_c  # the law's overhead at N = 1, bit for bit
+    try:
+        sep, stopped = optimal_sensing_time(model, tau_tilde_sep, 1), False
+    except InfeasibleTimingError:
+        stopped = True  # every size shares the infeasible separable timing
     last_qualifying, best_n, best_r, r_last = 0, 0, -math.inf, -math.inf
-    for sizes, r in _scan_gains(model, law, n_search_max):
-        if not sizes.size:
-            continue
-        # the last qualifying size at or before each N; N minus it is the
-        # count of consecutive sizes below 1
-        last = np.maximum.accumulate(np.where(r >= 1.0, sizes, last_qualifying))
-        stop = np.flatnonzero(sizes - last >= 10.0)[:1]
-        if stop.size:
-            sizes, r, last = sizes[:stop[0] + 1], r[:stop[0] + 1], last[:stop[0] + 1]
-        peak = np.argmax(r)
-        if r[peak] > best_r:
-            best_n, best_r = int(sizes[peak]), float(r[peak])
-        last_qualifying, r_last = int(last[-1]), r[-1]
-        if stop.size:
-            break
+    start, width = 1, 16
+    while not stopped and start <= n_search_max:
+        sizes = np.arange(start, min(start + width, n_search_max + 1), dtype=float)
+        start, width = start + width, min(2 * width, _SCAN_CHUNK)
+        with np.errstate(over="ignore"):
+            tau_tilde_ent = _law_ratio(law, sizes, np) * t_c
+            rate_sep = _rates(sizes, tau_tilde_sep, sep.tau_opt, sep.decay, np)[1]
+        rate = _optimal_sensing_times(model, tau_tilde_ent, sizes)[1]
+        if sizes[0] == 1.0:
+            rate[0] = sep.objective  # N = 1 is the separable probe: r = 1 exactly
+        r = rate / rate_sep
+        r[rate_sep == math.inf] = math.nan  # re-solved, then rejected as gain() rejects it
+        r[rate == 0.0] = -math.inf
+        # pieces that each start at 0 or at an uncertified size
+        starts = sorted({0, *np.flatnonzero(np.isnan(r)).tolist()})
+        for i, end in zip(starts, [*starts[1:], r.size]):
+            if math.isnan(r[i]):
+                overhead = check_finite_nonnegative(float(tau_tilde_ent[i]),
+                                                    "entangled overhead time")
+                try:
+                    ent = optimal_sensing_time(model, overhead, int(sizes[i]))
+                    r[i] = ent.objective / check_finite(float(rate_sep[i]), "f_sep", SolverError)
+                except InfeasibleTimingError:
+                    r[i] = -math.inf
+            # the last qualifying size at or before each N; N minus it is the
+            # count of consecutive sizes below 1
+            last = np.maximum.accumulate(np.where(r[i:end] >= 1.0, sizes[i:end],
+                                                  last_qualifying))
+            stop = np.flatnonzero(sizes[i:end] - last >= 10.0)
+            stopped, end = stop.size > 0, (i + int(stop[0]) + 1 if stop.size else end)
+            peak = i + int(np.argmax(r[i:end]))
+            if r[peak] > best_r:
+                best_n, best_r = int(sizes[peak]), float(r[peak])
+            last_qualifying, r_last = int(last[end - i - 1]), r[end - 1]
+            if stopped:
+                break
     if need_peak and best_n == 0:
         raise InfeasibleTimingError("every scanned ensemble size has infeasible timing")
     if r_last > 1.0:  # only a pass that ran to the end stops above 1

@@ -62,12 +62,14 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class OptimalTime:
-    """A located optimum: the time, the rate it achieves, and the
-    stationarity defect there (0 by convention for boundary optima)."""
+    """A located optimum: the time, the rate it achieves, the stationarity defect
+    there (0 by convention for boundary optima), and the decay exp(-2 n_eff
+    Gamma(tau_opt)) in (0, 1] that the rate and every F at this optimum take."""
 
     tau_opt: float
     objective: float
     residual: float
+    decay: float
 
 
 def _rates(weight, tau_tilde, tau, decay, xp=math):
@@ -93,13 +95,13 @@ def _optimum(model: BathModel, tau_tilde: float, n_eff: int, tau: float,
                 "no sensing time remains"
             )
         raise SolverError(f"optimal time underflows at n_eff = {n_eff!r} for {model.to_dict()}")
-    rate = _rates(1.0 * n_eff * n_eff, tau_tilde, tau,
-                  math.exp(-2.0 * n_eff * _decay_exponent(model, tau)))[1]
+    decay = math.exp(-2.0 * n_eff * _decay_exponent(model, tau))
+    rate = _rates(1.0 * n_eff * n_eff, tau_tilde, tau, decay)[1]
     if not 0.0 < rate < math.inf:
         raise SolverError(f"optimal information rate {rate!r} is not finite and > 0")
     if residual is None:
         residual = _residual(_exponent_slopes(model, tau)[0], tau_tilde, n_eff, tau)
-    return OptimalTime(tau, rate, residual)
+    return OptimalTime(tau, rate, residual, decay)
 
 
 def stationarity_residual(model: BathModel, tau_tilde: float, n_eff: int, tau: float) -> float:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath import BathModel, _decay_exponent, coherence_time, decay_exponent
+from .bath import BathModel, _decay_exponent, coherence_time
 from .errors import (InfeasibleTimingError, SolverError, ValidationError, check_fields,
                      check_finite_nonnegative, check_number)
 from .opttime import _optimal_sensing_times, _rates, optimal_sensing_time
@@ -268,19 +268,19 @@ def _grid(config: SweepConfig) -> dict:
 
 def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
     """[tau_opt, exp(-2 n_eff Gamma(tau_opt))] at keys tau_tilde + 1j n_eff, tau NaN where
-    infeasible; what the array pass cannot certify, the scalar solver and Gamma redo."""
+    infeasible; what the array pass cannot certify, the scalar solver redoes."""
     tau_tilde, n_eff = keys.real, keys.imag
     tau, rate = _optimal_sensing_times(model, tau_tilde, n_eff)
     with np.errstate(all="ignore"):
-        g = _decay_exponent(model, tau, np)
+        exponent = -2.0 * n_eff * _decay_exponent(model, tau, np)
+    decay = [math.exp(x) for x in exponent.tolist()]  # gain()'s math.exp, not np.exp
     for i in np.flatnonzero(np.isnan(rate)).tolist():
         try:
-            tau[i] = optimal_sensing_time(model, float(tau_tilde[i]), int(n_eff[i])).tau_opt
-            g[i] = decay_exponent(model, tau[i])
+            opt = optimal_sensing_time(model, float(tau_tilde[i]), int(n_eff[i]))
+            tau[i], decay[i] = opt.tau_opt, opt.decay
         except InfeasibleTimingError:
             rate[i] = 0.0
     tau[rate == 0.0] = math.nan
-    decay = [math.exp(x) for x in (-2.0 * n_eff * g).tolist()]  # gain()'s math.exp, not np.exp
     return np.array([tau, decay])
 
 

@@ -80,8 +80,8 @@ CLOSED_FORMS = {"isolated": (tau_opt_isolated, "t_c"), "markovian": (tau_opt_mar
 
 
 def assert_checked(call):
-    """call() returns a finite result, an optimum with a rate in (0, inf), or
-    raises a GhzGainError."""
+    """call() returns a finite result, an optimum with a rate in (0, inf) and a
+    decay in (0, 1], or raises a GhzGainError."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # precision_opt's few-rounds warning
@@ -92,6 +92,7 @@ def assert_checked(call):
         assert 0.0 < result.tau_opt < math.inf, result
         assert 0.0 < result.objective < math.inf, result
         assert math.isfinite(result.residual), result
+        assert 0.0 < result.decay <= 1.0, result
     else:
         assert 0.0 < result < math.inf, result
 

@@ -150,6 +150,23 @@ class TestGain:
         with pytest.raises(SolverError, match="not finite and > 0"):
             gain(BathModel.markovian(1e300), 4, 0.1, 0.1)
 
+    def test_each_optimum_is_priced_once(self, monkeypatch):
+        # the Ohmic roots take Gamma' and Gamma'' only; Gamma itself is
+        # evaluated once per optimum, for its decay, and reused by the gain
+        bath_module = importlib.import_module("ghzgain.bath")
+        model = BathModel.ohmic(0.05, 20.0, 0.5)
+        coherence_time(model)  # cached, as after any earlier call
+        calls = []
+        exponent = bath_module._ohmic_exponent
+
+        def counting(model, tau, xp=math):
+            calls.append(tau)
+            return exponent(model, tau, xp)
+
+        monkeypatch.setattr(bath_module, "_ohmic_exponent", counting)
+        result = gain(model, 10, 0.01, 0.02)
+        assert calls == [result.tau_opt_sep, result.tau_opt_ent]
+
 
 # Public entry points that take a particle count (or a scan limit), each
 # called with that count as its only free argument.
@@ -318,7 +335,7 @@ class TestThreshold:
         gain_module = importlib.import_module("ghzgain.gain")
 
         def fake_gain_factory(r_value):
-            def fake(model, n, tts, tte, sep, ent):
+            def fake(n, tts, tte, sep, ent):
                 return gain_module.GainResult(r_value, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
             return fake
 
@@ -332,6 +349,24 @@ class TestThreshold:
         with pytest.raises(NoThresholdError) as info:
             gain_module.threshold_ent_time(model, 4, 0.3)
         assert info.value.side == "above"
+
+    def test_unconverged_threshold_is_a_solver_error(self, monkeypatch, capsys):
+        # r = 1.001 below x = 0.5 with a round of 1e-9: each step moves x by
+        # only 1e-12, so 200 steps end near x = 2e-10, where r is still 1.001
+        gain_module = importlib.import_module("ghzgain.gain")
+        from ghzgain import cli
+
+        def fake(n, tts, tte, sep, ent):
+            r = 1.001 if tte < 0.5 else 0.5
+            return gain_module.GainResult(r, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-9)
+
+        monkeypatch.setattr(gain_module, "_gain_from_optima", fake)
+        with pytest.raises(SolverError, match="in 200 steps"):
+            threshold_ent_time(BathModel.nonmarkovian(1.0), 4, 0.3)
+        argv = ["threshold", "--model", "nonmarkovian", "--eta", "1", "--n", "4",
+                "--ttilde-sep", "0.3"]
+        assert cli.cli_main(argv) == 4
+        assert "solver failure" in capsys.readouterr().err
 
     def test_zero_overhead_zero_threshold(self):
         assert threshold_ent_time(BathModel.markovian(2.0), 13, 0.0) == 0.0
@@ -523,7 +558,7 @@ class TestMonotonicity:
 
         bumpy = iter([3.0, 2.0, 2.5, 1.0])
 
-        def fake(model, n, tts, tte, sep, ent):
+        def fake(n, tts, tte, sep, ent):
             return gain_module.GainResult(next(bumpy), 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
         monkeypatch.setattr(gain_module, "_gain_from_optima", fake)

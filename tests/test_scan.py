@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghzgain import (
+    BathKind,
     BathModel,
     DomainError,
     InfeasibleTimingError,
@@ -24,7 +25,7 @@ from ghzgain import (
     scaling_law_eval,
 )
 from ghzgain.gain import ScalingKind
-from ghzgain.opttime import _optimal_sensing_times, _tau_opt
+from ghzgain.opttime import _optimal_sensing_times, _rates, _tau_opt
 
 gain_module = importlib.import_module("ghzgain.gain")  # the package's gain is the function
 CHUNK = gain_module._SCAN_CHUNK
@@ -63,9 +64,12 @@ def oracle_scan(model, law, n_search_max):
     return last_qualifying, best_n, best_r
 
 
-def assert_same_scan(got, want):
+def assert_same_scan(got, want, model):
     assert got[:2] == want[:2]
-    assert got[2] == pytest.approx(want[2], rel=1e-13)
+    if model.kind is BathKind.ISOLATED:  # decay 1: the same operations on the same doubles
+        assert got[2] == want[2]
+    else:  # the array rate takes np.exp, gain() math.exp
+        assert got[2] == pytest.approx(want[2], rel=1e-13)
 
 
 # Markovian keys where b^2 + 8 h tau_tilde overflows: tau_tilde from 1.3e154 to 1.7e308
@@ -103,9 +107,10 @@ def test_array_optimum_matches_the_scalar_solver(kind):
         assert tau[i] == pytest.approx(opt.tau_opt, rel=1e-13)
         assert rate[i] == pytest.approx(opt.objective, rel=1e-13)
         sep = optimal_sensing_time(model, 0.1 * t_c, 1)
-        # the scan's r = rate_ent / (n rate_sep)
+        # the scan's r = rate_ent / rate_sep(n)
         r = gain(model, int(n[i]), 0.1 * t_c, args[0]).r
-        assert rate[i] / (n[i] * sep.objective) == pytest.approx(r, rel=1e-13)
+        assert rate[i] / _rates(n[i], 0.1 * t_c, sep.tau_opt, sep.decay)[1] == pytest.approx(
+            r, rel=1e-13)
 
 
 @pytest.mark.parametrize("model, tau_tilde, n_eff", [
@@ -183,7 +188,7 @@ SCANS |= {case: (BathModel.isolated(1.0), chunk_edge_law(end - offset), 3 * CHUN
 def test_scan_matches_a_per_size_gain_loop(case):
     model, law, limit = SCANS[case]
     want = oracle_scan(model, law, limit)
-    assert_same_scan(n_cutoff_and_max_gain(model, law, limit), want)
+    assert_same_scan(n_cutoff_and_max_gain(model, law, limit), want, model)
     if case in EDGES:
         end, offset = EDGES[case]
         assert want[0] + offset == end
@@ -216,6 +221,16 @@ def test_overflowing_law_raises_where_the_loop_does():
         n_cutoff_and_max_gain(BathModel.isolated(1e300), ScalingLaw("constant", 1e10), 300)
 
 
+def test_overflowing_separable_fisher_raises_where_the_loop_does():
+    # t_c = 1e154: F_sep = N tau_sep^2 overflows from N = 8 on, where gain()
+    # raises, and the scan reaches N = 8 before it can stop at N = 11
+    model, law = BathModel.markovian(1e-154), ScalingLaw("constant", 1e-6)
+    with pytest.raises(SolverError, match="f_sep must be finite, got inf"):
+        oracle_scan(model, law, 300)
+    with pytest.raises(SolverError, match="f_sep must be finite, got inf"):
+        n_cutoff_and_max_gain(model, law, 300)
+
+
 RATE = st.floats(0.05, 20.0)
 BATHS = st.one_of(st.builds(BathModel.isolated, RATE), st.builds(BathModel.markovian, RATE),
                   st.builds(BathModel.nonmarkovian, RATE),
@@ -240,9 +255,9 @@ def test_every_feasible_scan_gains_exactly_1_at_one_particle(model, law):
 def test_flat_gain_peaks_at_the_smallest_size_and_reaches_1_at_the_end(monkeypatch):
     model = BathModel.markovian(1.0)
     sep = optimal_sensing_time(model, 0.1, 1)
-    # r = 1 exactly at every size, across three chunks
-    monkeypatch.setattr(gain_module, "_optimal_sensing_times",
-                        lambda model, tau_tilde, n_eff: (tau_tilde, n_eff * sep.objective))
+    # rate = rate_sep(N): r = 1 exactly at every size, across three chunks
+    monkeypatch.setattr(gain_module, "_optimal_sensing_times", lambda model, tau_tilde, n_eff: (
+        tau_tilde, _rates(n_eff, 0.1, sep.tau_opt, sep.decay, np)[1]))
     limit = 3 * CHUNK
     assert n_cutoff_and_max_gain(model, ScalingLaw("constant", 0.1), limit) == (limit, 1, 1.0)
 
@@ -270,7 +285,7 @@ def test_uncertified_sizes_are_re_solved_in_order(uncertified, gain_solves):
     # N = 158; later ones are never solved
     assert gain_solves == [(0.05, 1)] + [(0.05 * math.sqrt(n), n)
                                          for n in (2, 12, 100, 148, 158)]
-    assert_same_scan(got, oracle_scan(model, law, limit))
+    assert_same_scan(got, oracle_scan(model, law, limit), model)
 
 
 def test_a_solver_error_past_the_stop_is_never_raised(uncertified, monkeypatch):

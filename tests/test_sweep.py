@@ -292,13 +292,25 @@ GOLDEN_PANELS = {
 }
 
 
-def golden_panel_config(name):
+# The sha256 of panels a-d on their full 200x200 grids, as CSV.  Every array
+# operation on them is correctly rounded or math.exp, so the bytes do not depend
+# on numpy's vectorised transcendentals (panels e and f take the cubic's arccos,
+# cos and cube root).
+FULL_PANEL_SHA256 = {
+    "a": "3f1a44bc75bd87d24819e717e02f3dc93757f90e4dea34b35012d5784ca1fbf1",
+    "b": "91121082330ec5b1084872283158372a15be8544722200a8dec53ac153e9cbcd",
+    "c": "6f9badb368c3540558e53da6cb0d8fa5fdaa0be360c49e2b8d9a0119396ec42e",
+    "d": "412d60a932f8f8074430e7dcaf8fd9114c0e1876b5adce30e282c21842eefe54",
+}
+
+
+def golden_panel_config(name, points=40):
     model, (col, lo, hi, spacing), x_ent_max, fixed, _ = GOLDEN_PANELS[name]
     return config_from_dict({
         "model": model,
         "axes": {
-            col: {"min": lo, "max": hi, "points": 40, "spacing": spacing},
-            "x_ent": {"min": 0.0, "max": x_ent_max, "points": 40},
+            col: {"min": lo, "max": hi, "points": points, "spacing": spacing},
+            "x_ent": {"min": 0.0, "max": x_ent_max, "points": points},
         },
         "fixed": fixed,
         "output": {"format": "csv", "path": "unused.csv"},
@@ -355,6 +367,11 @@ class TestSharedSolves:
     def test_panel_csv_matches_golden_hash(self, name):
         text = rows_to_csv(run_sweep(golden_panel_config(name)))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PANELS[name][-1]
+
+    @pytest.mark.parametrize("name", sorted(FULL_PANEL_SHA256))
+    def test_full_size_panel_csv_matches_its_hash(self, name):
+        text = rows_to_csv(run_sweep(golden_panel_config(name, points=200)))
+        assert hashlib.sha256(text.encode()).hexdigest() == FULL_PANEL_SHA256[name]
 
     @pytest.mark.parametrize("config", [
         lambda: golden_panel_config("c"), lambda: golden_panel_config("f"), shared_key_config,
