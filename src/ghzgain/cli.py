@@ -27,7 +27,7 @@ from .opttime import optimal_sensing_time
 from .qfi import qfi_ghz, qfi_separable
 from .sweep import format_sig, load_config, run_sweep, save_rows
 
-_MODEL_FIELDS = ("tc", "gamma", "eta", "alpha", "omega_c", "beta")
+_MODEL_FIELDS = ("t_c", "gamma", "eta", "alpha", "omega_c", "beta")
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
@@ -37,7 +37,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         choices=["isolated", "markovian", "nonmarkovian", "ohmic"],
         help="bath model kind",
     )
-    parser.add_argument("--tc", type=float, help="coherence time (isolated)")
+    parser.add_argument("--tc", type=float, dest="t_c", help="coherence time (isolated)")
     parser.add_argument("--gamma", type=float, help="dephasing rate (markovian)")
     parser.add_argument("--eta", type=float, help="decay coefficient (nonmarkovian)")
     parser.add_argument("--alpha", type=float, help="coupling strength (ohmic)")
@@ -46,13 +46,9 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _model_from_args(args: argparse.Namespace) -> BathModel:
-    data = {"kind": args.model}
-    for field in _MODEL_FIELDS:
-        value = getattr(args, field)
-        if value is not None:
-            key = "t_c" if field == "tc" else field
-            data[key] = value
-    return BathModel.from_dict(data)
+    values = {field: getattr(args, field) for field in _MODEL_FIELDS}
+    data = {field: value for field, value in values.items() if value is not None}
+    return BathModel.from_dict({"kind": args.model, **data})
 
 
 def _emit(payload: dict, as_json: bool) -> None:

@@ -254,6 +254,7 @@ def _law_ratio(law: ScalingLaw, n, xp):
 
 
 _SCAN_CHUNK = 8192  # most sizes per array pass: 64 kB per float temporary
+_TIE = 4.0 * math.ulp(1.0)  # r within this, relative, of the largest r ties: the smaller N wins
 _N_SEARCH_CAP = 10**9  # a scan that never stops ends; every size is an exact float
 
 
@@ -265,7 +266,8 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
     passes start at 16 sizes and double up to _SCAN_CHUNK (an Ohmic pass costs ~0.8 ms
     however short, and scans often stop within a few dozen); a size they cannot certify
     is re-solved, or its non-finite overhead rejected, in size order, unless a stop
-    comes before it."""
+    comes before it.  The peak is the smallest N whose r is within _TIE of the largest r
+    scanned, so rounding noise where r is flat at 1 does not pick it."""
     if check_count(n_search_max, "n_search_max") < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
     if n_search_max > _N_SEARCH_CAP:
@@ -276,7 +278,7 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
         sep, stopped = optimal_sensing_time(model, tau_tilde_sep, 1), False
     except InfeasibleTimingError:
         stopped = True  # every size shares the infeasible separable timing
-    last_qualifying, best_n, best_r, r_last = 0, 0, -math.inf, -math.inf
+    last_qualifying, near, top, r_last = 0, [], -math.inf, -math.inf
     start, width = 1, 16
     while not stopped and start <= n_search_max:
         sizes = np.arange(start, min(start + width, n_search_max + 1), dtype=float)
@@ -290,29 +292,30 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
         r = rate / rate_sep
         r[rate_sep == math.inf] = math.nan  # re-solved, then rejected as gain() rejects it
         r[rate == 0.0] = -math.inf
-        # pieces that each start at 0 or at an uncertified size
-        starts = sorted({0, *np.flatnonzero(np.isnan(r)).tolist()})
-        for i, end in zip(starts, [*starts[1:], r.size]):
-            if math.isnan(r[i]):
-                overhead = check_finite_nonnegative(float(tau_tilde_ent[i]),
-                                                    "entangled overhead time")
-                try:
-                    ent = optimal_sensing_time(model, overhead, int(sizes[i]))
-                    r[i] = ent.objective / check_finite(float(rate_sep[i]), "f_sep", SolverError)
-                except InfeasibleTimingError:
-                    r[i] = -math.inf
-            # the last qualifying size at or before each N; N minus it is the
-            # count of consecutive sizes below 1
-            last = np.maximum.accumulate(np.where(r[i:end] >= 1.0, sizes[i:end],
-                                                  last_qualifying))
-            stop = np.flatnonzero(sizes[i:end] - last >= 10.0)
-            stopped, end = stop.size > 0, (i + int(stop[0]) + 1 if stop.size else end)
-            peak = i + int(np.argmax(r[i:end]))
-            if r[peak] > best_r:
-                best_n, best_r = int(sizes[peak]), float(r[peak])
-            last_qualifying, r_last = int(last[end - i - 1]), r[end - 1]
-            if stopped:
+        while True:  # re-solve the first uncertified size unless a stop comes before it
+            # the last qualifying size at or before each N: N - last sizes below 1 in a row
+            last = np.maximum.accumulate(np.where(r >= 1.0, sizes, last_qualifying))
+            halt = np.flatnonzero(np.isnan(r) | (sizes - last >= 10.0))
+            if not (halt.size and math.isnan(r[halt[0]])):
                 break
+            i = int(halt[0])
+            overhead = check_finite_nonnegative(float(tau_tilde_ent[i]), "entangled overhead time")
+            try:
+                ent = optimal_sensing_time(model, overhead, int(sizes[i]))
+                r[i] = ent.objective / check_finite(float(rate_sep[i]), "f_sep", SolverError)
+            except InfeasibleTimingError:
+                r[i] = -math.inf
+        stopped = halt.size > 0
+        r = r[:int(halt[0]) + 1] if stopped else r
+        # near gets each size within _TIE of the largest r so far whose r tops every earlier
+        # r; the peak is the first size in near within _TIE of the scan's largest r
+        prior, top = top, max(top, float(r.max()))
+        for j in np.flatnonzero(r >= top * (1.0 - _TIE)).tolist():
+            if r[j] > prior:
+                prior = float(r[j])
+                near.append((int(sizes[j]), prior))
+        last_qualifying, r_last = int(last[r.size - 1]), r[-1]
+    best_n, best_r = next(((n, x) for n, x in near if x >= top * (1.0 - _TIE)), (0, -math.inf))
     if need_peak and best_n == 0:
         raise InfeasibleTimingError("every scanned ensemble size has infeasible timing")
     if r_last > 1.0:  # only a pass that ran to the end stops above 1

@@ -121,11 +121,8 @@ def tau_opt_isolated(t_c: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     Without dephasing the rate grows with tau, so the whole round is
     capped at the coherence time and sensing takes what overhead leaves.
     """
-    tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     t_c = check_finite_positive(t_c, "coherence time")
-    n_eff = check_count(n_eff, "effective particle count")
-    model = BathModel.isolated(t_c)
-    return _optimum(model, tau_tilde, n_eff, *_tau_opt(model, tau_tilde, n_eff))
+    return optimal_sensing_time(BathModel.isolated(t_c), tau_tilde, n_eff)
 
 
 def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
@@ -136,10 +133,7 @@ def tau_opt_markov(gamma: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     with g = n_eff * gamma.
     """
     gamma = check_finite_positive(gamma, "dephasing rate")
-    tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
-    n_eff = check_count(n_eff, "effective particle count")
-    model = BathModel.markovian(gamma)
-    return _optimum(model, tau_tilde, n_eff, *_tau_opt(model, tau_tilde, n_eff))
+    return optimal_sensing_time(BathModel.markovian(gamma), tau_tilde, n_eff)
 
 
 def _markov_root(h, tau_tilde, xp=math):
@@ -220,10 +214,7 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     overhead.  An n_eff * eta past the largest float raises SolverError.
     """
     eta = check_finite_positive(eta, "decay coefficient")
-    tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
-    n_eff = check_count(n_eff, "effective particle count")
-    model = BathModel.nonmarkovian(eta)
-    return _optimum(model, tau_tilde, n_eff, *_tau_opt(model, tau_tilde, n_eff))
+    return optimal_sensing_time(BathModel.nonmarkovian(eta), tau_tilde, n_eff)
 
 
 def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, res, xp=math):
@@ -232,19 +223,17 @@ def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, res, xp=math):
     <= x/3 give Gamma' <= 2 eta0 tau, eta0 = alpha omega_c^2/2 + alpha (pi/beta)^2/6, so
     the residual is <= 4 (tau/t)^2 - 1 - tau_tilde/(tau_tilde + tau), t = 1/sqrt(n_eff
     eta0), which is <= 0 at tau0 = (t/2) sqrt(1 + tau_tilde/(tau_tilde + t/sqrt 2)) <=
-    t/sqrt 2.  So lo = tau0, and up is the larger of 2 tau0 and the finite optimum of
-    the Markov limit gamma = alpha pi/beta; but where rounding, or eta0 past 1e300,
+    t/sqrt 2.  So lo = tau0, and up is the larger of 2 tau0 and _markov_root's optimum
+    of the Markov limit gamma = alpha pi/beta; but where rounding, or eta0 past 1e300,
     leaves the residual at tau0 > 0, the bracket is [0, tau0], with res(0) = NaN: it is
     not evaluated."""
     k = math.pi / model.beta
     eta0 = model.alpha * (0.5 * model.omega_c * model.omega_c + k * k / 6.0)
     t = 1.0 / (xp.sqrt(n_eff) * math.sqrt(min(max(eta0, 1e-300), 1e300)))  # tau0 > 0
     tau0 = 0.5 * t * xp.sqrt(1.0 + tau_tilde / (tau_tilde + math.sqrt(0.5) * t))
-    h = 0.5 / (n_eff * max(model.alpha * k, 1e-300))
-    b = tau_tilde - h
-    markov = 0.5 * (xp.sqrt(b * b + 8.0 * h * tau_tilde) - b)
+    markov = _markov_root(0.5 / (n_eff * max(model.alpha * k, 1e-300)), tau_tilde, xp)
     where = _WHERE[xp]
-    up = where((2.0 * tau0 < markov) & (markov < math.inf), markov, 2.0 * tau0)
+    up = where(2.0 * tau0 < markov, markov, 2.0 * tau0)
     f0, df0 = res(tau0)
     ok = f0 <= 0.0
     f_lo = where(ok, f0, math.nan), where(ok, df0, math.nan)

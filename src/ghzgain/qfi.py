@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 MAX_QUBITS = 12
+# validate_density_matrix's bounds on the largest |rho - rho^H| entry and on |tr rho - 1|,
+# and its floor on the least eigenvalue; qfi_eigen's Hermiticity bound is the first
+_HERM_TOL, _TRACE_TOL, _EIG_FLOOR = 1e-12, 1e-12, -1e-10
 
 
 class ProbeKind(str, Enum):
@@ -106,15 +109,14 @@ def _magnetization(n: int) -> np.ndarray:
     return n - 2 * _popcounts(2**n).astype(np.int64)
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                            trace_tol: float = 1e-12, eig_floor: float = -1e-10) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Check Hermiticity, unit trace and positivity; raise ValidationError."""
     _num_qubits(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > _HERM_TOL:
         raise ValidationError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
         raise ValidationError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < eig_floor:
+    if np.linalg.eigvalsh(rho).min() < _EIG_FLOOR:
         raise ValidationError("density matrix has a negative eigenvalue")
 
 
@@ -187,8 +189,8 @@ def qfi_eigen(rho_omega: np.ndarray, drho: np.ndarray, rank_tol: float = 1e-12) 
             f"shape mismatch: rho {rho_omega.shape} vs drho {drho.shape}"
         )
     for name, mat in (("rho", rho_omega), ("drho", drho)):
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValidationError(f"{name} is not Hermitian within 1e-12")
+        if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
+            raise ValidationError(f"{name} is not Hermitian within {_HERM_TOL:g}")
     evals, evecs = np.linalg.eigh(rho_omega)
     a = evecs.conj().T @ drho @ evecs
     denom = evals[:, None] + evals[None, :]

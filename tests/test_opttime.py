@@ -508,3 +508,17 @@ def test_ohmic_bracket_starts_below_the_root(alpha, omega_c, beta, x, n_eff):
                                     lambda t: tuple(np.array([v]) for v in res(float(t[0]))), np)
     assert [float(arrays[0][0]), float(arrays[2][0])] == [lo, up]
     assert np.array_equal(np.concatenate(arrays[1]), f_lo, equal_nan=True)
+
+
+# at tau_tilde = 1e10 the textbook root (sqrt(b^2 + 8 h tau_tilde) - b)/2 loses its
+# digits to cancellation, and at 1e200 the square under the root overflows
+@pytest.mark.parametrize("tau_tilde", [1e10, 1e200])
+def test_ohmic_bracket_trial_is_the_markov_limit_root(tau_tilde):
+    model = BathModel.ohmic(0.05, 20.0, 0.5)
+
+    def res(t):
+        return stationarity_residual(model, tau_tilde, 1, t), t
+
+    up = opttime._ohmic_bracket(model, tau_tilde, 1, res)[2]
+    exact = exact_markov_root(model.alpha * (math.pi / model.beta), tau_tilde, 1)
+    assert abs(up - exact) <= 1e-15 * exact
