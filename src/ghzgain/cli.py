@@ -71,8 +71,7 @@ def _emit(payload: dict, as_json: bool) -> None:
             print(f"{key} = {value}")
 
 
-def _cmd_bath(args) -> dict:
-    model = _model_from_args(args)
+def _cmd_bath(args, model: BathModel) -> dict:
     payload = {
         "decay_exponent": decay_exponent(model, args.tau),
         "decay_exponent_derivative": decay_exponent_derivative(model, args.tau),
@@ -85,16 +84,14 @@ def _cmd_bath(args) -> dict:
     return payload
 
 
-def _cmd_qfi(args) -> dict:
-    model = _model_from_args(args)
+def _cmd_qfi(args, model: BathModel) -> dict:
     return {
         "f_sep": qfi_separable(args.n, args.tau, model),
         "f_ent": qfi_ghz(args.n, args.tau, model),
     }
 
 
-def _cmd_tau_opt(args) -> dict:
-    model = _model_from_args(args)
+def _cmd_tau_opt(args, model: BathModel) -> dict:
     tts = args.ttilde_sep if args.ttilde_sep is not None else args.ttilde
     tte = args.ttilde_ent if args.ttilde_ent is not None else args.ttilde
     sep = optimal_sensing_time(model, tts, 1)
@@ -107,20 +104,17 @@ def _cmd_tau_opt(args) -> dict:
     }
 
 
-def _cmd_gain(args) -> dict:
-    model = _model_from_args(args)
+def _cmd_gain(args, model: BathModel) -> dict:
     return dataclasses.asdict(gain(model, args.n, args.ttilde_sep, args.ttilde_ent))
 
 
-def _cmd_threshold(args) -> dict:
-    model = _model_from_args(args)
+def _cmd_threshold(args, model: BathModel) -> dict:
     return {
         "ttilde_ent_threshold": threshold_ent_time(model, args.n, args.ttilde_sep)
     }
 
 
-def _cmd_cutoff(args) -> dict:
-    model = _model_from_args(args)
+def _cmd_cutoff(args, model: BathModel) -> dict:
     law = ScalingLaw(args.law, args.base)
     tau_tilde_sep = format_sig(law.base * coherence_time(model))  # the scan's, to 12 digits
     if args.ttilde_sep is not None and format_sig(args.ttilde_sep) != tau_tilde_sep:
@@ -150,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_model:
             _add_model_arguments(p)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=(lambda args: handler(args, _model_from_args(args)))
+                       if with_model else handler)
         return p
 
     p = command("bath", _cmd_bath, "decay exponent, its derivative and t_c")

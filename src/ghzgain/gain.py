@@ -112,10 +112,7 @@ def gain(model: BathModel, n: int, tau_tilde_sep: float, tau_tilde_ent: float) -
     n = check_count(n, "particle count")
     tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "separable overhead time")
     tau_tilde_ent = check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
-    result = _gain_at_fixed_sep(model, tau_tilde_sep)(n, tau_tilde_ent)
-    for field, value in vars(result).items():
-        check_finite(value, field, SolverError)
-    return result
+    return _gain_at_fixed_sep(model, tau_tilde_sep)(n, tau_tilde_ent)
 
 
 def _gain_from_optima(n: int, tau_tilde_sep: float, tau_tilde_ent: float,
@@ -123,11 +120,16 @@ def _gain_from_optima(n: int, tau_tilde_sep: float, tau_tilde_ent: float,
     """Assemble the gain from the separable (n_eff = 1) and GHZ (n_eff = n)
     optima, which the caller has located for these validated inputs: F_sep of n
     product-state particles and F_ent of one n-particle GHZ block, each over its
-    round and at its optimum's decay (so rate_ent is ent.objective)."""
+    round and at its optimum's decay (so rate_ent is ent.objective).  The first
+    field that is not finite, in field order, raises SolverError."""
     f_sep, rate_sep = _rates(n, tau_tilde_sep, sep.tau_opt, sep.decay)
     f_ent, rate_ent = _rates(float(n) * n, tau_tilde_ent, ent.tau_opt, ent.decay)
-    return GainResult(rate_ent / rate_sep, sep.tau_opt, ent.tau_opt, f_sep, f_ent,
-                      tau_tilde_sep + sep.tau_opt, tau_tilde_ent + ent.tau_opt)
+    result = GainResult(rate_ent / rate_sep, sep.tau_opt, ent.tau_opt, f_sep, f_ent,
+                        tau_tilde_sep + sep.tau_opt, tau_tilde_ent + ent.tau_opt)
+    if not result.r + f_sep + f_ent + result.round_sep + result.round_ent < math.inf:
+        for field, value in vars(result).items():
+            check_finite(value, field, SolverError)
+    return result
 
 
 def _gain_at_fixed_sep(model: BathModel, tau_tilde_sep: float):
@@ -152,9 +154,7 @@ def gain_isolated(n: int, x_sep: float, x_ent: float) -> float:
     x_sep, x_ent = check_finite_nonnegative(x_sep, "x_sep"), check_finite_nonnegative(x_ent, "x_ent")
     for name, x in (("x_sep", x_sep), ("x_ent", x_ent)):
         if x >= 1.0:
-            raise InfeasibleTimingError(
-                f"{name} = {x!r} consumes the whole coherence time"
-            )
+            raise InfeasibleTimingError(f"{name} = {x!r} consumes the whole coherence time")
     ratio = (1.0 - x_ent) / (1.0 - x_sep)
     return check_finite(n * ratio * ratio, "gain", SolverError)
 
@@ -168,7 +168,8 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
     the frozen-optimum step x' = r (x + tau_ent*) - tau_ent*, one GHZ solve
     each (the last none): with tau_ent* kept, the rate at x' is not optimal,
     so r(x') >= 1; a step bisects the sign bracket only if rounding leaves it.
-    200 steps that do not meet the stop test raise SolverError.
+    200 steps that do not meet the stop test raise SolverError, as does a
+    gain field that is not finite (as in gain()).
     """
     n = check_count(n, "particle count")
     tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "overhead time")
@@ -259,15 +260,15 @@ _N_SEARCH_CAP = 10**9  # a scan that never stops ends; every size is an exact fl
 
 
 def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, need_peak: bool):
-    """(cutoff, best_n, best_r) over N = 1..n_search_max, r = rate_ent / rate_sep(N) as in
-    gain(), infeasible sizes (all, where the separable timing is) counting as below 1.
-    The scan stops once the gain has been below 1 for 10 consecutive sizes; r(1) = 1, so
-    some size has reached 1 (all supported scalings are eventually monotone in N).  Array
-    passes start at 16 sizes and double up to _SCAN_CHUNK (an Ohmic pass costs ~0.8 ms
-    however short, and scans often stop within a few dozen); a size they cannot certify
-    is re-solved, or its non-finite overhead rejected, in size order, unless a stop
-    comes before it.  The peak is the smallest N whose r is within _TIE of the largest r
-    scanned, so rounding noise where r is flat at 1 does not pick it."""
+    """(cutoff, best_n, best_r) over N = 1..n_search_max, r as gain() forms it, and 0 where
+    the timing is infeasible (at every size, where the separable timing is).  The scan stops
+    once the gain has been below 1 for 10 consecutive sizes; r(1) = 1, so some size has
+    reached 1 (all supported scalings are eventually monotone in N).  Array passes start at
+    16 sizes and double up to _SCAN_CHUNK (an Ohmic pass costs ~0.8 ms however short, and
+    scans often stop within a few dozen).  Sizes a pass cannot certify count as below 1 for
+    a provisional stop; those at or before it are re-solved in size order, which can only
+    move the stop later.  The peak is the smallest N whose r is within _TIE of the largest
+    r scanned, so rounding noise where r is flat at 1 does not pick it."""
     if check_count(n_search_max, "n_search_max") < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
     if n_search_max > _N_SEARCH_CAP:
@@ -278,8 +279,7 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
         sep, stopped = optimal_sensing_time(model, tau_tilde_sep, 1), False
     except InfeasibleTimingError:
         stopped = True  # every size shares the infeasible separable timing
-    last_qualifying, near, top, r_last = 0, [], -math.inf, -math.inf
-    start, width = 1, 16
+    last_qualifying, near, top, r_last, start, width = 0, [], -math.inf, -math.inf, 1, 16
     while not stopped and start <= n_search_max:
         sizes = np.arange(start, min(start + width, n_search_max + 1), dtype=float)
         start, width = start + width, min(2 * width, _SCAN_CHUNK)
@@ -289,24 +289,24 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
         rate = _optimal_sensing_times(model, tau_tilde_ent, sizes)[1]
         if sizes[0] == 1.0:
             rate[0] = sep.objective  # N = 1 is the separable probe: r = 1 exactly
-        r = rate / rate_sep
+        r = rate / rate_sep  # 0 where infeasible
         r[rate_sep == math.inf] = math.nan  # re-solved, then rejected as gain() rejects it
-        r[rate == 0.0] = -math.inf
-        while True:  # re-solve the first uncertified size unless a stop comes before it
+        while True:  # re-solve the uncertified sizes up to the provisional stop
             # the last qualifying size at or before each N: N - last sizes below 1 in a row
             last = np.maximum.accumulate(np.where(r >= 1.0, sizes, last_qualifying))
-            halt = np.flatnonzero(np.isnan(r) | (sizes - last >= 10.0))
-            if not (halt.size and math.isnan(r[halt[0]])):
+            halt = np.flatnonzero(sizes - last >= 10.0)
+            end = int(halt[0]) + 1 if halt.size else r.size
+            todo = np.flatnonzero(np.isnan(r[:end])).tolist()
+            if not todo:
                 break
-            i = int(halt[0])
-            overhead = check_finite_nonnegative(float(tau_tilde_ent[i]), "entangled overhead time")
-            try:
-                ent = optimal_sensing_time(model, overhead, int(sizes[i]))
-                r[i] = ent.objective / check_finite(float(rate_sep[i]), "f_sep", SolverError)
-            except InfeasibleTimingError:
-                r[i] = -math.inf
-        stopped = halt.size > 0
-        r = r[:int(halt[0]) + 1] if stopped else r
+            for i in todo:
+                tte = check_finite_nonnegative(float(tau_tilde_ent[i]), "entangled overhead time")
+                try:
+                    ent = optimal_sensing_time(model, tte, int(sizes[i]))
+                    r[i] = _gain_from_optima(int(sizes[i]), tau_tilde_sep, tte, sep, ent).r
+                except InfeasibleTimingError:
+                    r[i] = 0.0
+        stopped, r = halt.size > 0, r[:end]
         # near gets each size within _TIE of the largest r so far whose r tops every earlier
         # r; the peak is the first size in near within _TIE of the scan's largest r
         prior, top = top, max(top, float(r.max()))
@@ -354,7 +354,7 @@ def monotonicity_scan(model: BathModel, n: int, tau_tilde_sep: float,
 
     Returns every adjacent pair where it fails to, with ties tolerated
     to 1e-12 relative.  An empty list is the expected outcome for all
-    supported models.
+    supported models; a gain field that is not finite raises SolverError.
     """
     n = check_count(n, "particle count")
     tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "overhead time")

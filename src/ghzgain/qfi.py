@@ -31,7 +31,7 @@ import numpy as np
 
 from .bath import _WHERE, BathModel, decay_exponent
 from .errors import (CapacityError, ValidationError, check_count, check_finite,
-                     check_finite_nonnegative, check_finite_positive)
+                     check_finite_nonnegative)
 
 __all__ = [
     "MAX_QUBITS",
@@ -50,8 +50,9 @@ __all__ = [
 
 MAX_QUBITS = 12
 # validate_density_matrix's bounds on the largest |rho - rho^H| entry and on |tr rho - 1|,
-# and its floor on the least eigenvalue; qfi_eigen's Hermiticity bound is the first
-_HERM_TOL, _TRACE_TOL, _EIG_FLOOR = 1e-12, 1e-12, -1e-10
+# and its floor on the least eigenvalue; qfi_eigen's Hermiticity bound is the first, and
+# its eigenvalue pairs with lambda_i + lambda_j <= _RANK_TOL lie outside the support of rho
+_HERM_TOL, _TRACE_TOL, _EIG_FLOOR, _RANK_TOL = 1e-12, 1e-12, -1e-10, 1e-12
 
 
 class ProbeKind(str, Enum):
@@ -177,13 +178,12 @@ def rho_derivative(rho_omega: np.ndarray, tau: float) -> np.ndarray:
     return -0.5j * tau * (m[:, None] - m[None, :]) * rho_omega
 
 
-def qfi_eigen(rho_omega: np.ndarray, drho: np.ndarray, rank_tol: float = 1e-12) -> float:
+def qfi_eigen(rho_omega: np.ndarray, drho: np.ndarray) -> float:
     """Quantum Fisher information by eigendecomposition of rho.
 
-    Pairs with lambda_i + lambda_j <= rank_tol are outside the support of
-    rho and are excluded.
+    Pairs with lambda_i + lambda_j <= _RANK_TOL = 1e-12 are outside the
+    support of rho and are excluded.
     """
-    check_finite_positive(rank_tol, "rank tolerance")
     if rho_omega.shape != drho.shape:
         raise ValidationError(
             f"shape mismatch: rho {rho_omega.shape} vs drho {drho.shape}"
@@ -194,7 +194,7 @@ def qfi_eigen(rho_omega: np.ndarray, drho: np.ndarray, rank_tol: float = 1e-12) 
     evals, evecs = np.linalg.eigh(rho_omega)
     a = evecs.conj().T @ drho @ evecs
     denom = evals[:, None] + evals[None, :]
-    mask = denom > rank_tol
+    mask = denom > _RANK_TOL
     return float(2.0 * np.sum(np.abs(a[mask]) ** 2 / denom[mask]))
 
 

@@ -461,6 +461,27 @@ class TestSweepCommand:
         assert code == 2
 
 
+def readme_commands():
+    """Argument lists of the ghzgain lines in the README's "Command line" code
+    block, but sweep's, whose config file the README does not ship."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        block = f.read().split("\n## Command line\n", 1)[1].split("```")[1]
+    argvs = [line.split()[1:] for line in block.splitlines() if line.startswith("ghzgain ")]
+    return [argv for argv in argvs if argv[0] != "sweep"]
+
+
+def test_readme_shows_every_model_command():
+    assert sorted(argv[0] for argv in readme_commands()) == [
+        "bath", "cutoff", "gain", "qfi", "tau-opt", "threshold"]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_lines_run(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out
+
+
 # cli_main on generated argument lists: every subcommand and bath kind.  Each
 # number is mostly a moderate value, so that most calls get past validation, and
 # otherwise any float (NaN, infinities, subnormals and huge values) or any count

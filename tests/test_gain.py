@@ -571,6 +571,41 @@ class TestMonotonicity:
         assert violations[0].r_lower == 2.0 and violations[0].r_upper == 2.5
 
 
+class TestNonFiniteGainField:
+    """Every per-size r comes from one assembler, which raises SolverError on
+    the first gain field that is not finite, as gain() reports it."""
+
+    # at N = 1000 and zero overhead F_sep = N tau_sep^2 decay overflows
+    MODEL = BathModel.ohmic(0.05, 2e-152, 1e153)
+
+    @pytest.mark.parametrize("call", [
+        lambda model: gain(model, 1000, 0.0, 0.0),
+        lambda model: threshold_ent_time(model, 1000, 0.0),
+        lambda model: monotonicity_scan(model, 1000, 0.0, [0.0, 0.1, 0.2]),
+    ], ids=["gain", "threshold_ent_time", "monotonicity_scan"])
+    def test_overflowing_separable_fisher_raises(self, call):
+        # r = 0 from the overflow would read as "below 1 at zero overhead" to
+        # the threshold, and as a clean, flat profile to the monotonicity scan
+        with pytest.raises(SolverError, match="f_sep must be finite, got inf"):
+            call(self.MODEL)
+
+    def test_threshold_command_exits_4(self, capsys):
+        from ghzgain import cli
+
+        argv = ["threshold", "--model", "ohmic", "--alpha", "0.05", "--omega-c", "2e-152",
+                "--beta", "1e153", "--n", "1000"]
+        assert cli.cli_main(argv) == 4
+        assert "solver failure: f_sep must be finite, got inf" in capsys.readouterr().err
+
+    def test_the_same_bath_scaled_to_finite_fields_has_a_threshold(self):
+        model = BathModel.ohmic(0.05, 2e-149, 1e150)  # omega_c and 1 / beta x 1000
+        assert gain(model, 1000, 0.0, 0.0).r == pytest.approx(2.903022476049933, rel=1e-12)
+        theta = threshold_ent_time(model, 1000, 0.0)
+        assert 0.0 < theta < coherence_time(model)
+        assert abs(gain(model, 1000, 0.0, theta).r - 1.0) <= 1e-11
+        assert monotonicity_scan(model, 1000, 0.0, [0.0, 0.1, 0.2]) == []
+
+
 class TestMarkovDecompositionProperties:
     """Closed-form pieces of the Markovian monotonicity argument."""
 

@@ -230,11 +230,6 @@ class TestQfiEigen:
         with pytest.raises(ValidationError):
             qfi_eigen(rho, bad)
 
-    def test_rank_tol_must_be_positive(self):
-        rho = build_probe_state(ProbeSpec(1, ProbeKind.GHZ))
-        with pytest.raises(DomainError):
-            qfi_eigen(rho, rho_derivative(rho, 1.0), rank_tol=0.0)
-
     def test_omega_independence(self):
         spec = ProbeSpec(3, ProbeKind.GHZ)
         values = [eigen_qfi_for(spec, 0.4, 0.8, omega=w) for w in (0.0, 0.5, 1.7)]

@@ -297,6 +297,29 @@ def test_uncertified_sizes_are_re_solved_in_order(uncertified, gain_solves):
     assert_same_scan(got, oracle_scan(model, law, limit), model)
 
 
+def test_a_scan_with_no_certified_size_re_solves_each_size_once_up_to_the_stop(
+        uncertified, gain_solves):
+    model, law, limit = SCANS["nonmarkovian-square-root"]
+    uncertified.update(range(2, limit + 1))
+    got = n_cutoff_and_max_gain(model, law, limit)
+    # the stop at N = 158 lies in the fourth pass (113..240)
+    assert gain_solves == [(0.05, 1)] + [(0.05 * math.sqrt(n), n) for n in range(2, 159)]
+    assert_same_scan(got, oracle_scan(model, law, limit), model)
+
+
+def test_a_re_solve_that_qualifies_moves_the_stop(uncertified, gain_solves):
+    model, law, limit = SCANS["nonmarkovian-square-root"]
+    # counted below 1, sizes 140..148 put the stop at N = 149; re-solved, they qualify
+    # and move it to 158, so 150 and 158 are solved next, and 159 never
+    uncertified.update({*range(140, 149), 150, 158, 159})
+    got = n_cutoff_and_max_gain(model, law, limit)
+    assert gain_solves == [(0.05, 1)] + [(0.05 * math.sqrt(n), n)
+                                         for n in (*range(140, 149), 150, 158)]
+    assert got[0] == 148
+    assert_same_scan(got, oracle_scan(model, law, limit), model)
+    assert min(gain(model, n, 0.05, 0.05 * math.sqrt(n)).r for n in range(140, 149)) >= 1.0
+
+
 def test_a_solver_error_past_the_stop_is_never_raised(uncertified, monkeypatch):
     model, law, limit = SCANS["early-stop-infeasible"]
     solve = gain_module.optimal_sensing_time
