@@ -268,7 +268,8 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
     scans often stop within a few dozen).  Sizes a pass cannot certify count as below 1 for
     a provisional stop; those at or before it are re-solved in size order, which can only
     move the stop later.  The peak is the smallest N whose r is within _TIE of the largest
-    r scanned, so rounding noise where r is flat at 1 does not pick it."""
+    r scanned, and r within _TIE of 1 reaches 1 but does not stay above it, so rounding
+    noise where r is flat at 1 picks neither the peak nor the cutoff."""
     if check_count(n_search_max, "n_search_max") < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
     if n_search_max > _N_SEARCH_CAP:
@@ -293,7 +294,7 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
         r[rate_sep == math.inf] = math.nan  # re-solved, then rejected as gain() rejects it
         while True:  # re-solve the uncertified sizes up to the provisional stop
             # the last qualifying size at or before each N: N - last sizes below 1 in a row
-            last = np.maximum.accumulate(np.where(r >= 1.0, sizes, last_qualifying))
+            last = np.maximum.accumulate(np.where(r >= 1.0 - _TIE, sizes, last_qualifying))
             halt = np.flatnonzero(sizes - last >= 10.0)
             end = int(halt[0]) + 1 if halt.size else r.size
             todo = np.flatnonzero(np.isnan(r[:end])).tolist()
@@ -318,7 +319,7 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
     best_n, best_r = next(((n, x) for n, x in near if x >= top * (1.0 - _TIE)), (0, -math.inf))
     if need_peak and best_n == 0:
         raise InfeasibleTimingError("every scanned ensemble size has infeasible timing")
-    if r_last > 1.0:  # only a pass that ran to the end stops above 1
+    if r_last > 1.0 + _TIE:  # only a pass that ran to the end stops above 1
         return None, best_n, best_r
     return last_qualifying, best_n, best_r
 

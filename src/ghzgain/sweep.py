@@ -10,12 +10,15 @@ x_sep, then, unless no separable timing is feasible, the distinct
 (x_ent, n); ``optimal_sensing_time`` re-solves what a pass cannot certify.
 ``run_sweep`` returns a ``SweepTable``, a read-only sequence of rows kept
 in factored form: the axis values and the results per distinct optimum.
-Rows are derived in blocks of 2^16, their indices by ``np.unravel_index``
-and r by the float operations of a per-point ``gain``.  One writer renders
-each distinct float once, in numpy, with ``format_sig``'s exact bytes, and
-gathers a block's cells into CSV or JSON text, which ``save_rows`` writes
-as it comes, over the old file, then truncates it: truncating a recently
-written file on open waits for it to be flushed.
+Rows are derived in blocks of 2^12, their indices by ``np.unravel_index``
+and r by the float operations of a per-point ``gain``, so a save's per-row
+temporaries stay near 2 MB.  One writer renders each distinct float once,
+in numpy, with ``format_sig``'s exact bytes (or, for JSON, repr's of the
+float that the cell parses to), and gathers a block's cells into CSV or
+JSON text, which ``save_rows`` writes as it comes, over the old file, then
+truncates it: truncating a recently written file on open waits for it to
+be flushed.  Nothing here calls ``np.isin`` or ``np.char``: both import a
+numpy submodule on first use, which a fresh process pays for on every sweep.
 """
 
 from __future__ import annotations
@@ -304,8 +307,10 @@ def run_sweep(config: SweepConfig) -> SweepTable:
     sep = _solve(model, sep_keys)
     ent = np.full((2, ent_keys.size), math.nan)
     if not np.isnan(sep[0]).all():  # as in gain(), an infeasible sep timing ends a row
-        known = np.isin(ent_keys, sep_keys)  # n = 1 at a separable overhead: solved
-        ent[:, known] = sep[:, np.searchsorted(sep_keys, ent_keys[known])]
+        # n = 1 at a separable overhead is solved: look it up in the sorted sep_keys
+        at = np.searchsorted(sep_keys, ent_keys).clip(max=sep_keys.size - 1)
+        known = sep_keys[at] == ent_keys
+        ent[:, known] = sep[:, at[known]]
         ent[:, ~known] = _solve(model, ent_keys[~known])
     with np.errstate(all="ignore"):
         f_sep, rate_sep = (a.ravel() for a in _rates(n, sep_keys.real[:, None],
@@ -330,43 +335,48 @@ def _check_finite(table: SweepTable) -> None:
                                   f"x_ent = {row.x_ent!r}, x_sep = {row.x_sep!r}, n = {row.n}")
 
 
-_BLOCK_ROWS = 2**16  # rows derived and rendered at a time, so no per-row array exists whole
+_BLOCK_ROWS = 2**12  # rows derived and rendered at a time, so no per-row array exists whole
 
 
-def _cell_layout(x: int) -> list[int]:
-    if 0 <= x < 12:
-        return [*range(x + 1), 13, *range(x + 1, 12)]
-    if -4 <= x < 0:
-        return [14, 13] + [14] * (-x - 1) + [*range(12)]
-    return [0, 13, *range(1, 12), 15, 16 if x > 0 else 17, 18 + abs(x) // 10, 18 + abs(x) % 10]
+def _cell_layout(x: int, k: int, short: bool) -> list[int]:
+    """format_sig's cell (k = 12), or with short, repr's of a k-digit mantissa."""
+    if -4 <= x < (16 if short else 12):
+        whole = [i if i < 12 else 14 for i in range(x + 1)] if x >= 0 else [14]
+        fraction = [14] * (-x - 1) + [*range(k)] if x < 0 else [*range(x + 1, k)]
+        return whole + [13] + (fraction or [14] * short)
+    mantissa = [0, 13, *range(1, k)] if k > 1 or not short else [0]
+    return mantissa + [15, 16 if x > 0 else 17, 18 + abs(x) // 10, 18 + abs(x) % 10]
 
 
 @functools.cache  # built on first use: at import, their numpy calls took ~0.5 MB of RSS
-def _format_tables():
-    """Tables of _format_sig_cells.  Row x + 11 (decimal exponent x = -11..33) of the first
-    three: the exact powers of ten (one of them 1) that scale a value to a 12-digit
-    mantissa; where each byte of its cell comes from, a mantissa digit (0..11) or byte
-    i - 12 of the last table (12, the NUL, pads); the cell's width.  Then "0000".."9999"
-    as uint32s, and the bytes a cell adds to its digits."""
-    layouts = [_cell_layout(x) for x in range(-11, 34)]
+def _format_tables(short: bool):
+    """Tables of _format_sig_cells.  Row x + 11 (decimal exponent x = -11..33) of the first:
+    the exact powers of ten (one of them 1) that scale a value to a 12-digit mantissa.  Row
+    x + 11 (with short, 12 (x + 11) + k - 1) of the next two: where each byte of a cell comes
+    from, a mantissa digit (0..11) or byte i - 12 of the last table (12, the NUL, pads); the
+    cell's width.  Then "0000".."9999" as uint32s, and the bytes a cell adds to its digits."""
+    layouts = [_cell_layout(x, k, short) for x in range(-11, 34)
+               for k in (range(1, 13) if short else [12])]
     return (np.array([[float(10 ** max(0, e)), float(10 ** max(0, -e))] for e in range(22, -23, -1)]),
-            np.array([layout + [12] * (17 - len(layout)) for layout in layouts]),
+            np.array([layout + [12] * (18 - len(layout)) for layout in layouts]),
             np.array([len(layout) for layout in layouts]),
             np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
             .reshape(-1, 4).view(np.uint32)[:, 0],
             np.frombuffer(b"\0.0e+-0123456789", np.uint8))
 
 
-def _format_sig_cells(values: np.ndarray) -> np.ndarray:
-    """format_sig's bytes for each float of an array, as an S array.  A value with
+def _format_sig_cells(values: np.ndarray, short: bool = False) -> np.ndarray:
+    """format_sig's bytes for each float of an array, as an S array, or with short,
+    repr's of the float that each cell parses to: the cell's 12 digits less their
+    trailing zeros, positional for x in -4..15 as in repr.  A value with
     decimal exponent x in -11..33, scaled by 10^(11 - x) (one rounding), rounds to
     "%#.12g"'s 12-digit mantissa unless the scaled fraction lies within 4 ulp of 1/2;
     those values, mantissas outside [10^11, 10^12), and zero, negative or non-finite
     values (x NaN or infinite) go to format_sig."""
     if values.size > _BLOCK_ROWS:  # bounds the temporaries, ~200 bytes a value
-        return np.concatenate([_format_sig_cells(values[start:start + _BLOCK_ROWS])
+        return np.concatenate([_format_sig_cells(values[start:start + _BLOCK_ROWS], short)
                                for start in range(0, values.size, _BLOCK_ROWS)])
-    scale, layout, widths, digit_groups, cell_bytes = _format_tables()
+    scale, layout, widths, digit_groups, cell_bytes = _format_tables(short)
     with np.errstate(all="ignore"):
         x = np.floor(np.log10(values))
         fast = (x >= -11.0) & (x <= 33.0)
@@ -377,6 +387,8 @@ def _format_sig_cells(values: np.ndarray) -> np.ndarray:
         fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 4.0 * np.spacing(scaled)
     m = np.where(fast, mantissa, 1e11).astype(np.int64)
     digits = digit_groups[np.stack([m // 10**8, m // 10**4 % 10**4, m % 10**4], 1)].view(np.uint8)
+    if short:  # k = 12 less the trailing "0" digits
+        row = 12 * row + 11 - np.argmax(digits[:, ::-1] != 48, axis=1)
     source = np.hstack([digits, np.broadcast_to(cell_bytes, (values.size, cell_bytes.size))])
     width = widths[row].max()
     at = np.take(layout, row, axis=0)[:, :width]
@@ -384,7 +396,8 @@ def _format_sig_cells(values: np.ndarray) -> np.ndarray:
     cells = np.take(source, at).view(f"S{width}").ravel()
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = [format_sig(value).encode() for value in values[slow].tolist()]
+        text = [(repr(float(format_sig(value))) if short else format_sig(value)).encode()
+                for value in values[slow].tolist()]
         cells = cells.astype(f"S{max(width, *map(len, text))}")
         cells[slow] = text
     return cells
@@ -413,11 +426,13 @@ def _text_blocks(table: SweepTable, output_format: str):
             if rendered[i][0] is not values:
                 if values.dtype.kind in "bO":  # n as "%d", feasible as true/false
                     cells = np.array([str(v).lower() for v in values.tolist()], dtype=bytes)
-                else:
-                    cells = _format_sig_cells(values)
-                    if output_format == "json":  # the float that the cell parses to, as json
-                        cells = np.array([repr(float(c)) for c in cells.tolist()], dtype=bytes)
-                rendered[i] = values, np.char.add(prefix, np.append(cells, empty))
+                else:  # json's float is the one that the cell parses to
+                    cells = _format_sig_cells(values, output_format == "json")
+                cells = np.append(cells, empty)  # prefix + cell, NUL padding and all
+                joined = np.empty((cells.size, len(prefix) + cells.itemsize), np.uint8)
+                joined[:, :len(prefix)] = np.frombuffer(prefix, np.uint8)
+                joined[:, len(prefix):] = cells.view(np.uint8).reshape(cells.size, -1)
+                rendered[i] = values, joined.view(f"S{joined.shape[1]}")[:, 0]
         lines = np.empty(block[0][1].size, [("", cells.dtype) for _, cells in rendered])
         for name, (_, cells), (_, at) in zip(lines.dtype.names, rendered, block):
             lines[name] = cells[at]

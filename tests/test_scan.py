@@ -43,7 +43,9 @@ def oracle_scan(model, law, n_search_max):
     """(cutoff, best_n, best_r) from one gain() call per size at the separable
     overhead base * t_c, stopping 10 sizes below 1 after a qualifying one; None
     when the last r is above 1.  The peak is the smallest size whose r is within
-    4 eps, relative, of the largest r."""
+    4 eps, relative, of the largest r; r within 4 eps of 1 reaches 1 and is not
+    above it."""
+    tie = 4.0 * np.finfo(float).eps
     t_c = coherence_time(model)
     tau_tilde_sep = law.base * t_c
     last_qualifying, feasible, below, r = 0, [], 0, None
@@ -54,7 +56,7 @@ def oracle_scan(model, law, n_search_max):
             r = None
         if r is not None:
             feasible.append((n, r))
-        if r is not None and r >= 1.0:
+        if r is not None and r >= 1.0 - tie:
             last_qualifying, below = n, 0
         else:
             below += 1
@@ -62,8 +64,8 @@ def oracle_scan(model, law, n_search_max):
                 break
     top = max((r_n for _, r_n in feasible), default=None)
     best_n, best_r = next(((n, r_n) for n, r_n in feasible
-                           if r_n >= top * (1.0 - 4.0 * np.finfo(float).eps)), (0, -math.inf))
-    if r is not None and r > 1.0:
+                           if r_n >= top * (1.0 - tie)), (0, -math.inf))
+    if r is not None and r > 1.0 + tie:
         return None, best_n, best_r
     return last_qualifying, best_n, best_r
 
@@ -182,6 +184,10 @@ SCANS = {
     # r = 1 in theory at every size, and within a few eps of it in floats: the
     # peak is N = 1, not the size that rounding lifts highest
     "markovian-flat-at-one": (BathModel.markovian(1e-152), ScalingLaw("constant", 0.0), 10**4),
+    # the same flat r at gamma = 1: r(10^4) lands an ulp below 1, which still reaches
+    # 1, so the cutoff is the limit, as at 10^6, not 9999
+    "markovian-flat-at-one-unit-gamma": (BathModel.markovian(1.0), ScalingLaw("constant", 0.0),
+                                         10**4),
 }
 # the tenth size below 1 is the last size of a pass (offset 10), or the
 # first of the next (offset 9): a short early pass and the first full one
@@ -203,6 +209,9 @@ def test_scan_matches_a_per_size_gain_loop(case):
         assert want[0] is None
     if case == "markovian-flat-at-one":
         assert want[1] == 1 and gain(model, 45, 0.0, 0.0).r > 1.0  # 45 rounds highest
+    if case == "markovian-flat-at-one-unit-gamma":
+        assert gain(model, limit, 0.0, 0.0).r < 1.0
+        assert want[0] == limit and n_cutoff(model, law, 10**6) == 10**6
 
 
 def test_passes_start_small_and_double_up_to_the_chunk():

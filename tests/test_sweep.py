@@ -6,6 +6,7 @@ import math
 import os
 import random
 import stat
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -99,6 +100,21 @@ class TestFormatSigCells:
         mismatches = [(value, cell) for value, cell in zip(values.tolist(), cells)
                       if cell != format_sig(value).encode()]
         assert mismatches == []
+
+    def test_short_cells_are_the_repr_of_each_printed_float(self):
+        # json's float cells: 0, whole numbers, the powers of ten where repr turns
+        # positional (1e-4) or back to exponents (1e16), and a million doubles
+        hand = [0.0, 1.0, 2.0, 10.0, 123.0, 5e5, 123456789012.0, 99999999999.9, 1e-4, 1e-5,
+                9.99999999999e-5, 1.5e-5, 1.23456789012e-4, 1.5e15, 9.99999999999e15,
+                *[10.0 ** e for e in range(11, 18)], *[1.25 * 10.0 ** e for e in range(11, 18)]]
+        values = np.concatenate([hand, format_sig_oracle_cases()])
+        cells = _format_sig_cells(values, short=True).tolist()
+        mismatches = [(value, cell) for value, cell in zip(values.tolist(), cells)
+                      if cell != repr(float(format_sig(value))).encode()]
+        assert mismatches == []
+        assert cells[:4] == [b"0.0", b"1.0", b"2.0", b"10.0"]
+        assert cells[hand.index(1e15)] == b"1000000000000000.0"
+        assert cells[hand.index(1e16)] == b"1e+16"
 
     def test_twelve_digit_ties_round_half_to_even(self):
         cells = _format_sig_cells(np.array([100.0009765625, 100.0029296875, 0.5]))
@@ -534,7 +550,8 @@ class TestColumnarCsv:
     def test_edge_grids_match_the_per_row_format(self, config):
         assert_output_matches_oracle(run_sweep(config()))
 
-    @pytest.mark.parametrize("block_rows", [1, 5])
+    # 11 divides no random grid, whose axes have 2..7 points
+    @pytest.mark.parametrize("block_rows", [1, 5, 11, sweep_module._BLOCK_ROWS])
     def test_lines_rendered_in_blocks_match_the_per_row_format(self, monkeypatch, tmp_path,
                                                                block_rows):
         monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", block_rows)
@@ -608,8 +625,51 @@ class TestSweepTable:
         assert len(table) == 10**6
         assert held < 5e6
 
+    def test_save_memory_is_bounded_by_the_block(self, tmp_path):
+        # the CSV save of this 10^6-row grid peaks at 2.0 MB, the per-row temporaries of
+        # one block of 2^12 rows
+        config = make_config(axes={"x_ent": {"min": 0.0, "max": 0.5, "points": 1000},
+                                   "x_sep": {"min": 0.0, "max": 0.9, "points": 1000}},
+                             output={"format": "csv", "path": str(tmp_path / "big.csv")})
+        table = run_sweep(config)
+        tracemalloc.start()
+        try:
+            save_rows(table, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+# Sweeps a 20x20 x_sep panel and a 20x20 n panel to CSV and JSON, and prints the
+# modules that doing so imported.  numpy imports some submodules on first use
+# (np.isin imports numpy.ma, np.char numpy.char): a fresh process pays for them.
+IMPORT_PROBE = """
+import sys
+import ghzgain
+before = set(sys.modules)
+for second, fixed in (({"x_sep": {"min": 0.0, "max": 0.9, "points": 20}}, {"n": 10}),
+                      ({"n": {"min": 1, "max": 1e4, "points": 20, "spacing": "log"}},
+                       {"x_sep": 0.03})):
+    for fmt in ("csv", "json"):
+        config = ghzgain.config_from_dict({
+            "model": {"kind": "markovian", "gamma": 1.0},
+            "axes": {"x_ent": {"min": 0.0, "max": 0.995, "points": 20}, **second},
+            "fixed": fixed, "output": {"format": fmt, "path": sys.argv[1] + "." + fmt}})
+        ghzgain.save_rows(ghzgain.run_sweep(config), config)
+print(sorted(set(sys.modules) - before))
+"""
+
 
 class TestOutput:
+    def test_a_sweep_imports_no_module(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(sweep_module.__file__))
+        probe = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "panel")],
+                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                               text=True, check=True)
+        assert probe.stdout.strip() == "[]"
+        assert (tmp_path / "panel.json").stat().st_size > 0
+
     def test_csv_layout_and_determinism(self, tmp_path):
         config = make_config(
             output={"format": "csv", "path": str(tmp_path / "a.csv")}
