@@ -6,19 +6,23 @@ number n.  A sweep fixes one (or two) of them and grids the rest.  Output
 is a deterministic table: same config, byte-identical file.
 
 Each distinct optimum is solved once, in two array passes: the distinct
-x_sep, then, unless no separable timing is feasible, the distinct
-(x_ent, n); ``optimal_sensing_time`` re-solves what a pass cannot certify.
-``run_sweep`` returns a ``SweepTable``, a read-only sequence of rows kept
-in factored form: the axis values and the results per distinct optimum.
-Rows are derived in blocks of 2^12, their indices by ``np.unravel_index``
-and r by the float operations of a per-point ``gain``, so a save's per-row
-temporaries stay near 2 MB.  One writer renders each distinct float once,
-in numpy, with ``format_sig``'s exact bytes (or, for JSON, repr's of the
-float that the cell parses to), and gathers a block's cells into CSV or
-JSON text, which ``save_rows`` writes as it comes, over the old file, then
-truncates it: truncating a recently written file on open waits for it to
-be flushed.  Nothing here calls ``np.isin`` or ``np.char``: both import a
-numpy submodule on first use, which a fresh process pays for on every sweep.
+x_sep, then, unless no separable timing is feasible, the distinct (x_ent, n),
+the product of the distinct x_ent and the distinct n; ``optimal_sensing_time``
+re-solves what a pass cannot certify.  ``run_sweep`` returns a ``SweepTable``,
+a read-only sequence of rows kept in factored form: the axis values and the
+results per distinct optimum.  Rows are derived in blocks of 2^12, their
+indices by ``np.unravel_index`` and r by the float operations of a per-point
+``gain``.  One writer renders each distinct float once, in numpy, with
+``format_sig``'s exact bytes (or, for JSON, repr's of the float that the cell
+parses to), and gathers a block's cells into CSV or JSON text, which
+``save_rows`` writes as it comes, over the old file, then truncates it:
+truncating a recently written file on open waits for it to be flushed.  A
+save allocates its block buffers once, in a workspace that every block
+writes into; past small index arrays, only a block's text is new memory.
+Blocks that allocated their own faulted in fresh pages each time the heap
+gave its top back.
+Nothing here calls ``np.isin`` or ``np.char``: both import a numpy submodule
+on first use, which a fresh process pays for on every sweep.
 """
 
 from __future__ import annotations
@@ -276,7 +280,7 @@ def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
     tau, rate = _optimal_sensing_times(model, tau_tilde, n_eff)
     with np.errstate(all="ignore"):
         exponent = -2.0 * n_eff * _decay_exponent(model, tau, np)
-    decay = [math.exp(x) for x in exponent.tolist()]  # gain()'s math.exp, not np.exp
+    decay = np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)  # gain()'s math.exp
     for i in np.flatnonzero(np.isnan(rate)).tolist():
         try:
             opt = optimal_sensing_time(model, float(tau_tilde[i]), int(n_eff[i]))
@@ -301,9 +305,10 @@ def run_sweep(config: SweepConfig) -> SweepTable:
     n = columns["n"].astype(float)
     with np.errstate(over="ignore"):  # an infinite overhead is re-solved, and rejected
         tau_tilde_sep, tau_tilde_ent = columns["x_sep"] * t_c, columns["x_ent"] * t_c
-    # np.unique orders complex keys by real, then imaginary part: each pair once
+    # keys tau_tilde + 1j n_eff, each pair once, ordered by real, then imaginary part
     sep_keys, sep_at = np.unique(tau_tilde_sep + 1j, return_inverse=True)
-    ent_keys, ent_at = np.unique((tau_tilde_ent[:, None] + 1j * n).ravel(), return_inverse=True)
+    (ux, ux_at), (un, un_at) = (np.unique(a, return_inverse=True) for a in (tau_tilde_ent, n))
+    ent_keys, ent_at = (ux[:, None] + 1j * un).ravel(), (ux_at[:, None] * un.size + un_at).ravel()
     sep = _solve(model, sep_keys)
     ent = np.full((2, ent_keys.size), math.nan)
     if not np.isnan(sep[0]).all():  # as in gain(), an infeasible sep timing ends a row
@@ -365,18 +370,29 @@ def _format_tables(short: bool):
             np.frombuffer(b"\0.0e+-0123456789", np.uint8))
 
 
-def _format_sig_cells(values: np.ndarray, short: bool = False) -> np.ndarray:
+def _workspace() -> dict:
+    """The buffers that every block of one save writes into, sized for _BLOCK_ROWS rows:
+    the formatter's digits and cell bytes and its layout index, and the padded records
+    of a block's lines."""
+    source = np.empty((_BLOCK_ROWS, 28), np.uint8)
+    source[:, 12:] = _format_tables(False)[-1]  # a cell's 12 digits, then the bytes it adds
+    return {"source": source, "at": np.empty(_BLOCK_ROWS * 18, np.intp),  # 18: widest cell
+            "lines": np.empty(0, np.uint8)}
+
+
+def _format_sig_cells(values: np.ndarray, short: bool = False, work: dict | None = None) -> np.ndarray:
     """format_sig's bytes for each float of an array, as an S array, or with short,
     repr's of the float that each cell parses to: the cell's 12 digits less their
     trailing zeros, positional for x in -4..15 as in repr.  A value with
     decimal exponent x in -11..33, scaled by 10^(11 - x) (one rounding), rounds to
     "%#.12g"'s 12-digit mantissa unless the scaled fraction lies within 4 ulp of 1/2;
     those values, mantissas outside [10^11, 10^12), and zero, negative or non-finite
-    values (x NaN or infinite) go to format_sig."""
+    values (x NaN or infinite) go to format_sig.  work is a save's _workspace."""
+    work = work or _workspace()
     if values.size > _BLOCK_ROWS:  # bounds the temporaries, ~200 bytes a value
-        return np.concatenate([_format_sig_cells(values[start:start + _BLOCK_ROWS], short)
+        return np.concatenate([_format_sig_cells(values[start:start + _BLOCK_ROWS], short, work)
                                for start in range(0, values.size, _BLOCK_ROWS)])
-    scale, layout, widths, digit_groups, cell_bytes = _format_tables(short)
+    scale, layout, widths, digit_groups, _ = _format_tables(short)
     with np.errstate(all="ignore"):
         x = np.floor(np.log10(values))
         fast = (x >= -11.0) & (x <= 33.0)
@@ -386,12 +402,16 @@ def _format_sig_cells(values: np.ndarray, short: bool = False) -> np.ndarray:
         fast &= (scaled >= 1e11) & (mantissa < 1e12)
         fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 4.0 * np.spacing(scaled)
     m = np.where(fast, mantissa, 1e11).astype(np.int64)
-    digits = digit_groups[np.stack([m // 10**8, m // 10**4 % 10**4, m % 10**4], 1)].view(np.uint8)
+    high, top = m // 10**8, m // 10**4
+    source = work["source"][:values.size]
+    groups = source[:, :12].view(np.uint32)  # the mantissa's digits, four at a time
+    groups[:, 0], groups[:, 1], groups[:, 2] = (
+        digit_groups[high], digit_groups[top - high * 10**4], digit_groups[m - top * 10**4])
     if short:  # k = 12 less the trailing "0" digits
-        row = 12 * row + 11 - np.argmax(digits[:, ::-1] != 48, axis=1)
-    source = np.hstack([digits, np.broadcast_to(cell_bytes, (values.size, cell_bytes.size))])
+        row = 12 * row + 11 - np.argmax(source[:, 11::-1] != 48, axis=1)
     width = widths[row].max()
-    at = np.take(layout, row, axis=0)[:, :width]
+    at = np.take(layout[:, :width], row, axis=0, mode="wrap",  # "raise" would fill a copy of out
+                 out=work["at"][:values.size * width].reshape(values.size, width))
     at += source.shape[1] * np.arange(values.size)[:, None]
     cells = np.take(source, at).view(f"S{width}").ravel()
     slow = np.flatnonzero(~fast)
@@ -419,7 +439,7 @@ def _text_blocks(table: SweepTable, output_format: str):
     pieces = row.split(b"{}")
     lead = pieces[-1] + between  # ends a row and leads into the next
     prefixes = [lead + pieces[0], *pieces[1:-1]]
-    rendered = [(None, None)] * len(prefixes)
+    rendered, work = [(None, None)] * len(prefixes), _workspace()
     yield head
     for k, block in enumerate(table._blocks(range(len(table)))):
         for i, ((values, _), prefix) in enumerate(zip(block, prefixes)):
@@ -427,15 +447,19 @@ def _text_blocks(table: SweepTable, output_format: str):
                 if values.dtype.kind in "bO":  # n as "%d", feasible as true/false
                     cells = np.array([str(v).lower() for v in values.tolist()], dtype=bytes)
                 else:  # json's float is the one that the cell parses to
-                    cells = _format_sig_cells(values, output_format == "json")
+                    cells = _format_sig_cells(values, output_format == "json", work)
                 cells = np.append(cells, empty)  # prefix + cell, NUL padding and all
                 joined = np.empty((cells.size, len(prefix) + cells.itemsize), np.uint8)
                 joined[:, :len(prefix)] = np.frombuffer(prefix, np.uint8)
                 joined[:, len(prefix):] = cells.view(np.uint8).reshape(cells.size, -1)
                 rendered[i] = values, joined.view(f"S{joined.shape[1]}")[:, 0]
-        lines = np.empty(block[0][1].size, [("", cells.dtype) for _, cells in rendered])
-        for name, (_, cells), (_, at) in zip(lines.dtype.names, rendered, block):
-            lines[name] = cells[at]
+        dtype = np.dtype([("", cells.dtype) for _, cells in rendered])
+        size = block[0][1].size * dtype.itemsize
+        if work["lines"].size < size:  # twice the first block's: later r cells may be wider
+            work["lines"] = np.empty(2 * size, np.uint8)
+        lines = work["lines"][:size].view(dtype)
+        for name, (_, cells), (_, at) in zip(dtype.names, rendered, block):
+            np.take(cells, at, out=lines[name], mode="wrap")  # -1: the empty cell
         text = lines.tobytes().translate(None, b"\0")
         del lines, block  # the next block is derived with no earlier one alive
         yield memoryview(text)[len(lead):] if k == 0 else text

@@ -1,6 +1,14 @@
 import importlib
+import os
 
 import pytest
+from hypothesis import settings
+
+# CI (set by GitHub Actions) runs every property test on the same derandomized examples,
+# so a run cannot fail on an example that no earlier run drew
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

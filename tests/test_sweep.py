@@ -14,6 +14,8 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzgain import (
     BathModel,
@@ -320,17 +322,21 @@ FULL_PANEL_SHA256 = {
 }
 
 
-def golden_panel_config(name, points=40):
+def golden_panel_data(name, points=40, path="unused.csv"):
     model, (col, lo, hi, spacing), x_ent_max, fixed, _ = GOLDEN_PANELS[name]
-    return config_from_dict({
+    return {
         "model": model,
         "axes": {
             col: {"min": lo, "max": hi, "points": points, "spacing": spacing},
             "x_ent": {"min": 0.0, "max": x_ent_max, "points": points},
         },
         "fixed": fixed,
-        "output": {"format": "csv", "path": "unused.csv"},
-    })
+        "output": {"format": "csv", "path": path},
+    }
+
+
+def golden_panel_config(name, points=40):
+    return config_from_dict(golden_panel_data(name, points))
 
 
 @pytest.fixture
@@ -518,6 +524,61 @@ class TestArraySweep:
         assert_rows_agree(rows, expected, AGREEMENT_REL["nonmarkovian"])
 
 
+def complex_key_rows(config):
+    """The rows of run_sweep with its entangled keys taken, as they were, by one
+    np.unique over the complex pairs tau_tilde_ent + 1j n of the whole grid."""
+    model, t_c, columns = config.model, coherence_time(config.model), sweep_module._grid(config)
+    n = columns["n"].astype(float)
+    with np.errstate(over="ignore"):
+        tau_tilde_sep, tau_tilde_ent = columns["x_sep"] * t_c, columns["x_ent"] * t_c
+    sep_keys, sep_at = np.unique(tau_tilde_sep + 1j, return_inverse=True)
+    ent_keys, ent_at = np.unique((tau_tilde_ent[:, None] + 1j * n).ravel(), return_inverse=True)
+    sep, ent = sweep_module._solve(model, sep_keys), np.full((2, ent_keys.size), math.nan)
+    if not np.isnan(sep[0]).all():
+        at = np.searchsorted(sep_keys, ent_keys).clip(max=sep_keys.size - 1)
+        known = sep_keys[at] == ent_keys
+        ent[:, known] = sep[:, at[known]]
+        ent[:, ~known] = sweep_module._solve(model, ent_keys[~known])
+    with np.errstate(all="ignore"):
+        f_sep, rate_sep = (a.ravel() for a in sweep_module._rates(
+            n, sep_keys.real[:, None], *sep[:, :, None], np))
+        f_ent, rate_ent = sweep_module._rates(ent_keys.imag * ent_keys.imag, ent_keys.real, *ent, np)
+    return list(SweepTable(columns, sep_at, ent_at, (sep[0], f_sep, rate_sep),
+                           (ent[0], f_ent, rate_ent)))
+
+
+KEY_MODELS = [{"kind": "isolated", "t_c": 2.0}, {"kind": "markovian", "gamma": 0.7},
+              {"kind": "nonmarkovian", "eta": 1.3},
+              {"kind": "ohmic", "alpha": 0.05, "omega_c": 20.0, "beta": 0.5}]
+
+
+@st.composite
+def key_grids(draw):
+    """Two-axis grids with an x_ent axis whose values may repeat (a span of a few
+    ulps over more points), and a log n axis whose rounded counts collide, or an
+    x_sep axis at a fixed n, which may be past 2^53."""
+    low = high = draw(st.floats(0.0, 1.2))
+    for _ in range(draw(st.sampled_from([0, 1, 2, 3, 6]))):
+        high = math.nextafter(high, math.inf)
+    high = high if high > low else low + 0.3
+    axes = {"x_ent": {"min": low, "max": high, "points": draw(st.integers(2, 12))}}
+    fixed = {}
+    if draw(st.booleans()):
+        axes["n"] = {"min": 1, "max": draw(st.integers(2, 10**4)),
+                     "points": draw(st.integers(2, 40)), "spacing": "log"}
+        fixed["x_sep"] = draw(st.floats(0.0, 1.2))
+    else:
+        axes["x_sep"] = {"min": 0.0, "max": draw(st.floats(0.1, 1.2)), "points": draw(st.integers(2, 12))}
+        fixed["n"] = draw(st.one_of(st.integers(1, 1000), st.integers(2**53 + 1, 2**60)))
+    return make_config(model=draw(st.sampled_from(KEY_MODELS)), axes=axes, fixed=fixed)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(config=key_grids())
+def test_per_axis_keys_give_the_rows_of_complex_keys(config):
+    assert list(run_sweep(config)) == complex_key_rows(config)
+
+
 # The per-row rendering that rows_to_csv replaced: one %-format per row, with
 # format_sig's "%#.12g" and the five value cells of an infeasible row empty.
 FEASIBLE_ROW = "%#.12g,%#.12g,%d,%#.12g,%#.12g,%#.12g,%#.12g,%#.12g,true"
@@ -626,8 +687,8 @@ class TestSweepTable:
         assert held < 5e6
 
     def test_save_memory_is_bounded_by_the_block(self, tmp_path):
-        # the CSV save of this 10^6-row grid peaks at 2.0 MB, the per-row temporaries of
-        # one block of 2^12 rows
+        # the CSV save of this 10^6-row grid peaks at 3.2 MB: the save's block workspace
+        # (1.7 MB) and the temporaries of one block of 2^12 rows
         config = make_config(axes={"x_ent": {"min": 0.0, "max": 0.5, "points": 1000},
                                    "x_sep": {"min": 0.0, "max": 0.9, "points": 1000}},
                              output={"format": "csv", "path": str(tmp_path / "big.csv")})
@@ -661,11 +722,37 @@ print(sorted(set(sys.modules) - before))
 """
 
 
+SRC = os.path.dirname(os.path.dirname(sweep_module.__file__))
+
+
+# Saves one panel twice in a fresh process and prints the minor page faults of the
+# second save: what a save costs once the process has run one.
+FAULT_PROBE = """
+import json, resource, sys
+import ghzgain
+config = ghzgain.config_from_dict(json.loads(sys.argv[1]))
+table = ghzgain.run_sweep(config)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ghzgain.save_rows(table, config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestOutput:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+    def test_a_repeated_save_faults_in_few_pages(self, tmp_path):
+        # the second save of the 200x200 panel a took ~5,700 minor faults when each block
+        # allocated its own buffers, and takes ~450 with one workspace a save
+        data = golden_panel_data("a", points=200, path=str(tmp_path / "a.csv"))
+        probe = subprocess.run([sys.executable, "-c", FAULT_PROBE, json.dumps(data)],
+                               env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                               text=True, check=True)
+        assert int(probe.stdout) < 1500
+
     def test_a_sweep_imports_no_module(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(sweep_module.__file__))
         probe = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "panel")],
-                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                               env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
                                text=True, check=True)
         assert probe.stdout.strip() == "[]"
         assert (tmp_path / "panel.json").stat().st_size > 0
