@@ -15,6 +15,8 @@ import json
 import sys
 
 from .bath import (
+    _FIELDS,
+    BathKind,
     BathModel,
     coherence_time,
     decay_exponent,
@@ -22,19 +24,17 @@ from .bath import (
     ohmic_limit_rates,
 )
 from .errors import DomainError, GhzGainError, InfeasibleTimingError, SolverError, check_finite
-from .gain import ScalingLaw, gain, n_cutoff_and_max_gain, threshold_ent_time
+from .gain import ScalingKind, ScalingLaw, gain, n_cutoff_and_max_gain, threshold_ent_time
 from .opttime import optimal_sensing_time
 from .qfi import qfi_ghz, qfi_separable
 from .sweep import format_sig, load_config, run_sweep, save_rows
-
-_MODEL_FIELDS = ("t_c", "gamma", "eta", "alpha", "omega_c", "beta")
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model",
         required=True,
-        choices=["isolated", "markovian", "nonmarkovian", "ohmic"],
+        choices=[kind.value for kind in BathKind],
         help="bath model kind",
     )
     parser.add_argument("--tc", type=float, dest="t_c", help="coherence time (isolated)")
@@ -46,7 +46,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _model_from_args(args: argparse.Namespace) -> BathModel:
-    values = {field: getattr(args, field) for field in _MODEL_FIELDS}
+    values = {field: getattr(args, field) for field in _FIELDS}
     data = {field: value for field, value in values.items() if value is not None}
     return BathModel.from_dict({"kind": args.model, **data})
 
@@ -174,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("cutoff", _cmd_cutoff,
                 "largest advantageous N and the N maximising the gain")
     p.add_argument("--law", required=True,
-                   choices=["constant", "logarithmic", "square-root", "linear"],
+                   choices=[kind.value for kind in ScalingKind],
                    help="N-scaling of the entangled overhead")
     p.add_argument("--base", type=float, required=True,
                    help="separable overhead in units of t_c")

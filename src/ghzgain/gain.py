@@ -261,20 +261,26 @@ _N_SEARCH_CAP = 10**9  # a scan that never stops ends; every size is an exact fl
 
 def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, need_peak: bool):
     """(cutoff, best_n, best_r) over N = 1..n_search_max, r as gain() forms it, and 0 where
-    the timing is infeasible (at every size, where the separable timing is).  The scan stops
-    once the gain has been below 1 for 10 consecutive sizes; r(1) = 1, so some size has
-    reached 1 (all supported scalings are eventually monotone in N).  Array passes start at
-    16 sizes and double up to _SCAN_CHUNK (an Ohmic pass costs ~0.8 ms however short, and
-    scans often stop within a few dozen).  Sizes a pass cannot certify count as below 1 for
-    a provisional stop; those at or before it are re-solved in size order, which can only
-    move the stop later.  The peak is the smallest N whose r is within _TIE of the largest
-    r scanned, and r within _TIE of 1 reaches 1 but does not stay above it, so rounding
-    noise where r is flat at 1 picks neither the peak nor the cutoff."""
+    the timing is infeasible (at every size, where the separable timing is).  r(1) = 1, and
+    the scan stops once r has been below 1 for 10 consecutive sizes, which ends no scan early
+    where r is unimodal in N: isolated, d ln r/dN = 1/N - 2 x_ent'/(1 - x_ent) changes sign
+    at most once; Markovian, r = psi(N x_ent)/psi(base) <= 1 for the decreasing optimal rate
+    psi at an overhead in units of t_c; non-Markovian, unimodal in numerical checks of every
+    law.  An Ohmic scan runs to n_search_max: GHZ optima in the Markov regime at small N
+    never gain, those in the quadratic one at large N can, so r can fall below 1 and come
+    back.  Array passes start at 16 sizes and double up to _SCAN_CHUNK (each pass has a
+    fixed cost, and a scan that stops often does so within a few dozen).  Sizes a pass
+    cannot certify count as below 1 for a provisional stop; those at or before it are
+    re-solved in size order, which can only move the stop later.  The peak is the smallest
+    N whose r is within _TIE of the largest r scanned, and r within _TIE of 1 reaches 1 but
+    does not stay above it, so rounding noise where r is flat at 1 picks neither the peak
+    nor the cutoff."""
     if check_count(n_search_max, "n_search_max") < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
     if n_search_max > _N_SEARCH_CAP:
         raise DomainError(f"n_search_max must be <= {_N_SEARCH_CAP}, got {n_search_max!r}")
     t_c = coherence_time(model)
+    stop = math.inf if model.kind is BathKind.OHMIC else 10.0  # sizes below 1 that end it
     tau_tilde_sep = law.base * t_c  # the law's overhead at N = 1, bit for bit
     try:
         sep, stopped = optimal_sensing_time(model, tau_tilde_sep, 1), False
@@ -295,7 +301,7 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
         while True:  # re-solve the uncertified sizes up to the provisional stop
             # the last qualifying size at or before each N: N - last sizes below 1 in a row
             last = np.maximum.accumulate(np.where(r >= 1.0 - _TIE, sizes, last_qualifying))
-            halt = np.flatnonzero(sizes - last >= 10.0)
+            halt = np.flatnonzero(sizes - last >= stop)
             end = int(halt[0]) + 1 if halt.size else r.size
             todo = np.flatnonzero(np.isnan(r[:end])).tolist()
             if not todo:

@@ -41,10 +41,10 @@ MODELS = {
 
 def oracle_scan(model, law, n_search_max):
     """(cutoff, best_n, best_r) from one gain() call per size at the separable
-    overhead base * t_c, stopping 10 sizes below 1 after a qualifying one; None
-    when the last r is above 1.  The peak is the smallest size whose r is within
-    4 eps, relative, of the largest r; r within 4 eps of 1 reaches 1 and is not
-    above it."""
+    overhead base * t_c, stopping 10 sizes below 1 after a qualifying one except
+    on an Ohmic bath, whose r can come back above 1; None when the last r is
+    above 1.  The peak is the smallest size whose r is within 4 eps, relative,
+    of the largest r; r within 4 eps of 1 reaches 1 and is not above it."""
     tie = 4.0 * np.finfo(float).eps
     t_c = coherence_time(model)
     tau_tilde_sep = law.base * t_c
@@ -60,7 +60,7 @@ def oracle_scan(model, law, n_search_max):
             last_qualifying, below = n, 0
         else:
             below += 1
-            if last_qualifying and below >= 10:
+            if last_qualifying and below >= 10 and model.kind is not BathKind.OHMIC:
                 break
     top = max((r_n for _, r_n in feasible), default=None)
     best_n, best_r = next(((n, r_n) for n, r_n in feasible
@@ -106,7 +106,7 @@ def test_array_optimum_matches_the_scalar_solver(kind):
             assert math.isnan(rate[i])
             assert tau[i] == _tau_opt(model, *args)[0]  # the scalar root, bit for bit
             continue
-        if kind.startswith(("isolated", "markovian")):  # the same code on the same doubles
+        if kind.startswith(("isolated", "markovian", "nonmarkovian")):  # the same code
             assert tau[i] == opt.tau_opt  # (the rates take np.exp and math.exp)
         # both Ohmic solvers take the same Newton steps to 4 eps relative; numpy's
         # transcendentals in the array residual move the root by ~1e-15
@@ -174,8 +174,14 @@ SCANS = {
     "nonmarkovian-tie-at-one": (BathModel.nonmarkovian(1.0), ScalingLaw("linear", 0.2), 100),
     "nonmarkovian-square-root": (BathModel.nonmarkovian(1.0), ScalingLaw("square-root", 0.05),
                                  500),
-    # near the Markov limit no size above 1 gains: the scan stops at N = 11
+    # near the Markov limit no size above 1 gains
     "ohmic-logarithmic": (MODELS["ohmic"], ScalingLaw("logarithmic", 0.01), 300),
+    # r dips below 1 from N = 2 (r(20) = 0.62) and is back above it by N = 1000
+    "ohmic-dip-constant": (BathModel.ohmic(0.0443, 491.0, 0.01883),
+                           ScalingLaw("constant", 0.00836), 2000),
+    # r is below 1 at small N, above it on about N = 30..553
+    "ohmic-dip-logarithmic": (BathModel.ohmic(0.4336, 1.685, 70.05),
+                              ScalingLaw("logarithmic", 0.00529), 2000),
     "cold-ohmic-constant": (MODELS["cold-ohmic"], ScalingLaw("constant", 0.01), 200),
     # strong coupling, short optima: GHZ gains up to N = 32
     "strong-ohmic-square-root": (BathModel.ohmic(10.0, 1.0, 100.0),
@@ -218,9 +224,21 @@ def test_passes_start_small_and_double_up_to_the_chunk():
     widths = np.diff([0] + ENDS)
     assert widths[0] <= 16 and ENDS[-1] == 3 * CHUNK
     assert (widths[1:-1] == np.minimum(2 * widths[:-2], CHUNK)).all()
-    # an Ohmic scan that stops at N = 11 solves only its first pass
-    model, law, _ = SCANS["ohmic-logarithmic"]
+    # a Markovian scan that stops at N = 11 solves only its first pass
+    model, law, _ = SCANS["markovian-tie-at-one"]
+    assert n_cutoff_and_max_gain(model, law, 10**6) == (1, 1, 1.0)
     assert pass_widths(model, law, 10**6) == [widths[0]]
+
+
+@pytest.mark.parametrize("case, want", [
+    ("ohmic-dip-constant", (None, 10**6, 1.2501972398)),
+    ("ohmic-dip-logarithmic", (553, 76, 1.0940914312)),
+])
+def test_an_ohmic_scan_runs_past_a_dip_below_1(case, want):
+    # the 10-size stop rule would end both at (1, 1, 1.0)
+    model, law, _ = SCANS[case]
+    got = n_cutoff_and_max_gain(model, law, 10**6)
+    assert got[:2] == want[:2] and got[2] == pytest.approx(want[2], rel=1e-10)
 
 
 def test_overflowing_law_raises_where_the_loop_does():

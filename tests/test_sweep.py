@@ -462,12 +462,11 @@ def pointwise_rows(config, sweep_rows):
     return rows
 
 
-# relative tolerance per kind: the isolated and Markovian array solves use
-# the scalar operations, so every double matches; numpy's cos and arccos
-# can move the cubic's Viete estimate, and so its Newton step, by an ulp
-# (_nonmarkov_root's array and scalar forms); the Ohmic zero finder
-# evaluates the exponent's derivative with numpy's transcendentals
-AGREEMENT_REL = {"isolated": 0.0, "markovian": 0.0, "nonmarkovian": 1e-15, "ohmic": 1e-13}
+# relative tolerance per kind: the isolated, Markovian and non-Markovian
+# array solves use the scalar operations (the cubic's root is the same
+# Newton loop over +, * and /), so every double matches; the Ohmic zero
+# finder evaluates the exponent's derivative with numpy's transcendentals
+AGREEMENT_REL = {"isolated": 0.0, "markovian": 0.0, "nonmarkovian": 0.0, "ohmic": 1e-13}
 
 
 def assert_rows_agree(rows, expected, rel):
