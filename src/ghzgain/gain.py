@@ -261,7 +261,8 @@ _N_SEARCH_CAP = 10**9  # a scan that never stops ends; every size is an exact fl
 
 def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, need_peak: bool):
     """(cutoff, best_n, best_r) over N = 1..n_search_max, r as gain() forms it, and 0 where
-    the timing is infeasible (at every size, where the separable timing is).  r(1) = 1, and
+    the timing is infeasible (at every size, where the separable timing is); the array rate
+    takes numpy's exp, so a non-isolated r agrees with gain()'s to 1e-13.  r(1) = 1, and
     the scan stops once r has been below 1 for 10 consecutive sizes, which ends no scan early
     where r is unimodal in N: isolated, d ln r/dN = 1/N - 2 x_ent'/(1 - x_ent) changes sign
     at most once; Markovian, r = psi(N x_ent)/psi(base) <= 1 for the decreasing optimal rate

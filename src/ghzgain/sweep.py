@@ -5,10 +5,11 @@ x_ent = tau_tilde_ent/t_c and x_sep = tau_tilde_sep/t_c, and the particle
 number n.  A sweep fixes one (or two) of them and grids the rest.  Output
 is a deterministic table: same config, byte-identical file.
 
-Each distinct optimum is solved once, in two array passes: the distinct
-x_sep, then, unless no separable timing is feasible, the distinct (x_ent, n),
-the product of the distinct x_ent and the distinct n; ``optimal_sensing_time``
-re-solves what a pass cannot certify.  ``run_sweep`` returns a ``SweepTable``,
+Each distinct optimum is solved once per strategy, in two array passes: the
+distinct x_sep, then, unless no separable timing is feasible, the distinct
+(x_ent, n), the product of the distinct x_ent and the distinct n; a key that
+both strategies need is solved in each.  ``optimal_sensing_time`` re-solves
+what a pass cannot certify.  ``run_sweep`` returns a ``SweepTable``,
 a read-only sequence of rows kept in factored form: the axis values and the
 results per distinct optimum.  Rows are derived in blocks of 2^12, their
 indices by ``np.unravel_index`` and r by the float operations of a per-point
@@ -273,10 +274,9 @@ def _grid(config: SweepConfig) -> dict:
             if name == "n" else np.array(values, dtype=float) for name, values in columns.items()}
 
 
-def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
-    """[tau_opt, exp(-2 n_eff Gamma(tau_opt))] at keys tau_tilde + 1j n_eff, tau NaN where
+def _solve(model: BathModel, tau_tilde: np.ndarray, n_eff: np.ndarray) -> np.ndarray:
+    """[tau_opt, exp(-2 n_eff Gamma(tau_opt))] at each (tau_tilde, n_eff), tau NaN where
     infeasible; what the array pass cannot certify, the scalar solver redoes."""
-    tau_tilde, n_eff = keys.real, keys.imag
     tau, rate = _optimal_sensing_times(model, tau_tilde, n_eff)
     with np.errstate(all="ignore"):
         exponent = -2.0 * n_eff * _decay_exponent(model, tau, np)
@@ -294,10 +294,10 @@ def _solve(model: BathModel, keys: np.ndarray) -> np.ndarray:
 def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate the gain on the configured grid, row-major in axis order.
 
-    Each distinct optimum is solved once and shared by every row that
-    needs it.  Infeasible points (isolated probe with overhead >= t_c)
-    become rows with feasible=False instead of aborting the sweep; a value
-    that is not finite raises SolverError.
+    Each distinct optimum is solved once per strategy and shared by every
+    row that needs it.  Infeasible points (isolated probe with overhead
+    >= t_c) become rows with feasible=False instead of aborting the sweep;
+    a value that is not finite raises SolverError.
     """
     model = config.model
     t_c = coherence_time(model)
@@ -305,26 +305,24 @@ def run_sweep(config: SweepConfig) -> SweepTable:
     n = columns["n"].astype(float)
     with np.errstate(over="ignore"):  # an infinite overhead is re-solved, and rejected
         tau_tilde_sep, tau_tilde_ent = columns["x_sep"] * t_c, columns["x_ent"] * t_c
-    # keys tau_tilde + 1j n_eff, each pair once, ordered by real, then imaginary part
-    sep_keys, sep_at = np.unique(tau_tilde_sep + 1j, return_inverse=True)
-    (ux, ux_at), (un, un_at) = (np.unique(a, return_inverse=True) for a in (tau_tilde_ent, n))
-    ent_keys, ent_at = (ux[:, None] + 1j * un).ravel(), (ux_at[:, None] * un.size + un_at).ravel()
-    sep = _solve(model, sep_keys)
-    ent = np.full((2, ent_keys.size), math.nan)
+    # the distinct separable overheads at n_eff = 1; every (x_ent, n) pair of the distinct ones
+    (sep_tilde, sep_at), (ux, ux_at), (un, un_at) = (
+        np.unique(a, return_inverse=True) for a in (tau_tilde_sep, tau_tilde_ent, n))
+    ent_tilde, ent_n = np.repeat(ux, un.size), np.tile(un, ux.size)
+    ent_at = (ux_at[:, None] * un.size + un_at).ravel()
+    sep = _solve(model, sep_tilde, np.ones_like(sep_tilde))
+    ent = np.full((2, ent_tilde.size), math.nan)
     if not np.isnan(sep[0]).all():  # as in gain(), an infeasible sep timing ends a row
-        # n = 1 at a separable overhead is solved: look it up in the sorted sep_keys
-        at = np.searchsorted(sep_keys, ent_keys).clip(max=sep_keys.size - 1)
-        known = sep_keys[at] == ent_keys
-        ent[:, known] = sep[:, at[known]]
-        ent[:, ~known] = _solve(model, ent_keys[~known])
+        ent = _solve(model, ent_tilde, ent_n)
     with np.errstate(all="ignore"):
-        f_sep, rate_sep = (a.ravel() for a in _rates(n, sep_keys.real[:, None],
-                                                      *sep[:, :, None], np))
-        f_ent, rate_ent = _rates(ent_keys.imag * ent_keys.imag, ent_keys.real, *ent, np)
+        f_sep, rate_sep = (a.ravel() for a in _rates(n, sep_tilde[:, None], *sep[:, :, None], np))
+        f_ent, rate_ent = _rates(ent_n * ent_n, ent_tilde, *ent, np)
         # no row's r is past the largest rate over the smallest
         r_bound = np.fmax.reduce(rate_ent) / np.fmin.reduce(rate_sep)
     table = SweepTable(columns, sep_at, ent_at, (sep[0], f_sep, rate_sep), (ent[0], f_ent, rate_ent))
-    if not r_bound < math.inf or np.isinf(f_sep).any() or np.isinf(f_ent).any():
+    # with ent[0] all NaN no row is feasible (grids are full products): nothing to check
+    if not np.isnan(ent[0]).all() and (
+            not r_bound < math.inf or np.isinf(f_sep).any() or np.isinf(f_ent).any()):
         _check_finite(table)
     return table
 

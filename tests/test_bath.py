@@ -80,9 +80,10 @@ def mp_ohmic_exponent(alpha, omega_c, beta, tau):
 
 
 class TestOhmicBranches:
-    # the four branches of ln(sinh x / x) meet at 1e-2, 1 and 20
+    # the three branches of ln(sinh x / x) meet at 1 and 20; 1e-2 down to 1e-12 is the
+    # small-x end of the log1p branch
     XS = [x * f for x in (1e-2, 1.0, 20.0) for f in (0.999, 1.0, 1.001)] + [
-        1e-6, 3e-2, 0.3, 3.0, 200.0]
+        1e-12, 1e-9, 1e-6, 3e-2, 0.3, 3.0, 200.0]
 
     def test_log_sinhc_matches_mpmath(self):
         with mpmath.workdps(50):
@@ -100,7 +101,8 @@ class TestOhmicBranches:
 
     @pytest.mark.parametrize("alpha, omega_c, beta", [(0.05, 20.0, 0.5), (0.1, 100.0, 10.0),
                                                       (0.3, 0.5, 0.02)])
-    @pytest.mark.parametrize("x_lo, x_hi", [(1e-6, 1e-2), (1e-2, 1.0), (1.0, 20.0), (20.0, 300.0)],
+    # "series": x in [1e-12, 1e-2), the small-x end of the log1p branch
+    @pytest.mark.parametrize("x_lo, x_hi", [(1e-12, 1e-2), (1e-2, 1.0), (1.0, 20.0), (20.0, 300.0)],
                              ids=["series", "log1p", "direct", "asymptotic"])
     def test_ohmic_exponent_matches_mpmath_on_each_branch(self, alpha, omega_c, beta, x_lo, x_hi):
         model = BathModel.ohmic(alpha, omega_c, beta)

@@ -21,6 +21,7 @@ from ghzgain import (
     BathModel,
     DomainError,
     InfeasibleTimingError,
+    SolverError,
     SweepRow,
     SweepTable,
     ValidationError,
@@ -402,12 +403,41 @@ class TestSharedSolves:
         config = config()
         rows = run_sweep(config)
         t_c = coherence_time(config.model)
-        needed = {(row.x_sep * t_c, 1) for row in rows}
-        needed |= {(row.x_ent * t_c, row.n) for row in rows}
-        counts = Counter(solve_log)
-        assert set(counts) == needed
-        assert set(counts.values()) == {1}
+        sep = Counter({(row.x_sep * t_c, 1) for row in rows})
+        ent = Counter({(row.x_ent * t_c, row.n) for row in rows})
+        # each separable and each entangled key once; a key that both need, once in each
+        assert Counter(solve_log) == sep + ent
         assert len(solve_log) < 2 * len(rows)
+
+    @pytest.mark.parametrize("config, message", [
+        # every separable, or every entangled, timing infeasible: r's bound is NaN, no row
+        # is feasible, and a walk would find nothing
+        (dict(model={"kind": "isolated", "t_c": 1.0}, fixed={"n": 10},
+              axes={"x_ent": {"min": 0.0, "max": 0.5, "points": 40},
+                    "x_sep": {"min": 1.0, "max": 2.0, "points": 40}}), None),
+        (dict(model={"kind": "isolated", "t_c": 1.0}, fixed={"n": 10},
+              axes={"x_ent": {"min": 1.0, "max": 2.0, "points": 40},
+                    "x_sep": {"min": 0.0, "max": 0.5, "points": 40}}), None),
+        # a separable overhead of 1e307 t_c: r = rate_ent / rate_sep overflows
+        (dict(model={"kind": "nonmarkovian", "eta": 1}, fixed={"n": 10000, "x_ent": 0},
+              axes={"x_sep": {"min": 1e306, "max": 1e307, "points": 2}}),
+         "r must be finite, got inf"),
+        # n tau^2 = 1e5 (1e152)^2: f_sep overflows
+        (dict(model={"kind": "isolated", "t_c": 1e152}, fixed={"n": 10**5, "x_sep": 0},
+              axes={"x_ent": {"min": 0.9999999999, "max": 0.99999999999, "points": 2}}),
+         "f_sep must be finite, got inf"),
+    ], ids=["no-separable-timing", "no-entangled-timing", "r", "f_sep"])
+    def test_only_a_grid_with_a_feasible_row_is_walked(self, monkeypatch, config, message):
+        walks, check = [], sweep_module._check_finite
+        monkeypatch.setattr(sweep_module, "_check_finite",
+                            lambda table: walks.append(table) or check(table))
+        if message is None:
+            assert not any(row.feasible for row in run_sweep(make_config(**config)))
+            assert walks == []
+        else:
+            with pytest.raises(SolverError, match=message):
+                run_sweep(make_config(**config))
+            assert len(walks) == 1
 
     def test_infeasible_separable_point_is_solved_once(self, solve_log):
         rows = run_sweep(no_separable_timing_config())
@@ -532,12 +562,14 @@ def complex_key_rows(config):
         tau_tilde_sep, tau_tilde_ent = columns["x_sep"] * t_c, columns["x_ent"] * t_c
     sep_keys, sep_at = np.unique(tau_tilde_sep + 1j, return_inverse=True)
     ent_keys, ent_at = np.unique((tau_tilde_ent[:, None] + 1j * n).ravel(), return_inverse=True)
-    sep, ent = sweep_module._solve(model, sep_keys), np.full((2, ent_keys.size), math.nan)
+    sep = sweep_module._solve(model, sep_keys.real, sep_keys.imag)
+    ent = np.full((2, ent_keys.size), math.nan)
     if not np.isnan(sep[0]).all():
         at = np.searchsorted(sep_keys, ent_keys).clip(max=sep_keys.size - 1)
         known = sep_keys[at] == ent_keys
         ent[:, known] = sep[:, at[known]]
-        ent[:, ~known] = sweep_module._solve(model, ent_keys[~known])
+        keys = ent_keys[~known]
+        ent[:, ~known] = sweep_module._solve(model, keys.real, keys.imag)
     with np.errstate(all="ignore"):
         f_sep, rate_sep = (a.ravel() for a in sweep_module._rates(
             n, sep_keys.real[:, None], *sep[:, :, None], np))
@@ -576,6 +608,25 @@ def key_grids(draw):
 @given(config=key_grids())
 def test_per_axis_keys_give_the_rows_of_complex_keys(config):
     assert list(run_sweep(config)) == complex_key_rows(config)
+
+
+@pytest.mark.parametrize("model", KEY_MODELS, ids=lambda model: model["kind"])
+@pytest.mark.parametrize("axes, fixed", [
+    ({name: {"min": 0.0, "max": 1.4, "points": 15} for name in ("x_ent", "x_sep")}, {"n": 1}),
+    ({name: {"min": 0.01, "max": 3.0, "points": 9, "spacing": "log"} for name in ("x_ent", "x_sep")},
+     {"n": 1}),
+    ({"x_sep": {"min": 0.0, "max": 1.2, "points": 7}, "n": {"min": 1, "max": 50, "points": 4}},
+     {"x_ent": AxisSpec("x_sep", 0.0, 1.2, 7).values()[3]}),
+], ids=["linear", "log", "fixed-x_ent"])
+def test_n_1_at_a_shared_overhead_gives_both_strategies_the_same_doubles(model, axes, fixed):
+    # each strategy solves its own keys, so an (x, 1) key that both need is solved twice
+    rows = [row for row in run_sweep(make_config(model=model, axes=axes, fixed=fixed))
+            if row.x_ent == row.x_sep and row.n == 1]
+    assert any(row.feasible for row in rows)
+    for row in rows:
+        if row.feasible:
+            assert row.r == 1.0
+            assert row.f_sep == row.f_ent and row.tau_opt_sep == row.tau_opt_ent
 
 
 # The per-row rendering that rows_to_csv replaced: one %-format per row, with
