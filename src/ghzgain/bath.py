@@ -217,7 +217,7 @@ _NEWTON_TOL = 4.0 * sys.float_info.epsilon  # the relative step it stops at
 _WHERE = {math: lambda cond, a, b: a if cond else b, np: np.where}
 
 
-def _newton_root(f, lo, f_lo, hi, cap, xp=math):
+def _newton_root(f, lo, f_lo, hi, cap, xp=math, *, tol=_NEWTON_TOL):
     """(x, f(x)) at a root of f above lo, at floats (xp = math) or elementwise over arrays.
     f(t) returns (f(t), f'(t)); f_lo is that pair at lo >= 0, where f < 0 (NaN: not
     evaluated).  hi doubles, and lo moves to it, while f(hi) < 0 and hi < cap; x is NaN
@@ -225,8 +225,9 @@ def _newton_root(f, lo, f_lo, hi, cap, xp=math):
     start at the end with the smaller |f|; a step not strictly inside (lo, hi), or a slope
     of 0, inf or NaN, bisects at sqrt(lo hi) (hi/2 while lo = 0), and each point replaces
     the end of its sign.  x is the first point where f = 0 or whose next step or
-    half-bracket is <= 4 eps x; without one in _NEWTON_MAX_ITER evaluations, floats raise
-    SolverError and arrays give NaN (a converged element stands still meanwhile).
+    half-bracket is <= tol x (relative, 4 eps unless given); without one in
+    _NEWTON_MAX_ITER evaluations, floats raise SolverError and arrays give NaN (a
+    converged element stands still meanwhile).
     """
     where = _WHERE[xp]
     while True:
@@ -247,8 +248,8 @@ def _newton_root(f, lo, f_lo, hi, cap, xp=math):
         mid = where(lo > 0.0, xp.sqrt(lo) * xp.sqrt(hi), 0.5 * hi)
         new = where((lo < x + step) & (x + step < hi), x + step, mid)
         # ulp(0.0): the tolerance is never 0 at an underflowing root
-        tol = _NEWTON_TOL * x + math.ulp(0.0)
-        done = (fx == 0.0) | (abs(step) <= tol) | (abs(mid - x) <= tol)
+        near = tol * x + math.ulp(0.0)
+        done = (fx == 0.0) | (abs(step) <= near) | (abs(mid - x) <= near)
         if done if xp is math else done.all():
             return where(bracketed, x, math.nan), fx
         x = where(done, x, new)
@@ -294,7 +295,7 @@ def coherence_time(model: BathModel) -> float:
     here is the time at which Gamma first reaches 1 (the two limits of
     that convention recover 1/gamma and 1/sqrt(eta)), located by _newton_root on
     Gamma - 1 with slope Gamma' to a relative step of 4 eps; cached, since
-    sweeps ask for it per grid point.
+    repeated calls on one model ask for it again (each threshold; `cutoff`, twice).
     """
     if model.kind is BathKind.ISOLATED:
         return model.t_c

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bath import BathKind, BathModel, coherence_time
+from .bath import BathKind, BathModel, _newton_root, coherence_time
 from .errors import (
     DomainError,
     InfeasibleTimingError,
@@ -112,7 +112,9 @@ def gain(model: BathModel, n: int, tau_tilde_sep: float, tau_tilde_ent: float) -
     n = check_count(n, "particle count")
     tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "separable overhead time")
     tau_tilde_ent = check_finite_nonnegative(tau_tilde_ent, "entangled overhead time")
-    return _gain_at_fixed_sep(model, tau_tilde_sep)(n, tau_tilde_ent)
+    sep = optimal_sensing_time(model, tau_tilde_sep, 1)
+    ent = optimal_sensing_time(model, tau_tilde_ent, n)
+    return _gain_from_optima(n, tau_tilde_sep, tau_tilde_ent, sep, ent)
 
 
 def _gain_from_optima(n: int, tau_tilde_sep: float, tau_tilde_ent: float,
@@ -130,17 +132,6 @@ def _gain_from_optima(n: int, tau_tilde_sep: float, tau_tilde_ent: float,
         for field, value in vars(result).items():
             check_finite(value, field, SolverError)
     return result
-
-
-def _gain_at_fixed_sep(model: BathModel, tau_tilde_sep: float):
-    """gain_at(n, tau_tilde_ent) = gain(model, n, tau_tilde_sep, tau_tilde_ent)
-    for valid inputs; solves the separable optimum once, each call the GHZ one."""
-    sep = optimal_sensing_time(model, tau_tilde_sep, 1)
-
-    def gain_at(n: int, tau_tilde_ent: float) -> GainResult:
-        ent = optimal_sensing_time(model, tau_tilde_ent, n)
-        return _gain_from_optima(n, tau_tilde_sep, tau_tilde_ent, sep, ent)
-    return gain_at
 
 
 def gain_isolated(n: int, x_sep: float, x_ent: float) -> float:
@@ -164,12 +155,14 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
 
     Closed forms: t_c (1 - (1 - x_sep)/sqrt(N)) for an isolated probe and
     tau_tilde_sep / N for linear decay.  The quadratic and Ohmic laws
-    have no known closed form, so the crossing in [0, 1e4 t_c] is found by
-    the frozen-optimum step x' = r (x + tau_ent*) - tau_ent*, one GHZ solve
-    each (the last none): with tau_ent* kept, the rate at x' is not optimal,
-    so r(x') >= 1; a step bisects the sign bracket only if rounding leaves it.
-    200 steps that do not meet the stop test raise SolverError, as does a
-    gain field that is not finite (as in gain()).
+    have no known closed form, so the crossing in [0, 1e4 t_c] is a root of
+    1/r - 1 by _newton_root, to a relative step of 1e-12, one GHZ solve per
+    point.  With the GHZ optimum tau_ent* solved at x, the slope is
+    1/(r (x + tau_ent*)), so Newton's step is the frozen-optimum step
+    x' = r (x + tau_ent*) - tau_ent*: the rate at x' with tau_ent* kept is not
+    optimal, so r(x') >= 1, and the steps never pass the crossing.  The
+    last step is taken without a solve.  A search that does not converge
+    raises SolverError, as does a gain field that is not finite (as in gain()).
     """
     n = check_count(n, "particle count")
     tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "overhead time")
@@ -184,28 +177,27 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
     if model.kind is BathKind.MARKOVIAN:
         return tau_tilde_sep / n
 
-    gain_at = _gain_at_fixed_sep(model, tau_tilde_sep)
-    lo, hi = 0.0, 1e4 * coherence_time(model)
-    x, at = lo, gain_at(n, lo)
+    sep, at = optimal_sensing_time(model, tau_tilde_sep, 1), None
+
+    def f(x):  # 1/r - 1 and its slope; at keeps the last gain
+        nonlocal at
+        at = _gain_from_optima(n, tau_tilde_sep, x, sep, optimal_sensing_time(model, x, n))
+        return 1.0 / at.r - 1.0, 1.0 / at.r / at.round_ent
+
+    f_0 = f(0.0)
     if at.r < 1.0:
         raise NoThresholdError(
             "gain is below 1 even at zero entangled overhead", side="below"
         )
     if at.r == 1.0:
         return 0.0
-    if gain_at(n, hi).r > 1.0:
+    hi = 1e4 * coherence_time(model)
+    x = _newton_root(f, 0.0, f_0, hi, hi, tol=1e-12)[0]
+    if math.isnan(x):
         raise NoThresholdError(
             f"gain is still above 1 at the bracket end {hi!r}", side="above"
         )
-    for _ in range(200):
-        step = (at.r - 1.0) * at.round_ent
-        # a next step under 1e-12 relative means |r - 1| < 1e-12 here
-        if abs(step) <= 1e-12 * x or hi - lo <= 1e-15 * hi:
-            return x + step if lo <= x + step <= hi else x  # the last step needs no solve
-        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
-        at = gain_at(n, x)
-        lo, hi = (x, hi) if at.r > 1.0 else (lo, x)
-    raise SolverError(f"no r = 1 crossing located in 200 steps: r({x!r}) = {at.r!r}")
+    return x + (at.r - 1.0) * at.round_ent  # the last step needs no solve
 
 
 def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
@@ -372,8 +364,9 @@ def monotonicity_scan(model: BathModel, n: int, tau_tilde_sep: float,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
     t_c = coherence_time(model)
-    gain_at = _gain_at_fixed_sep(model, tau_tilde_sep)
-    rs = [gain_at(n, x * t_c).r for x in grid]
+    sep = optimal_sensing_time(model, tau_tilde_sep, 1)
+    rs = [_gain_from_optima(n, tau_tilde_sep, tte, sep, optimal_sensing_time(model, tte, n)).r
+          for tte in (x * t_c for x in grid)]
     violations = []
     for i, (r_lo, r_hi) in enumerate(zip(rs, rs[1:])):
         if r_hi - r_lo > 1e-12 * max(abs(r_lo), abs(r_hi)):

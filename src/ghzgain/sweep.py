@@ -245,12 +245,14 @@ def config_from_dict(data: dict) -> SweepConfig:
     fixed, output = data.get("fixed", {}), data["output"]
     check_fields(fixed, "fixed", (), AXIS_NAMES)
     check_fields(output, "output", ("format", "path"))
+    if not isinstance(output["path"], str):
+        raise ValidationError("output.path must be a non-empty string")
     return SweepConfig(
         model=model,
         axes=tuple(axes),
         fixed=dict(fixed),
         output_format=output["format"],
-        output_path=str(output["path"]),
+        output_path=output["path"],
     )
 
 

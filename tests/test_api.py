@@ -1,9 +1,11 @@
 """The package namespace, and the contract of every public solver: a finite,
 checked result or a GhzGainError, never a raw exception."""
 
+import ast
 import dataclasses
 import importlib
 import math
+import os
 import warnings
 
 import numpy as np
@@ -189,3 +191,18 @@ def test_float32_inputs_give_the_doubles_answers_bit_for_bit(call):
         narrow, double = (narrow,), (double,)
     assert all(type(value) in (float, int) for value in narrow)
     assert narrow == double
+
+
+def test_readme_python_api_block_runs():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        block = f.read().split("\n## Python API\n", 1)[1].split("```python\n", 1)[1]
+    namespace, values = {}, []
+    for statement in ast.parse(block.split("```", 1)[0]).body:
+        if isinstance(statement, ast.Expr):  # a bare expression: keep its value
+            values.append(eval(compile(ast.Expression(statement.value), "README.md", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    r, threshold = values
+    assert r == 4.0
+    assert math.isfinite(threshold) and threshold > 0.0

@@ -352,7 +352,7 @@ class TestThreshold:
 
     def test_unconverged_threshold_is_a_solver_error(self, monkeypatch, capsys):
         # r = 1.001 below x = 0.5 with a round of 1e-9: each step moves x by
-        # only 1e-12, so 200 steps end near x = 2e-10, where r is still 1.001
+        # only 1e-12, so 100 evaluations end near x = 1e-10, where r is still 1.001
         gain_module = importlib.import_module("ghzgain.gain")
         from ghzgain import cli
 
@@ -361,7 +361,7 @@ class TestThreshold:
             return gain_module.GainResult(r, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-9)
 
         monkeypatch.setattr(gain_module, "_gain_from_optima", fake)
-        with pytest.raises(SolverError, match="in 200 steps"):
+        with pytest.raises(SolverError, match="did not converge"):
             threshold_ent_time(BathModel.nonmarkovian(1.0), 4, 0.3)
         argv = ["threshold", "--model", "nonmarkovian", "--eta", "1", "--n", "4",
                 "--ttilde-sep", "0.3"]

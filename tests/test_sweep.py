@@ -203,6 +203,9 @@ class TestConfigParsing:
                   fixed={"n": 10, "x_sep": 0.1}), "axes.x_ent: unknown field 'step'"),
             (dict(fixed={"n": True}), "fixed.n must be a number"),
             (dict(model={"kind": "markovian", "gamma": True}), "'gamma' must be a number"),
+            *[(dict(output={"format": "csv", "path": path}),
+               "output.path must be a non-empty string")
+              for path in (None, 0, False, [], {}, "")],
         ],
     )
     def test_invalid_configs_name_the_field(self, patch, message):
@@ -225,6 +228,12 @@ class TestConfigParsing:
         assert len(grid(10**4, 10**3).axes) == 2  # 10^7 rows: built only when run
         with pytest.raises(ValidationError, match="at most 10000000 rows"):
             grid(10**4, 10**3 + 1)
+
+    def test_the_constructor_rejects_a_repeated_axis(self):
+        # a config file's axes are the keys of one object, so only a direct call repeats one
+        config = make_config()
+        with pytest.raises(ValidationError, match="axes must sweep distinct variables"):
+            dataclasses.replace(config, axes=(config.axes[0],) * 2)
 
     def test_three_axes_rejected(self):
         with pytest.raises(ValidationError):
@@ -511,6 +520,24 @@ def assert_rows_agree(rows, expected, rel):
 
 
 class TestArraySweep:
+    @pytest.mark.parametrize("name", ["a", "d", "f"])
+    def test_keys_left_uncertified_are_re_solved_by_the_scalar_solver(self, monkeypatch, name):
+        # every third key of each array pass is left to the scalar solver: the doubles,
+        # and so the CSV text, are unchanged, and every row is gain()'s
+        config = golden_panel_config(name)
+        text = rows_to_csv(run_sweep(config))
+        solve = sweep_module._optimal_sensing_times
+
+        def partial(model, tau_tilde, n_eff):
+            tau, rate = solve(model, tau_tilde, n_eff)
+            rate[::3] = math.nan
+            return tau, rate
+
+        monkeypatch.setattr(sweep_module, "_optimal_sensing_times", partial)
+        rows = run_sweep(config)
+        assert rows_to_csv(rows) == text
+        assert_rows_agree(rows, pointwise_rows(config, rows), 0.0)
+
     @pytest.mark.parametrize("kind", sorted(AGREEMENT_REL))
     def test_rows_match_pointwise_gain(self, kind):
         rng = random.Random(f"sweep-{kind}")
