@@ -253,21 +253,21 @@ _N_SEARCH_CAP = 10**9  # a scan that never stops ends; every size is an exact fl
 
 def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, need_peak: bool):
     """(cutoff, best_n, best_r) over N = 1..n_search_max, r as gain() forms it, and 0 where
-    the timing is infeasible (at every size, where the separable timing is); the array rate
-    takes numpy's exp, so a non-isolated r agrees with gain()'s to 1e-13.  r(1) = 1, and
-    the scan stops once r has been below 1 for 10 consecutive sizes, which ends no scan early
+    the timing is infeasible (at every size, where the separable timing is); r is gain()'s
+    bit for bit but on an Ohmic bath, whose array root takes numpy's transcendentals and
+    agrees to 1e-13.  r(1) = 1, and the scan stops once r has been below 1 for 10
+    consecutive sizes, which ends no scan early
     where r is unimodal in N: isolated, d ln r/dN = 1/N - 2 x_ent'/(1 - x_ent) changes sign
     at most once; Markovian, r = psi(N x_ent)/psi(base) <= 1 for the decreasing optimal rate
     psi at an overhead in units of t_c; non-Markovian, unimodal in numerical checks of every
     law.  An Ohmic scan runs to n_search_max: GHZ optima in the Markov regime at small N
     never gain, those in the quadratic one at large N can, so r can fall below 1 and come
     back.  Array passes start at 16 sizes and double up to _SCAN_CHUNK (each pass has a
-    fixed cost, and a scan that stops often does so within a few dozen).  Sizes a pass
-    cannot certify count as below 1 for a provisional stop; those at or before it are
-    re-solved in size order, which can only move the stop later.  The peak is the smallest
-    N whose r is within _TIE of the largest r scanned, and r within _TIE of 1 reaches 1 but
-    does not stay above it, so rounding noise where r is flat at 1 picks neither the peak
-    nor the cutoff."""
+    fixed cost, and a scan that stops often does so within a few dozen).  A size whose r a
+    pass cannot certify counts as below 1, so it cannot move the stop; the first one at or
+    before the stop raises gain()'s error there.  The peak is the smallest N whose r is
+    within _TIE of the largest r scanned, and r within _TIE of 1 reaches 1 but does not stay
+    above it, so rounding noise where r is flat at 1 picks neither the peak nor the cutoff."""
     if check_count(n_search_max, "n_search_max") < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
     if n_search_max > _N_SEARCH_CAP:
@@ -289,24 +289,18 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
         rate = _optimal_sensing_times(model, tau_tilde_ent, sizes)[1]
         if sizes[0] == 1.0:
             rate[0] = sep.objective  # N = 1 is the separable probe: r = 1 exactly
-        r = rate / rate_sep  # 0 where infeasible
-        r[rate_sep == math.inf] = math.nan  # re-solved, then rejected as gain() rejects it
-        while True:  # re-solve the uncertified sizes up to the provisional stop
-            # the last qualifying size at or before each N: N - last sizes below 1 in a row
-            last = np.maximum.accumulate(np.where(r >= 1.0 - _TIE, sizes, last_qualifying))
-            halt = np.flatnonzero(sizes - last >= stop)
-            end = int(halt[0]) + 1 if halt.size else r.size
-            todo = np.flatnonzero(np.isnan(r[:end])).tolist()
-            if not todo:
-                break
-            for i in todo:
-                tte = check_finite_nonnegative(float(tau_tilde_ent[i]), "entangled overhead time")
-                try:
-                    ent = optimal_sensing_time(model, tte, int(sizes[i]))
-                    r[i] = _gain_from_optima(int(sizes[i]), tau_tilde_sep, tte, sep, ent).r
-                except InfeasibleTimingError:
-                    r[i] = 0.0
+        r = rate / rate_sep  # 0 where infeasible, NaN where gain() raises
+        r[rate_sep == math.inf] = math.nan
+        # the last qualifying size at or before each N: N - last sizes below 1 (or NaN) in a row
+        last = np.maximum.accumulate(np.where(r >= 1.0 - _TIE, sizes, last_qualifying))
+        halt = np.flatnonzero(sizes - last >= stop)
+        end = int(halt[0]) + 1 if halt.size else r.size
         stopped, r = halt.size > 0, r[:end]
+        bad = np.flatnonzero(np.isnan(r))
+        if bad.size:  # the first size at or before the stop that gain() rejects
+            n, tte = int(sizes[bad[0]]), float(tau_tilde_ent[bad[0]])
+            gain(model, n, tau_tilde_sep, tte)
+            raise SolverError(f"no certified gain at n = {n}, entangled overhead time {tte!r}")
         # near gets each size within _TIE of the largest r so far whose r tops every earlier
         # r; the peak is the first size in near within _TIE of the scan's largest r
         prior, top = top, max(top, float(r.max()))

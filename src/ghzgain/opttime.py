@@ -139,15 +139,17 @@ def _markov_root(h, tau_tilde, xp=math):
     """Positive root of tau^2 + (tau_tilde - h) tau - 2 h tau_tilde, the Markovian optimum
     at h = 1/(2 n_eff gamma), at floats (xp = math) or elementwise over arrays (xp = numpy),
     in a form without subtractive cancellation (the textbook form loses the root when
-    tau_tilde >> h).  Where the larger of h and tau_tilde is past 2^500, b, tau_tilde and
-    the square under the root are scaled by the power of two that takes it to [1/2, 1), so
-    the square cannot overflow and no bit moves except of a term negligible beside the
+    tau_tilde >> h).  Where the larger of h and tau_tilde is past 2^500 or below 2^-500, b,
+    tau_tilde and the square under the root are scaled by the power of two that takes it
+    to [1/2, 1), at most 2^1022 (which takes every normal key there), so the square can
+    neither overflow nor underflow and no bit moves except of a term negligible beside the
     rest.  The root is 0 only where h tau_tilde underflows, and tau then underflows too."""
     where = _WHERE[xp]
     big = where(h > tau_tilde, h, tau_tilde)
-    far, s = big > 2.0 ** 500, 1.0  # s = 1 leaves every bit; frexp costs every key
-    if far if xp is math else far.any():
-        s = xp.ldexp(1.0, -xp.frexp(where(far, big, 0.5))[1])  # 1 up to 2^500
+    far, s = (big > 2.0 ** 500) | (big < 2.0 ** -500), 1.0  # s = 1 leaves every bit
+    if far if xp is math else far.any():  # frexp costs every key
+        e = -xp.frexp(where(far, big, 0.5))[1]  # 0 where not far
+        s = xp.ldexp(1.0, where(e > 1022, 1022, e))  # 2^1074 is not a double
     b, t = (tau_tilde - h) * s, tau_tilde * s
     root = xp.sqrt(b * b + 8.0 * (h * s) * t)
     pos = (b >= 0.0) & (root > 0.0)
@@ -273,22 +275,26 @@ def _tau_opt(model: BathModel, tau_tilde, n_eff, xp=math):
 
 
 def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
-                           n_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tau, rate) of optimal_sensing_time over float arrays of overheads
-    >= 0 and particle counts >= 1 (not checked), by the same code; rate
-    is 0 where the timing is infeasible and NaN where this path cannot
-    certify the optimum (Ohmic root with no bracket or no convergence, rate
-    not finite and > 0, overhead not finite), for optimal_sensing_time to
-    re-solve or reject."""
+                           n_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, rate, decay) of optimal_sensing_time over float arrays of overheads >= 0 and
+    particle counts >= 1 (not checked), by the same code: the decay takes math.exp per
+    key, as the scalar solver does, unless every exponent is 0 (an isolated probe), so
+    where the rate is certified it is the scalar one bit for bit.  The rate is 0 where the
+    timing is infeasible and NaN where the scalar solver raises (Ohmic root with no
+    bracket or no convergence, rate not finite and > 0, overhead not finite): the caller
+    calls it on the first such key it needs, for its error."""
     with np.errstate(all="ignore"):
         tau = _tau_opt(model, tau_tilde, n_eff, np)[0]
-        decay = np.exp(-2.0 * n_eff * _decay_exponent(model, tau, np))
+        exponent = -2.0 * n_eff * _decay_exponent(model, tau, np)
+        decay = np.ones_like(exponent)  # exp(-0) = 1
+        if exponent.any():
+            decay = np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)
         rate = _rates(n_eff * n_eff, tau_tilde, tau, decay, np)[1]
     rate = np.where((rate > 0.0) & (rate < math.inf), rate, math.nan)
     if model.kind is BathKind.ISOLATED:
         rate[tau <= 0.0] = 0.0
     rate[~np.isfinite(tau_tilde)] = math.nan  # for the scalar solver's DomainError
-    return tau, rate
+    return tau, rate, decay
 
 
 def optimal_sensing_time(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:

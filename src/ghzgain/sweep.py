@@ -8,9 +8,9 @@ is a deterministic table: same config, byte-identical file.
 Each distinct optimum is solved once per strategy, in two array passes: the
 distinct x_sep, then, unless no separable timing is feasible, the distinct
 (x_ent, n), the product of the distinct x_ent and the distinct n; a key that
-both strategies need is solved in each.  ``optimal_sensing_time`` re-solves
-what a pass cannot certify.  ``run_sweep`` returns a ``SweepTable``,
-a read-only sequence of rows kept in factored form: the axis values and the
+both strategies need is solved in each; the first key a pass cannot certify
+raises the error of ``optimal_sensing_time`` there.  ``run_sweep`` returns a
+``SweepTable``, a read-only sequence of rows kept in factored form: the axis values and the
 results per distinct optimum.  Rows are derived in blocks of 2^12, their
 indices by ``np.unravel_index`` and r by the float operations of a per-point
 ``gain``.  One writer renders each distinct float once, in numpy, with
@@ -41,8 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath import BathModel, _decay_exponent, coherence_time
-from .errors import (InfeasibleTimingError, SolverError, ValidationError, check_fields,
+from .bath import BathModel, coherence_time
+from .errors import (SolverError, ValidationError, check_fields,
                      check_finite_nonnegative, check_number)
 from .opttime import _optimal_sensing_times, _rates, optimal_sensing_time
 
@@ -278,17 +278,13 @@ def _grid(config: SweepConfig) -> dict:
 
 def _solve(model: BathModel, tau_tilde: np.ndarray, n_eff: np.ndarray) -> np.ndarray:
     """[tau_opt, exp(-2 n_eff Gamma(tau_opt))] at each (tau_tilde, n_eff), tau NaN where
-    infeasible; what the array pass cannot certify, the scalar solver redoes."""
-    tau, rate = _optimal_sensing_times(model, tau_tilde, n_eff)
-    with np.errstate(all="ignore"):
-        exponent = -2.0 * n_eff * _decay_exponent(model, tau, np)
-    decay = np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)  # gain()'s math.exp
-    for i in np.flatnonzero(np.isnan(rate)).tolist():
-        try:
-            opt = optimal_sensing_time(model, float(tau_tilde[i]), int(n_eff[i]))
-            tau[i], decay[i] = opt.tau_opt, opt.decay
-        except InfeasibleTimingError:
-            rate[i] = 0.0
+    infeasible; the first key the array pass cannot certify raises the scalar solver's error."""
+    tau, rate, decay = _optimal_sensing_times(model, tau_tilde, n_eff)
+    bad = np.flatnonzero(np.isnan(rate))
+    if bad.size:
+        tte, n = float(tau_tilde[bad[0]]), int(n_eff[bad[0]])
+        optimal_sensing_time(model, tte, n)
+        raise SolverError(f"no certified optimum at tau_tilde = {tte!r}, n_eff = {n}")
     tau[rate == 0.0] = math.nan
     return np.array([tau, decay])
 
@@ -305,7 +301,7 @@ def run_sweep(config: SweepConfig) -> SweepTable:
     t_c = coherence_time(model)
     columns = _grid(config)
     n = columns["n"].astype(float)
-    with np.errstate(over="ignore"):  # an infinite overhead is re-solved, and rejected
+    with np.errstate(over="ignore"):  # an infinite overhead raises the scalar DomainError
         tau_tilde_sep, tau_tilde_ent = columns["x_sep"] * t_c, columns["x_ent"] * t_c
     # the distinct separable overheads at n_eff = 1; every (x_ent, n) pair of the distinct ones
     (sep_tilde, sep_at), (ux, ux_at), (un, un_at) = (

@@ -392,6 +392,21 @@ class TestSweepCommand:
         assert "optimal information rate inf is not finite" in err
         assert not out_path.exists()
 
+    def test_tiny_markovian_keys_exit_0(self, capsys, tmp_path):
+        # gamma = 1e160: each overhead and each 1/(2 n gamma) is below 2^-500, where the
+        # unscaled Markov root went negative and math.exp of its exponent overflowed
+        out_path = tmp_path / "grid.csv"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "model": {"kind": "markovian", "gamma": 1e160},
+            "axes": {"n": {"min": 1e5, "max": 2e5, "points": 2}},
+            "fixed": {"x_sep": 0.1, "x_ent": 0.01},
+            "output": {"format": "csv", "path": str(out_path)}}))
+        code, out, err = run(capsys, "sweep", "--config", str(config_path))
+        assert (code, err) == (0, "")
+        assert parse_lines(out)["rows"] == "2"
+        assert len(out_path.read_text().strip().split("\n")) == 3  # header + 2 rows
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("config, message", [
         # a separable overhead of 1e307 t_c: r = rate_ent / rate_sep overflows

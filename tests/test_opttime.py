@@ -1,6 +1,7 @@
 import logging
 import math
 import statistics
+import sys
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from ghzgain import (
     BathModel,
     DivergenceError,
     DomainError,
+    GhzGainError,
     InfeasibleTimingError,
     SolverError,
     UnsupportedModelError,
@@ -80,12 +82,13 @@ class TestMarkovClosedForm:
             tau_opt_markov(1.0, 0.1, 0)
 
     # n_eff * gamma overflowing to inf, and a root whose square underflows,
-    # would otherwise divide 0 by 0
+    # would otherwise divide 0 by 0; the third root is 1.41e-170, whose rate underflows
     @pytest.mark.parametrize("gamma,tau_tilde,n_eff", [(1e305, 0.0, 10**4),
                                                        (1e305, 0.1, 10**4),
                                                        (5e169, 1e-170, 1)])
     def test_underflowing_root_is_a_solver_error(self, gamma, tau_tilde, n_eff):
-        with pytest.raises(SolverError, match="underflows"):
+        match = "rate 0.0 is not finite" if tau_tilde == 1e-170 else "underflows"
+        with pytest.raises(SolverError, match=match):
             tau_opt_markov(gamma, tau_tilde, n_eff)
 
 
@@ -122,7 +125,8 @@ class TestMarkovClosedForm:
 
     def test_array_root_is_the_float_root(self):
         # one function at floats and over arrays, bit for bit, from subnormal keys to the
-        # largest; where the square overflows, within 1e-15 of the exact root
+        # largest; where the square overflows, or both keys are tiny, within 1e-15 of the
+        # exact root
         rng = np.random.default_rng(20261019)
         h, tau_tilde = 10.0 ** rng.uniform(-320.0, 308.0, (2, 20_000))
         with np.errstate(all="ignore"):
@@ -132,6 +136,22 @@ class TestMarkovClosedForm:
         for gamma, t in 10.0 ** rng.uniform([-160.0, 154.2], [300.0, 308.2], (200, 2)):
             exact = exact_markov_root(gamma, t, 1)
             assert abs(opttime._markov_root(0.5 / gamma, t) - exact) <= 1e-15 * exact
+        # h and tau_tilde both below 2^-500, where b^2 and 8 h tau_tilde went subnormal or
+        # to 0 unscaled: the root was off by 2 (h > tau_tilde) or negative.  A subnormal
+        # root loses bits, but its square, and so its rate, underflows to 0 anyway
+        for a, t in 10.0 ** rng.uniform(-323.0, -151.0, (2000, 2)):
+            exact = exact_markov_root(0.5 / mpmath.mpf(a), t, 1)
+            root = opttime._markov_root(a, t)
+            assert root >= 0.0
+            if exact >= sys.float_info.min:
+                assert abs(root - exact) <= 1e-15 * exact
+
+    def test_tau_opt_at_tiny_keys_is_stationary(self, capsys):
+        assert cli_main(["tau-opt", "--model", "markovian", "--gamma", "1e158", "--n", "1",
+                         "--ttilde-sep", "1e-159", "--ttilde-ent", "1e-159"]) == 0
+        residuals = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()
+                     if "residual" in line]
+        assert residuals and all(abs(r) < 1e-15 for r in residuals)
 
 
 def exact_markov_root(gamma, tau_tilde, n_eff):
@@ -473,8 +493,8 @@ def test_nonmarkov_optimum_is_stationary_or_a_solver_error(caplog, eta, tau_tild
     # and the scaled overhead tau_tilde * sqrt(n_eff * eta) overflow too
     model = BathModel.nonmarkovian(eta)
     with caplog.at_level(logging.DEBUG, logger="ghzgain.opttime"):
-        tau, rate = opttime._optimal_sensing_times(model, np.array([tau_tilde]),
-                                                   np.array([float(n_eff)]))
+        tau, rate, _ = opttime._optimal_sensing_times(model, np.array([tau_tilde]),
+                                                      np.array([float(n_eff)]))
         try:
             opt = optimal_sensing_time(model, tau_tilde, n_eff)
         except SolverError:
@@ -532,3 +552,47 @@ def test_ohmic_bracket_trial_is_the_markov_limit_root(tau_tilde):
     up = opttime._ohmic_bracket(model, tau_tilde, 1, res)[2]
     exact = exact_markov_root(model.alpha * (math.pi / model.beta), tau_tilde, 1)
     assert abs(up - exact) <= 1e-15 * exact
+
+
+def extreme_keys(rng, models, keys):
+    """(model, tau_tilde, n) for each of `models` baths of every kind, parameters
+    log-uniform in 1e-300..1e300, with `keys` overheads each, 0 or log-uniform up to
+    1e308, and counts log-uniform in 1..2^60; a model whose coherence_time raises
+    is skipped."""
+    factories = {BathModel.isolated: 1, BathModel.markovian: 1, BathModel.nonmarkovian: 1,
+                 BathModel.ohmic: 3}
+    for factory, count in factories.items():
+        for _ in range(models):
+            model = factory(*(10.0 ** rng.uniform(-300.0, 300.0, count)).tolist())
+            try:
+                coherence_time(model)
+            except GhzGainError:
+                continue
+            tau_tilde = np.where(rng.random(keys) < 0.1, 0.0,
+                                 10.0 ** rng.uniform(-300.0, math.log10(1e308), keys))
+            yield model, tau_tilde, np.round(2.0 ** rng.uniform(0.0, 60.0, keys))
+
+
+def test_array_rate_is_nan_exactly_where_the_scalar_solver_raises():
+    # the callers of the array pass raise the scalar error at the first NaN they need,
+    # instead of solving it again: no key the array pass rejects has a scalar optimum
+    rng, counts = np.random.default_rng(20261020), {"nan": 0, "infeasible": 0, "solved": 0}
+    for model, tau_tilde, n in extreme_keys(rng, 40, 25):
+        tau, rate, decay = opttime._optimal_sensing_times(model, tau_tilde, n)
+        for i, args in enumerate(zip(tau_tilde.tolist(), n.astype(int).tolist())):
+            try:
+                opt = optimal_sensing_time(model, *args)
+            except InfeasibleTimingError:
+                assert rate[i] == 0.0
+                counts["infeasible"] += 1
+                continue
+            except SolverError:
+                assert math.isnan(rate[i])
+                counts["nan"] += 1
+                continue
+            assert 0.0 < rate[i] < math.inf
+            counts["solved"] += 1
+            if model.kind is not BathKind.OHMIC:
+                assert (tau[i], decay[i]) == (opt.tau_opt, opt.decay)
+            assert (tau[i], decay[i]) == pytest.approx((opt.tau_opt, opt.decay), rel=1e-13)
+    assert min(counts.values()) >= 100  # each outcome is drawn often

@@ -18,6 +18,7 @@ from ghzgain import (
     SolverError,
     coherence_time,
     gain,
+    gain_isolated,
     n_cutoff,
     n_cutoff_and_max_gain,
     n_max_gain,
@@ -39,19 +40,23 @@ MODELS = {
 }
 
 
-def oracle_scan(model, law, n_search_max):
+def oracle_scan(model, law, n_search_max, r_at=None):
     """(cutoff, best_n, best_r) from one gain() call per size at the separable
-    overhead base * t_c, stopping 10 sizes below 1 after a qualifying one except
-    on an Ohmic bath, whose r can come back above 1; None when the last r is
-    above 1.  The peak is the smallest size whose r is within 4 eps, relative,
-    of the largest r; r within 4 eps of 1 reaches 1 and is not above it."""
+    overhead base * t_c (or from r_at(n)), stopping 10 sizes below 1 after a
+    qualifying one except on an Ohmic bath, whose r can come back above 1; None
+    when the last r is above 1.  The peak is the smallest size whose r is within
+    4 eps, relative, of the largest r; r within 4 eps of 1 reaches 1 and is not
+    above it."""
     tie = 4.0 * np.finfo(float).eps
     t_c = coherence_time(model)
     tau_tilde_sep = law.base * t_c
+    if r_at is None:
+        def r_at(n):
+            return gain(model, n, tau_tilde_sep, scaling_law_eval(law, n) * t_c).r
     last_qualifying, feasible, below, r = 0, [], 0, None
     for n in range(1, n_search_max + 1):
         try:
-            r = gain(model, n, tau_tilde_sep, scaling_law_eval(law, n) * t_c).r
+            r = r_at(n)
         except InfeasibleTimingError:
             r = None
         if r is not None:
@@ -72,9 +77,9 @@ def oracle_scan(model, law, n_search_max):
 
 def assert_same_scan(got, want, model):
     assert got[:2] == want[:2]
-    if model.kind is BathKind.ISOLATED:  # decay 1: the same operations on the same doubles
+    if model.kind is not BathKind.OHMIC:  # the same operations on the same doubles
         assert got[2] == want[2]
-    else:  # the array rate takes np.exp, gain() math.exp
+    else:  # the array root takes numpy's transcendentals
         assert got[2] == pytest.approx(want[2], rel=1e-13)
 
 
@@ -83,17 +88,20 @@ OVERFLOW_MODELS = {"markovian-overflow-tiny-gamma": BathModel.markovian(1e-160),
                    "markovian-overflow": BathModel.markovian(3.0)}
 
 
-@pytest.mark.parametrize("kind", [*MODELS, *OVERFLOW_MODELS])
-def test_array_optimum_matches_the_scalar_solver(kind):
+@pytest.mark.parametrize("kind, seed, size", [
+    *[pytest.param(kind, 20261018, 300, id=kind) for kind in [*MODELS, *OVERFLOW_MODELS]],
+    # 3,000 sizes: enough that np.exp in place of math.exp moves some rates by an ulp
+    *[pytest.param(kind, 20261020, 3000, id=f"{kind}-3000") for kind in MODELS]])
+def test_array_optimum_matches_the_scalar_solver(kind, seed, size):
     model = MODELS.get(kind) or OVERFLOW_MODELS[kind]
-    rng = np.random.default_rng(20261018)
+    rng = np.random.default_rng(seed)
     t_c = coherence_time(model)
-    n = np.round(10.0 ** rng.uniform(0.0, 6.0, 300))
+    n = np.round(10.0 ** rng.uniform(0.0, 6.0, size))
     # isolated overheads run past t_c, where the timing is infeasible
-    tau_tilde = rng.uniform(0.0, 1.2 if kind == "isolated" else 3.0, 300) * t_c
+    tau_tilde = rng.uniform(0.0, 1.2 if kind == "isolated" else 3.0, size) * t_c
     if kind in OVERFLOW_MODELS:
-        tau_tilde = 10.0 ** rng.uniform(math.log10(1.3e154), math.log10(1.7e308), 300)
-    tau, rate = _optimal_sensing_times(model, tau_tilde, n)
+        tau_tilde = 10.0 ** rng.uniform(math.log10(1.3e154), math.log10(1.7e308), size)
+    tau, rate, decay = _optimal_sensing_times(model, tau_tilde, n)
     for i in range(len(n)):
         args = (float(tau_tilde[i]), int(n[i]))
         try:
@@ -106,17 +114,17 @@ def test_array_optimum_matches_the_scalar_solver(kind):
             assert math.isnan(rate[i])
             assert tau[i] == _tau_opt(model, *args)[0]  # the scalar root, bit for bit
             continue
-        if kind.startswith(("isolated", "markovian", "nonmarkovian")):  # the same code
-            assert tau[i] == opt.tau_opt  # (the rates take np.exp and math.exp)
-        # both Ohmic solvers take the same Newton steps to 4 eps relative; numpy's
-        # transcendentals in the array residual move the root by ~1e-15
-        assert tau[i] == pytest.approx(opt.tau_opt, rel=1e-13)
-        assert rate[i] == pytest.approx(opt.objective, rel=1e-13)
         sep = optimal_sensing_time(model, 0.1 * t_c, 1)
         # the scan's r = rate_ent / rate_sep(n)
-        r = gain(model, int(n[i]), 0.1 * t_c, args[0]).r
-        assert rate[i] / _rates(n[i], 0.1 * t_c, sep.tau_opt, sep.decay)[1] == pytest.approx(
-            r, rel=1e-13)
+        got = (tau[i], decay[i], rate[i],
+               rate[i] / _rates(n[i], 0.1 * t_c, sep.tau_opt, sep.decay)[1])
+        want = (opt.tau_opt, opt.decay, opt.objective,
+                gain(model, int(n[i]), 0.1 * t_c, args[0]).r)
+        if model.kind is not BathKind.OHMIC:  # the same code, math.exp included
+            assert got == want
+        # both Ohmic solvers take the same Newton steps to 4 eps relative; numpy's
+        # transcendentals in the array residual move the root by ~1e-15
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("model, tau_tilde, n_eff", [
@@ -267,6 +275,55 @@ def test_overflowing_separable_fisher_raises_where_the_loop_does():
         n_cutoff_and_max_gain(model, law, 300)
 
 
+LAWS = st.builds(ScalingLaw, st.sampled_from(ScalingKind), st.floats(1e-3, 2.0))
+
+
+@given(gamma=st.floats(0.05, 20.0), law=LAWS)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_a_markovian_scan_never_gains(gamma, law):
+    # r = psi(N x_ent)/psi(base) for the decreasing optimal rate psi at an overhead
+    # in units of t_c, and N x_ent > base for N > 1: no size above 1 reaches 1
+    assert n_cutoff_and_max_gain(BathModel.markovian(gamma), law, 10**4) == (1, 1, 1.0)
+
+
+@given(t_c=st.sampled_from([1.0, 0.25, 1e-3]), law=LAWS)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_an_isolated_scan_is_the_closed_form_gain(t_c, law):
+    # r = N ((1 - x_ent)/(1 - x_sep))^2, which solves no optimum; the scan's ratio of
+    # optimal rates rounds differently, by a few ulps
+    model, limit = BathModel.isolated(t_c), 2000
+    assume(law.base < 1.0)
+    want = oracle_scan(model, law, limit,
+                       lambda n: gain_isolated(n, law.base, scaling_law_eval(law, n)))
+    got = n_cutoff_and_max_gain(model, law, limit)
+    assert got[:2] == want[:2] and got[2] == pytest.approx(want[2], rel=1e-14)
+
+
+DEPHASING = {"markovian": BathModel.markovian(1.0), "nonmarkovian": BathModel.nonmarkovian(1.0),
+             "ohmic": MODELS["ohmic"], "cold-ohmic": MODELS["cold-ohmic"]}
+
+
+@pytest.mark.parametrize("kind", DEPHASING)
+def test_dephasing_lowers_the_cutoff(kind):
+    # the paper: N_cutoff is lower for a dephasing probe than for an isolated one
+    # with t_c = 1, counting None (still gaining at the limit) as past the limit.  Ties
+    # are both 1 (base 0.3 under a logarithmic or linear law) or both None (the
+    # non-Markovian bath under a slowly growing law, where r rises like sqrt(N), and
+    # the Ohmic constant law at 0.001)
+    limit, ties = 10**5, []
+    for law in (ScalingLaw(law_kind, base) for law_kind in ScalingKind
+                for base in (1e-3, 0.03, 0.3)):
+        cutoffs = [n_cutoff(model, law, limit) for model in
+                   (DEPHASING[kind], BathModel.isolated(1.0))]
+        past = [limit + 1 if cutoff is None else cutoff for cutoff in cutoffs]
+        assert past[0] <= past[1]
+        if past[0] == past[1]:
+            assert cutoffs[0] in (1, None)
+            ties.append((law.kind.value, law.base))
+    # 15 ties in all, and 33 strict
+    assert len(ties) == {"markovian": 2, "nonmarkovian": 8, "ohmic": 3, "cold-ohmic": 2}[kind]
+
+
 RATE = st.floats(0.05, 20.0)
 BATHS = st.one_of(st.builds(BathModel.isolated, RATE), st.builds(BathModel.markovian, RATE),
                   st.builds(BathModel.nonmarkovian, RATE),
@@ -305,46 +362,48 @@ def uncertified(monkeypatch):
     solve = gain_module._optimal_sensing_times
 
     def partial(model, tau_tilde, n_eff):
-        tau, rate = solve(model, tau_tilde, n_eff)
+        tau, rate, decay = solve(model, tau_tilde, n_eff)
         rate[np.isin(n_eff, list(sizes))] = math.nan
-        return tau, rate
+        return tau, rate, decay
 
     monkeypatch.setattr(gain_module, "_optimal_sensing_times", partial)
     return sizes
 
 
-def test_uncertified_sizes_are_re_solved_in_order(uncertified, gain_solves):
+def assert_raises_at(first, uncertified, gain_solves):
+    """The scan raises SolverError naming its first uncertified size, after the
+    separable solve and the one gain() call there, which solves both optima."""
     model, law, limit = SCANS["nonmarkovian-square-root"]
+    with pytest.raises(SolverError, match=f"no certified gain at n = {first},"):
+        n_cutoff_and_max_gain(model, law, limit)
+    assert gain_solves == [(0.05, 1), (0.05, 1), (0.05 * math.sqrt(first), first)]
+
+
+def test_the_first_uncertified_size_raises(uncertified, gain_solves):
+    # the scan stops at N = 158; 12 and later sizes are never solved
     uncertified.update({2, 12, 100, 148, 158, 159, 400})
-    got = n_cutoff_and_max_gain(model, law, limit)
-    # the separable optimum, then the uncertified sizes up to the stop at
-    # N = 158; later ones are never solved
-    assert gain_solves == [(0.05, 1)] + [(0.05 * math.sqrt(n), n)
-                                         for n in (2, 12, 100, 148, 158)]
-    assert_same_scan(got, oracle_scan(model, law, limit), model)
+    assert_raises_at(2, uncertified, gain_solves)
 
 
-def test_a_scan_with_no_certified_size_re_solves_each_size_once_up_to_the_stop(
-        uncertified, gain_solves):
+def test_a_scan_with_no_certified_size_raises_at_its_second_size(uncertified, gain_solves):
+    uncertified.update(range(2, SCANS["nonmarkovian-square-root"][2] + 1))
+    assert_raises_at(2, uncertified, gain_solves)
+
+
+def test_an_uncertified_size_counts_below_1_for_the_stop(uncertified, gain_solves):
     model, law, limit = SCANS["nonmarkovian-square-root"]
-    uncertified.update(range(2, limit + 1))
+    # sizes past the stop at N = 158 are never solved
+    uncertified.update({159, 400})
     got = n_cutoff_and_max_gain(model, law, limit)
-    # the stop at N = 158 lies in the fourth pass (113..240)
-    assert gain_solves == [(0.05, 1)] + [(0.05 * math.sqrt(n), n) for n in range(2, 159)]
+    assert gain_solves == [(0.05, 1)]
     assert_same_scan(got, oracle_scan(model, law, limit), model)
-
-
-def test_a_re_solve_that_qualifies_moves_the_stop(uncertified, gain_solves):
-    model, law, limit = SCANS["nonmarkovian-square-root"]
-    # counted below 1, sizes 140..148 put the stop at N = 149; re-solved, they qualify
-    # and move it to 158, so 150 and 158 are solved next, and 159 never
-    uncertified.update({*range(140, 149), 150, 158, 159})
-    got = n_cutoff_and_max_gain(model, law, limit)
-    assert gain_solves == [(0.05, 1)] + [(0.05 * math.sqrt(n), n)
-                                         for n in (*range(140, 149), 150, 158)]
-    assert got[0] == 148
-    assert_same_scan(got, oracle_scan(model, law, limit), model)
-    assert min(gain(model, n, 0.05, 0.05 * math.sqrt(n)).r for n in range(140, 149)) >= 1.0
+    # counted below 1, sizes 140..148 would put the stop at N = 149: 140 is needed
+    uncertified.update({*range(140, 149), 150, 158})
+    gain_solves.clear()
+    assert_raises_at(140, uncertified, gain_solves)
+    uncertified.difference_update(range(140, 151))  # the stop itself is needed
+    gain_solves.clear()
+    assert_raises_at(158, uncertified, gain_solves)
 
 
 def test_a_solver_error_past_the_stop_is_never_raised(uncertified, monkeypatch):

@@ -521,22 +521,30 @@ def assert_rows_agree(rows, expected, rel):
 
 class TestArraySweep:
     @pytest.mark.parametrize("name", ["a", "d", "f"])
-    def test_keys_left_uncertified_are_re_solved_by_the_scalar_solver(self, monkeypatch, name):
-        # every third key of each array pass is left to the scalar solver: the doubles,
-        # and so the CSV text, are unchanged, and every row is gain()'s
+    def test_an_uncertified_key_raises_naming_it(self, monkeypatch, name):
+        # one key the array pass leaves uncertified, first, last or drawn from either
+        # pass, raises SolverError naming it, once the scalar solver returns there
         config = golden_panel_config(name)
-        text = rows_to_csv(run_sweep(config))
-        solve = sweep_module._optimal_sensing_times
+        solve, rng = sweep_module._optimal_sensing_times, random.Random(f"uncertified-{name}")
+        for which in (0, 1):
+            for pick in (lambda size: 0, lambda size: size - 1, rng.randrange):
+                passes = []
 
-        def partial(model, tau_tilde, n_eff):
-            tau, rate = solve(model, tau_tilde, n_eff)
-            rate[::3] = math.nan
-            return tau, rate
+                def partial(model, tau_tilde, n_eff):
+                    tau, rate, decay = solve(model, tau_tilde, n_eff)
+                    at = pick(rate.size)
+                    if len(passes) == which:
+                        rate[at] = math.nan
+                    passes.append((float(tau_tilde[at]), int(n_eff[at])))
+                    return tau, rate, decay
 
-        monkeypatch.setattr(sweep_module, "_optimal_sensing_times", partial)
-        rows = run_sweep(config)
-        assert rows_to_csv(rows) == text
-        assert_rows_agree(rows, pointwise_rows(config, rows), 0.0)
+                monkeypatch.setattr(sweep_module, "_optimal_sensing_times", partial)
+                with pytest.raises(SolverError) as info:
+                    run_sweep(config)
+                assert len(passes) == which + 1
+                tau_tilde, n = passes[which]
+                assert str(info.value) == (
+                    f"no certified optimum at tau_tilde = {tau_tilde!r}, n_eff = {n}")
 
     @pytest.mark.parametrize("kind", sorted(AGREEMENT_REL))
     def test_rows_match_pointwise_gain(self, kind):
