@@ -307,13 +307,14 @@ def coherence_time(model: BathModel) -> float:
     def f(t):
         return decay_exponent(model, t) - 1.0, _exponent_slopes(model, t)[0]
 
-    lo, hi = 1e-12 * model.beta, 1e12 * model.beta
+    end = 0.25 * sys.float_info.max  # the bracket ends where pi tau is finite
+    lo, hi = 1e-12 * model.beta, min(1e12 * model.beta, end)
     if (g_lo := f(lo))[0] >= 0.0:
         raise SolverError(
             "Ohmic coherence time lies below the search bracket; "
             "the coupling is too strong for this convention"
         )
-    t_c = _newton_root(f, lo, g_lo, hi, 2.0 ** 199 * hi)[0]
+    t_c = _newton_root(f, lo, g_lo, hi, min(2.0 ** 199 * hi, end))[0]
     if math.isnan(t_c):
         raise SolverError(
             "Ohmic decay exponent never reaches 1 inside the expanded bracket"

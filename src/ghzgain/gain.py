@@ -246,75 +246,99 @@ def _law_ratio(law: ScalingLaw, n, xp):
     return n * law.base
 
 
-_SCAN_CHUNK = 8192  # most sizes per array pass: 64 kB per float temporary
+_SCAN_CHUNK = 8192  # most sizes a pass (64 kB a float array), and most gaps a pass halves
 _TIE = 4.0 * math.ulp(1.0)  # r within this, relative, of the largest r ties: the smaller N wins
-_N_SEARCH_CAP = 10**9  # a scan that never stops ends; every size is an exact float
+_MARGIN = 1e-12  # relative slack of the bound r(M) <= (M/A) r(A), against rounding in r
+_N_SEARCH_CAP = 10**9  # every size is an exact float
 
 
 def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, need_peak: bool):
-    """(cutoff, best_n, best_r) over N = 1..n_search_max, r as gain() forms it, and 0 where
-    the timing is infeasible (at every size, where the separable timing is); r is gain()'s
-    bit for bit but on an Ohmic bath, whose array root takes numpy's transcendentals and
-    agrees to 1e-13.  r(1) = 1, and the scan stops once r has been below 1 for 10
-    consecutive sizes, which ends no scan early
-    where r is unimodal in N: isolated, d ln r/dN = 1/N - 2 x_ent'/(1 - x_ent) changes sign
-    at most once; Markovian, r = psi(N x_ent)/psi(base) <= 1 for the decreasing optimal rate
-    psi at an overhead in units of t_c; non-Markovian, unimodal in numerical checks of every
-    law.  An Ohmic scan runs to n_search_max: GHZ optima in the Markov regime at small N
-    never gain, those in the quadratic one at large N can, so r can fall below 1 and come
-    back.  Array passes start at 16 sizes and double up to _SCAN_CHUNK (each pass has a
-    fixed cost, and a scan that stops often does so within a few dozen).  A size whose r a
-    pass cannot certify counts as below 1, so it cannot move the stop; the first one at or
-    before the stop raises gain()'s error there.  The peak is the smallest N whose r is
-    within _TIE of the largest r scanned, and r within _TIE of 1 reaches 1 but does not stay
-    above it, so rounding noise where r is flat at 1 picks neither the peak nor the cutoff."""
+    """(cutoff, best_n, best_r) over N = 1..n_search_max: the last N whose r reaches 1 (None if
+    r(n_search_max) is above it) and the first N whose r is within _TIE of the largest.  r is
+    gain()'s (to 1e-13 on an Ohmic bath), 0 where the timing is infeasible (everywhere, with
+    cutoff 0, if the separable timing is), and r(1) = 1; within _TIE of 1, r is not above 1.
+
+    Skipped sizes cannot change the answer.  The separable overhead is base t_c at every N, so
+    r(N)/N = max_tau tau^2 exp(-2 N Gamma(tau)) / (tau_tilde_ent(N) + tau) / rate_sep(1), and
+    Gamma >= 0 with tau_tilde_ent(N) never falling (and, isolated, the feasible tau <= t_c -
+    tau_tilde_ent(N) shrinking) keeps every term from rising: r(M) <= (M/A) r(A) for M >= A.
+    Rounding broke this by 8.9e-16 at most in 400 random scans; _MARGIN covers it.  A gap lo..hi
+    of unevaluated sizes then has r <= B = hi q (1 + _MARGIN), q the least r(A)/A of certified
+    A below it, and is dropped once B can neither reach 1 above the last N that does, nor come
+    within _TIE of the top below the peak, nor top the peak's r above it (the peak then ties any
+    later top the gap could).  The first pass takes N = 1, 2, 4, .. and n_search_max; each next
+    one halves every gap while they overfill one pass and number at most _SCAN_CHUNK, and else
+    walks them from the low end, as a flat r needs.  A size with no certified r takes the same
+    bound and raises gain()'s error if that bound can still change the answer."""
     if check_count(n_search_max, "n_search_max") < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
     if n_search_max > _N_SEARCH_CAP:
         raise DomainError(f"n_search_max must be <= {_N_SEARCH_CAP}, got {n_search_max!r}")
     t_c = coherence_time(model)
-    stop = math.inf if model.kind is BathKind.OHMIC else 10.0  # sizes below 1 that end it
     tau_tilde_sep = law.base * t_c  # the law's overhead at N = 1, bit for bit
     try:
-        sep, stopped = optimal_sensing_time(model, tau_tilde_sep, 1), False
-    except InfeasibleTimingError:
-        stopped = True  # every size shares the infeasible separable timing
-    last_qualifying, near, top, r_last, start, width = 0, [], -math.inf, -math.inf, 1, 16
-    while not stopped and start <= n_search_max:
-        sizes = np.arange(start, min(start + width, n_search_max + 1), dtype=float)
-        start, width = start + width, min(2 * width, _SCAN_CHUNK)
+        sep = optimal_sensing_time(model, tau_tilde_sep, 1)
+    except InfeasibleTimingError:  # every size shares the infeasible separable timing
+        if need_peak:
+            raise InfeasibleTimingError("every scanned ensemble size has infeasible timing")
+        return 0, 0, -math.inf
+    last_q, front, r_end = 0, [(1, 1.0)], None  # front: (N, r), both rising, r near the top
+
+    def can_change(lo, hi, q):  # where sizes lo..hi, r <= hi q, can change the answer
+        (best_n, best_r), top = front[0], front[-1][1]
+        with np.errstate(over="ignore"):
+            bound = hi * q * (1.0 + _MARGIN)
+        return (((bound >= 1.0 - _TIE) & (hi > last_q))
+                | ((bound >= top * (1.0 - _TIE)) & ((lo < best_n) | (bound > best_r))))
+
+    # rows lo, hi, q of the open gaps; the first pass takes the low end of 1, 2..3, 4..7, ..
+    sizes = np.unique(np.minimum(2.0 ** np.arange(int(n_search_max).bit_length() + 1),
+                                 n_search_max))
+    gaps = np.stack((sizes, np.append(sizes[1:] - 1.0, sizes[-1]), np.ones_like(sizes)))
+    count = np.ones(sizes.size, dtype=np.intp)
+    while gaps.shape[1]:
         with np.errstate(over="ignore"):
             tau_tilde_ent = _law_ratio(law, sizes, np) * t_c
             rate_sep = _rates(sizes, tau_tilde_sep, sep.tau_opt, sep.decay, np)[1]
-        rate = _optimal_sensing_times(model, tau_tilde_ent, sizes)[1]
-        if sizes[0] == 1.0:
-            rate[0] = sep.objective  # N = 1 is the separable probe: r = 1 exactly
-        r = rate / rate_sep  # 0 where infeasible, NaN where gain() raises
-        r[rate_sep == math.inf] = math.nan
-        # the last qualifying size at or before each N: N - last sizes below 1 (or NaN) in a row
-        last = np.maximum.accumulate(np.where(r >= 1.0 - _TIE, sizes, last_qualifying))
-        halt = np.flatnonzero(sizes - last >= stop)
-        end = int(halt[0]) + 1 if halt.size else r.size
-        stopped, r = halt.size > 0, r[:end]
-        bad = np.flatnonzero(np.isnan(r))
-        if bad.size:  # the first size at or before the stop that gain() rejects
+            rate = _optimal_sensing_times(model, tau_tilde_ent, sizes)[1]
+            if sizes[0] == 1.0:
+                rate[0] = sep.objective  # N = 1 is the separable probe: r = 1 exactly
+            r = np.where(rate_sep < math.inf, rate, math.nan) / rate_sep
+        r[r == math.inf] = math.nan  # NaN wherever gain() raises
+        r_end = r[-1] if r_end is None else r_end  # the first pass ends at n_search_max
+        last_q = max(last_q, int(sizes[r >= 1.0 - _TIE].max(initial=0)))
+        top = max(front[-1][1], float(np.fmax.reduce(r, initial=-math.inf)))
+        near = np.flatnonzero(r >= top * (1.0 - _TIE))  # each above every r before it
+        near = near[r[near] > np.maximum.accumulate(np.append(-math.inf, r[near]))[:-1]]
+        merged, front = sorted(front + list(zip(sizes[near].astype(int).tolist(),
+                                                r[near].tolist()))), []
+        for n, x in merged:
+            if x >= top * (1.0 - _TIE) and (not front or x > front[-1][1]):
+                front.append((n, x))
+        ends = np.cumsum(count) - 1
+        q = np.minimum(np.minimum.accumulate(np.where(r == r, r / sizes, math.inf)),
+                       np.repeat(gaps[2, :count.size], count))  # from the pass or the gap
+        bad = np.flatnonzero(r != r)
+        bad = bad[can_change(sizes[bad], sizes[bad], q[bad])]
+        if bad.size:  # the first uncertified size whose bound can change the answer
             n, tte = int(sizes[bad[0]]), float(tau_tilde_ent[bad[0]])
             gain(model, n, tau_tilde_sep, tte)
             raise SolverError(f"no certified gain at n = {n}, entangled overhead time {tte!r}")
-        # near gets each size within _TIE of the largest r so far whose r tops every earlier
-        # r; the peak is the first size in near within _TIE of the scan's largest r
-        prior, top = top, max(top, float(r.max()))
-        for j in np.flatnonzero(r >= top * (1.0 - _TIE)).tolist():
-            if r[j] > prior:
-                prior = float(r[j])
-                near.append((int(sizes[j]), prior))
-        last_qualifying, r_last = int(last[r.size - 1]), r[-1]
-    best_n, best_r = next(((n, x) for n, x in near if x >= top * (1.0 - _TIE)), (0, -math.inf))
-    if need_peak and best_n == 0:
-        raise InfeasibleTimingError("every scanned ensemble size has infeasible timing")
-    if r_last > 1.0 + _TIE:  # only a pass that ran to the end stops above 1
-        return None, best_n, best_r
-    return last_qualifying, best_n, best_r
+        pieces = np.repeat(gaps[:, :count.size], 2, axis=1)  # before each run, and after it
+        pieces[1, 0::2], pieces[0, 1::2] = sizes[ends + 1 - count] - 1.0, sizes[ends] + 1.0
+        pieces[2, 1::2] = q[ends]
+        gaps = np.concatenate((pieces, gaps[:, count.size:]), axis=1)
+        gaps = gaps[:, (gaps[0] <= gaps[1]) & can_change(*gaps)]
+        width = gaps[1] - gaps[0] + 1.0
+        if width.sum() > _SCAN_CHUNK and width.size <= _SCAN_CHUNK:
+            sizes, count = np.floor(0.5 * (gaps[0] + gaps[1])), np.ones(width.size, np.intp)
+        else:  # from the low end, _SCAN_CHUNK sizes in all
+            before = np.cumsum(width) - width
+            count = np.minimum(width, _SCAN_CHUNK - before)[before < _SCAN_CHUNK].astype(np.intp)
+            sizes = np.repeat(gaps[0, :count.size] - before[:count.size], count)
+            sizes += np.arange(count.sum())
+    best_n, best_r = front[0]
+    return (None if r_end > 1.0 + _TIE else last_q), best_n, best_r
 
 
 def n_cutoff(model: BathModel, law: ScalingLaw, n_search_max: int = 10**6) -> int | None:

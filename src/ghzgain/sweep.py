@@ -301,7 +301,7 @@ def run_sweep(config: SweepConfig) -> SweepTable:
     t_c = coherence_time(model)
     columns = _grid(config)
     n = columns["n"].astype(float)
-    with np.errstate(over="ignore"):  # an infinite overhead raises the scalar DomainError
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf: DomainError
         tau_tilde_sep, tau_tilde_ent = columns["x_sep"] * t_c, columns["x_ent"] * t_c
     # the distinct separable overheads at n_eff = 1; every (x_ent, n) pair of the distinct ones
     (sep_tilde, sep_at), (ux, ux_at), (un, un_at) = (

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -92,6 +94,16 @@ class TestTauOptCommand:
         assert code == 0
         assert float(parse_lines(out)["tau_opt_sep"]) == pytest.approx(0.5)
 
+    def test_ohmic_bath_whose_exponent_never_reaches_1_exits_4(self, capsys):
+        # 1e12 beta is past the largest float: the coherence-time bracket ends at a quarter
+        # of it, where Gamma is 2.5e-217, so the search fails (it reached tau = inf, exit 2)
+        code, out, err = run(capsys, "tau-opt", "--model", "ohmic",
+                             "--alpha", "2.748462307889661e-227",
+                             "--omega-c", "1.9559303714252876e-292",
+                             "--beta", "1.540951859433905e+298", "--n", "1", "--ttilde", "0.1")
+        assert (code, out) == (4, "")
+        assert "never reaches 1" in err
+
 
 class TestQfiCommand:
     def test_closed_forms(self, capsys):
@@ -178,8 +190,8 @@ class TestCutoffCommand:
         )
         assert code == 0
         assert parse_lines(out)["n_cutoff"] == "27"
-        # one scalar solve, the separable optimum; the array pass certifies
-        # the GHZ optimum of every size up to the stop at N = 37
+        # one scalar solve, the separable optimum; the array passes certify
+        # the GHZ optimum of every size that the scan evaluates
         assert gain_solves == [(0.03, 1)]
 
     OHMIC = ("cutoff", "--model", "ohmic", "--alpha", "0.05", "--omega-c", "20",
@@ -368,6 +380,21 @@ class TestSweepCommand:
         assert parse_lines(out)["rows"] == "9"
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 10  # header + 9 rows
+
+    def test_infinite_coherence_time_exits_2_with_warnings_as_errors(self, tmp_path):
+        # t_c = 1/gamma is inf, so x_sep = 0 gives the overhead 0 * inf = NaN; as in CI, a
+        # numpy RuntimeWarning would end the command in a traceback
+        config_path = self.write_config(tmp_path, tmp_path / "grid.csv")
+        config = json.loads(config_path.read_text())
+        config["model"]["gamma"], config["fixed"]["x_sep"] = 5.6e-317, 0.0
+        config_path.write_text(json.dumps(config))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "ghzgain", "sweep", "--config",
+                               str(config_path)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert "overhead time must be finite" in proc.stderr
 
     def test_non_finite_config_value_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"

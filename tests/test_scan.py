@@ -3,6 +3,7 @@ against a loop of one ``gain()`` call per size under the same rules."""
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,19 +42,17 @@ MODELS = {
 
 
 def oracle_scan(model, law, n_search_max, r_at=None):
-    """(cutoff, best_n, best_r) from one gain() call per size at the separable
-    overhead base * t_c (or from r_at(n)), stopping 10 sizes below 1 after a
-    qualifying one except on an Ohmic bath, whose r can come back above 1; None
-    when the last r is above 1.  The peak is the smallest size whose r is within
-    4 eps, relative, of the largest r; r within 4 eps of 1 reaches 1 and is not
-    above it."""
+    """(cutoff, best_n, best_r) from one gain() call per size, over every size, at the
+    separable overhead base * t_c (or from r_at(n)); None when the last r is above 1.  The
+    peak is the smallest size whose r is within 4 eps, relative, of the largest r; r
+    within 4 eps of 1 reaches 1 and is not above it."""
     tie = 4.0 * np.finfo(float).eps
     t_c = coherence_time(model)
     tau_tilde_sep = law.base * t_c
     if r_at is None:
         def r_at(n):
             return gain(model, n, tau_tilde_sep, scaling_law_eval(law, n) * t_c).r
-    last_qualifying, feasible, below, r = 0, [], 0, None
+    last_qualifying, feasible, r = 0, [], None
     for n in range(1, n_search_max + 1):
         try:
             r = r_at(n)
@@ -61,12 +60,8 @@ def oracle_scan(model, law, n_search_max, r_at=None):
             r = None
         if r is not None:
             feasible.append((n, r))
-        if r is not None and r >= 1.0 - tie:
-            last_qualifying, below = n, 0
-        else:
-            below += 1
-            if last_qualifying and below >= 10 and model.kind is not BathKind.OHMIC:
-                break
+            if r >= 1.0 - tie:
+                last_qualifying = n
     top = max((r_n for _, r_n in feasible), default=None)
     best_n, best_r = next(((n, r_n) for n, r_n in feasible
                            if r_n >= top * (1.0 - tie)), (0, -math.inf))
@@ -144,27 +139,6 @@ def test_uncertified_optima_are_left_to_the_scalar_solver(model, tau_tilde, n_ef
         assert rate[0] == expected
 
 
-def pass_widths(model, law, limit):
-    """Sizes handed to each array pass of n_cutoff_and_max_gain."""
-    widths = []
-    solve = gain_module._optimal_sensing_times
-
-    def recording(model, tau_tilde, n_eff):
-        widths.append(len(n_eff))
-        return solve(model, tau_tilde, n_eff)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gain_module, "_optimal_sensing_times", recording)
-        n_cutoff_and_max_gain(model, law, limit)
-    return widths
-
-
-# the last size of each pass of a scan over 1..3 CHUNK that never stops
-ENDS = np.cumsum(pass_widths(BathModel.isolated(1.0), ScalingLaw("constant", 0.03),
-                             3 * CHUNK)).tolist()
-FIRST_FULL_END = ENDS[int(np.flatnonzero(np.diff([0] + ENDS) == CHUNK)[0])]
-
-
 def chunk_edge_law(cutoff):
     """Linear law b on an isolated probe with t_c = 1, where r(N) = N ((1 - N b)
     / (1 - b))^2 falls through 1 between cutoff and cutoff + 1: r(m) = 1 at m =
@@ -174,7 +148,7 @@ def chunk_edge_law(cutoff):
 
 
 SCANS = {
-    # stops at N = 37 inside the second pass; sizes 34.. are infeasible
+    # cutoff 27, peak 11; from N = 34 on the timing is infeasible and r = 0
     "early-stop-infeasible": (BathModel.isolated(1.0), ScalingLaw("linear", 0.03), 100),
     "markovian-tie-at-one": (BathModel.markovian(1.0), ScalingLaw("constant", 0.5), 100),
     # r(1) = 1 exactly, and the cutoff, only if N = 1 reuses the separable
@@ -203,10 +177,11 @@ SCANS = {
     "markovian-flat-at-one-unit-gamma": (BathModel.markovian(1.0), ScalingLaw("constant", 0.0),
                                          10**4),
 }
-# the tenth size below 1 is the last size of a pass (offset 10), or the
-# first of the next (offset 9): a short early pass and the first full one
+# cutoffs 10 and 9 sizes below 48 and 16,368, the ends of two passes of an earlier scan
+# that stopped 10 sizes below 1; now cutoffs inside the first pass's gaps 33..63 and
+# 8,193..16,383
 EDGES = {f"stop-{offset}-before-{end}": (end, offset)
-         for end in (ENDS[1], FIRST_FULL_END) for offset in (10, 9)}
+         for end in (48, 16368) for offset in (10, 9)}
 SCANS |= {case: (BathModel.isolated(1.0), chunk_edge_law(end - offset), 3 * CHUNK)
           for case, (end, offset) in EDGES.items()}
 
@@ -228,14 +203,54 @@ def test_scan_matches_a_per_size_gain_loop(case):
         assert want[0] == limit and n_cutoff(model, law, 10**6) == 10**6
 
 
-def test_passes_start_small_and_double_up_to_the_chunk():
-    widths = np.diff([0] + ENDS)
-    assert widths[0] <= 16 and ENDS[-1] == 3 * CHUNK
-    assert (widths[1:-1] == np.minimum(2 * widths[:-2], CHUNK)).all()
-    # a Markovian scan that stops at N = 11 solves only its first pass
-    model, law, _ = SCANS["markovian-tie-at-one"]
-    assert n_cutoff_and_max_gain(model, law, 10**6) == (1, 1, 1.0)
-    assert pass_widths(model, law, 10**6) == [widths[0]]
+def scan_passes(model, law, limit):
+    """The sizes that each array pass of n_cutoff_and_max_gain evaluates."""
+    passes = []
+    solve = gain_module._optimal_sensing_times
+
+    def recording(model, tau_tilde, n_eff):
+        passes.append(n_eff.astype(int).tolist())
+        return solve(model, tau_tilde, n_eff)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gain_module, "_optimal_sensing_times", recording)
+        n_cutoff_and_max_gain(model, law, limit)
+    return passes
+
+
+def test_the_first_pass_is_the_powers_of_2_and_the_limit():
+    # r(N) = N: each gap's bound (hi/A) r(A) is below r(10^6), so one pass decides
+    passes = scan_passes(BathModel.isolated(1.0), ScalingLaw("constant", 0.03), 10**6)
+    assert passes == [[2**k for k in range(20)] + [10**6]]
+
+
+@pytest.mark.parametrize("model, law, most", [
+    # r falls from 0.83 at N = 2: past the first pass only 3 and 5..7 can still reach 1
+    (MODELS["ohmic"], ScalingLaw("logarithmic", 0.03), 40),
+    # r creeps back up to 1.25 at 10^6, so the bound drops a gap there only once it is narrow
+    (BathModel.ohmic(0.0443, 491.0, 0.01883), ScalingLaw("constant", 0.00836), 12_000),
+    (BathModel.nonmarkovian(1.0), ScalingLaw("constant", 0.03), 8_000),
+], ids=["ohmic-logarithmic", "ohmic-dip-constant", "nonmarkovian-constant"])
+def test_a_scan_to_10_6_evaluates_few_sizes(model, law, most):
+    passes = scan_passes(model, law, 10**6)
+    assert sum(map(len, passes)) <= most and max(map(len, passes)) <= CHUNK
+
+
+def test_memory_does_not_grow_with_the_limit():
+    # r is flat at 1, so no gap is ever dropped and the scan evaluates every size, in passes
+    # of at most CHUNK sizes with at most 2 CHUNK gaps open (peaks 1.9 and 2.0 MB).  This is
+    # the flat case at gamma = 1: at 1e-152, F_sep overflows past N = 71,900
+    model, law, _ = SCANS["markovian-flat-at-one-unit-gamma"]
+    n_cutoff_and_max_gain(model, law, 1000)  # not the first call's imports and caches
+    peaks = []
+    for limit in (10**5, 10**6):
+        tracemalloc.start()
+        try:
+            n_cutoff_and_max_gain(model, law, limit)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 * min(peaks) and max(peaks) < 4 * 2**20
 
 
 @pytest.mark.parametrize("case, want", [
@@ -243,21 +258,22 @@ def test_passes_start_small_and_double_up_to_the_chunk():
     ("ohmic-dip-logarithmic", (553, 76, 1.0940914312)),
 ])
 def test_an_ohmic_scan_runs_past_a_dip_below_1(case, want):
-    # the 10-size stop rule would end both at (1, 1, 1.0)
+    # a scan that stopped 10 sizes after r last reached 1 would end both at (1, 1, 1.0)
     model, law, _ = SCANS[case]
     got = n_cutoff_and_max_gain(model, law, 10**6)
     assert got[:2] == want[:2] and got[2] == pytest.approx(want[2], rel=1e-10)
 
 
 def test_overflowing_law_raises_where_the_loop_does():
-    # t_c = 1e100 and base * t_c = 5e307: N = 1 qualifies, and the law
-    # overflows at N = 4, before the scan stops at N = 11
+    # t_c = 1e100 and base * t_c = 5e307: N = 1 qualifies, and the law overflows from N = 4
+    # on; r(2) = 1/4, so the first pass raises at N = 8, whose bound (8/2) r(2) = 1 can
+    # still reach 1 (at 4 it is 1/2)
     model, law = BathModel.markovian(1e-100), ScalingLaw("linear", 5e207)
     with pytest.raises(DomainError, match="entangled overhead time"):
         oracle_scan(model, law, 300)
     with pytest.raises(DomainError, match="entangled overhead time must be finite"):
         n_cutoff_and_max_gain(model, law, 300)
-    # a scan that stops first never reaches the overflow
+    # a scan that the bound ends first never reaches the overflow
     model = BathModel.isolated(1.0)
     assert n_cutoff_and_max_gain(model, ScalingLaw("linear", 0.03), 10**6)[0] == 27
     # nor does a separable overhead base * t_c that overflows reach the scan
@@ -266,8 +282,8 @@ def test_overflowing_law_raises_where_the_loop_does():
 
 
 def test_overflowing_separable_fisher_raises_where_the_loop_does():
-    # t_c = 1e154: F_sep = N tau_sep^2 overflows from N = 8 on, where gain()
-    # raises, and the scan reaches N = 8 before it can stop at N = 11
+    # t_c = 1e154: F_sep = N tau_sep^2 overflows from N = 8 on, where gain() raises;
+    # r(4) is just below 1, so the bound (8/4) r(4) at N = 8 of the first pass can reach 1
     model, law = BathModel.markovian(1e-154), ScalingLaw("constant", 1e-6)
     with pytest.raises(SolverError, match="f_sep must be finite, got inf"):
         oracle_scan(model, law, 300)
@@ -345,6 +361,51 @@ def test_every_feasible_scan_gains_exactly_1_at_one_particle(model, law):
     assert cutoff is None or cutoff >= 1
 
 
+@given(model=BATHS, law=st.builds(ScalingLaw, st.sampled_from(ScalingKind), st.floats(0.0, 2.0)),
+       n=st.integers(1, 10**6), more=st.integers(1, 10**6))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_the_gain_per_particle_does_not_rise_with_n(model, law, n, more):
+    # the lemma behind the scan's bound, from gain() alone: r(N)/N = max_tau tau^2
+    # exp(-2 N Gamma(tau)) / (tau_tilde_ent(N) + tau) / rate_sep(1), where Gamma >= 0 and
+    # tau_tilde_ent(N) does not decrease; r = 0 where the timing is infeasible
+    t_c = coherence_time(model)
+
+    def per_particle(size):
+        try:
+            return gain(model, size, law.base * t_c, scaling_law_eval(law, size) * t_c).r / size
+        except InfeasibleTimingError:
+            return 0.0
+
+    assert per_particle(n + more) <= per_particle(n) * (1.0 + gain_module._MARGIN)
+
+
+def random_scans(count, seed):
+    """count (model, law, limit) over the four bath kinds and the four laws, limits
+    log-uniform in 2..2000."""
+    rng = np.random.default_rng(seed)
+    rate = lambda: float(10.0 ** rng.uniform(math.log10(0.05), math.log10(20.0)))  # noqa: E731
+    kinds = [lambda: BathModel.isolated(rate()), lambda: BathModel.markovian(rate()),
+             lambda: BathModel.nonmarkovian(rate()),
+             lambda: BathModel.ohmic(float(10.0 ** rng.uniform(-2.0, 1.0)), rate(), rate())]
+    for i in range(count):
+        base = float(10.0 ** rng.uniform(-4.0, 0.3)) if rng.random() < 0.9 else 0.0
+        yield (kinds[i % 4](), ScalingLaw(list(ScalingKind)[i // 4 % 4], base),
+               int(10.0 ** rng.uniform(math.log10(2.0), math.log10(2000.0))))
+
+
+@pytest.mark.parametrize("chunk", [16, CHUNK])
+def test_random_scans_match_a_per_size_gain_loop(chunk, monkeypatch):
+    # passes of 16 sizes, and 16 open gaps at most, take the halving, the partial walks and
+    # the gap limit through these small scans; passes of CHUNK walk them whole
+    monkeypatch.setattr(gain_module, "_SCAN_CHUNK", chunk)
+    for model, law, limit in random_scans(200, 20261020 + chunk):
+        want = oracle_scan(model, law, limit)
+        if want[1] == 0:  # every size is infeasible, as the separable timing is
+            assert n_cutoff(model, law, limit) == 0
+            continue
+        assert_same_scan(n_cutoff_and_max_gain(model, law, limit), want, model)
+
+
 def test_flat_gain_peaks_at_the_smallest_size_and_reaches_1_at_the_end(monkeypatch):
     model = BathModel.markovian(1.0)
     sep = optimal_sensing_time(model, 0.1, 1)
@@ -370,17 +431,20 @@ def uncertified(monkeypatch):
     return sizes
 
 
-def assert_raises_at(first, uncertified, gain_solves):
-    """The scan raises SolverError naming its first uncertified size, after the
+def assert_raises_at(first, uncertified, gain_solves, case="nonmarkovian-square-root"):
+    """The scan raises SolverError naming the uncertified size first, after the
     separable solve and the one gain() call there, which solves both optima."""
-    model, law, limit = SCANS["nonmarkovian-square-root"]
+    model, law, limit = SCANS[case]
     with pytest.raises(SolverError, match=f"no certified gain at n = {first},"):
         n_cutoff_and_max_gain(model, law, limit)
-    assert gain_solves == [(0.05, 1), (0.05, 1), (0.05 * math.sqrt(first), first)]
+    tts = law.base * coherence_time(model)
+    assert gain_solves == [(tts, 1), (tts, 1), (scaling_law_eval(law, first) * tts / law.base,
+                                                 first)]
 
 
 def test_the_first_uncertified_size_raises(uncertified, gain_solves):
-    # the scan stops at N = 158; 12 and later sizes are never solved
+    # 2 is in the first pass, where its bound 2 r(1) = 2 tops every r of the scan (the peak
+    # r(12) is 1.83); the scan raises there, before it evaluates any other size of the set
     uncertified.update({2, 12, 100, 148, 158, 159, 400})
     assert_raises_at(2, uncertified, gain_solves)
 
@@ -390,20 +454,22 @@ def test_a_scan_with_no_certified_size_raises_at_its_second_size(uncertified, ga
     assert_raises_at(2, uncertified, gain_solves)
 
 
-def test_an_uncertified_size_counts_below_1_for_the_stop(uncertified, gain_solves):
+def test_an_uncertified_size_raises_only_where_its_bound_can_change_the_answer(
+        uncertified, gain_solves):
     model, law, limit = SCANS["nonmarkovian-square-root"]
-    # sizes past the stop at N = 158 are never solved
-    uncertified.update({159, 400})
+    # (cutoff 148, peak 12) past the cutoff, r(N) <= (N/158) r(158) < 1 from the
+    # certified 158 on, and below r(12): these sizes cannot move either answer
+    uncertified.update({159, 200, 300, 400})
     got = n_cutoff_and_max_gain(model, law, limit)
     assert gain_solves == [(0.05, 1)]
     assert_same_scan(got, oracle_scan(model, law, limit), model)
-    # counted below 1, sizes 140..148 would put the stop at N = 149: 140 is needed
-    uncertified.update({*range(140, 149), 150, 158})
-    gain_solves.clear()
-    assert_raises_at(140, uncertified, gain_solves)
-    uncertified.difference_update(range(140, 151))  # the stop itself is needed
-    gain_solves.clear()
-    assert_raises_at(158, uncertified, gain_solves)
+    # 149 could reach 1, by its bound (149/148) r(148) from the cutoff; 148 and 12 are the
+    # answers themselves
+    for first in (149, 148, 12):
+        uncertified.add(first)
+        gain_solves.clear()
+        assert_raises_at(first, uncertified, gain_solves)
+        uncertified.discard(first)
 
 
 def test_a_solver_error_past_the_stop_is_never_raised(uncertified, monkeypatch):
@@ -411,13 +477,16 @@ def test_a_solver_error_past_the_stop_is_never_raised(uncertified, monkeypatch):
     solve = gain_module.optimal_sensing_time
 
     def failing(model, tau_tilde, n_eff):
-        if n_eff in (20, 50):
+        if n_eff in (20, 28, 50):
             raise SolverError(f"no optimum at n_eff = {n_eff}")
         return solve(model, tau_tilde, n_eff)
 
     monkeypatch.setattr(gain_module, "optimal_sensing_time", failing)
-    uncertified.add(50)  # the scan stops at N = 37
-    assert n_cutoff_and_max_gain(model, law, limit)[0] == 27
-    uncertified.add(20)
-    with pytest.raises(SolverError, match="n_eff = 20"):
+    # r(N) = N ((1 - 0.03 N)/0.97)^2: the gap 33..63 has the bound (63/32) r(32) = 0.11 and
+    # is never evaluated; 20 is, but its bound (20/19) r(19) = 3.9 is below r(11) = 5.25
+    uncertified.update({20, 50})
+    assert n_cutoff_and_max_gain(model, law, limit) == (27, 11, pytest.approx(5.248060367733))
+    # the bound (28/27) r(27) = 1.07 of the size after the cutoff can still reach 1
+    uncertified.add(28)
+    with pytest.raises(SolverError, match="n_eff = 28"):
         n_cutoff_and_max_gain(model, law, limit)
