@@ -18,7 +18,6 @@ concurrently.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import sys
@@ -139,23 +138,19 @@ def _sinhc_minus_one(x2):
     return functools.reduce(lambda acc, c: acc * x2 + c, _SINHC_TAYLOR, 0.0) * x2
 
 
-# ln(sinh(x)/x), stable over many decades, by branch: log1p of sinh(x)/x - 1
-# by series below 1, where ln(sinh x) - ln x cancels to ~4e-11 relative; the
-# direct form below 20; and sinh(x) = e^x (1 - e^{-2x})/2 above, where sinh
-# overflows.  Its derivative coth(x) - 1/x takes, below 1, where
-# 1/tanh(x) - 1/x cancels to ~7e-12 relative, Lambert's continued fraction
-# x/(3 + x^2/(5 + x^2/(7 + ... + x^2/17))) written as a ratio of polynomials
-# in x^2 with positive coefficients: no cancellation, and the truncation is
-# under one ulp below 1.  Both stay within 3.3e-16 relative of 50-digit values
-# down to x = 1e-12 and give 0 at x = 0, so small x needs no branch of its own.
-# Formula k takes x, x*x and xp (math or numpy), from edge k - 1 to edge k.
-_LOG_SINHC_EDGES = (1.0, 20.0)
+# ln(sinh(x)/x), stable over many decades, in two forms split at x = 1: log1p of
+# sinh(x)/x - 1 by series below 1, where ln(sinh x) - ln x cancels to ~4e-11 relative,
+# and sinh(x) = e^x (1 - e^{-2x})/2 from 1 on, which never overflows.  Its derivative
+# coth(x) - 1/x takes, below 1, where 1/tanh(x) - 1/x cancels to ~7e-12 relative,
+# Lambert's continued fraction x/(3 + x^2/(5 + x^2/(7 + ... + x^2/17))) written as a
+# ratio of polynomials in x^2 with positive coefficients: no cancellation, and the
+# truncation is under one ulp below 1.  Both stay within 3.3e-16 relative of 50-digit
+# values down to x = 1e-12 and give 0 at x = 0, so small x needs no form of its own.
+# Each pair is (below 1, from 1 on); a form takes x, x*x and xp (math or numpy).
 _LOG_SINHC = (
     lambda x, x2, xp: xp.log1p(_sinhc_minus_one(x2)),
-    lambda x, x2, xp: xp.log(xp.sinh(x)) - xp.log(x),
     lambda x, x2, xp: x + xp.log1p(-xp.exp(-2.0 * x)) - xp.log(2.0 * x),
 )
-_DLOG_SINHC_EDGES = (1.0,)
 _DLOG_SINHC = (
     lambda x, x2, xp: x * (11486475.0 + x2 * (810810.0 + x2 * (12870.0 + x2 * 44.0)))
     / (34459425.0 + x2 * (4729725.0 + x2 * (135135.0 + x2 * (990.0 + x2)))),
@@ -163,27 +158,25 @@ _DLOG_SINHC = (
 )
 
 
-def _by_branch(formulas, edges, x, xp):
-    """The formula whose edges hold x, at a float x (xp = math) or at each
-    element of an array x (xp = numpy; each formula runs on its own elements)."""
+def _by_branch(forms, x, xp):
+    """forms[0] below x = 1, forms[1] from 1 on (and at NaN), at a float x (xp = math) or
+    at each element of an array x (xp = numpy; each form runs on its own elements)."""
     if xp is math:
-        return formulas[bisect.bisect_right(edges, x)](x, x * x, math)
-    branch = np.searchsorted(edges, x, side="right")
+        return forms[not x < 1.0](x, x * x, math)
     out = np.empty_like(x)
+    small = x < 1.0
     with np.errstate(all="ignore"):
-        for k, formula in enumerate(formulas):
-            if (at := branch == k).any():
-                out[at] = formula(x[at], x[at] * x[at], np)
+        for form, at in zip(forms, (small, ~small)):
+            if at.any():
+                out[at] = form(x[at], x[at] * x[at], np)
     return out
 
 
 def _ohmic_exponent(model: BathModel, tau, xp=math):
     """Ohmic Gamma at a float tau, or elementwise over an array with xp =
     numpy (not checked); both log terms vanish exactly at tau = 0."""
-    wt = model.omega_c * tau
-    return 0.5 * model.alpha * xp.log1p(wt * wt) + model.alpha * _by_branch(
-        _LOG_SINHC, _LOG_SINHC_EDGES, math.pi * tau / model.beta, xp
-    )
+    wt, x = model.omega_c * tau, math.pi * tau / model.beta
+    return 0.5 * model.alpha * xp.log1p(wt * wt) + model.alpha * _by_branch(_LOG_SINHC, x, xp)
 
 
 def _exponent_slopes(model: BathModel, tau, xp=math):
@@ -203,7 +196,7 @@ def _exponent_slopes(model: BathModel, tau, xp=math):
     k, w = math.pi / model.beta, model.omega_c
     wt, x = w * tau, k * tau
     d = 1.0 + wt * wt
-    dlog_sinhc = _by_branch(_DLOG_SINHC, _DLOG_SINHC_EDGES, x, xp)
+    dlog_sinhc = _by_branch(_DLOG_SINHC, x, xp)
     return (model.alpha * (w * wt / d + k * dlog_sinhc),
             model.alpha * (w * wt / d * (2.0 / d - 1.0)
                            + k * (x * (1.0 - dlog_sinhc * dlog_sinhc) - 2.0 * dlog_sinhc)))
@@ -290,9 +283,9 @@ def decay_exponent_derivative(model: BathModel, tau: float) -> float:
 def coherence_time(model: BathModel) -> float:
     """Single-particle coherence time t_c.
 
-    Isolated models return the configured t_c; the two limiting laws give
-    1/gamma and 1/sqrt(eta).  For the full Ohmic law the convention used
-    here is the time at which Gamma first reaches 1 (the two limits of
+    Isolated models return the configured t_c; the two limiting laws give 1/gamma
+    (SolverError where it overflows) and 1/sqrt(eta).  For the full Ohmic law the
+    convention used here is the time at which Gamma first reaches 1 (the two limits of
     that convention recover 1/gamma and 1/sqrt(eta)), located by _newton_root on
     Gamma - 1 with slope Gamma' to a relative step of 4 eps; cached, since
     repeated calls on one model ask for it again (each threshold; `cutoff`, twice).
@@ -300,7 +293,7 @@ def coherence_time(model: BathModel) -> float:
     if model.kind is BathKind.ISOLATED:
         return model.t_c
     if model.kind is BathKind.MARKOVIAN:
-        return 1.0 / model.gamma
+        return check_finite_positive(1.0 / model.gamma, "Markovian t_c = 1/gamma", SolverError)
     if model.kind is BathKind.NONMARKOVIAN:
         return 1.0 / math.sqrt(model.eta)
 

@@ -139,17 +139,15 @@ def _markov_root(h, tau_tilde, xp=math):
     """Positive root of tau^2 + (tau_tilde - h) tau - 2 h tau_tilde, the Markovian optimum
     at h = 1/(2 n_eff gamma), at floats (xp = math) or elementwise over arrays (xp = numpy),
     in a form without subtractive cancellation (the textbook form loses the root when
-    tau_tilde >> h).  Where the larger of h and tau_tilde is past 2^500 or below 2^-500, b,
-    tau_tilde and the square under the root are scaled by the power of two that takes it
-    to [1/2, 1), at most 2^1022 (which takes every normal key there), so the square can
-    neither overflow nor underflow and no bit moves except of a term negligible beside the
-    rest.  The root is 0 only where h tau_tilde underflows, and tau then underflows too."""
+    tau_tilde >> h).  b, tau_tilde and the square under the root are scaled by the power
+    of two that takes the larger of h and tau_tilde to [1/2, 1), at most 2^1022 (which
+    takes every normal key there), so the square can neither overflow nor underflow, and
+    4 h tau_tilde underflows only where the root does; the scale is exact, so no bit moves
+    except of a term negligible beside the rest.  The root is 0 only where h tau_tilde
+    underflows, and tau then underflows too."""
     where = _WHERE[xp]
-    big = where(h > tau_tilde, h, tau_tilde)
-    far, s = (big > 2.0 ** 500) | (big < 2.0 ** -500), 1.0  # s = 1 leaves every bit
-    if far if xp is math else far.any():  # frexp costs every key
-        e = -xp.frexp(where(far, big, 0.5))[1]  # 0 where not far
-        s = xp.ldexp(1.0, where(e > 1022, 1022, e))  # 2^1074 is not a double
+    e = -xp.frexp(where(h > tau_tilde, h, tau_tilde))[1]
+    s = xp.ldexp(1.0, where(e > 1022, 1022, e))  # 2^1074 is not a double
     b, t = (tau_tilde - h) * s, tau_tilde * s
     root = xp.sqrt(b * b + 8.0 * (h * s) * t)
     pos = (b >= 0.0) & (root > 0.0)

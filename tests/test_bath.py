@@ -12,6 +12,7 @@ from ghzgain import (
     BathKind,
     BathModel,
     DomainError,
+    SolverError,
     ValidationError,
     coherence_time,
     decay_exponent,
@@ -19,8 +20,8 @@ from ghzgain import (
     ohmic_limit_rates,
 )
 from ghzgain import bath
-from ghzgain.bath import (_DLOG_SINHC, _DLOG_SINHC_EDGES, _LOG_SINHC, _LOG_SINHC_EDGES, _by_branch,
-                          _exponent_slopes, _newton_root, _ohmic_exponent)
+from ghzgain.bath import (_DLOG_SINHC, _LOG_SINHC, _by_branch, _exponent_slopes, _newton_root,
+                          _ohmic_exponent)
 
 
 def central_diff(model, tau, h):
@@ -65,11 +66,11 @@ class TestDecayExponent:
 
 
 def _log_sinhc(x, xp=math):
-    return _by_branch(_LOG_SINHC, _LOG_SINHC_EDGES, x, xp)
+    return _by_branch(_LOG_SINHC, x, xp)
 
 
 def _dlog_sinhc(x, xp=math):
-    return _by_branch(_DLOG_SINHC, _DLOG_SINHC_EDGES, x, xp)
+    return _by_branch(_DLOG_SINHC, x, xp)
 
 
 def mp_ohmic_exponent(alpha, omega_c, beta, tau):
@@ -80,19 +81,21 @@ def mp_ohmic_exponent(alpha, omega_c, beta, tau):
 
 
 class TestOhmicBranches:
-    # the three branches of ln(sinh x / x) meet at 1 and 20; 1e-2 down to 1e-12 is the
-    # small-x end of the log1p branch
+    # the two forms of ln(sinh x / x), and of its slope, meet at 1; 1e-2 down to 1e-12 is
+    # the small-x end of the log1p form, and 20 a point well inside the large-x one
     XS = [x * f for x in (1e-2, 1.0, 20.0) for f in (0.999, 1.0, 1.001)] + [
         1e-12, 1e-9, 1e-6, 3e-2, 0.3, 3.0, 200.0]
 
     def test_log_sinhc_matches_mpmath(self):
+        # plus a dense sample of [1, 20), where x + ln(1 - e^(-2x)) - ln(2x) starts
+        moderate = np.random.default_rng(20261020).uniform(1.0, 20.0, 20_000).tolist()
         with mpmath.workdps(50):
-            for x in np.logspace(-6, 2.5, 400).tolist() + self.XS:
+            for x in np.logspace(-6, 2.5, 400).tolist() + self.XS + moderate:
                 exact = mpmath.log(mpmath.sinh(mpmath.mpf(x)) / mpmath.mpf(x))
                 assert abs(_log_sinhc(x) - exact) <= 1e-15 * exact
 
     def test_dlog_sinhc_matches_mpmath(self):
-        # coth(x) - 1/x on its series, continued-fraction and direct branches
+        # coth(x) - 1/x on its continued-fraction and direct forms
         with mpmath.workdps(50):
             for x in np.logspace(-6, 2.5, 400).tolist() + self.XS:
                 exact = mpmath.coth(mpmath.mpf(x)) - 1 / mpmath.mpf(x)
@@ -101,9 +104,10 @@ class TestOhmicBranches:
 
     @pytest.mark.parametrize("alpha, omega_c, beta", [(0.05, 20.0, 0.5), (0.1, 100.0, 10.0),
                                                       (0.3, 0.5, 0.02)])
-    # "series": x in [1e-12, 1e-2), the small-x end of the log1p branch
+    # "series": x in [1e-12, 1e-2), the small-x end of the log1p form; "large-x" and
+    # "asymptotic": the near and far ends of the large-x form
     @pytest.mark.parametrize("x_lo, x_hi", [(1e-12, 1e-2), (1e-2, 1.0), (1.0, 20.0), (20.0, 300.0)],
-                             ids=["series", "log1p", "direct", "asymptotic"])
+                             ids=["series", "log1p", "large-x", "asymptotic"])
     def test_ohmic_exponent_matches_mpmath_on_each_branch(self, alpha, omega_c, beta, x_lo, x_hi):
         model = BathModel.ohmic(alpha, omega_c, beta)
         with mpmath.workdps(50):
@@ -185,6 +189,13 @@ class TestDerivative:
 class TestCoherenceTime:
     def test_markovian(self):
         assert coherence_time(BathModel.markovian(4.0)) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("gamma", [5e-324, 5.5e-309])
+    def test_markovian_whose_inverse_overflows_raises(self, gamma):
+        # 1/gamma past the largest float: inf would pass for a coherence time
+        with pytest.raises(SolverError, match="1/gamma must be finite and positive, got inf"):
+            coherence_time(BathModel.markovian(gamma))
+        assert coherence_time(BathModel.markovian(5.57e-309)) == 1.0 / 5.57e-309
 
     def test_nonmarkovian(self):
         assert coherence_time(BathModel.nonmarkovian(16.0)) == pytest.approx(0.25)

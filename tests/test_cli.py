@@ -297,6 +297,27 @@ class TestParserCache:
         assert cached[2] == cached[3]
 
 
+class TestOverflowingCoherenceTime:
+    # 1/gamma is past the largest float, so t_c is not finite: the commands that scale by
+    # it exit 4, and do not blame an overhead of inf that no argument gave
+    @pytest.mark.parametrize("command", ["cutoff", "sweep", "bath"])
+    def test_exits_4(self, capsys, tmp_path, command):
+        model = ("--model", "markovian", "--gamma", "5e-324")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "model": {"kind": "markovian", "gamma": 5e-324},
+            "axes": {"x_ent": {"min": 0.01, "max": 0.1, "points": 3}},
+            "fixed": {"x_sep": 0.1, "n": 4},
+            "output": {"format": "csv", "path": str(tmp_path / "grid.csv")}}))
+        argv = {"cutoff": ("cutoff", *model, "--law", "constant", "--base", "0.1"),
+                "sweep": ("sweep", "--config", str(config_path)),
+                "bath": ("bath", *model, "--tau", "1")}[command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert "solver failure: Markovian t_c = 1/gamma must be finite and positive, got inf" in err
+        assert not (tmp_path / "grid.csv").exists()
+
+
 class TestUnderflow:
     def test_underflowing_optimum_exits_4(self, capsys):
         code, out, err = run(capsys, "gain", "--model", "markovian", "--gamma", "1e300",
@@ -381,9 +402,9 @@ class TestSweepCommand:
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 10  # header + 9 rows
 
-    def test_infinite_coherence_time_exits_2_with_warnings_as_errors(self, tmp_path):
-        # t_c = 1/gamma is inf, so x_sep = 0 gives the overhead 0 * inf = NaN; as in CI, a
-        # numpy RuntimeWarning would end the command in a traceback
+    def test_infinite_coherence_time_exits_4_with_warnings_as_errors(self, tmp_path):
+        # t_c = 1/gamma overflows, which raises before x_sep = 0 could give the overhead
+        # 0 * inf = NaN; as in CI, a numpy RuntimeWarning would end the command in a traceback
         config_path = self.write_config(tmp_path, tmp_path / "grid.csv")
         config = json.loads(config_path.read_text())
         config["model"]["gamma"], config["fixed"]["x_sep"] = 5.6e-317, 0.0
@@ -393,8 +414,8 @@ class TestSweepCommand:
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "ghzgain", "sweep", "--config",
                                str(config_path)], capture_output=True, text=True, env=env)
-        assert proc.returncode == 2 and "Traceback" not in proc.stderr
-        assert "overhead time must be finite" in proc.stderr
+        assert proc.returncode == 4 and "Traceback" not in proc.stderr
+        assert "Markovian t_c = 1/gamma must be finite and positive, got inf" in proc.stderr
 
     def test_non_finite_config_value_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"

@@ -125,8 +125,8 @@ class TestMarkovClosedForm:
 
     def test_array_root_is_the_float_root(self):
         # one function at floats and over arrays, bit for bit, from subnormal keys to the
-        # largest; where the square overflows, or both keys are tiny, within 1e-15 of the
-        # exact root
+        # largest; where the square overflows, where both keys are tiny, and over the whole
+        # float range, within 1e-15 of the exact root
         rng = np.random.default_rng(20261019)
         h, tau_tilde = 10.0 ** rng.uniform(-320.0, 308.0, (2, 20_000))
         with np.errstate(all="ignore"):
@@ -145,6 +145,12 @@ class TestMarkovClosedForm:
             assert root >= 0.0
             if exact >= sys.float_info.min:
                 assert abs(root - exact) <= 1e-15 * exact
+        # keys over the whole float range, half of them with h < tau_tilde, many h << tau_tilde,
+        # where 4 h tau_tilde underflows unless tau_tilde is scaled
+        for a, t in (10.0 ** rng.uniform(-323.0, 308.0, (4000, 2))).tolist():
+            exact = exact_markov_root(0.5 / mpmath.mpf(a), t, 1)
+            if exact >= sys.float_info.min:
+                assert abs(opttime._markov_root(a, t) - exact) <= 1e-15 * exact
 
     def test_tau_opt_at_tiny_keys_is_stationary(self, capsys):
         assert cli_main(["tau-opt", "--model", "markovian", "--gamma", "1e158", "--n", "1",
