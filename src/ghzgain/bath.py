@@ -140,7 +140,8 @@ def _sinhc_minus_one(x2):
 
 # ln(sinh(x)/x), stable over many decades, in two forms split at x = 1: log1p of
 # sinh(x)/x - 1 by series below 1, where ln(sinh x) - ln x cancels to ~4e-11 relative,
-# and sinh(x) = e^x (1 - e^{-2x})/2 from 1 on, which never overflows.  Its derivative
+# and sinh(x) = e^x (1 - e^{-2x})/2 from 1 on, which never overflows (nor does 2x: ln 2x
+# takes x at most 2^1000, past which the form rounds to x).  Its derivative
 # coth(x) - 1/x takes, below 1, where 1/tanh(x) - 1/x cancels to ~7e-12 relative,
 # Lambert's continued fraction x/(3 + x^2/(5 + x^2/(7 + ... + x^2/17))) written as a
 # ratio of polynomials in x^2 with positive coefficients: no cancellation, and the
@@ -149,7 +150,8 @@ def _sinhc_minus_one(x2):
 # Each pair is (below 1, from 1 on); a form takes x, x*x and xp (math or numpy).
 _LOG_SINHC = (
     lambda x, x2, xp: xp.log1p(_sinhc_minus_one(x2)),
-    lambda x, x2, xp: x + xp.log1p(-xp.exp(-2.0 * x)) - xp.log(2.0 * x),
+    lambda x, x2, xp: (x + xp.log1p(-xp.exp(-2.0 * x))
+                       - xp.log(2.0 * _WHERE[xp](x < 2.0**1000, x, 2.0**1000))),
 )
 _DLOG_SINHC = (
     lambda x, x2, xp: x * (11486475.0 + x2 * (810810.0 + x2 * (12870.0 + x2 * 44.0)))
@@ -203,14 +205,13 @@ def _exponent_slopes(model: BathModel, tau, xp=math):
 
 
 _NEWTON_MAX_ITER = 100
-_NEWTON_TOL = 4.0 * sys.float_info.epsilon  # the relative step it stops at
 
 
 # where(cond, a, b) for each xp: a conditional at floats, np.where over arrays
 _WHERE = {math: lambda cond, a, b: a if cond else b, np: np.where}
 
 
-def _newton_root(f, lo, f_lo, hi, cap, xp=math, *, tol=_NEWTON_TOL):
+def _newton_root(f, lo, f_lo, hi, cap, xp=math):
     """(x, f(x)) at a root of f above lo, at floats (xp = math) or elementwise over arrays.
     f(t) returns (f(t), f'(t)); f_lo is that pair at lo >= 0, where f < 0 (NaN: not
     evaluated).  hi doubles, and lo moves to it, while f(hi) < 0 and hi < cap; x is NaN
@@ -218,9 +219,8 @@ def _newton_root(f, lo, f_lo, hi, cap, xp=math, *, tol=_NEWTON_TOL):
     start at the end with the smaller |f|; a step not strictly inside (lo, hi), or a slope
     of 0, inf or NaN, bisects at sqrt(lo hi) (hi/2 while lo = 0), and each point replaces
     the end of its sign.  x is the first point where f = 0 or whose next step or
-    half-bracket is <= tol x (relative, 4 eps unless given); without one in
-    _NEWTON_MAX_ITER evaluations, floats raise SolverError and arrays give NaN (a
-    converged element stands still meanwhile).
+    half-bracket is <= 4 eps x; without one in _NEWTON_MAX_ITER evaluations, floats raise
+    SolverError and arrays give NaN (a converged element stands still meanwhile).
     """
     where = _WHERE[xp]
     while True:
@@ -241,7 +241,7 @@ def _newton_root(f, lo, f_lo, hi, cap, xp=math, *, tol=_NEWTON_TOL):
         mid = where(lo > 0.0, xp.sqrt(lo) * xp.sqrt(hi), 0.5 * hi)
         new = where((lo < x + step) & (x + step < hi), x + step, mid)
         # ulp(0.0): the tolerance is never 0 at an underflowing root
-        near = tol * x + math.ulp(0.0)
+        near = 4.0 * sys.float_info.epsilon * x + math.ulp(0.0)
         done = (fx == 0.0) | (abs(step) <= near) | (abs(mid - x) <= near)
         if done if xp is math else done.all():
             return where(bracketed, x, math.nan), fx

@@ -27,7 +27,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bath import BathKind, BathModel, _newton_root, coherence_time
+from .bath import (BathKind, BathModel, _decay_exponent, _exponent_slopes, _newton_root,
+                   coherence_time)
 from .errors import (
     DomainError,
     InfeasibleTimingError,
@@ -39,7 +40,7 @@ from .errors import (
     check_finite_positive,
 )
 from .opttime import OptimalTime, _optimal_sensing_times, _rates, optimal_sensing_time
-from .qfi import ProbeKind
+from .qfi import ProbeKind, _fisher
 
 __all__ = [
     "GainResult",
@@ -154,15 +155,12 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
     """Entangled overhead at which the gain crosses r = 1.
 
     Closed forms: t_c (1 - (1 - x_sep)/sqrt(N)) for an isolated probe and
-    tau_tilde_sep / N for linear decay.  The quadratic and Ohmic laws
-    have no known closed form, so the crossing in [0, 1e4 t_c] is a root of
-    1/r - 1 by _newton_root, to a relative step of 1e-12, one GHZ solve per
-    point.  With the GHZ optimum tau_ent* solved at x, the slope is
-    1/(r (x + tau_ent*)), so Newton's step is the frozen-optimum step
-    x' = r (x + tau_ent*) - tau_ent*: the rate at x' with tau_ent* kept is not
-    optimal, so r(x') >= 1, and the steps never pass the crossing.  The
-    last step is taken without a solve.  A search that does not converge
-    raises SolverError, as does a gain field that is not finite (as in gain()).
+    tau_tilde_sep / N for linear decay.  For the quadratic and Ohmic laws, the
+    GHZ optimum tau at the crossing has F'(tau) = rate_sep, F = N^2 tau^2
+    exp(-2 N Gamma(tau)): a root by _newton_root from tau*(0), where F' >
+    rate_sep as r(0) > 1, and then x = F(tau)/rate_sep - tau.  No root, or an
+    x past 1e4 t_c, raises NoThresholdError("above"); no convergence, or a
+    field of r(0) that is not finite (as in gain()), raises SolverError.
     """
     n = check_count(n, "particle count")
     tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "overhead time")
@@ -170,34 +168,34 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
         t_c = coherence_time(model)
         x_sep = tau_tilde_sep / t_c
         if x_sep >= 1.0:
-            raise InfeasibleTimingError(
-                "separable overhead consumes the whole coherence time"
-            )
+            raise InfeasibleTimingError("separable overhead consumes the whole coherence time")
         return t_c * (1.0 - (1.0 - x_sep) / math.sqrt(n))
     if model.kind is BathKind.MARKOVIAN:
         return tau_tilde_sep / n
 
-    sep, at = optimal_sensing_time(model, tau_tilde_sep, 1), None
-
-    def f(x):  # 1/r - 1 and its slope; at keeps the last gain
-        nonlocal at
-        at = _gain_from_optima(n, tau_tilde_sep, x, sep, optimal_sensing_time(model, x, n))
-        return 1.0 / at.r - 1.0, 1.0 / at.r / at.round_ent
-
-    f_0 = f(0.0)
+    sep = optimal_sensing_time(model, tau_tilde_sep, 1)
+    at = _gain_from_optima(n, tau_tilde_sep, 0.0, sep, optimal_sensing_time(model, 0.0, n))
     if at.r < 1.0:
-        raise NoThresholdError(
-            "gain is below 1 even at zero entangled overhead", side="below"
-        )
+        raise NoThresholdError("gain is below 1 even at zero entangled overhead", side="below")
     if at.r == 1.0:
         return 0.0
-    hi = 1e4 * coherence_time(model)
-    x = _newton_root(f, 0.0, f_0, hi, hi, tol=1e-12)[0]
-    if math.isnan(x):
-        raise NoThresholdError(
-            f"gain is still above 1 at the bracket end {hi!r}", side="above"
-        )
-    return x + (at.r - 1.0) * at.round_ent  # the last step needs no solve
+    rate_sep, t_c = at.f_sep / at.round_sep, coherence_time(model)
+
+    def scaled_fisher(t):  # F(t) / rate_sep
+        return _fisher(1.0 * n * n, t, math.exp(-2.0 * n * _decay_exponent(model, t))) / rate_sep
+
+    def f(t):  # 1 - F'/rate_sep and its slope -F''/rate_sep, by m = t F'/F = 2 - 2 n t Gamma'
+        (dg, t_d2g), w = _exponent_slopes(model, t), scaled_fisher(t) / t
+        m = 2.0 - 2.0 * n * t * dg
+        return 1.0 - w * m, -w * (m * m - 2.0 - 2.0 * n * t * t_d2g) / t
+
+    lo = at.tau_opt_ent
+    tau = _newton_root(f, lo, f(lo), 2.0 * lo, 2.0 ** 60 * t_c)[0]
+    x = scaled_fisher(tau) - tau  # its slope in tau is 0 at the root
+    if not x <= 1e4 * t_c:  # NaN where no root is bracketed
+        raise NoThresholdError(f"gain is still above 1 at the bracket end {1e4 * t_c!r}",
+                               side="above")
+    return max(x, 0.0)
 
 
 def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,

@@ -116,6 +116,16 @@ class TestOhmicBranches:
                 exact = mp_ohmic_exponent(alpha, omega_c, beta, tau)
                 assert abs(decay_exponent(model, tau) - exact) <= 1e-15 * exact
 
+    # both ends of x = pi tau/beta in (max/2, max], where 2x overflows, and one between
+    @pytest.mark.parametrize("tau", [2.8611174857570283e307, 3e307, 5.722234971514056e307])
+    def test_ohmic_exponent_matches_mpmath_where_2x_overflows(self, tau):
+        model = BathModel.ohmic(0.1, 1e-300, 1.0)
+        assert 0.5 * sys.float_info.max < math.pi * tau < math.inf
+        with mpmath.workdps(50):
+            exact = mp_ohmic_exponent(0.1, 1e-300, 1.0, tau)
+        assert abs(decay_exponent(model, tau) - exact) <= 1e-15 * exact
+        assert _ohmic_exponent(model, np.array([tau]), np)[0] == decay_exponent(model, tau)
+
     @pytest.mark.parametrize("alpha, omega_c, beta", [(0.05, 20.0, 0.5), (0.1, 100.0, 10.0),
                                                       (0.3, 0.5, 0.02)])
     def test_ohmic_curvature_matches_mpmath(self, alpha, omega_c, beta):

@@ -135,6 +135,13 @@ class TestBathCommand:
         assert float(values["decay_exponent_derivative"]) == pytest.approx(2.0)
         assert float(values["t_c"]) == pytest.approx(0.5)
 
+    def test_ohmic_exponent_where_2x_overflows(self, capsys):
+        # x = pi tau/beta is past half the largest float, so 2x is not finite
+        code, out, err = run(capsys, "bath", "--model", "ohmic", "--alpha", "0.1",
+                             "--omega-c", "1e-300", "--beta", "1", "--tau", "3e307")
+        assert (code, err) == (0, "")
+        assert float(parse_lines(out)["decay_exponent"]) == pytest.approx(9.42477796077e306)
+
 
 class TestThresholdCommand:
     def test_matches_library(self, capsys):

@@ -1,9 +1,7 @@
 import importlib
 import math
 import random
-import sys
 import warnings
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -276,10 +274,8 @@ class TestThreshold:
     def test_separable_optimum_is_solved_once(self, gain_solves, model, n, x_sep):
         tts = x_sep * coherence_time(model)
         threshold_ent_time(model, n, tts)
-        assert gain_solves[0] == (tts, 1)
-        assert [n_eff for _, n_eff in gain_solves[1:]] == [n] * (len(gain_solves) - 1)
-        # r(0), r(1e4 t_c), then a handful of Newton steps
-        assert len(gain_solves) <= 13
+        # the separable optimum and the GHZ one at zero overhead; the root needs no solve
+        assert gain_solves == [(tts, 1), (0.0, n)]
 
     @pytest.mark.parametrize("model, n, x_sep", [
         (BathModel.ohmic(0.05, 20.0, 0.5), 15934, 0.23094068743633142),  # a benchmark case
@@ -296,20 +292,32 @@ class TestThreshold:
 
     @pytest.mark.parametrize("model", [BathModel.nonmarkovian(1.0),
                                        BathModel.ohmic(0.05, 20.0, 0.5)], ids=["nonmarkovian", "ohmic"])
-    def test_few_solves_per_threshold(self, gain_solves, model):
-        # the frozen-optimum step never passes the crossing: r(0), r(1e4 t_c)
-        # and about 3.5 steps (the Newton step on ln r took about 6)
-        rng, t_c, counts = random.Random(14), coherence_time(model), []
+    def test_few_solves_per_threshold(self, gain_solves, monkeypatch, model):
+        # two solves, then Newton on F_ent' = rate_sep from tau*(0): at most 6 more
+        # evaluations of F and its slopes, 5.1 on average
+        gain_module = importlib.import_module("ghzgain.gain")
+        newton_root, evaluations = gain_module._newton_root, []
+
+        def counting(f, *args):
+            def counted(t):
+                evaluations[-1] += 1
+                return f(t)
+            evaluations.append(0)
+            return newton_root(counted, *args)
+
+        monkeypatch.setattr(gain_module, "_newton_root", counting)
+        rng, t_c, found = random.Random(14), coherence_time(model), 0
         for _ in range(60):
             n, x_sep = max(1, round(10.0 ** (6.0 * rng.random()))), 0.9 * rng.random()
-            start = len(gain_solves)
+            gain_solves.clear()
             try:
                 threshold_ent_time(model, n, x_sep * t_c)
+                found += 1
             except NoThresholdError:  # r < 1 at zero overhead: small N, small x_sep
-                continue
-            counts.append(len(gain_solves) - start - 1)  # less the separable solve
-        assert len(counts) >= 50
-        assert sum(counts) / len(counts) <= 6.0
+                pass
+            assert gain_solves == [(x_sep * t_c, 1), (0.0, n)]
+        assert found >= 50 and len(evaluations) == found
+        assert max(evaluations) <= 6 and sum(evaluations) / found <= 5.5
 
     def test_single_particle_threshold_is_the_separable_overhead(self):
         # N = 1: the strategies coincide, so r crosses 1 exactly where
@@ -330,43 +338,48 @@ class TestThreshold:
         assert info.value.side == "below"
 
     def test_no_threshold_error_sides(self, monkeypatch):
-        # the supported decay laws always cross; force pathological gains
-        # to check both failure reports
+        # the supported decay laws always cross inside [0, 1e4 t_c]; force a
+        # gain below 1 at zero overhead, and a bracket that ends below the crossing
         gain_module = importlib.import_module("ghzgain.gain")
-
-        def fake_gain_factory(r_value):
-            def fake(n, tts, tte, sep, ent):
-                return gain_module.GainResult(r_value, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-            return fake
-
         model = BathModel.nonmarkovian(1.0)
-        monkeypatch.setattr(gain_module, "_gain_from_optima", fake_gain_factory(0.5))
-        with pytest.raises(NoThresholdError) as info:
-            gain_module.threshold_ent_time(model, 4, 0.3)
+        with monkeypatch.context() as patch:
+            patch.setattr(gain_module, "_gain_from_optima", lambda *args: gain_module.GainResult(
+                0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+            with pytest.raises(NoThresholdError) as info:
+                gain_module.threshold_ent_time(model, 4, 0.3)
         assert info.value.side == "below"
 
-        monkeypatch.setattr(gain_module, "_gain_from_optima", fake_gain_factory(2.0))
-        with pytest.raises(NoThresholdError) as info:
+        assert gain_module.threshold_ent_time(model, 4, 0.3) > 1e-16
+        monkeypatch.setattr(gain_module, "coherence_time", lambda model: 1e-20)
+        with pytest.raises(NoThresholdError, match="bracket end 1e-16") as info:
             gain_module.threshold_ent_time(model, 4, 0.3)
         assert info.value.side == "above"
 
     def test_unconverged_threshold_is_a_solver_error(self, monkeypatch, capsys):
-        # r = 1.001 below x = 0.5 with a round of 1e-9: each step moves x by
-        # only 1e-12, so 100 evaluations end near x = 1e-10, where r is still 1.001
-        gain_module = importlib.import_module("ghzgain.gain")
-        from ghzgain import cli
+        # the non-Markovian optima are closed forms, so the threshold's root is
+        # the only Newton search, and one evaluation does not converge
+        from ghzgain import bath, cli
 
-        def fake(n, tts, tte, sep, ent):
-            r = 1.001 if tte < 0.5 else 0.5
-            return gain_module.GainResult(r, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-9)
-
-        monkeypatch.setattr(gain_module, "_gain_from_optima", fake)
+        monkeypatch.setattr(bath, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(SolverError, match="did not converge"):
             threshold_ent_time(BathModel.nonmarkovian(1.0), 4, 0.3)
         argv = ["threshold", "--model", "nonmarkovian", "--eta", "1", "--n", "4",
                 "--ttilde-sep", "0.3"]
         assert cli.cli_main(argv) == 4
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [BathModel.nonmarkovian(1.0), BathModel.ohmic(0.05, 20.0, 0.5)],
+                             ids=["nonmarkovian", "ohmic"])
+    def test_single_particle_threshold_where_r0_rounds_to_one(self, model):
+        # N = 1 crosses at x = tau_tilde_sep.  Below ~1e-16 t_c, r(0) rounds to 1 (threshold
+        # 0); just above, x = F(tau)/rate_sep - tau is a difference of nearly equal terms
+        t_c = coherence_time(model)
+        for exponent in list(range(-300, -19)) + [k / 20.0 for k in range(-380, -119)]:
+            tts = 10.0 ** exponent * t_c
+            x = threshold_ent_time(model, 1, tts)
+            tau_ent = optimal_sensing_time(model, x, 1).tau_opt
+            assert x >= 0.0
+            assert abs(x - tts) <= 1e-15 * (x + tau_ent)
 
     def test_zero_overhead_zero_threshold(self):
         assert threshold_ent_time(BathModel.markovian(2.0), 13, 0.0) == 0.0
@@ -524,6 +537,51 @@ class TestCutoffScan:
             n_max_gain(BathModel.isolated(1.0), law, 0)
         with pytest.raises(DomainError, match="must be >= 2, got 1"):
             n_cutoff_and_max_gain(BathModel.isolated(1.0), law, 1)
+
+
+THRESHOLD_SIZES = sorted({max(2, round(10.0 ** (k / 4.0))) for k in range(1, 25)})  # 2..10^6
+THRESHOLD_X_SEP = [i / 20.0 for i in range(20)]  # 0..0.95
+
+
+def isolated_threshold(n, x_sep):  # t_c = 1
+    return 1.0 - (1.0 - x_sep) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("model, crossings", [
+    (BathModel.markovian(1.0), 480),
+    (BathModel.ohmic(0.05, 20.0, 0.5), 467),
+    (BathModel.ohmic(0.1, 100.0, 10.0), 162),  # cold: r(0) < 1 at most small x_sep
+], ids=["markovian", "ohmic", "cold-ohmic"])
+def test_dephasing_lowers_the_threshold(model, crossings):
+    # the paper: the threshold, in units of t_c, is lower than an isolated
+    # probe's with t_c = 1, wherever a crossing exists; where none does, r(0) < 1
+    t_c, found = coherence_time(model), 0
+    for n in THRESHOLD_SIZES:
+        for x_sep in THRESHOLD_X_SEP:
+            try:
+                theta = threshold_ent_time(model, n, x_sep * t_c) / t_c
+            except NoThresholdError as info:
+                assert info.side == "below" and gain(model, n, x_sep * t_c, 0.0).r < 1.0
+                continue
+            assert theta < isolated_threshold(n, x_sep)
+            found += 1
+    assert found == crossings
+
+
+def test_quadratic_dephasing_lowers_the_threshold_only_below_x_sep_0_35():
+    # the claim needs x_sep below a crossover that falls from 0.392 at N = 2 to
+    # 0.3535 at N = 10^6; above it the threshold can pass t_c, which caps an
+    # isolated probe's whole round
+    model = BathModel.nonmarkovian(1.0)
+    for n in THRESHOLD_SIZES:
+        for x_sep in THRESHOLD_X_SEP:
+            lower = threshold_ent_time(model, n, x_sep) < isolated_threshold(n, x_sep)
+            assert lower == (x_sep <= 0.35)
+    for n, crossover in ((2, 0.39172), (10**6, 0.35346)):
+        for x_sep, lower in ((crossover - 1e-4, True), (crossover + 1e-4, False)):
+            assert (threshold_ent_time(model, n, x_sep) < isolated_threshold(n, x_sep)) == lower
+    assert threshold_ent_time(model, 10, 0.8) == pytest.approx(1.2462, abs=1e-4)
+    assert isolated_threshold(10, 0.8) == pytest.approx(0.9368, abs=1e-4)
 
 
 class TestMonotonicity:
@@ -700,21 +758,10 @@ def test_markovian_crossing_identity_everywhere(gamma, n, tts):
                               BathModel.ohmic(0.05, 20.0, 0.5), BathModel.ohmic(0.01, 5.0, 2.0)]),
        n=st.integers(1, 10**6), x_sep=st.floats(0.0, 0.9))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-def test_threshold_iterates_never_pass_the_crossing(model, n, x_sep):
-    # keeping tau_ent* fixed is suboptimal at the next overhead, so the
-    # frozen-optimum step lands at r >= 1 up to rounding; r(0) and r(1e4 t_c)
-    # are the first two gains
-    gain_module = importlib.import_module("ghzgain.gain")
-    assemble, gains = gain_module._gain_from_optima, []
-
-    def recording(*args):
-        result = assemble(*args)
-        gains.append(result.r)
-        return result
-
-    with mock.patch.object(gain_module, "_gain_from_optima", recording):
-        try:
-            threshold_ent_time(model, n, x_sep * coherence_time(model))
-        except NoThresholdError:
-            return
-    assert min(gains[2:], default=1.0) >= 1.0 - 4.0 * sys.float_info.epsilon
+def test_gain_at_the_threshold_is_one(model, n, x_sep):
+    tts = x_sep * coherence_time(model)
+    try:
+        x = threshold_ent_time(model, n, tts)
+    except NoThresholdError:
+        return
+    assert abs(gain(model, n, tts, x).r - 1.0) <= 1e-14
