@@ -158,15 +158,18 @@ _DLOG_SINHC = (
     / (34459425.0 + x2 * (4729725.0 + x2 * (135135.0 + x2 * (990.0 + x2)))),
     lambda x, x2, xp: 1.0 / xp.tanh(x) - 1.0 / x,
 )
+# ln(1 + y^2), y = omega_c tau, split at y = 2^500: from there on 1 + y^2 rounds to y^2,
+# which overflows past ~1.3e154, so it takes 2 ln(y)
+_LOG_CUTOFF = (lambda y, y2, xp: xp.log1p(y2), lambda y, y2, xp: 2.0 * xp.log(y))
 
 
-def _by_branch(forms, x, xp):
-    """forms[0] below x = 1, forms[1] from 1 on (and at NaN), at a float x (xp = math) or
-    at each element of an array x (xp = numpy; each form runs on its own elements)."""
+def _by_branch(forms, x, xp, split=1.0):
+    """forms[0] below x = split, forms[1] from it on (and at NaN), at a float x (xp = math)
+    or at each element of an array x (xp = numpy; each form runs on its own elements)."""
     if xp is math:
-        return forms[not x < 1.0](x, x * x, math)
+        return forms[not x < split](x, x * x, math)
     out = np.empty_like(x)
-    small = x < 1.0
+    small = x < split
     with np.errstate(all="ignore"):
         for form, at in zip(forms, (small, ~small)):
             if at.any():
@@ -178,7 +181,8 @@ def _ohmic_exponent(model: BathModel, tau, xp=math):
     """Ohmic Gamma at a float tau, or elementwise over an array with xp =
     numpy (not checked); both log terms vanish exactly at tau = 0."""
     wt, x = model.omega_c * tau, math.pi * tau / model.beta
-    return 0.5 * model.alpha * xp.log1p(wt * wt) + model.alpha * _by_branch(_LOG_SINHC, x, xp)
+    return (0.5 * model.alpha * _by_branch(_LOG_CUTOFF, wt, xp, 2.0**500)
+            + model.alpha * _by_branch(_LOG_SINHC, x, xp))
 
 
 def _exponent_slopes(model: BathModel, tau, xp=math):
@@ -187,7 +191,8 @@ def _exponent_slopes(model: BathModel, tau, xp=math):
     Gamma' for the quadratic one, finite where 2 eta overflows.  The Ohmic pair comes from
     one evaluation of L = coth x - 1/x, x = pi tau/beta: with d = 1 + (omega_c tau)^2 and
     L' = 1 - L^2 - 2 L/x, tau Gamma'' is alpha [omega_c^2 tau (1 - omega_c^2 tau^2)/d^2 +
-    (pi/beta) x L'(x)]."""
+    (pi/beta) x L'(x)].  From omega_c tau = 2^500 on, omega_c^2 tau/d takes 1/tau, and
+    2/d - 1 rounds to -1 (d = inf included); over arrays the caller quiets numpy."""
     if model.kind is BathKind.ISOLATED:
         return 0.0, 0.0
     if model.kind is BathKind.MARKOVIAN:
@@ -198,9 +203,13 @@ def _exponent_slopes(model: BathModel, tau, xp=math):
     k, w = math.pi / model.beta, model.omega_c
     wt, x = w * tau, k * tau
     d = 1.0 + wt * wt
+    if xp is math:
+        cutoff = w * wt / d if wt < 2.0**500 else 1.0 / tau
+    else:
+        cutoff = np.where(wt < 2.0**500, w * wt / d, 1.0 / tau)
     dlog_sinhc = _by_branch(_DLOG_SINHC, x, xp)
-    return (model.alpha * (w * wt / d + k * dlog_sinhc),
-            model.alpha * (w * wt / d * (2.0 / d - 1.0)
+    return (model.alpha * (cutoff + k * dlog_sinhc),
+            model.alpha * (cutoff * (2.0 / d - 1.0)
                            + k * (x * (1.0 - dlog_sinhc * dlog_sinhc) - 2.0 * dlog_sinhc)))
 
 
@@ -211,24 +220,29 @@ _NEWTON_MAX_ITER = 100
 _WHERE = {math: lambda cond, a, b: a if cond else b, np: np.where}
 
 
-def _newton_root(f, lo, f_lo, hi, cap, xp=math):
-    """(x, f(x)) at a root of f above lo, at floats (xp = math) or elementwise over arrays.
-    f(t) returns (f(t), f'(t)); f_lo is that pair at lo >= 0, where f < 0 (NaN: not
-    evaluated).  hi doubles, and lo moves to it, while f(hi) < 0 and hi < cap; x is NaN
-    where f(hi) is then not >= 0.  Newton's steps (rtsafe, Numerical Recipes 3rd ed., 9.4)
-    start at the end with the smaller |f|; a step not strictly inside (lo, hi), or a slope
-    of 0, inf or NaN, bisects at sqrt(lo hi) (hi/2 while lo = 0), and each point replaces
-    the end of its sign.  x is the first point where f = 0 or whose next step or
-    half-bracket is <= 4 eps x; without one in _NEWTON_MAX_ITER evaluations, floats raise
-    SolverError and arrays give NaN (a converged element stands still meanwhile).
-    """
+def _newton_root(f, lo, hi, cap, xp=math):
+    """(x, f(x)) at a root of f above lo >= 0, at floats (xp = math) or elementwise over
+    arrays.  f(t) returns (f(t), f'(t)).  f(lo) comes first, except at a float lo = 0 (the
+    optimum's residual is 0/0 there at tau_tilde = 0), and f at an end of 0 is taken as
+    NaN; where f(lo) > 0 the bracket is [0, lo].  hi doubles, clamped at cap, and lo moves
+    to it, while f(hi) < 0 and hi < cap; x is NaN where f(hi) is then not >= 0.  Newton's
+    steps (rtsafe, Numerical Recipes 3rd ed., 9.4) start at the end with the smaller |f|;
+    a step not strictly inside (lo, hi), or a slope of 0, inf or NaN, bisects at sqrt(lo
+    hi) (hi/2 while lo = 0), and each point replaces the end of its sign.  x is the first
+    point where f = 0 or whose next step or half-bracket is <= 4 eps x; without one in
+    _NEWTON_MAX_ITER evaluations, floats raise SolverError and arrays give NaN (a
+    converged element stands still meanwhile)."""
     where = _WHERE[xp]
+    f_lo = f(lo) if xp is np or lo > 0.0 else (math.nan, math.nan)
+    above = f_lo[0] > 0.0
+    lo, hi = where(above, 0.0, lo), where(above, lo, hi)
+    f_lo = tuple(where(lo > 0.0, v, math.nan) for v in f_lo)
     while True:
         f_hi = f(hi)
         grow = (f_hi[0] < 0.0) & (hi < cap)
         if not (grow if xp is math else grow.any()):
             break
-        lo, hi = where(grow, hi, lo), where(grow, 2.0 * hi, hi)
+        lo, hi = where(grow, hi, lo), where(grow, where(2.0 * hi < cap, 2.0 * hi, cap), hi)
         f_lo = where(grow, f_hi[0], f_lo[0]), where(grow, f_hi[1], f_lo[1])
     bracketed, start = f_hi[0] >= 0.0, abs(f_lo[0]) < abs(f_hi[0])
     x = where(start, lo, hi)
@@ -287,7 +301,8 @@ def coherence_time(model: BathModel) -> float:
     (SolverError where it overflows) and 1/sqrt(eta).  For the full Ohmic law the
     convention used here is the time at which Gamma first reaches 1 (the two limits of
     that convention recover 1/gamma and 1/sqrt(eta)), located by _newton_root on
-    Gamma - 1 with slope Gamma' to a relative step of 4 eps; cached, since
+    Gamma - 1 with slope Gamma' to a relative step of 4 eps, and accepted only where
+    |Gamma(t_c) - 1| <= 1e-12 at a normal float t_c (else SolverError); cached, since
     repeated calls on one model ask for it again (each threshold; `cutoff`, twice).
     """
     if model.kind is BathKind.ISOLATED:
@@ -301,19 +316,12 @@ def coherence_time(model: BathModel) -> float:
         return decay_exponent(model, t) - 1.0, _exponent_slopes(model, t)[0]
 
     end = 0.25 * sys.float_info.max  # the bracket ends where pi tau is finite
-    lo, hi = 1e-12 * model.beta, min(1e12 * model.beta, end)
-    if (g_lo := f(lo))[0] >= 0.0:
-        raise SolverError(
-            "Ohmic coherence time lies below the search bracket; "
-            "the coupling is too strong for this convention"
-        )
-    t_c = _newton_root(f, lo, g_lo, hi, min(2.0 ** 199 * hi, end))[0]
-    if math.isnan(t_c):
-        raise SolverError(
-            "Ohmic decay exponent never reaches 1 inside the expanded bracket"
-        )
-    if not t_c > 0.0:  # lo underflowed to 0, and so did the root
-        raise SolverError(f"Ohmic coherence time underflows at beta = {model.beta!r}")
+    hi = min(1e12 * model.beta, end)
+    cap = min(2.0 ** 199 * hi, end)
+    t_c, g = _newton_root(f, 1e-12 * model.beta, hi, cap)
+    if not (abs(g) <= 1e-12 and t_c >= sys.float_info.min):  # NaN: no root up to cap
+        raise SolverError(f"Ohmic decay exponent never reaches 1 within 1e-12 at a normal "
+                          f"float time up to {cap!r} for {model.to_dict()}")
     return t_c
 
 

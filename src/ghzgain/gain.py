@@ -189,8 +189,7 @@ def threshold_ent_time(model: BathModel, n: int, tau_tilde_sep: float) -> float:
         m = 2.0 - 2.0 * n * t * dg
         return 1.0 - w * m, -w * (m * m - 2.0 - 2.0 * n * t * t_d2g) / t
 
-    lo = at.tau_opt_ent
-    tau = _newton_root(f, lo, f(lo), 2.0 * lo, 2.0 ** 60 * t_c)[0]
+    tau = _newton_root(f, at.tau_opt_ent, 2.0 * at.tau_opt_ent, 2.0 ** 60 * t_c)[0]
     x = scaled_fisher(tau) - tau  # its slope in tau is 0 at the root
     if not x <= 1e4 * t_c:  # NaN where no root is bracketed
         raise NoThresholdError(f"gain is still above 1 at the bracket end {1e4 * t_c!r}",

@@ -82,11 +82,11 @@ def _residual(dg: float, tau_tilde: float, n_eff: int, tau: float) -> float:
     return 2.0 * n_eff * tau * dg - 1.0 - tau_tilde / (tau_tilde + tau)
 
 
-def _optimum(model: BathModel, tau_tilde: float, n_eff: int, tau: float,
-             residual: float | None) -> OptimalTime:
-    """The OptimalTime at tau for validated tau_tilde and n_eff, with its residual (None:
-    from Gamma'(tau)).  Raises InfeasibleTimingError where an isolated probe's overhead
-    leaves no sensing time, and SolverError unless tau > 0 and the rate is finite and > 0."""
+def _optimum(model: BathModel, tau_tilde: float, n_eff: int, tau: float) -> OptimalTime:
+    """The OptimalTime at tau for validated tau_tilde and n_eff, with its residual from
+    Gamma'(tau) (0 at an isolated probe's boundary).  Raises InfeasibleTimingError where an
+    isolated probe's overhead leaves no sensing time, and SolverError unless tau > 0 and
+    the rate is finite and > 0."""
     if not tau > 0.0:
         if model.kind is BathKind.ISOLATED:  # tau = t_c - tau_tilde
             raise InfeasibleTimingError(
@@ -98,8 +98,8 @@ def _optimum(model: BathModel, tau_tilde: float, n_eff: int, tau: float,
     rate = _rates(1.0 * n_eff * n_eff, tau_tilde, tau, decay)[1]
     if not 0.0 < rate < math.inf:
         raise SolverError(f"optimal information rate {rate!r} is not finite and > 0")
-    if residual is None:
-        residual = _residual(_exponent_slopes(model, tau)[0], tau_tilde, n_eff, tau)
+    residual = (0.0 if model.kind is BathKind.ISOLATED  # a boundary optimum
+                else _residual(_exponent_slopes(model, tau)[0], tau_tilde, n_eff, tau))
     return OptimalTime(tau, rate, residual, decay)
 
 
@@ -190,40 +190,34 @@ def tau_opt_nonmarkov(eta: float, tau_tilde: float, n_eff: int) -> OptimalTime:
     return optimal_sensing_time(BathModel.nonmarkovian(eta), tau_tilde, n_eff)
 
 
-def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, res, xp=math):
-    """(lo, res(lo), up), the start of the Ohmic optimum's bracket, at floats (xp = math)
-    or over arrays, for res(tau) = (residual, slope).  ln(1 + y) <= y and coth x - 1/x
-    <= x/3 give Gamma' <= 2 eta0 tau, eta0 = alpha omega_c^2/2 + alpha (pi/beta)^2/6, so
-    the residual is <= 4 (tau/t)^2 - 1 - tau_tilde/(tau_tilde + tau), t = 1/sqrt(n_eff
-    eta0), which is <= 0 at tau0 = (t/2) sqrt(1 + tau_tilde/(tau_tilde + t/sqrt 2)) <=
-    t/sqrt 2.  So lo = tau0, and up is the larger of 2 tau0 and _markov_root's optimum
-    of the Markov limit gamma = alpha pi/beta; but where rounding, or eta0 past 1e300,
-    leaves the residual at tau0 > 0, the bracket is [0, tau0], with res(0) = NaN: it is
-    not evaluated."""
+def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, xp=math):
+    """(lo, up), the start of the Ohmic optimum's bracket, at floats (xp = math) or over
+    arrays.  ln(1 + y) <= y and coth x - 1/x <= x/3 give Gamma' <= 2 eta0 tau, eta0 =
+    alpha omega_c^2/2 + alpha (pi/beta)^2/6, so the residual is <= 4 (tau/t)^2 - 1 -
+    tau_tilde/(tau_tilde + tau), t = 1/sqrt(n_eff eta0), which is <= 0 at tau0 = (t/2)
+    sqrt(1 + tau_tilde/(tau_tilde + t/sqrt 2)) <= t/sqrt 2.  So lo = tau0, and up is the
+    larger of 2 tau0 and _markov_root's optimum of the Markov limit gamma = alpha pi/beta;
+    where rounding, or eta0 past 1e300, leaves the residual at tau0 > 0, _newton_root
+    takes [0, tau0] instead."""
     k = math.pi / model.beta
     eta0 = model.alpha * (0.5 * model.omega_c * model.omega_c + k * k / 6.0)
     t = 1.0 / (xp.sqrt(n_eff) * math.sqrt(min(max(eta0, 1e-300), 1e300)))  # tau0 > 0
     tau0 = 0.5 * t * xp.sqrt(1.0 + tau_tilde / (tau_tilde + math.sqrt(0.5) * t))
     markov = _markov_root(0.5 / (n_eff * max(model.alpha * k, 1e-300)), tau_tilde, xp)
-    where = _WHERE[xp]
-    up = where(2.0 * tau0 < markov, markov, 2.0 * tau0)
-    f0, df0 = res(tau0)
-    ok = f0 <= 0.0
-    f_lo = where(ok, f0, math.nan), where(ok, df0, math.nan)
-    return where(ok, tau0, 0.0), f_lo, where(ok, up, tau0)
+    return tau0, _WHERE[xp](2.0 * tau0 < markov, markov, 2.0 * tau0)
 
 
 def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTime:
     """Model-agnostic interior maximum of the information rate.
 
-    The stationarity residual equals -tau d ln(rate)/d tau: negative while
-    the rate rises, positive once it falls, with the limit -1 - [tau_tilde
-    > 0] as tau -> 0 (at tau_tilde = 0 it is 0/0 there, so tau = 0 is
-    never evaluated).  The bracket starts as [0, t_c], or as _ohmic_bracket
-    seeds it for the Ohmic law.  Its upper end doubles, up to 2^60 t_c, while the
-    residual there is negative, each becoming the lower end; Newton's steps on
-    the residual, with the slope from Gamma' and tau Gamma'' and kept inside the
-    bracket, then stop once a step is at most 4 eps tau (bath._newton_root).
+    The stationarity residual equals -tau d ln(rate)/d tau: negative while the rate
+    rises, positive once it falls, with the limit -1 - [tau_tilde > 0] as tau -> 0 (at
+    tau_tilde = 0 it is 0/0 there, so tau = 0 is never evaluated).  The bracket starts
+    as [0, t_c], or as _ohmic_bracket seeds it for the Ohmic law.  Its upper end
+    doubles, clamped at 2^60 t_c, while the residual there is negative, each becoming
+    the lower end; Newton's steps on the residual, with the slope from Gamma' and tau
+    Gamma'' and kept inside the bracket, then stop once a step is at most 4 eps tau
+    (bath._newton_root).
     """
     if model.kind is BathKind.ISOLATED:
         raise UnsupportedModelError(
@@ -231,12 +225,12 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
         )
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
-    return _optimum(model, tau_tilde, n_eff, *_numeric_root(model, tau_tilde, n_eff))
+    return _optimum(model, tau_tilde, n_eff, _numeric_root(model, tau_tilde, n_eff))
 
 
 def _numeric_root(model: BathModel, tau_tilde, n_eff, xp=math):
-    """(tau, residual) of tau_opt_numeric at floats (xp = math), or elementwise over arrays
-    for an Ohmic model, where tau is NaN in place of its errors."""
+    """The time of tau_opt_numeric at floats (xp = math), or elementwise over arrays for
+    an Ohmic model, where it is NaN in place of its errors."""
 
     def res(t):  # the residual and its slope 2 n_eff (Gamma' + t Gamma'') + tau_tilde/s^2
         (dg, t_d2g), s = _exponent_slopes(model, t, xp), tau_tilde + t
@@ -244,32 +238,30 @@ def _numeric_root(model: BathModel, tau_tilde, n_eff, xp=math):
                 2.0 * n_eff * (dg + t_d2g) + tau_tilde / s / s)
 
     t_c = coherence_time(model)
-    lo, f_lo, up = 0.0, (math.nan, math.nan), t_c
-    if model.kind is BathKind.OHMIC:
-        lo, f_lo, up = _ohmic_bracket(model, tau_tilde, n_eff, res, xp)
-    tau, residual = _newton_root(res, lo, f_lo, up, 2.0 ** 60 * t_c, xp)
+    ohmic = model.kind is BathKind.OHMIC
+    lo, up = _ohmic_bracket(model, tau_tilde, n_eff, xp) if ohmic else (0.0, t_c)
+    tau = _newton_root(res, lo, up, 2.0 ** 60 * t_c, xp)[0]
     if xp is math and math.isnan(tau):
         raise DivergenceError("information rate still rising after expanding the bracket "
                               "to 2^60 coherence times; no interior maximum found")
-    return tau, residual
+    return tau
 
 
 def _tau_opt(model: BathModel, tau_tilde, n_eff, xp=math):
-    """(tau, residual) of the optimum at validated floats (xp = math), or elementwise over
-    float arrays of overheads >= 0 and counts >= 1 (xp = numpy): the boundary t_c -
-    tau_tilde for an isolated probe, the Markov quadratic's root, the non-Markovian cubic's
-    root in units of the block coherence time 1/sqrt(n_eff eta), or the numeric root for
-    the Ohmic law.  tau is not checked: the boundary is <= 0 where the timing is
-    infeasible, and an Ohmic array root is NaN where the scalar one raises.  A closed form
-    gives the residual None, for _optimum to take from Gamma'(tau) once tau is checked."""
+    """The optimal time at validated floats (xp = math), or elementwise over float arrays
+    of overheads >= 0 and counts >= 1 (xp = numpy): the boundary t_c - tau_tilde for an
+    isolated probe, the Markov quadratic's root, the non-Markovian cubic's root in units of
+    the block coherence time 1/sqrt(n_eff eta), or the numeric root for the Ohmic law.  It
+    is not checked: the boundary is <= 0 where the timing is infeasible, and an Ohmic
+    array root is NaN where the scalar one raises."""
     if model.kind is BathKind.ISOLATED:
-        return model.t_c - tau_tilde, 0.0
+        return model.t_c - tau_tilde
     if model.kind is BathKind.OHMIC:
         return _numeric_root(model, tau_tilde, n_eff, xp)
     if model.kind is BathKind.MARKOVIAN:
-        return _markov_root(0.5 / (n_eff * model.gamma), tau_tilde, xp), None
+        return _markov_root(0.5 / (n_eff * model.gamma), tau_tilde, xp)
     scale = xp.sqrt(n_eff * model.eta)
-    return _nonmarkov_root(tau_tilde * scale, xp) / scale, None
+    return _nonmarkov_root(tau_tilde * scale, xp) / scale
 
 
 def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
@@ -282,7 +274,7 @@ def _optimal_sensing_times(model: BathModel, tau_tilde: np.ndarray,
     bracket or no convergence, rate not finite and > 0, overhead not finite): the caller
     calls it on the first such key it needs, for its error."""
     with np.errstate(all="ignore"):
-        tau = _tau_opt(model, tau_tilde, n_eff, np)[0]
+        tau = _tau_opt(model, tau_tilde, n_eff, np)
         exponent = -2.0 * n_eff * _decay_exponent(model, tau, np)
         decay = np.ones_like(exponent)  # exp(-0) = 1
         if exponent.any():
@@ -305,4 +297,4 @@ def optimal_sensing_time(model: BathModel, tau_tilde: float, n_eff: int) -> Opti
     """
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     n_eff = check_count(n_eff, "effective particle count")
-    return _optimum(model, tau_tilde, n_eff, *_tau_opt(model, tau_tilde, n_eff))
+    return _optimum(model, tau_tilde, n_eff, _tau_opt(model, tau_tilde, n_eff))

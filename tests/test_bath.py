@@ -74,10 +74,14 @@ def _dlog_sinhc(x, xp=math):
 
 
 def mp_ohmic_exponent(alpha, omega_c, beta, tau):
-    """The Ohmic Gamma at 50 digits (call under mpmath.workdps(50))."""
+    """The Ohmic Gamma at the working precision (call under mpmath.workdps(50) or more);
+    below pi tau/beta = 1e-5, where sinh(x)/x can round to 1, ln(sinh x/x) takes its
+    series x^2/6 - x^4/180 + x^6/2835."""
     a, w, t = mpmath.mpf(alpha), mpmath.mpf(omega_c), mpmath.mpf(tau)
     x = mpmath.pi * t / mpmath.mpf(beta)
-    return a / 2 * mpmath.log1p((w * t) ** 2) + a * mpmath.log(mpmath.sinh(x) / x)
+    log_sinhc = (x**2 / 6 - x**4 / 180 + x**6 / 2835 if x < mpmath.mpf("1e-5")
+                 else mpmath.log(mpmath.sinh(x) / x))
+    return a / 2 * mpmath.log1p((w * t) ** 2) + a * log_sinhc
 
 
 class TestOhmicBranches:
@@ -144,6 +148,32 @@ class TestOhmicBranches:
                 exact = tau * mpmath.diff(slope, tau)
                 curvature = _exponent_slopes(model, float(tau))[1]
                 assert abs(curvature - exact) <= 1e-13 * (abs(slope(tau)) + abs(exact))
+
+    # omega_c tau at and past 2^500, where 1 + (omega_c tau)^2 rounds to (omega_c tau)^2,
+    # which overflows past ~1.3e154, and just below 2^500; pi tau/beta is kept near pi,
+    # since tau Gamma'' loses ~eps x to x (1 - L^2) - 2L at large x
+    @pytest.mark.parametrize("alpha, omega_c, beta, tau", [
+        (0.1, 1e300, 1.0, 1.0), (0.1, 1.0, 2.0**500, 2.0**500),
+        (0.1, 1.0, 2.0**500, 2.0**500 * (1 - 2**-53)),
+        (0.3, 13969582.44394353, 1e147, 9.59785876474461e146), (0.05, 1e200, 1e100, 1e100)])
+    def test_ohmic_forms_match_mpmath_where_omega_c_tau_is_large(self, alpha, omega_c, beta, tau):
+        model = BathModel.ohmic(alpha, omega_c, beta)
+        with mpmath.workdps(50):
+            a, w, t = mpmath.mpf(alpha), mpmath.mpf(omega_c), mpmath.mpf(tau)
+            k = mpmath.pi / mpmath.mpf(beta)
+            x, d = k * t, 1 + (w * t) ** 2
+            lsh = mpmath.coth(x) - 1 / x
+            exact = (mp_ohmic_exponent(alpha, omega_c, beta, tau), a * w * w * t / d + a * k * lsh,
+                     a * (w * w * t * (2 - d) / d**2 + k * x * (1 / x**2 - 1 / mpmath.sinh(x) ** 2)))
+        got = (decay_exponent(model, tau), decay_exponent_derivative(model, tau),
+               _exponent_slopes(model, tau)[1])
+        assert abs(got[0] - exact[0]) <= 1e-15 * exact[0]
+        assert abs(got[1] - exact[1]) <= 1e-15 * exact[1]
+        assert abs(got[2] - exact[2]) <= 1e-14 * (abs(exact[1]) + abs(exact[2]))
+        with np.errstate(all="ignore"):  # the array caller quiets numpy
+            arrays = (_ohmic_exponent(model, np.array([tau]), np),
+                      *_exponent_slopes(model, np.array([tau]), np))
+        assert [float(v[0]) for v in arrays] == pytest.approx(got, rel=1e-14)
 
     def test_array_log_sinhc_matches_the_float_form(self):
         xs = np.array(self.XS + np.logspace(-6, 2.5, 400).tolist())
@@ -252,6 +282,41 @@ class TestCoherenceTime:
         model = BathModel.ohmic(0.001, 5000.0, 1e-4)
         gamma, _ = ohmic_limit_rates(0.001, 1e-4, 5000.0)
         assert coherence_time(model) == pytest.approx(1.0 / gamma, rel=0.1)
+
+    # each bath's Newton root was once returned as t_c: the last doubling of the bracket
+    # passed its end, so pi tau overflowed (Gamma = 6e-188); the true root underflows (Gamma =
+    # 3,520 at the smallest subnormal); (omega_c tau)^2 overflowed (Gamma = 2.2e-120)
+    @pytest.mark.parametrize("alpha, omega_c, beta", [
+        (1e-200, 1e-300, 3e295), (1e3, 1.0, 5e-324),
+        (6.254697535355251e-190, 13969582.44394353, 8.504173854606198e77)])
+    def test_a_root_that_misses_gamma_1_raises(self, alpha, omega_c, beta):
+        with pytest.raises(SolverError, match="never reaches 1"):
+            coherence_time.__wrapped__(BathModel.ohmic(alpha, omega_c, beta))
+
+    @pytest.mark.parametrize("alpha, omega_c, beta", [(1.0, 1e15, 1.0), (0.3, 1e20, 1e-3)])
+    def test_a_root_below_the_bracket_is_found(self, alpha, omega_c, beta):
+        # Gamma(1e-12 beta) > 1: the search takes [0, 1e-12 beta]
+        model = BathModel.ohmic(alpha, omega_c, beta)
+        assert decay_exponent(model, 1e-12 * beta) > 1.0
+        t_c = coherence_time.__wrapped__(model)
+        with mpmath.workdps(50):
+            root = mpmath.findroot(lambda t: mp_ohmic_exponent(alpha, omega_c, beta, t) - 1,
+                                   (t_c / 2, 2 * t_c), solver="anderson")
+        assert t_c < 1e-12 * beta and abs(t_c - root) <= 1e-14 * root
+
+    def test_every_returned_t_c_of_an_extreme_bath_is_a_root(self):
+        rng, found = np.random.default_rng(20261020), 0
+        for _ in range(1500):
+            alpha, omega_c, beta = (10.0 ** rng.uniform(-300.0, 300.0, 3)).tolist()
+            try:
+                t_c = coherence_time.__wrapped__(BathModel.ohmic(alpha, omega_c, beta))
+            except SolverError:
+                continue
+            assert sys.float_info.min <= t_c < math.inf
+            with mpmath.workdps(60):
+                assert abs(mp_ohmic_exponent(alpha, omega_c, beta, t_c) - 1) <= 1e-13
+            found += 1
+        assert found >= 150
 
 
 class TestOhmicLimitRates:
@@ -393,9 +458,8 @@ class TestNewtonRoot:
 
     @staticmethod
     def solve(f, lo, hi, xp=math, cap=None):
-        f_lo = f(lo)
         f.xs.clear()
-        return _newton_root(f, lo, f_lo, hi, hi if cap is None else cap, xp)
+        return _newton_root(f, lo, hi, hi if cap is None else cap, xp)
 
     @staticmethod
     def exact_root(c):
@@ -417,16 +481,17 @@ class TestNewtonRoot:
         for i, case in enumerate(self.CASES):
             g = self.cubic(case[0])
             assert x[i] == self.solve(g, *case[1:])[0]
-            # a converged element stands still: its points are the scalar ones, then repeats
-            points = [float(xs[i]) for xs in f.xs]
+            # a converged element stands still: its points are the scalar ones, then repeats;
+            # arrays evaluate f at every lower end, floats not at lo = 0
+            points = [float(xs[i]) for xs in f.xs][case[1] == 0.0:]
             assert points[:len(g.xs)] == g.xs and set(points[len(g.xs):]) <= {x[i]}
 
     def test_a_zero_end_is_the_root(self):
         f = self.cubic(0.0)  # root 1, at the lower end of [1, 3] and the upper end of [0, 1]
-        assert self.solve(f, 1.0, 3.0) == (1.0, 0.0) and f.xs == [3.0]
-        assert self.solve(f, 0.0, 1.0) == (1.0, 0.0) and f.xs == [1.0]
+        assert self.solve(f, 1.0, 3.0) == (1.0, 0.0) and f.xs == [1.0, 3.0]
+        assert self.solve(f, 0.0, 1.0) == (1.0, 0.0) and f.xs == [1.0]  # f(0) is not taken
         x, fx = self.solve(f, np.array([1.0, 0.0]), np.array([3.0, 1.0]), np)
-        assert x.tolist() == [1.0, 1.0] and fx.tolist() == [0.0, 0.0] and len(f.xs) == 1
+        assert x.tolist() == [1.0, 1.0] and fx.tolist() == [0.0, 0.0] and len(f.xs) == 2
 
     def test_the_upper_end_doubles_up_to_the_cap(self):
         f = self.cubic(1.0)  # root 0.68, above [0, 0.125]: the upper end doubles to 1
@@ -437,6 +502,25 @@ class TestNewtonRoot:
         x = self.solve(f, np.array([0.0, 0.0]), np.array([0.125, 0.125]), np,
                        np.array([1.0, 0.5]))[0]
         assert x[0] == self.solve(f, 0.0, 0.125, cap=1.0)[0] and math.isnan(x[1])
+
+    @pytest.mark.parametrize("cap, found", [(0.75, True), (0.6, False)])
+    def test_the_upper_end_stops_at_a_cap_between_doublings(self, cap, found):
+        f = self.cubic(1.0)  # root 0.68: f(0.75) > 0 > f(0.6); doubling 0.125 gives 0.5, 1
+        x = self.solve(f, 0.0, 0.125, cap=cap)[0]
+        assert f.xs[:4] == [0.125, 0.25, 0.5, cap] and max(f.xs) == cap
+        assert abs(x - self.exact_root(1.0)) <= 1e-15 if found else math.isnan(x)
+        xs = self.solve(f, np.zeros(2), np.full(2, 0.125), np, np.array([cap, 1.0]))[0]
+        assert xs[0] == x or math.isnan(xs[0]) and math.isnan(x)
+
+    @pytest.mark.parametrize("xp", [math, np])
+    def test_a_positive_lower_end_brackets_from_zero(self, xp):
+        # f(0.9) > 0: the root 0.68 lies below lo, and the bracket is [0, 0.9]
+        f = self.cubic(1.0)
+        lo, hi = (0.9, 2.0) if xp is math else (np.array([0.9]), np.array([2.0]))
+        x = np.ravel(self.solve(f, lo, hi, xp, cap=4.0)[0])[0]
+        points = np.ravel(f.xs).tolist()
+        assert points[:2] == [0.9, 0.9] and max(points) == 0.9
+        assert abs(x - self.exact_root(1.0)) <= 4 * sys.float_info.epsilon
 
     @pytest.mark.parametrize("slope", [0.0, math.inf, math.nan])
     @pytest.mark.parametrize("c, lo, hi", CASES)

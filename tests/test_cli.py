@@ -135,6 +135,14 @@ class TestBathCommand:
         assert float(values["decay_exponent_derivative"]) == pytest.approx(2.0)
         assert float(values["t_c"]) == pytest.approx(0.5)
 
+    def test_ohmic_root_that_misses_gamma_1_exits_4(self, capsys):
+        # the coherence-time search once ended where pi tau overflows and printed
+        # t_c = 5.72223497151e+307, where Gamma is 6e-188
+        code, out, err = run(capsys, "bath", "--model", "ohmic", "--alpha", "1e-200",
+                             "--omega-c", "1e-300", "--beta", "3e295", "--tau", "1")
+        assert (code, out) == (4, "")
+        assert "never reaches 1" in err
+
     def test_ohmic_exponent_where_2x_overflows(self, capsys):
         # x = pi tau/beta is past half the largest float, so 2x is not finite
         code, out, err = run(capsys, "bath", "--model", "ohmic", "--alpha", "0.1",

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzgain import (
+    BathKind,
     BathModel,
     DomainError,
     InfeasibleTimingError,
@@ -294,7 +295,8 @@ class TestThreshold:
                                        BathModel.ohmic(0.05, 20.0, 0.5)], ids=["nonmarkovian", "ohmic"])
     def test_few_solves_per_threshold(self, gain_solves, monkeypatch, model):
         # two solves, then Newton on F_ent' = rate_sep from tau*(0): at most 6 more
-        # evaluations of F and its slopes, 5.1 on average
+        # evaluations of F and its slopes, 5.1 on average, past the one at tau*(0) that
+        # _newton_root takes for the bracket's lower end
         gain_module = importlib.import_module("ghzgain.gain")
         newton_root, evaluations = gain_module._newton_root, []
 
@@ -302,7 +304,7 @@ class TestThreshold:
             def counted(t):
                 evaluations[-1] += 1
                 return f(t)
-            evaluations.append(0)
+            evaluations.append(-1)
             return newton_root(counted, *args)
 
         monkeypatch.setattr(gain_module, "_newton_root", counting)
@@ -731,6 +733,35 @@ class TestEndToEndAgainstBruteForce:
             best[kind] = -result.fun
         reference = best[ProbeKind.GHZ] / best[ProbeKind.SEPARABLE]
         assert gain(model, n, tts, tte).r == pytest.approx(reference, rel=1e-7)
+
+    @classmethod
+    def brute_best_rate(cls, model, n, kind, tau_tilde):
+        """The largest rate over tau, by Brent's method on ln tau; an isolated probe's rate
+        rises with tau, so its best is at the boundary t_c - tau_tilde."""
+        from scipy.optimize import minimize_scalar
+
+        t_c = coherence_time(model)
+        if model.kind is BathKind.ISOLATED:
+            return cls.brute_rate(model, n, kind, tau_tilde, t_c - tau_tilde)
+        result = minimize_scalar(lambda s: -cls.brute_rate(model, n, kind, tau_tilde, math.exp(s)),
+                                 bracket=(math.log(0.1 * t_c), math.log(t_c)), method="brent",
+                                 options={"xtol": 1e-10})
+        return -result.fun
+
+    @pytest.mark.parametrize("kind", list(BathKind), ids=lambda k: k.value)
+    def test_gain_matches_the_brute_force_optimum(self, kind):
+        # ten seeded cases a kind: N = 2..6, both overheads in [0, 0.5) t_c
+        rng = np.random.default_rng(20261020)
+        factory = {BathKind.ISOLATED: BathModel.isolated, BathKind.MARKOVIAN: BathModel.markovian,
+                   BathKind.NONMARKOVIAN: BathModel.nonmarkovian, BathKind.OHMIC: BathModel.ohmic}
+        low, high = ([-2.0, 0.0, -1.0], [-0.5, 2.0, 1.0]) if kind is BathKind.OHMIC else (-1.0, 1.0)
+        for _ in range(10):
+            model = factory[kind](*np.atleast_1d(10.0 ** rng.uniform(low, high)).tolist())
+            n = int(rng.integers(2, 7))
+            tts, tte = (rng.uniform(0.0, 0.5, 2) * coherence_time(model)).tolist()
+            reference = (self.brute_best_rate(model, n, ProbeKind.GHZ, tte)
+                         / self.brute_best_rate(model, n, ProbeKind.SEPARABLE, tts))
+            assert gain(model, n, tts, tte).r == pytest.approx(reference, rel=1e-12)
 
 
 @given(

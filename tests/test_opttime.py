@@ -283,9 +283,9 @@ class TestNumeric:
     def test_underflowing_interpolation_bisects(self, monkeypatch, gamma, tau_tilde):
         optimum, taus = opttime._optimum, []
 
-        def recording(model, tau_tilde, n_eff, tau, residual):
+        def recording(model, tau_tilde, n_eff, tau):
             taus.append(tau)
-            return optimum(model, tau_tilde, n_eff, tau, residual)
+            return optimum(model, tau_tilde, n_eff, tau)
 
         monkeypatch.setattr(opttime, "_optimum", recording)
         with pytest.raises(SolverError, match="not finite and > 0"):  # tau^2 overflows
@@ -525,25 +525,19 @@ def test_nonmarkov_optimum_is_stationary_or_a_solver_error(caplog, eta, tau_tild
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_ohmic_bracket_starts_below_the_root(alpha, omega_c, beta, x, n_eff):
     # the residual at the short-time bound tau0 is <= 0, or rounding broke the
-    # bound and the bracket falls back to [0, tau0], where it is > 0 at tau0
+    # bound, it is > 0 at tau0 and _newton_root takes the bracket [0, tau0]
     model = BathModel.ohmic(alpha, omega_c, beta)
     tau_tilde = x * coherence_time(model)
-
-    def res(t):  # the bracket passes the second value, the slope, through
-        return stationarity_residual(model, tau_tilde, n_eff, t), t
-
-    lo, f_lo, up = opttime._ohmic_bracket(model, tau_tilde, n_eff, res)
-    assert 0.0 <= lo < up < math.inf
-    if lo == 0.0:
-        assert math.isnan(f_lo[0]) and math.isnan(f_lo[1]) and res(up)[0] > 0.0
+    lo, up = opttime._ohmic_bracket(model, tau_tilde, n_eff)
+    assert 0.0 < lo < up < math.inf
+    tau = tau_opt_numeric(model, tau_tilde, n_eff).tau_opt
+    if stationarity_residual(model, tau_tilde, n_eff, lo) <= 0.0:
+        assert tau >= lo
     else:
-        assert f_lo == res(lo) and f_lo[0] <= 0.0
-    assert tau_opt_numeric(model, tau_tilde, n_eff).tau_opt >= lo
+        assert tau <= lo
     # the array path starts every element where the scalar path does
-    arrays = opttime._ohmic_bracket(model, np.array([tau_tilde]), np.array([float(n_eff)]),
-                                    lambda t: tuple(np.array([v]) for v in res(float(t[0]))), np)
-    assert [float(arrays[0][0]), float(arrays[2][0])] == [lo, up]
-    assert np.array_equal(np.concatenate(arrays[1]), f_lo, equal_nan=True)
+    arrays = opttime._ohmic_bracket(model, np.array([tau_tilde]), np.array([float(n_eff)]), np)
+    assert [float(arrays[0][0]), float(arrays[1][0])] == [lo, up]
 
 
 # at tau_tilde = 1e10 the textbook root (sqrt(b^2 + 8 h tau_tilde) - b)/2 loses its
@@ -551,11 +545,7 @@ def test_ohmic_bracket_starts_below_the_root(alpha, omega_c, beta, x, n_eff):
 @pytest.mark.parametrize("tau_tilde", [1e10, 1e200])
 def test_ohmic_bracket_trial_is_the_markov_limit_root(tau_tilde):
     model = BathModel.ohmic(0.05, 20.0, 0.5)
-
-    def res(t):
-        return stationarity_residual(model, tau_tilde, 1, t), t
-
-    up = opttime._ohmic_bracket(model, tau_tilde, 1, res)[2]
+    up = opttime._ohmic_bracket(model, tau_tilde, 1)[1]
     exact = exact_markov_root(model.alpha * (math.pi / model.beta), tau_tilde, 1)
     assert abs(up - exact) <= 1e-15 * exact
 

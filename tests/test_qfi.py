@@ -237,6 +237,33 @@ class TestQfiEigen:
             assert v == pytest.approx(values[0], rel=1e-9)
 
 
+class TestValidation:
+    def test_a_matrix_that_is_not_square_2n_is_rejected(self):
+        for shape in [(3, 3), (2, 4), (4,)]:
+            with pytest.raises(ValidationError, match="square 2\\^N x 2\\^N"):
+                validate_density_matrix(np.zeros(shape, dtype=complex))
+
+    def test_a_non_hermitian_matrix_is_rejected(self):
+        rho = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            validate_density_matrix(rho)
+
+    def test_a_trace_other_than_1_is_rejected(self):
+        with pytest.raises(ValidationError, match="trace differs from 1"):
+            validate_density_matrix(0.6 * np.eye(2, dtype=complex))
+
+    def test_a_negative_eigenvalue_is_rejected(self):
+        rho = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)  # eigenvalues 1.1, -0.1
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            validate_density_matrix(rho)
+
+    def test_qfi_of_mismatched_shapes_is_rejected(self):
+        rho = build_probe_state(ProbeSpec(1, ProbeKind.SEPARABLE))
+        drho = rho_derivative(build_probe_state(ProbeSpec(2, ProbeKind.SEPARABLE)), 1.0)
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            qfi_eigen(rho, drho)
+
+
 class TestClosedForms:
     def test_isolated_separable(self):
         assert qfi_separable(10, 1.0, BathModel.isolated(1.0)) == pytest.approx(10.0)

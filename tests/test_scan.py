@@ -107,7 +107,7 @@ def test_array_optimum_matches_the_scalar_solver(kind, seed, size):
         except SolverError:  # at gamma = 1e-160, tau ~ 1e160 / n and F overflows
             assert kind == "markovian-overflow-tiny-gamma"
             assert math.isnan(rate[i])
-            assert tau[i] == _tau_opt(model, *args)[0]  # the scalar root, bit for bit
+            assert tau[i] == _tau_opt(model, *args)  # the scalar root, bit for bit
             continue
         sep = optimal_sensing_time(model, 0.1 * t_c, 1)
         # the scan's r = rate_ent / rate_sep(n)
