@@ -158,9 +158,10 @@ _DLOG_SINHC = (
     / (34459425.0 + x2 * (4729725.0 + x2 * (135135.0 + x2 * (990.0 + x2)))),
     lambda x, x2, xp: 1.0 / xp.tanh(x) - 1.0 / x,
 )
-# ln(1 + y^2), y = omega_c tau, split at y = 2^500: from there on 1 + y^2 rounds to y^2,
-# which overflows past ~1.3e154, so it takes 2 ln(y)
+# ln(1 + y^2), y = omega_c tau, and half its slope, split at y = 2^500: from there on 1 + y^2
+# rounds to y^2, which overflows past ~1.3e154, so they take 2 ln(y) and 1/y
 _LOG_CUTOFF = (lambda y, y2, xp: xp.log1p(y2), lambda y, y2, xp: 2.0 * xp.log(y))
+_DLOG_CUTOFF = (lambda y, y2, xp: y / (1.0 + y2), lambda y, y2, xp: 1.0 / y)
 
 
 def _by_branch(forms, x, xp, split=1.0):
@@ -191,8 +192,8 @@ def _exponent_slopes(model: BathModel, tau, xp=math):
     Gamma' for the quadratic one, finite where 2 eta overflows.  The Ohmic pair comes from
     one evaluation of L = coth x - 1/x, x = pi tau/beta: with d = 1 + (omega_c tau)^2 and
     L' = 1 - L^2 - 2 L/x, tau Gamma'' is alpha [omega_c^2 tau (1 - omega_c^2 tau^2)/d^2 +
-    (pi/beta) x L'(x)].  From omega_c tau = 2^500 on, omega_c^2 tau/d takes 1/tau, and
-    2/d - 1 rounds to -1 (d = inf included); over arrays the caller quiets numpy."""
+    (pi/beta) x L'(x)].  omega_c^2 tau/d takes omega_c _DLOG_CUTOFF, and 2/d - 1 rounds to -1
+    from omega_c tau = 2^500 on (d = inf included); over arrays the caller quiets numpy."""
     if model.kind is BathKind.ISOLATED:
         return 0.0, 0.0
     if model.kind is BathKind.MARKOVIAN:
@@ -203,10 +204,7 @@ def _exponent_slopes(model: BathModel, tau, xp=math):
     k, w = math.pi / model.beta, model.omega_c
     wt, x = w * tau, k * tau
     d = 1.0 + wt * wt
-    if xp is math:
-        cutoff = w * wt / d if wt < 2.0**500 else 1.0 / tau
-    else:
-        cutoff = np.where(wt < 2.0**500, w * wt / d, 1.0 / tau)
+    cutoff = w * _by_branch(_DLOG_CUTOFF, wt, xp, 2.0**500)
     dlog_sinhc = _by_branch(_DLOG_SINHC, x, xp)
     return (model.alpha * (cutoff + k * dlog_sinhc),
             model.alpha * (cutoff * (2.0 / d - 1.0)

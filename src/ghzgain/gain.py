@@ -263,11 +263,15 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
     of unevaluated sizes then has r <= B = hi q (1 + _MARGIN), q the least r(A)/A of certified
     A below it, and is dropped once B can neither reach 1 above the last N that does, nor come
     within _TIE of the top below the peak, nor top the peak's r above it (the peak then ties any
-    later top the gap could).  The first pass takes N = 1, 2, 4, .. and n_search_max; each next
-    one halves every gap while they overfill one pass and number at most _SCAN_CHUNK, and else
-    walks them from the low end, as a flat r needs.  A size with no certified r takes the same
-    bound and raises gain()'s error if that bound can still change the answer."""
-    if check_count(n_search_max, "n_search_max") < minimum:
+    later top the gap could).  A size with no certified r takes the same bound and raises
+    gain()'s error if that bound can still change the answer.  The first pass takes N = 1, 2,
+    4, .. and n_search_max, leaving gaps below 2^(L-1) wide, L = (n_search_max - 1).bit_length();
+    the next ones halve the lowest C = _SCAN_CHUNK gaps while their sizes overfill a pass, then
+    take them all.  So at most C L gaps are open: pieces one halving deeper (depth <= L - 2)
+    replace the lowest gaps, so depth never rises with N and a pass's <= 2C pieces are deeper
+    than all it leaves; the next takes C or all: each older batch keeps <= C at its own depths."""
+    n_search_max = check_count(n_search_max, "n_search_max")
+    if n_search_max < minimum:
         raise DomainError(f"n_search_max must be >= {minimum}, got {n_search_max!r}")
     if n_search_max > _N_SEARCH_CAP:
         raise DomainError(f"n_search_max must be <= {_N_SEARCH_CAP}, got {n_search_max!r}")
@@ -289,8 +293,7 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
                 | ((bound >= top * (1.0 - _TIE)) & ((lo < best_n) | (bound > best_r))))
 
     # rows lo, hi, q of the open gaps; the first pass takes the low end of 1, 2..3, 4..7, ..
-    sizes = np.unique(np.minimum(2.0 ** np.arange(int(n_search_max).bit_length() + 1),
-                                 n_search_max))
+    sizes = np.append(2.0 ** np.arange((n_search_max - 1).bit_length()), float(n_search_max))
     gaps = np.stack((sizes, np.append(sizes[1:] - 1.0, sizes[-1]), np.ones_like(sizes)))
     count = np.ones(sizes.size, dtype=np.intp)
     while gaps.shape[1]:
@@ -315,8 +318,7 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
         ends = np.cumsum(count) - 1
         q = np.minimum(np.minimum.accumulate(np.where(r == r, r / sizes, math.inf)),
                        np.repeat(gaps[2, :count.size], count))  # from the pass or the gap
-        bad = np.flatnonzero(r != r)
-        bad = bad[can_change(sizes[bad], sizes[bad], q[bad])]
+        bad = np.flatnonzero((r != r) & can_change(sizes, sizes, q))
         if bad.size:  # the first uncertified size whose bound can change the answer
             n, tte = int(sizes[bad[0]]), float(tau_tilde_ent[bad[0]])
             gain(model, n, tau_tilde_sep, tte)
@@ -326,14 +328,11 @@ def _scan(model: BathModel, law: ScalingLaw, n_search_max: int, minimum: int, ne
         pieces[2, 1::2] = q[ends]
         gaps = np.concatenate((pieces, gaps[:, count.size:]), axis=1)
         gaps = gaps[:, (gaps[0] <= gaps[1]) & can_change(*gaps)]
-        width = gaps[1] - gaps[0] + 1.0
-        if width.sum() > _SCAN_CHUNK and width.size <= _SCAN_CHUNK:
-            sizes, count = np.floor(0.5 * (gaps[0] + gaps[1])), np.ones(width.size, np.intp)
-        else:  # from the low end, _SCAN_CHUNK sizes in all
-            before = np.cumsum(width) - width
-            count = np.minimum(width, _SCAN_CHUNK - before)[before < _SCAN_CHUNK].astype(np.intp)
-            sizes = np.repeat(gaps[0, :count.size] - before[:count.size], count)
-            sizes += np.arange(count.sum())
+        lo, hi = gaps[:2, :_SCAN_CHUNK]  # the lowest gaps: all of them, once their sizes fit
+        count = (hi - lo + 1.0).astype(np.intp)
+        if count.sum() > _SCAN_CHUNK:  # each halved
+            lo, count = np.floor(0.5 * (lo + hi)), np.ones_like(count)
+        sizes = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
     best_n, best_r = front[0]
     return (None if r_end > 1.0 + _TIE else last_q), best_n, best_r
 

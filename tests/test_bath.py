@@ -175,6 +175,24 @@ class TestOhmicBranches:
                       *_exponent_slopes(model, np.array([tau]), np))
         assert [float(v[0]) for v in arrays] == pytest.approx(got, rel=1e-14)
 
+    # omega_c^2 tau overflows while omega_c tau is below 2^500 (~3.3e150), where Gamma' =
+    # alpha [omega_c y/(1 + y^2) + (pi/beta) L(x)], y = omega_c tau, is ~alpha/tau: its cutoff
+    # term once took omega_c y first and gave inf
+    @pytest.mark.parametrize("omega_c, tau", [(1e300, 1e-200), (1e300, 1e-160), (1e250, 3e-100),
+                                              (1.7e308, 1e-158)])
+    def test_ohmic_slope_matches_mpmath_where_omega_c_squared_tau_overflows(self, omega_c, tau):
+        model = BathModel.ohmic(0.1, omega_c, 1.0)
+        assert omega_c * (omega_c * tau) == math.inf and omega_c * tau < 2.0**500
+        with mpmath.workdps(50):
+            w, t, k = mpmath.mpf(omega_c), mpmath.mpf(tau), mpmath.pi
+            x = k * t  # coth x - 1/x = x/3 - x^3/45 + ..: x/3 to 40 digits below 1e-20
+            lsh = x / 3 if x < mpmath.mpf("1e-20") else mpmath.coth(x) - 1 / x
+            exact = mpmath.mpf(0.1) * (w * w * t / (1 + (w * t) ** 2) + k * lsh)
+        assert abs(decay_exponent_derivative(model, tau) - exact) <= 1e-15 * exact
+        with np.errstate(all="ignore"):  # the array caller quiets numpy
+            got = _exponent_slopes(model, np.array([tau]), np)[0][0]
+        assert abs(got - exact) <= 1e-15 * exact
+
     def test_array_log_sinhc_matches_the_float_form(self):
         xs = np.array(self.XS + np.logspace(-6, 2.5, 400).tolist())
         for x, value in zip(xs.tolist(), _log_sinhc(xs, np)):

@@ -252,6 +252,39 @@ class TestCutoffCommand:
         assert message in err
 
 
+
+# Imports the CLI, then runs a first scan on an isolated and on an Ohmic bath, a threshold,
+# a gain and a `cutoff` command, and prints the numpy modules that doing so imported.
+# numpy imports some submodules on first use (np.unique imported numpy.ma, ~10 ms), which
+# a fresh process pays for.
+QUERY_IMPORT_PROBE = """
+import sys
+import ghzgain.cli
+from ghzgain import (BathModel, ScalingLaw, coherence_time, gain, n_cutoff_and_max_gain,
+                     threshold_ent_time)
+before = set(sys.modules)
+ohmic, law = BathModel.ohmic(0.05, 20.0, 0.5), ScalingLaw("logarithmic", 0.03)
+n_cutoff_and_max_gain(BathModel.isolated(1.0), law, 10**6)
+n_cutoff_and_max_gain(ohmic, law, 10**6)
+threshold_ent_time(ohmic, 5, 0.2 * coherence_time(ohmic))
+gain(ohmic, 10, 0.03, 0.1)
+ghzgain.cli.cli_main(["cutoff", "--model", "ohmic", "--alpha", "0.05", "--omega-c", "20",
+                      "--beta", "0.5", "--law", "logarithmic", "--base", "0.03"])
+print(sorted(m for m in set(sys.modules) - before if m.partition(".")[0] == "numpy"))
+"""
+
+
+def test_first_queries_import_no_numpy_module():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run([sys.executable, "-c", QUERY_IMPORT_PROBE], env=env,
+                           capture_output=True, text=True, check=True)
+    lines = probe.stdout.strip().split("\n")
+    assert lines[:-1] == ["n_cutoff = 1", "n_max = 1", "r_at_n_max = 1.00000000000"]
+    assert lines[-1] == "[]"
+
+
 class TestNonFiniteResult:
     @pytest.mark.parametrize("argv", [
         # tau^2 overflows while the decay factor underflows

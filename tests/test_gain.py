@@ -586,6 +586,55 @@ def test_quadratic_dephasing_lowers_the_threshold_only_below_x_sep_0_35():
     assert isolated_threshold(10, 0.8) == pytest.approx(0.9368, abs=1e-4)
 
 
+
+def mp_nonmarkov(eta, n, tau_tilde_sep, tau_tilde_ent=None):
+    """The quadratic law's gain r at tau_tilde_ent, or its r = 1 threshold, from the scaled
+    closed form to 50 digits.  With s = sqrt(n_eff eta), the optimum v = tau s solves
+    u = tau_tilde s = v (4 v^2 - 1)/(2 - 4 v^2) on [1/2, 1/sqrt 2), and the optimal rate is
+    n_eff^(3/2) eta^(-1/2) phi(v), phi(v) = 2 v (1 - 2 v^2) e^(-2 v^2).  So r = sqrt(N)
+    phi(v_ent)/phi(v_sep), and the threshold is where phi(v_ent) = phi(v_sep)/sqrt(N).  Both
+    are solved in y = 1 - 2 v^2, which keeps v near 1/sqrt 2 (large u) apart from it."""
+    with mpmath.workdps(50):
+        def v(y):
+            return mpmath.sqrt((1 - y) / 2)
+
+        def u(y):  # falls from inf at y = 0 to 0 at y = 1/2
+            return v(y) * (1 - 2 * y) / (2 * y)
+
+        def phi(y):  # rises with y, and phi(y) < 1.5 y
+            return 2 * v(y) * y * mpmath.exp(y - 1)
+
+        def y_at(tau_tilde, n_eff):
+            u_at = mpmath.mpf(tau_tilde) * mpmath.sqrt(n_eff * eta)
+            if u_at == 0:
+                return mpmath.mpf(1) / 2
+            # u(1/(4 u + 4)) > u, as v >= 1/2
+            return mpmath.findroot(lambda y: u(y) - u_at, (1 / (4 * u_at + 4), mpmath.mpf(1) / 2),
+                                   solver="anderson")
+
+        eta, y_sep = mpmath.mpf(eta), y_at(tau_tilde_sep, 1)
+        if tau_tilde_ent is not None:
+            return mpmath.sqrt(n) * phi(y_at(tau_tilde_ent, n)) / phi(y_sep)
+        target = phi(y_sep) / mpmath.sqrt(n)
+        y = mpmath.findroot(lambda y: phi(y) - target, (target / 2, y_sep), solver="anderson")
+        return u(y) / mpmath.sqrt(n * eta)
+
+
+def test_quadratic_gain_and_threshold_are_the_scaled_closed_form():
+    # 40 random baths, sizes 2..10^6, x_sep in [0, 0.9) and x_ent log-uniform in 1e-3..10;
+    # both agreed to 6e-16 relative
+    rng = np.random.default_rng(20261021)
+    for _ in range(40):
+        eta = float(10.0 ** rng.uniform(-1.0, 1.0))
+        n = int(10.0 ** rng.uniform(math.log10(2.0), 6.0))
+        model, t_c = BathModel.nonmarkovian(eta), 1.0 / math.sqrt(eta)
+        tts, tte = float(rng.uniform(0.0, 0.9)) * t_c, float(10.0 ** rng.uniform(-3.0, 1.0)) * t_c
+        assert gain(model, n, tts, tte).r == pytest.approx(float(mp_nonmarkov(eta, n, tts, tte)),
+                                                           rel=1e-15)
+        assert threshold_ent_time(model, n, tts) == pytest.approx(float(mp_nonmarkov(eta, n, tts)),
+                                                                  rel=1e-15)
+
+
 class TestMonotonicity:
     def test_markovian_scan_is_clean(self):
         grid = log_grid(1e-3, 10.0, 50)

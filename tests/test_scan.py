@@ -3,6 +3,7 @@ against a loop of one ``gain()`` call per size under the same rules."""
 
 import importlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -236,21 +237,57 @@ def test_a_scan_to_10_6_evaluates_few_sizes(model, law, most):
     assert sum(map(len, passes)) <= most and max(map(len, passes)) <= CHUNK
 
 
-def test_memory_does_not_grow_with_the_limit():
+def scan_gaps(model, law, limit):
+    """(sizes, gaps) for each array pass of n_cutoff_and_max_gain: the number of sizes it
+    evaluates, and the number of gaps the scan holds open as it starts (its ``gaps``)."""
+    passes = []
+    solve = gain_module._optimal_sensing_times
+
+    def recording(model, tau_tilde, n_eff):
+        passes.append((n_eff.size, sys._getframe(1).f_locals["gaps"].shape[1]))
+        return solve(model, tau_tilde, n_eff)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gain_module, "_optimal_sensing_times", recording)
+        n_cutoff_and_max_gain(model, law, limit)
+    return passes
+
+
+def test_open_gaps_stay_within_chunk_times_bit_length():
     # r is flat at 1, so no gap is ever dropped and the scan evaluates every size, in passes
-    # of at most CHUNK sizes with at most 2 CHUNK gaps open (peaks 1.9 and 2.0 MB).  This is
-    # the flat case at gamma = 1: at 1e-152, F_sep overflows past N = 71,900
+    # of at most CHUNK sizes.  _scan's docstring proves at most CHUNK L gaps open, L = (limit
+    # - 1).bit_length() (at most 20,480 and 46,116 are), 24 bytes each; the peaks, 2.5 and
+    # 4.5 MB, also hold a pass's merged and filtered copies.  This is the flat case at gamma
+    # = 1: at 1e-152, F_sep overflows past N = 71,900
     model, law, _ = SCANS["markovian-flat-at-one-unit-gamma"]
     n_cutoff_and_max_gain(model, law, 1000)  # not the first call's imports and caches
-    peaks = []
     for limit in (10**5, 10**6):
+        bound = CHUNK * (limit - 1).bit_length()
+        passes = scan_gaps(model, law, limit)
+        assert sum(size for size, _ in passes) == limit
+        assert max(size for size, _ in passes) <= CHUNK
+        assert max(gaps for _, gaps in passes) <= bound
         tracemalloc.start()
         try:
             n_cutoff_and_max_gain(model, law, limit)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert max(peaks) < 2 * min(peaks) and max(peaks) < 4 * 2**20
+        assert peak < 3 * 24 * bound
+
+
+def test_a_scan_with_more_gaps_than_a_pass_halves_only_the_lowest(monkeypatch):
+    # r rises to its top at the limit, so thousands of gaps stay open.  With passes of 16
+    # sizes, a walk from the low end once more than 16 gaps are open evaluated 89,356 of the
+    # 10^5 sizes; halving the lowest 16 gaps a pass evaluates 2,219
+    model, law = BathModel.ohmic(0.0812, 4.39, 0.866), ScalingLaw("constant", 0.0704)
+    want = n_cutoff_and_max_gain(model, law, 10**5)
+    monkeypatch.setattr(gain_module, "_SCAN_CHUNK", 16)
+    passes = scan_gaps(model, law, 10**5)
+    # the first pass is N = 1, 2, 4, .. and the limit, whatever the chunk
+    assert max(gaps for _, gaps in passes) > 16 and max(size for size, _ in passes[1:]) <= 16
+    assert sum(size for size, _ in passes) <= 3000
+    assert_same_scan(n_cutoff_and_max_gain(model, law, 10**5), want, model)
 
 
 @pytest.mark.parametrize("case, want", [
@@ -313,6 +350,43 @@ def test_an_isolated_scan_is_the_closed_form_gain(t_c, law):
                        lambda n: gain_isolated(n, law.base, scaling_law_eval(law, n)))
     got = n_cutoff_and_max_gain(model, law, limit)
     assert got[:2] == want[:2] and got[2] == pytest.approx(want[2], rel=1e-14)
+
+
+
+@given(kind=st.sampled_from(ScalingKind), base=st.floats(0.0, 0.5),
+       t_c=st.sampled_from([1.0, 0.25, 1e-3]), limit=st.integers(2, 3000))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_an_isolated_scan_is_its_closed_form_written_out(kind, base, t_c, limit):
+    # r = N ((1 - x_ent(N))/(1 - x_sep))^2, and 0 where x_ent >= 1, from numpy here; the
+    # scan's r agreed with it to 5e-16 relative, so the tie (4 eps) of N_max and of the
+    # cutoff is checked with a slack of 1e-15
+    tie, slack = 4.0 * np.finfo(float).eps, 1e-15
+    n = np.arange(1.0, limit + 1.0)
+    x_ent = {ScalingKind.CONSTANT: base + 0.0 * n,
+             ScalingKind.LOGARITHMIC: (1.0 + np.log2(n)) * base,
+             ScalingKind.SQUARE_ROOT: np.sqrt(n) * base, ScalingKind.LINEAR: n * base}[kind]
+    r = np.where(x_ent < 1.0, n * ((1.0 - x_ent) / (1.0 - base)) ** 2, 0.0)
+    cutoff, best_n, best_r = n_cutoff_and_max_gain(BathModel.isolated(t_c), ScalingLaw(kind, base),
+                                                   limit)
+    assert best_r == pytest.approx(r[best_n - 1], rel=slack)
+    assert r[best_n - 1] >= r.max() * (1.0 - tie - slack)
+    assert np.all(r[:best_n - 1] < r.max() * (1.0 - tie + slack))
+    if cutoff is None:
+        assert r[-1] > 1.0 + tie - slack
+    else:
+        assert r[-1] <= 1.0 + tie + slack and r[cutoff - 1] >= 1.0 - tie - slack
+        assert np.all(r[cutoff:] < 1.0 - tie + slack)
+
+
+def test_a_markovian_scan_with_a_positive_base_never_gains():
+    # r = psi(N x_ent)/psi(base) for the falling optimal rate psi: (1, 1, 1.0) on 60 random
+    # baths, laws, bases log-uniform in 1e-3..10 and limits log-uniform in 2..10^6
+    rng = np.random.default_rng(20261021)
+    for i in range(60):
+        model = BathModel.markovian(float(10.0 ** rng.uniform(-3.0, 3.0)))
+        law = ScalingLaw(list(ScalingKind)[i % 4], float(10.0 ** rng.uniform(-3.0, 1.0)))
+        limit = int(10.0 ** rng.uniform(math.log10(2.0), 6.0))
+        assert n_cutoff_and_max_gain(model, law, limit) == (1, 1, 1.0)
 
 
 DEPHASING = {"markovian": BathModel.markovian(1.0), "nonmarkovian": BathModel.nonmarkovian(1.0),
@@ -395,8 +469,8 @@ def random_scans(count, seed):
 
 @pytest.mark.parametrize("chunk", [16, CHUNK])
 def test_random_scans_match_a_per_size_gain_loop(chunk, monkeypatch):
-    # passes of 16 sizes, and 16 open gaps at most, take the halving, the partial walks and
-    # the gap limit through these small scans; passes of CHUNK walk them whole
+    # passes of 16 sizes take the halving of the lowest 16 gaps, and the last pass of every
+    # open size, through these small scans; passes of CHUNK take most of them whole
     monkeypatch.setattr(gain_module, "_SCAN_CHUNK", chunk)
     for model, law, limit in random_scans(200, 20261020 + chunk):
         want = oracle_scan(model, law, limit)

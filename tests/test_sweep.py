@@ -320,15 +320,17 @@ GOLDEN_PANELS = {
 }
 
 
-# The sha256 of panels a-d on their full 200x200 grids, as CSV.  Every array
+# The sha256 of the six panels on their full 200x200 grids, as CSV.  Every array
 # operation on them is correctly rounded or math.exp, so the bytes do not depend
-# on numpy's vectorised transcendentals (panels e and f take the cubic's arccos,
-# cos and cube root).
+# on numpy's vectorised transcendentals (panels e and f take the cubic's root in
+# four Newton steps of +, * and /).
 FULL_PANEL_SHA256 = {
     "a": "3f1a44bc75bd87d24819e717e02f3dc93757f90e4dea34b35012d5784ca1fbf1",
     "b": "91121082330ec5b1084872283158372a15be8544722200a8dec53ac153e9cbcd",
     "c": "6f9badb368c3540558e53da6cb0d8fa5fdaa0be360c49e2b8d9a0119396ec42e",
     "d": "412d60a932f8f8074430e7dcaf8fd9114c0e1876b5adce30e282c21842eefe54",
+    "e": "9d736834a4747aa47ab045ac05d335690137fc656b31673cdf3d34723d24a394",
+    "f": "abc3bbc198911cad5e6cf1ed654e77d58eee17e1df090d464fecb2f69b569e98",
 }
 
 
