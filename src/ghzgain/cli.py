@@ -3,13 +3,14 @@
 Exit codes: 0 success, 2 configuration/validation error, 3 infeasible
 timing, 4 solver or branch failure or a result that is not finite.  All
 numbers print with 12 significant digits; --json replaces the key = value
-lines with a single JSON document.
+lines with a single JSON document.  A command builds and parses only its own
+parser; the full tree, built from the same table, handles the top-level help,
+leftover arguments and a missing or unknown command.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -28,21 +29,6 @@ from .gain import ScalingKind, ScalingLaw, gain, n_cutoff_and_max_gain, threshol
 from .opttime import optimal_sensing_time
 from .qfi import qfi_ghz, qfi_separable
 from .sweep import format_sig, load_config, run_sweep, save_rows
-
-
-def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model",
-        required=True,
-        choices=[kind.value for kind in BathKind],
-        help="bath model kind",
-    )
-    parser.add_argument("--tc", type=float, dest="t_c", help="coherence time (isolated)")
-    parser.add_argument("--gamma", type=float, help="dephasing rate (markovian)")
-    parser.add_argument("--eta", type=float, help="decay coefficient (nonmarkovian)")
-    parser.add_argument("--alpha", type=float, help="coupling strength (ohmic)")
-    parser.add_argument("--omega-c", type=float, help="cutoff frequency (ohmic)")
-    parser.add_argument("--beta", type=float, help="inverse bath temperature (ohmic)")
 
 
 def _model_from_args(args: argparse.Namespace) -> BathModel:
@@ -105,7 +91,7 @@ def _cmd_tau_opt(args, model: BathModel) -> dict:
 
 
 def _cmd_gain(args, model: BathModel) -> dict:
-    return dataclasses.asdict(gain(model, args.n, args.ttilde_sep, args.ttilde_ent))
+    return dict(vars(gain(model, args.n, args.ttilde_sep, args.ttilde_ent)))
 
 
 def _cmd_threshold(args, model: BathModel) -> dict:
@@ -123,14 +109,73 @@ def _cmd_cutoff(args, model: BathModel) -> dict:
     return {"n_cutoff": cutoff, "n_max": best_n, "r_at_n_max": best_r}
 
 
-def _cmd_sweep(args) -> dict:
+def _cmd_sweep(args, _model: None) -> dict:
     config = load_config(args.config)
     rows = run_sweep(config)
     save_rows(rows, config)
     return {"rows": len(rows), "path": config.output_path}
 
 
-@functools.cache  # building costs more than most queries; parsing leaves it unchanged
+_JSON = ("--json", dict(action="store_true", help="emit a JSON document"))
+_MODEL = (
+    ("--model", dict(required=True, choices=[kind.value for kind in BathKind],
+                     help="bath model kind")),
+    ("--tc", dict(type=float, dest="t_c", help="coherence time (isolated)")),
+    ("--gamma", dict(type=float, help="dephasing rate (markovian)")),
+    ("--eta", dict(type=float, help="decay coefficient (nonmarkovian)")),
+    ("--alpha", dict(type=float, help="coupling strength (ohmic)")),
+    ("--omega-c", dict(type=float, help="cutoff frequency (ohmic)")),
+    ("--beta", dict(type=float, help="inverse bath temperature (ohmic)")),
+    _JSON,
+)
+_N = ("--n", dict(type=int, required=True, help="particle count"))
+_TAU = ("--tau", dict(type=float, required=True, help="sensing time"))
+
+# name: (handler, help text, arguments in help order); the model commands start with _MODEL
+_COMMANDS = {
+    "bath": (_cmd_bath, "decay exponent, its derivative and t_c", (*_MODEL, _TAU)),
+    "qfi": (_cmd_qfi, "closed-form QFI of both probe states", (*_MODEL, _N, _TAU)),
+    "tau-opt": (_cmd_tau_opt, "optimal sensing times and residuals", (
+        *_MODEL,
+        ("--n", dict(type=int, default=1, help="particle count (default 1)")),
+        ("--ttilde", dict(type=float, default=0.0, help="overhead applied to both strategies")),
+        ("--ttilde-sep", dict(type=float, help="separable overhead override")),
+        ("--ttilde-ent", dict(type=float, help="entangled overhead override")))),
+    "gain": (_cmd_gain, "metrological gain r and its ingredients", (
+        *_MODEL, _N,
+        ("--ttilde-sep", dict(type=float, default=0.0, help="separable overhead")),
+        ("--ttilde-ent", dict(type=float, default=0.0, help="entangled overhead")))),
+    "threshold": (_cmd_threshold, "entangled overhead where r = 1", (
+        *_MODEL, _N, ("--ttilde-sep", dict(type=float, default=0.0, help="separable overhead")))),
+    "cutoff": (_cmd_cutoff, "largest advantageous N and the N maximising the gain", (
+        *_MODEL,
+        ("--law", dict(required=True, choices=[kind.value for kind in ScalingKind],
+                       help="N-scaling of the entangled overhead")),
+        ("--base", dict(type=float, required=True, help="separable overhead in units of t_c")),
+        ("--ttilde-sep", dict(
+            type=float, help="separable overhead, if given equal to base * t_c (12 digits)")),
+        ("--n-search-max", dict(type=int, default=10**6,
+                                help="scan limit (default 1e6, at most 1e9)")))),
+    "sweep": (_cmd_sweep, "run a sweep described by a JSON config", (
+        _JSON, ("--config", dict(required=True, help="path to the sweep config")))),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    handler, _, arguments = _COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+# Building a parser costs more than most queries, and parsing leaves it unchanged.
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    return _add_arguments(argparse.ArgumentParser(prog=f"ghzgain {name}"), name)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghzgain",
@@ -138,66 +183,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "preparation and readout times",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help_text, with_model=True):
-        p = sub.add_parser(name, help=help_text)
-        if with_model:
-            _add_model_arguments(p)
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
-        p.set_defaults(handler=(lambda args: handler(args, _model_from_args(args)))
-                       if with_model else handler)
-        return p
-
-    p = command("bath", _cmd_bath, "decay exponent, its derivative and t_c")
-    p.add_argument("--tau", type=float, required=True, help="sensing time")
-
-    p = command("qfi", _cmd_qfi, "closed-form QFI of both probe states")
-    p.add_argument("--n", type=int, required=True, help="particle count")
-    p.add_argument("--tau", type=float, required=True, help="sensing time")
-
-    p = command("tau-opt", _cmd_tau_opt, "optimal sensing times and residuals")
-    p.add_argument("--n", type=int, default=1, help="particle count (default 1)")
-    p.add_argument("--ttilde", type=float, default=0.0,
-                   help="overhead applied to both strategies")
-    p.add_argument("--ttilde-sep", type=float, help="separable overhead override")
-    p.add_argument("--ttilde-ent", type=float, help="entangled overhead override")
-
-    p = command("gain", _cmd_gain, "metrological gain r and its ingredients")
-    p.add_argument("--n", type=int, required=True, help="particle count")
-    p.add_argument("--ttilde-sep", type=float, default=0.0, help="separable overhead")
-    p.add_argument("--ttilde-ent", type=float, default=0.0, help="entangled overhead")
-
-    p = command("threshold", _cmd_threshold, "entangled overhead where r = 1")
-    p.add_argument("--n", type=int, required=True, help="particle count")
-    p.add_argument("--ttilde-sep", type=float, default=0.0, help="separable overhead")
-
-    p = command("cutoff", _cmd_cutoff,
-                "largest advantageous N and the N maximising the gain")
-    p.add_argument("--law", required=True,
-                   choices=[kind.value for kind in ScalingKind],
-                   help="N-scaling of the entangled overhead")
-    p.add_argument("--base", type=float, required=True,
-                   help="separable overhead in units of t_c")
-    p.add_argument("--ttilde-sep", type=float,
-                   help="separable overhead, if given equal to base * t_c (12 digits)")
-    p.add_argument("--n-search-max", type=int, default=10**6,
-                   help="scan limit (default 1e6, at most 1e9)")
-
-    p = command("sweep", _cmd_sweep, "run a sweep described by a JSON config",
-                with_model=False)
-    p.add_argument("--config", required=True, help="path to the sweep config")
-
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's own parser, whose help and errors are the full
+    tree's subparser's to the byte; the full tree settles the rest (top-level help, a
+    missing or unknown command, an option before it, leftover arguments)."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _emit(args.handler(args), args.json)
+        _emit(args.handler(args, _model_from_args(args) if "model" in args else None),
+              args.json)
     except InfeasibleTimingError as exc:
         print(f"error: infeasible timing: {exc}", file=sys.stderr)
         return 3

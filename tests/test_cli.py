@@ -274,13 +274,17 @@ print(sorted(m for m in set(sys.modules) - before if m.partition(".")[0] == "num
 """
 
 
-def test_first_queries_import_no_numpy_module():
+def run_probe(code):
+    """Stdout of `code` run in a fresh interpreter that imports ghzgain from src."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = subprocess.run([sys.executable, "-c", QUERY_IMPORT_PROBE], env=env,
-                           capture_output=True, text=True, check=True)
-    lines = probe.stdout.strip().split("\n")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_first_queries_import_no_numpy_module():
+    lines = run_probe(QUERY_IMPORT_PROBE).strip().split("\n")
     assert lines[:-1] == ["n_cutoff = 1", "n_max = 1", "r_at_n_max = 1.00000000000"]
     assert lines[-1] == "[]"
 
@@ -338,11 +342,60 @@ class TestParserCache:
         ]
         cached = [run(capsys, *argv) for argv in calls]
         monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        monkeypatch.setattr(cli, "_command_parser", cli._command_parser.__wrapped__)
         fresh = [run(capsys, *argv) for argv in calls]
         assert cached == fresh
         assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0]
         assert "invalid int value: 'five'" in cached[0][2]
         assert cached[2] == cached[3]
+
+
+MARKOVIAN = ("--model", "markovian", "--gamma", "1")
+PARITY_CORPUS = [
+    ("--help",),
+    (),
+    *[(command, "--help") for command in cli._COMMANDS],
+    ("nope",),
+    ("gain", *MARKOVIAN, "--n", "5", "--bogus", "1"),
+    ("--json", "gain", *MARKOVIAN, "--n", "5"),
+    ("gain", "--model", "markovian", "--gam", "1", "--n", "5"),
+    ("gain", "--model=markovian", "--gamma=1", "--n=5", "--json"),
+    ("gain", *MARKOVIAN, "--n", "five"),
+    ("gain", *MARKOVIAN, "--n", "5", "--ttilde-sep", "x"),
+    ("gain", "--model", "quantum", "--n", "5"),
+    ("gain", *MARKOVIAN),
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_CORPUS, ids=" ".join)
+def test_command_parser_answers_like_the_full_tree(capsys, monkeypatch, argv):
+    # a command parses with its own parser; the full tree's parse_args is the reference
+    direct = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    assert direct == run(capsys, *argv)
+
+
+PARSER_COUNT_PROBE = """
+import argparse, contextlib, io
+counts, init = [], argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    counts.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from ghzgain.cli import cli_main
+built = []
+for argv in (["gain", "--model", "markovian", "--gamma", "1", "--n", "5"],
+             ["gain", "--model", "markovian", "--gamma", "1", "--n", "6"], ["--help"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli_main(argv)
+    built.append(len(counts))
+print(built)
+"""
+
+
+def test_a_query_builds_only_its_command_parser():
+    # the full tree is a top-level parser and one subparser per command
+    assert run_probe(PARSER_COUNT_PROBE).strip() == str([1, 1, 2 + len(cli._COMMANDS)])
 
 
 class TestOverflowingCoherenceTime:
