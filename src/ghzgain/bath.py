@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (SolverError, ValidationError, check_fields, check_finite_nonnegative,
-                     check_finite_positive, check_number)
+from .errors import (SolverError, ValidationError, check_choice, check_fields,
+                     check_finite_nonnegative, check_finite_positive)
 
 __all__ = [
     "BathKind",
@@ -63,7 +63,8 @@ class BathModel:
     Only the parameters required by ``kind`` may be set:
     t_c (isolated), gamma (markovian, 1/s), eta (nonmarkovian, 1/s^2),
     alpha/omega_c/beta (ohmic: dimensionless coupling, cutoff frequency
-    in rad/s, inverse bath temperature in s).
+    in rad/s, inverse bath temperature in s).  An unknown kind, a missing or
+    extra field, or a field that is not a finite number > 0 raises ValidationError.
     """
 
     kind: BathKind
@@ -75,23 +76,18 @@ class BathModel:
     beta: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", BathKind(self.kind))
+        object.__setattr__(self, "kind",
+                           check_choice(self.kind, BathKind, "bath kind", ValidationError))
         required = _REQUIRED[self.kind]
         for name in _FIELDS:
             value = getattr(self, name)
             if name in required:
                 if value is None:
-                    raise ValidationError(
-                        f"{self.kind.value} model requires field '{name}'"
-                    )
-                what = f"field '{name}'"
-                check_number(value, what)
-                check_finite_positive(value, what, ValidationError)
-                object.__setattr__(self, name, float(value))
+                    raise ValidationError(f"{self.kind.value} model requires field '{name}'")
+                object.__setattr__(self, name, check_finite_positive(
+                    value, f"field '{name}'", ValidationError))
             elif value is not None:
-                raise ValidationError(
-                    f"field '{name}' is not used by a {self.kind.value} model"
-                )
+                raise ValidationError(f"field '{name}' is not used by a {self.kind.value} model")
 
     @classmethod
     def isolated(cls, t_c: float) -> "BathModel":
@@ -119,14 +115,7 @@ class BathModel:
     @classmethod
     def from_dict(cls, data: dict) -> "BathModel":
         check_fields(data, "bath model", ("kind",), _FIELDS)
-        try:
-            kind = BathKind(data["kind"])
-        except ValueError:
-            valid = ", ".join(k.value for k in BathKind)
-            raise ValidationError(
-                f"unknown bath kind {data['kind']!r} (expected one of: {valid})"
-            ) from None
-        return cls(kind, **{name: value for name, value in data.items() if name != "kind"})
+        return cls(**data)
 
 
 # sinh(x)/x - 1 = sum_k x^(2k)/(2k+1)!: no cancellation, and k <= 9 is one ulp below x = 1
@@ -222,26 +211,27 @@ def _newton_root(f, lo, hi, cap, xp=math):
     """(x, f(x)) at a root of f above lo >= 0, at floats (xp = math) or elementwise over
     arrays.  f(t) returns (f(t), f'(t)).  f(lo) comes first, except at a float lo = 0 (the
     optimum's residual is 0/0 there at tau_tilde = 0), and f at an end of 0 is taken as
-    NaN; where f(lo) > 0 the bracket is [0, lo].  hi doubles, clamped at cap, and lo moves
-    to it, while f(hi) < 0 and hi < cap; x is NaN where f(hi) is then not >= 0.  Newton's
-    steps (rtsafe, Numerical Recipes 3rd ed., 9.4) start at the end with the smaller |f|;
-    a step not strictly inside (lo, hi), or a slope of 0, inf or NaN, bisects at sqrt(lo
-    hi) (hi/2 while lo = 0), and each point replaces the end of its sign.  x is the first
-    point where f = 0 or whose next step or half-bracket is <= 4 eps x; without one in
-    _NEWTON_MAX_ITER evaluations, floats raise SolverError and arrays give NaN (a
-    converged element stands still meanwhile)."""
+    NaN; where f(lo) > 0 the bracket is [0, lo], and f(lo) is f(hi).  hi doubles, clamped
+    at cap, and lo moves to it, while f(hi) < 0 and hi < cap; x is NaN where f(hi) is then
+    not >= 0.  Newton's steps (rtsafe, Numerical Recipes 3rd ed., 9.4) start at the end
+    with the smaller |f|; a step not strictly inside (lo, hi), or a slope of 0, inf or NaN,
+    bisects at sqrt(lo hi) (hi/2 while lo = 0), and each point replaces the end of its
+    sign.  x is the first point where f = 0 or whose next step or half-bracket is <= 4 eps
+    x; without one in _NEWTON_MAX_ITER evaluations, floats raise SolverError and arrays
+    give NaN (a converged element stands still meanwhile)."""
     where = _WHERE[xp]
     f_lo = f(lo) if xp is np or lo > 0.0 else (math.nan, math.nan)
     above = f_lo[0] > 0.0
     lo, hi = where(above, 0.0, lo), where(above, lo, hi)
+    f_hi = f_lo if (above if xp is math else above.all()) else f(hi)
     f_lo = tuple(where(lo > 0.0, v, math.nan) for v in f_lo)
     while True:
-        f_hi = f(hi)
         grow = (f_hi[0] < 0.0) & (hi < cap)
         if not (grow if xp is math else grow.any()):
             break
         lo, hi = where(grow, hi, lo), where(grow, where(2.0 * hi < cap, 2.0 * hi, cap), hi)
         f_lo = where(grow, f_hi[0], f_lo[0]), where(grow, f_hi[1], f_lo[1])
+        f_hi = f(hi)
     bracketed, start = f_hi[0] >= 0.0, abs(f_lo[0]) < abs(f_hi[0])
     x = where(start, lo, hi)
     # f = 0 stops an element without a bracket at once
@@ -267,9 +257,9 @@ def _newton_root(f, lo, hi, cap, xp=math):
 
 
 def decay_exponent(model: BathModel, tau: float) -> float:
-    """Accumulated dephasing exponent Gamma(tau) for one probe particle."""
-    if not 0.0 <= tau < math.inf:
-        check_finite_nonnegative(tau, "sensing time")
+    """Dephasing exponent Gamma(tau) of one particle; tau a finite number >= 0, else DomainError."""
+    if type(tau) is not float or not 0.0 <= tau < math.inf:
+        tau = check_finite_nonnegative(tau, "sensing time")
     return _decay_exponent(model, tau)
 
 
@@ -285,9 +275,9 @@ def _decay_exponent(model: BathModel, tau, xp=math):
 
 
 def decay_exponent_derivative(model: BathModel, tau: float) -> float:
-    """dGamma/dtau.  At tau = 0 the Ohmic form returns its analytic limit 0."""
-    if not 0.0 <= tau < math.inf:
-        check_finite_nonnegative(tau, "sensing time")
+    """dGamma/dtau, tau checked as in decay_exponent; the Ohmic limit at tau = 0 is 0."""
+    if type(tau) is not float or not 0.0 <= tau < math.inf:
+        tau = check_finite_nonnegative(tau, "sensing time")
     return _exponent_slopes(model, tau)[0]
 
 
@@ -330,7 +320,7 @@ def ohmic_limit_rates(alpha: float, beta: float, omega_c: float) -> tuple[float,
     Markovian rate reached for tau >> beta and the quadratic-law
     coefficient reached for tau << beta with omega_c*tau << 1.
     """
-    check_finite_nonnegative(alpha, "coupling alpha")
-    check_finite_positive(beta, "inverse temperature beta")
-    check_finite_positive(omega_c, "cutoff frequency omega_c")
+    alpha = check_finite_nonnegative(alpha, "coupling alpha")
+    beta = check_finite_positive(beta, "inverse temperature beta")
+    omega_c = check_finite_positive(omega_c, "cutoff frequency omega_c")
     return alpha * math.pi / beta, alpha * omega_c * omega_c / 2.0

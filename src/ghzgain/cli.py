@@ -32,9 +32,7 @@ from .sweep import format_sig, load_config, run_sweep, save_rows
 
 
 def _model_from_args(args: argparse.Namespace) -> BathModel:
-    values = {field: getattr(args, field) for field in _FIELDS}
-    data = {field: value for field, value in values.items() if value is not None}
-    return BathModel.from_dict({"kind": args.model, **data})
+    return BathModel(args.model, **{field: getattr(args, field) for field in _FIELDS})
 
 
 def _emit(payload: dict, as_json: bool) -> None:

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package, and the input checks
-that every particle count, rate, time and config object passes through.
-
-The CLI maps these onto process exit codes: validation/domain problems
-exit with 2, infeasible timing with 3, solver failures with 4.
+"""Exception hierarchy shared across the package, and the one place that checks a caller's
+value.  A number is a real number, numpy's too, but no bool (True, np.True_): check_finite*
+raise "<what> must be a number" for anything else, test the range and return a float.  A
+count is an integer (numpy's too, no bool) in [1, largest float] (check_count; an axis's
+point count may be a whole float).  A kind is a member or value of its Enum, or a string of
+a tuple (check_choice), else "unknown <what> 'x' (expected one of: ...)".  Each rule raises
+the class it is given: DomainError for a function's arguments, ValidationError for model and
+config fields.  The CLI exits 2 on these, 3 on infeasible timing and 4 on solver failures.
 """
 
 import numbers
@@ -86,50 +89,65 @@ def check_fields(data, where: str, required, optional=()) -> None:
             raise ValidationError(f"{where} is missing field '{name}'")
 
 
-def check_number(value, what: str) -> None:
-    """Raise ValidationError unless ``value`` is a real number (numpy's too) that is
-    not a bool; ints and floats are tested first, as the common case."""
-    if type(value) is not float and type(value) is not int and (
-            not isinstance(value, numbers.Real) or isinstance(value, bool)):
-        raise ValidationError(f"{what} must be a number")
+def _check_number(value, what: str, error: type) -> None:
+    """Raise ``error`` unless ``value`` is a real number (numpy's too) but not a bool; the
+    checks below call it for neither a float nor an int, so a float passes by one test."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{what} must be a number")
 
 
 def check_finite(value: float, what: str, error: type = DomainError) -> float:
     """``value`` as a ``float`` if it is a finite number, of either sign, else raise ``error``."""
+    if type(value) is not float and type(value) is not int:
+        _check_number(value, what, error)
     if not abs(value) <= _FLOAT_MAX:  # an int past the largest float is not finite either
         raise error(f"{what} must be finite, got {value!r}")
     return float(value)
 
 
 def check_finite_nonnegative(value: float, what: str, error: type = DomainError) -> float:
-    """``value`` as a ``float`` if it is a finite number >= 0, else raise ``error``.
-
-    The one guard for overhead times and overhead ratios: a plain
-    ``value < 0.0`` test lets NaN through, which then surfaces as
-    ``r = nan`` on a row or a printout marked as a valid result.  The
-    returned double keeps a numpy float32 out of the arithmetic after it.
-    """
+    """``value`` as a ``float`` if it is a finite number >= 0 (a ``< 0.0`` test passes NaN)."""
+    if type(value) is not float and type(value) is not int:
+        _check_number(value, what, error)
     if not 0.0 <= value <= _FLOAT_MAX:
         raise error(f"{what} must be finite and non-negative, got {value!r}")
     return float(value)
 
 
 def check_finite_positive(value: float, what: str, error: type = DomainError) -> float:
-    """``value`` as a ``float`` if it is a finite number > 0 (rates, t_c, budgets),
-    else raise ``error``."""
+    """``value`` as a ``float`` if it is a finite number > 0 (rates, t_c, budgets)."""
+    if type(value) is not float and type(value) is not int:
+        _check_number(value, what, error)
     if not 0.0 < value <= _FLOAT_MAX:
         raise error(f"{what} must be finite and positive, got {value!r}")
     return float(value)
 
 
-def check_count(value, what: str, error: type = DomainError) -> int:
-    """``value`` as an ``int`` if it is an integer in [1, _FLOAT_MAX] (numpy's, not bool)."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = 0
-    if count < 1 or isinstance(value, bool):
+def check_count(value, what: str, error: type = DomainError, whole: bool = False) -> int:
+    """``value`` as an ``int`` if it is an integer in [1, _FLOAT_MAX] (numpy's, not bool), or
+    with ``whole`` (a sweep config's count, which its caller bounds) also a whole real number
+    such as 200.0, and an integer of any size."""
+    count = value
+    if type(value) is not int:
+        try:
+            count = None if isinstance(value, bool) else operator.index(value)
+        except TypeError:
+            whole = whole and isinstance(value, numbers.Real) and float(value).is_integer()
+            count = int(value) if whole else None
+    if count is None or count < 1:
         raise error(f"{what} must be a positive integer, got {value!r}")
-    if count > _FLOAT_MAX:  # the solvers compute in floats
+    if count > _FLOAT_MAX and not whole:  # the solvers compute in floats
         raise error(f"{what} must not exceed the largest float, got {value!r}")
     return count
+
+
+def check_choice(value, choices, what: str, error: type):
+    """The member of the Enum ``choices`` that ``value`` is or names, or the string of the
+    tuple ``choices`` equal to ``value``, else raise ``error``."""
+    if type(value) is choices:  # a member already
+        return value
+    try:
+        return choices(value) if isinstance(choices, type) else choices[choices.index(value)]
+    except ValueError:  # what an Enum, or tuple.index, raises for a value it lacks
+        valid = ", ".join(getattr(choice, "value", choice) for choice in choices)
+    raise error(f"unknown {what} {value!r} (expected one of: {valid})")

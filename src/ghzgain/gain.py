@@ -34,6 +34,7 @@ from .errors import (
     InfeasibleTimingError,
     NoThresholdError,
     SolverError,
+    check_choice,
     check_count,
     check_finite,
     check_finite_nonnegative,
@@ -84,14 +85,16 @@ class ScalingLaw:
     """How the entangled overhead (in units of t_c) grows with N.
 
     ``base`` is the separable overhead ratio tau_tilde_sep / t_c that the
-    law is anchored to: at N = 1 every law gives ``base`` exactly.
+    law is anchored to: at N = 1 every law gives ``base`` exactly.  An unknown
+    kind, or a base that is not a finite number >= 0, raises DomainError.
     """
 
     kind: ScalingKind
     base: float
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ScalingKind(self.kind))
+        object.__setattr__(self, "kind", check_choice(self.kind, ScalingKind, "scaling law",
+                                                      DomainError))
         object.__setattr__(self, "base", check_finite_nonnegative(self.base, "scaling base"))
 
 
@@ -202,12 +205,13 @@ def precision_opt(model: BathModel, n: int, kind: ProbeKind, tau_tilde: float,
     """Best frequency error 1/sqrt(T * F(tau*)/(tau_tilde + tau*)).
 
     Assumes many rounds fit in the budget; warns when fewer than ten do,
-    since the bound is only asymptotically attainable.
+    since the bound is only asymptotically attainable.  An unknown probe kind,
+    or an n, overhead or budget that breaks its rule, raises DomainError.
     """
     n = check_count(n, "particle count")
     tau_tilde = check_finite_nonnegative(tau_tilde, "overhead time")
     total_time = check_finite_positive(total_time, "total time budget")
-    kind = ProbeKind(kind)
+    kind = check_choice(kind, ProbeKind, "probe kind", DomainError)
     n_eff = n if kind is ProbeKind.GHZ else 1
     opt = optimal_sensing_time(model, tau_tilde, n_eff)
     # F = n n_eff tau^2 exp(-2 n_eff Gamma): n product-state particles, or one n-particle block
@@ -368,11 +372,12 @@ def monotonicity_scan(model: BathModel, n: int, tau_tilde_sep: float,
 
     Returns every adjacent pair where it fails to, with ties tolerated
     to 1e-12 relative.  An empty list is the expected outcome for all
-    supported models; a gain field that is not finite raises SolverError.
+    supported models; a grid value that is not a finite number raises
+    DomainError, and a gain field that is not finite raises SolverError.
     """
     n = check_count(n, "particle count")
     tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "overhead time")
-    grid = [float(x) for x in x_ent_grid]
+    grid = [check_finite(x, "x_ent grid value") for x in x_ent_grid]
     if len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):

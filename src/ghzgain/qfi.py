@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bath import _WHERE, BathModel, decay_exponent
-from .errors import (CapacityError, ValidationError, check_count, check_finite,
-                     check_finite_nonnegative)
+from .errors import (CapacityError, DomainError, ValidationError, check_choice, check_count,
+                     check_finite, check_finite_nonnegative)
 
 __all__ = [
     "MAX_QUBITS",
@@ -62,26 +62,27 @@ class ProbeKind(str, Enum):
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Particle count and prepared-state kind."""
+    """Particle count and prepared-state kind; either one invalid raises DomainError."""
 
     n: int
     kind: ProbeKind
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_count(self.n, "particle count"))
-        object.__setattr__(self, "kind", ProbeKind(self.kind))
+        object.__setattr__(self, "kind", check_choice(self.kind, ProbeKind, "probe kind",
+                                                      DomainError))
 
 
 @dataclass(frozen=True)
 class EvolutionParams:
-    """Angular frequency being estimated and the sensing time."""
+    """Angular frequency omega and sensing time tau >= 0, finite floats (else DomainError)."""
 
     omega: float
     tau: float
 
     def __post_init__(self):
-        check_finite(self.omega, "angular frequency omega")
-        check_finite_nonnegative(self.tau, "sensing time")
+        object.__setattr__(self, "omega", check_finite(self.omega, "angular frequency omega"))
+        object.__setattr__(self, "tau", check_finite_nonnegative(self.tau, "sensing time"))
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +152,7 @@ def apply_dephasing(rho: np.ndarray, gamma_value: float) -> np.ndarray:
     exp(-Gamma * hamming(a, b)), which is how it is applied here
     (O(4^N) instead of expanding 2^N Kraus terms).
     """
-    check_finite_nonnegative(gamma_value, "decay exponent")
+    gamma_value = check_finite_nonnegative(gamma_value, "decay exponent")
     n = _num_qubits(rho)
     if gamma_value == 0.0:
         return rho.copy()
@@ -172,7 +173,7 @@ def rho_derivative(rho_omega: np.ndarray, tau: float) -> np.ndarray:
     the computational basis, so the commutator reduces to an elementwise
     factor.  The result is Hermitian and traceless.
     """
-    check_finite_nonnegative(tau, "sensing time")
+    tau = check_finite_nonnegative(tau, "sensing time")
     n = _num_qubits(rho_omega)
     m = _magnetization(n)
     return -0.5j * tau * (m[:, None] - m[None, :]) * rho_omega
@@ -208,7 +209,7 @@ def _fisher(weight, tau, decay, xp=math):
 
 def qfi_separable(n: int, tau: float, model: BathModel) -> float:
     """Closed form N tau^2 exp(-2 Gamma(tau)) for the product probe state."""
-    n = check_count(n, "particle count")
+    n, tau = check_count(n, "particle count"), check_finite_nonnegative(tau, "sensing time")
     return _fisher(n, tau, math.exp(-2.0 * decay_exponent(model, tau)))
 
 
@@ -218,5 +219,5 @@ def qfi_ghz(n: int, tau: float, model: BathModel) -> float:
     The GHZ coherence sits between |0...0> and |1...1>, a Hamming
     distance N apart, hence the N-fold faster decay.
     """
-    n = check_count(n, "particle count")
+    n, tau = check_count(n, "particle count"), check_finite_nonnegative(tau, "sensing time")
     return _fisher(float(n) * n, tau, math.exp(-2.0 * n * decay_exponent(model, tau)))

@@ -31,8 +31,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
-import operator
 import os
 import stat
 from collections.abc import Sequence
@@ -42,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bath import BathModel, coherence_time
-from .errors import (SolverError, ValidationError, check_fields,
-                     check_finite_nonnegative, check_number)
+from .errors import (SolverError, ValidationError, check_choice, check_count, check_fields,
+                     check_finite_nonnegative)
 from .opttime import _optimal_sensing_times, _rates, optimal_sensing_time
 
 __all__ = [
@@ -76,7 +74,8 @@ def format_sig(value: float) -> str:
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One swept variable: endpoints, point count and spacing."""
+    """One swept variable: endpoints (floats), point count (an int; 200.0 is taken too) and
+    spacing; any invalid one raises ValidationError."""
 
     name: str
     minimum: float
@@ -85,30 +84,19 @@ class AxisSpec:
     spacing: str = "linear"
 
     def __post_init__(self):
-        if self.name not in AXIS_NAMES:
-            raise ValidationError(
-                f"unknown axis {self.name!r} (expected one of: {', '.join(AXIS_NAMES)})"
-            )
-        for label, bound in (("min", self.minimum), ("max", self.maximum)):
-            check_number(bound, f"axis '{self.name}': {label}")
-            check_finite_nonnegative(bound, f"axis '{self.name}': {label}", ValidationError)
-        try:
-            points = operator.index(self.points)
-        except TypeError:  # a whole float such as 200.0
-            whole = isinstance(self.points, numbers.Real) and float(self.points).is_integer()
-            points = int(self.points) if whole else None
-        if points is None or isinstance(self.points, bool):
-            raise ValidationError(f"axis '{self.name}': points must be an integer")
-        object.__setattr__(self, "points", points)
-        if not 2 <= points <= MAX_AXIS_POINTS:
-            raise ValidationError(
-                f"axis '{self.name}': points must be in 2..{MAX_AXIS_POINTS}")
+        object.__setattr__(self, "name",
+                           check_choice(self.name, AXIS_NAMES, "axis", ValidationError))
+        for field, label in (("minimum", "min"), ("maximum", "max")):
+            object.__setattr__(self, field, check_finite_nonnegative(
+                getattr(self, field), f"axis '{self.name}': {label}", ValidationError))
+        object.__setattr__(self, "points", check_count(
+            self.points, f"axis '{self.name}': points", ValidationError, whole=True))
+        if not 2 <= self.points <= MAX_AXIS_POINTS:
+            raise ValidationError(f"axis '{self.name}': points must be in 2..{MAX_AXIS_POINTS}")
         if not self.maximum > self.minimum:
             raise ValidationError(f"axis '{self.name}': max must exceed min")
-        if self.spacing not in ("linear", "log"):
-            raise ValidationError(
-                f"axis '{self.name}': spacing must be 'linear' or 'log'"
-            )
+        object.__setattr__(self, "spacing", check_choice(
+            self.spacing, ("linear", "log"), f"axis '{self.name}' spacing", ValidationError))
         if self.spacing == "log" and not self.minimum > 0.0:
             raise ValidationError(f"axis '{self.name}': log spacing needs min > 0")
         if self.name == "n" and self.minimum < 1.0:
@@ -129,7 +117,8 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Model, one or two axes, fixed values for the rest, output target."""
+    """Model, one or two axes, fixed values for the rest (n an int, the others floats),
+    output target; any invalid one raises ValidationError."""
 
     model: BathModel
     axes: tuple[AxisSpec, ...]
@@ -147,18 +136,16 @@ class SweepConfig:
             raise ValidationError(f"a sweep grid has at most {MAX_GRID_ROWS} rows")
         expected_fixed = set(AXIS_NAMES) - set(axis_names)
         if set(self.fixed) != expected_fixed:
-            raise ValidationError(
-                f"fixed values must cover exactly {sorted(expected_fixed)}, "
-                f"got {sorted(self.fixed)}"
-            )
-        for name, value in self.fixed.items():
-            check_number(value, f"fixed.{name}")
-            check_finite_nonnegative(value, f"fixed.{name}", ValidationError)
-            if name == "n" and (int(value) != value or value < 1):
-                raise ValidationError("fixed.n must be a positive integer")
-        if self.output_format not in ("csv", "json"):
-            raise ValidationError("output.format must be 'csv' or 'json'")
-        if not self.output_path:
+            raise ValidationError(f"fixed values must cover exactly {sorted(expected_fixed)}, "
+                                  f"got {sorted(self.fixed)}")
+        fixed = {name: check_finite_nonnegative(value, f"fixed.{name}", ValidationError)
+                 for name, value in self.fixed.items()}
+        if "n" in fixed:  # the count itself, exact past 2^53
+            fixed["n"] = check_count(self.fixed["n"], "fixed.n", ValidationError, whole=True)
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "output_format", check_choice(
+            self.output_format, ("csv", "json"), "output.format", ValidationError))
+        if not isinstance(self.output_path, str) or not self.output_path:
             raise ValidationError("output.path must be a non-empty string")
 
 
@@ -245,15 +232,7 @@ def config_from_dict(data: dict) -> SweepConfig:
     fixed, output = data.get("fixed", {}), data["output"]
     check_fields(fixed, "fixed", (), AXIS_NAMES)
     check_fields(output, "output", ("format", "path"))
-    if not isinstance(output["path"], str):
-        raise ValidationError("output.path must be a non-empty string")
-    return SweepConfig(
-        model=model,
-        axes=tuple(axes),
-        fixed=dict(fixed),
-        output_format=output["format"],
-        output_path=output["path"],
-    )
+    return SweepConfig(model, tuple(axes), dict(fixed), output["format"], output["path"])
 
 
 def load_config(path: str) -> SweepConfig:

@@ -3,7 +3,9 @@ checked result or a GhzGainError, never a raw exception."""
 
 import ast
 import dataclasses
+import enum
 import importlib
+import inspect
 import math
 import os
 import warnings
@@ -206,3 +208,145 @@ def test_readme_python_api_block_runs():
     r, threshold = values
     assert r == 4.0
     assert math.isfinite(threshold) and threshold > 0.0
+
+
+MARKOVIAN, OHMIC = BathModel.markovian(1.0), BathModel.ohmic(0.05, 20.0, 0.5)
+GHZ_RHO = ghzgain.build_probe_state(ghzgain.ProbeSpec(2, "ghz"))
+
+
+def config_from_fields(kind, gamma, minimum, maximum, points, spacing, n, x_sep, output_format):
+    return ghzgain.config_from_dict({
+        "model": {"kind": kind, "gamma": gamma},
+        "axes": {"x_ent": {"min": minimum, "max": maximum, "points": points, "spacing": spacing}},
+        "fixed": {"n": n, "x_sep": x_sep},
+        "output": {"format": output_format, "path": "out.csv"}})
+
+
+def sweep_config(output_format, **fixed):
+    return ghzgain.SweepConfig(MARKOVIAN, (ghzgain.AxisSpec("x_ent", 0.0, 1.0, 5),), fixed,
+                               output_format, "out.csv")
+
+
+# (id, call, {argument: (rule, a valid value)}, the error its docstring names); call takes
+# the arguments by keyword, and the valid numbers are whole, so that an int can stand for them
+INPUTS = [
+    *[(f"BathModel-{kind}", BathModel, {"kind": ("kind", kind), **fields}, errors.ValidationError)
+      for kind, fields in (
+          ("isolated", {"t_c": ("number", 2)}), ("markovian", {"gamma": ("number", 2)}),
+          ("nonmarkovian", {"eta": ("number", 2)}),
+          ("ohmic", {"alpha": ("number", 1), "omega_c": ("number", 20), "beta": ("number", 1)}))],
+    ("BathModel.from_dict", lambda **data: BathModel.from_dict(data),
+     {"kind": ("kind", "markovian"), "gamma": ("number", 2)}, errors.ValidationError),
+    ("decay_exponent", lambda tau: ghzgain.decay_exponent(OHMIC, tau), {"tau": ("number", 2)},
+     DomainError),
+    ("decay_exponent_derivative", lambda tau: ghzgain.decay_exponent_derivative(OHMIC, tau),
+     {"tau": ("number", 2)}, DomainError),
+    ("ohmic_limit_rates", ghzgain.ohmic_limit_rates,
+     {"alpha": ("number", 1), "beta": ("number", 2), "omega_c": ("number", 3)}, DomainError),
+    ("ScalingLaw", ghzgain.ScalingLaw, {"kind": ("kind", "linear"), "base": ("number", 0)},
+     DomainError),
+    ("gain", lambda **args: ghzgain.gain(MARKOVIAN, **args),
+     {"n": ("count", 5), "tau_tilde_sep": ("number", 0), "tau_tilde_ent": ("number", 1)},
+     DomainError),
+    ("gain_isolated", ghzgain.gain_isolated,
+     {"n": ("count", 5), "x_sep": ("number", 0), "x_ent": ("number", 0)}, DomainError),
+    ("threshold_ent_time", lambda **args: ghzgain.threshold_ent_time(NONMARKOVIAN, **args),
+     {"n": ("count", 5), "tau_tilde_sep": ("number", 0)}, DomainError),
+    ("precision_opt", lambda **args: precision_opt(MARKOVIAN, **args),
+     {"n": ("count", 5), "kind": ("kind", "ghz"), "tau_tilde": ("number", 1),
+      "total_time": ("number", 100)}, DomainError),
+    ("scaling_law_eval", lambda n: ghzgain.scaling_law_eval(ghzgain.ScalingLaw("linear", 0.5), n),
+     {"n": ("count", 7)}, DomainError),
+    *[(name, (lambda scan: lambda n_search_max: scan(
+        MARKOVIAN, ghzgain.ScalingLaw("linear", 0.01), n_search_max))(getattr(ghzgain, name)),
+       {"n_search_max": ("count", 100)}, DomainError)
+      for name in ("n_cutoff", "n_max_gain", "n_cutoff_and_max_gain")],
+    ("monotonicity_scan", lambda n, tau_tilde_sep, x_ent_grid: ghzgain.monotonicity_scan(
+        MARKOVIAN, n, tau_tilde_sep, [x_ent_grid, 2.0]),
+     {"n": ("count", 5), "tau_tilde_sep": ("number", 0), "x_ent_grid": ("number", 1)},
+     DomainError),
+    ("stationarity_residual", lambda **args: ghzgain.stationarity_residual(OHMIC, **args),
+     {"tau_tilde": ("number", 1), "n_eff": ("count", 3), "tau": ("number", 1)}, DomainError),
+    *[(solver.__name__, solver, {field: ("number", 4), "tau_tilde": ("number", 1),
+                                 "n_eff": ("count", 3)}, DomainError)
+      for solver, field in ((tau_opt_isolated, "t_c"), (tau_opt_markov, "gamma"),
+                            (tau_opt_nonmarkov, "eta"))],
+    *[(solver.__name__, (lambda solver: lambda **args: solver(OHMIC, **args))(solver),
+       {"tau_tilde": ("number", 1), "n_eff": ("count", 3)}, DomainError)
+      for solver in (tau_opt_numeric, optimal_sensing_time)],
+    ("ProbeSpec", ghzgain.ProbeSpec, {"n": ("count", 3), "kind": ("kind", "ghz")}, DomainError),
+    ("EvolutionParams", ghzgain.EvolutionParams, {"omega": ("number", 1), "tau": ("number", 2)},
+     DomainError),
+    ("apply_dephasing", lambda gamma_value: ghzgain.apply_dephasing(GHZ_RHO, gamma_value),
+     {"gamma_value": ("number", 1)}, DomainError),
+    ("rho_derivative", lambda tau: ghzgain.rho_derivative(GHZ_RHO, tau), {"tau": ("number", 1)},
+     DomainError),
+    *[(name, (lambda qfi: lambda n, tau: qfi(n, tau, MARKOVIAN))(getattr(ghzgain, name)),
+       {"n": ("count", 3), "tau": ("number", 1)}, DomainError)
+      for name in ("qfi_separable", "qfi_ghz")],
+    ("AxisSpec", ghzgain.AxisSpec,
+     {"name": ("kind", "x_ent"), "minimum": ("number", 0), "maximum": ("number", 1),
+      "points": ("count", 5), "spacing": ("kind", "linear")}, errors.ValidationError),
+    # a fixed n is a number first, and then a count
+    ("SweepConfig", sweep_config, {"output_format": ("kind", "csv"), "n": ("number", 10),
+                                   "x_sep": ("number", 0)}, errors.ValidationError),
+    ("config_from_dict", config_from_fields,
+     {"kind": ("kind", "markovian"), "gamma": ("number", 2), "minimum": ("number", 1),
+      "maximum": ("number", 2), "points": ("count", 5), "spacing": ("kind", "log"),
+      "n": ("number", 10), "x_sep": ("number", 0), "output_format": ("kind", "json")},
+     errors.ValidationError),
+]
+NOT_INPUTS = ("x", None, [1.0], object(), True, np.True_)
+# what each rule's error says: a fixed n, a number first, fails the number rule
+RULE_MESSAGES = {"number": "must be a number", "count": "must be a positive integer",
+                 "kind": r"unknown .* \(expected one of: "}
+# per rule, the types that must give the answer of the equal float (a count: of the int)
+EQUAL_TYPES = {"number": (float, (np.float64, np.float32, np.int64, int)),
+               "count": (int, (np.int64, np.int32))}
+BATH_FIELDS = ("t_c", "gamma", "eta", "alpha", "omega_c", "beta")
+CASES = [(name, call, args, argument, error) for name, call, args, error in INPUTS
+         for argument in args]
+
+
+def canonical(result):
+    """result's repr, so that an np.float64 or a float32 field differs from a float, or an
+    array's dtype, shape and bytes."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    return repr(result)
+
+
+@pytest.mark.parametrize("name, call, args, argument, error", CASES,
+                         ids=[f"{case[0]}-{case[3]}" for case in CASES])
+def test_every_public_input_passes_its_rule(name, call, args, argument, error):
+    rule, value = args[argument]
+    valid = {key: value for key, (_, value) in args.items()}
+    for bad in NOT_INPUTS + (("lindblad",) if rule == "kind" else ()):
+        message = RULE_MESSAGES[rule]
+        if bad is None and error is errors.ValidationError and argument in BATH_FIELDS:
+            message = "requires field"  # None leaves a model field unset
+        with pytest.raises(error, match=message):
+            call(**{**valid, argument: bad})
+    if rule in EQUAL_TYPES:
+        plain, types = EQUAL_TYPES[rule]
+        expected = canonical(call(**{**valid, argument: plain(value)}))
+        for equal in types:
+            assert canonical(call(**{**valid, argument: equal(value)})) == expected, equal
+
+
+def test_every_public_input_has_a_case():
+    # result types are outputs; str fields that name a kind are inputs too
+    results = {"GainResult", "OptimalTime", "MonotonicityViolation", "SweepRow", "SweepTable"}
+    input_types = {"int", "float", "float | None", "Sequence[float]", "BathKind", "ScalingKind",
+                   "ProbeKind"}
+    covered = {(name.split("-")[0], argument) for name, *_, argument, _ in CASES}
+    for name in set(LISTED_NAMES) - results:
+        value = getattr(ghzgain, name)
+        if not callable(value) or isinstance(value, type) and issubclass(value, Exception):
+            continue
+        if isinstance(value, type) and issubclass(value, enum.Enum):
+            continue
+        for parameter in inspect.signature(value).parameters.values():
+            if parameter.annotation in input_types or (name, parameter.name) in {
+                    ("AxisSpec", "name"), ("AxisSpec", "spacing"), ("SweepConfig", "output_format")}:
+                assert (name, parameter.name) in covered
