@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 configuration/validation error, 3 infeasible
 timing, 4 solver or branch failure or a result that is not finite.  All
 numbers print with 12 significant digits; --json replaces the key = value
-lines with a single JSON document.  A command builds and parses only its own
-parser; the full tree, built from the same table, handles the top-level help,
-leftover arguments and a missing or unknown command.
+lines with a single JSON document.  A plain command line, the command and then its own
+flags in full with their values, is read from the command table; the full argparse tree,
+built from the same table, settles every other line with its own usage and messages.
 """
 
 from __future__ import annotations
@@ -159,20 +159,6 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    handler, _, arguments = _COMMANDS[name]
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
-    parser.set_defaults(handler=handler)
-    return parser
-
-
-# Building a parser costs more than most queries, and parsing leaves it unchanged.
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    return _add_arguments(argparse.ArgumentParser(prog=f"ghzgain {name}"), name)
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -181,25 +167,52 @@ def _build_parser() -> argparse.ArgumentParser:
         "preparation and readout times",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(handler=handler)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named command's own parser, whose help and errors are the full
-    tree's subparser's to the byte; the full tree settles the rest (top-level help, a
-    missing or unknown command, an option before it, leftover arguments)."""
-    if argv and argv[0] in _COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
+# A command's flags as {flag: (dest, options)}, and its namespace of defaults
+@functools.cache
+def _flag_table(name: str) -> tuple[dict, dict]:
+    handler, _, arguments = _COMMANDS[name]
+    flags = {flag: (options.get("dest", flag[2:].replace("-", "_")), options)
+             for flag, options in arguments}
+    return flags, {"handler": handler, **{dest: options.get(
+        "default", False if "action" in options else None) for dest, options in flags.values()}}
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The full tree's namespace, but for ``command``, of a plain command line, else None:
+    a command, then only its own flags spelled in full, --json bare, each other flag followed
+    by a value that does not start with "-" and that the flag's type and choices take."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags, defaults = _flag_table(argv[0])
+    args, words = dict(defaults), iter(argv[1:])
+    try:
+        for flag in words:
+            dest, options = flags[flag]  # KeyError: not one of the command's flags
+            if "action" in options:  # --json
+                args[dest] = True
+                continue
+            word = next(words)  # StopIteration: no value
+            args[dest] = options.get("type", str)(word)
+            if word.startswith("-") or args[dest] not in options.get("choices", (args[dest],)):
+                return None
+    except (KeyError, StopIteration, ValueError):
+        return None
+    required = (flag for flag, (_, options) in flags.items() if options.get("required"))
+    return argparse.Namespace(**args) if all(flag in argv for flag in required) else None
 
 
 def cli_main(argv=None) -> int:
-    try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # the full tree settles all but a plain line, with its own usage and messages
+        args = _parse_plain(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

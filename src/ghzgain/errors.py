@@ -3,8 +3,9 @@ value.  A number is a real number, numpy's too, but no bool (True, np.True_): ch
 raise "<what> must be a number" for anything else, test the range and return a float.  A
 count is an integer (numpy's too, no bool) in [1, largest float] (check_count; an axis's
 point count may be a whole float).  A kind is a member or value of its Enum, or a string of
-a tuple (check_choice), else "unknown <what> 'x' (expected one of: ...)".  Each rule raises
-the class it is given: DomainError for a function's arguments, ValidationError for model and
+a tuple (check_choice), else "unknown <what> 'x' (expected one of: ...)".  A container is an
+iterable of items of one type (check_items) or a dict (check_fields).  Each rule raises the
+class it is given: DomainError for a function's arguments, ValidationError for model and
 config fields.  The CLI exits 2 on these, 3 on infeasible timing and 4 on solver failures.
 """
 
@@ -87,6 +88,18 @@ def check_fields(data, where: str, required, optional=()) -> None:
     for name in required:
         if name not in data:
             raise ValidationError(f"{where} is missing field '{name}'")
+
+
+def check_items(value, what: str, error: type, kind: type = object) -> tuple:
+    """``value``'s items as a tuple if it is an iterable of ``kind``s, else raise ``error``."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise error(f"{what} must be a sequence, got {type(value).__name__}") from None
+    for item in items:
+        if not isinstance(item, kind):
+            raise error(f"{what} must hold {kind.__name__} items, got {type(item).__name__}")
+    return items
 
 
 def _check_number(value, what: str, error: type) -> None:

@@ -39,6 +39,7 @@ from .errors import (
     check_finite,
     check_finite_nonnegative,
     check_finite_positive,
+    check_items,
 )
 from .opttime import OptimalTime, _optimal_sensing_times, _rates, optimal_sensing_time
 from .qfi import ProbeKind, _fisher
@@ -372,12 +373,13 @@ def monotonicity_scan(model: BathModel, n: int, tau_tilde_sep: float,
 
     Returns every adjacent pair where it fails to, with ties tolerated
     to 1e-12 relative.  An empty list is the expected outcome for all
-    supported models; a grid value that is not a finite number raises
+    supported models; a grid that is not an iterable of finite numbers raises
     DomainError, and a gain field that is not finite raises SolverError.
     """
     n = check_count(n, "particle count")
     tau_tilde_sep = check_finite_nonnegative(tau_tilde_sep, "overhead time")
-    grid = [check_finite(x, "x_ent grid value") for x in x_ent_grid]
+    grid = [check_finite(x, "x_ent grid value")
+            for x in check_items(x_ent_grid, "x_ent grid", DomainError)]
     if len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):

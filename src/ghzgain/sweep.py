@@ -41,7 +41,7 @@ import numpy as np
 
 from .bath import BathModel, coherence_time
 from .errors import (SolverError, ValidationError, check_choice, check_count, check_fields,
-                     check_finite_nonnegative)
+                     check_finite_nonnegative, check_items)
 from .opttime import _optimal_sensing_times, _rates, optimal_sensing_time
 
 __all__ = [
@@ -127,6 +127,9 @@ class SweepConfig:
     output_path: str
 
     def __post_init__(self):
+        object.__setattr__(self, "axes",
+                           check_items(self.axes, "axes", ValidationError, AxisSpec))
+        check_fields(self.fixed, "fixed", (), AXIS_NAMES)
         if not 1 <= len(self.axes) <= 2:
             raise ValidationError("config needs one or two axes")
         axis_names = [a.name for a in self.axes]
@@ -230,9 +233,8 @@ def config_from_dict(data: dict) -> SweepConfig:
         axes.append(AxisSpec(name, spec["min"], spec["max"], spec["points"],
                              spec.get("spacing", "linear")))
     fixed, output = data.get("fixed", {}), data["output"]
-    check_fields(fixed, "fixed", (), AXIS_NAMES)
     check_fields(output, "output", ("format", "path"))
-    return SweepConfig(model, tuple(axes), dict(fixed), output["format"], output["path"])
+    return SweepConfig(model, tuple(axes), fixed, output["format"], output["path"])
 
 
 def load_config(path: str) -> SweepConfig:

@@ -350,3 +350,21 @@ def test_every_public_input_has_a_case():
             if parameter.annotation in input_types or (name, parameter.name) in {
                     ("AxisSpec", "name"), ("AxisSpec", "spacing"), ("SweepConfig", "output_format")}:
                 assert (name, parameter.name) in covered
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ghzgain.monotonicity_scan(MARKOVIAN, 5, 0.1, None), DomainError,
+     "x_ent grid must be a sequence, got NoneType"),
+    (lambda: ghzgain.monotonicity_scan(MARKOVIAN, 5, 0.1, 5), DomainError,
+     "x_ent grid must be a sequence, got int"),
+    (lambda: ghzgain.SweepConfig(MARKOVIAN, (ghzgain.AxisSpec("x_ent", 0.0, 1.0, 5),), None,
+                                 "csv", "x"), errors.ValidationError,
+     "fixed must be an object, got NoneType"),
+    (lambda: ghzgain.SweepConfig(MARKOVIAN, None, {}, "csv", "x"), errors.ValidationError,
+     "axes must be a sequence, got NoneType"),
+    (lambda: ghzgain.SweepConfig(MARKOVIAN, ("x_ent",), {"x_sep": 0.1, "n": 5}, "csv", "x"),
+     errors.ValidationError, "axes must hold AxisSpec items, got str"),
+], ids=["grid-none", "grid-int", "fixed-none", "axes-none", "axes-of-str"])
+def test_container_arguments_raise_their_documented_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

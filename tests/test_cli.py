@@ -342,7 +342,7 @@ class TestParserCache:
         ]
         cached = [run(capsys, *argv) for argv in calls]
         monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-        monkeypatch.setattr(cli, "_command_parser", cli._command_parser.__wrapped__)
+        monkeypatch.setattr(cli, "_flag_table", cli._flag_table.__wrapped__)
         fresh = [run(capsys, *argv) for argv in calls]
         assert cached == fresh
         assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0]
@@ -364,19 +364,33 @@ PARITY_CORPUS = [
     ("gain", *MARKOVIAN, "--n", "5", "--ttilde-sep", "x"),
     ("gain", "--model", "quantum", "--n", "5"),
     ("gain", *MARKOVIAN),
+    ("gain", *MARKOVIAN, "--n", "5", "--ttilde-sep", "-1"),
+    ("gain", *MARKOVIAN, "--n", "5", "--n", "6"),
+    *[("gain", *MARKOVIAN, "--n", count) for count in ("1_0", "1e3", "", " 5")],
+    ("gain", *MARKOVIAN, "--n", "5", "--ttilde-sep", "nan"),
+    ("bath", *MARKOVIAN, "--tau", "inf"),
+    ("gain", *MARKOVIAN, "--n", "5", "--json", "--json"),
+    ("gain", *MARKOVIAN, "--n"),
+    ("gain", *MARKOVIAN, "--n", "--json"),
+    ("gain", "--model", "Markovian", "--gamma", "1", "--n", "5"),
+    ("gain", *MARKOVIAN, "--n", "5", "--"),
+    ("gain", *MARKOVIAN, "--n", "5", "-h"),
+    ("gain", *MARKOVIAN, "--n", "5", "extra"),
+    ("gain", *MARKOVIAN, "--tc", "1", "--n", "5"),
+    ("sweep", "--config", "no-such-config.json"),
 ]
 
 
 @pytest.mark.parametrize("argv", PARITY_CORPUS, ids=" ".join)
 def test_command_parser_answers_like_the_full_tree(capsys, monkeypatch, argv):
-    # a command parses with its own parser; the full tree's parse_args is the reference
+    # a plain line is read from the flag table; the full tree's parse_args is the reference
     direct = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
     assert direct == run(capsys, *argv)
 
 
 PARSER_COUNT_PROBE = """
-import argparse, contextlib, io
+import argparse, contextlib, io, sys
 counts, init = [], argparse.ArgumentParser.__init__
 def counting_init(self, *args, **kwargs):
     counts.append(1)
@@ -388,14 +402,16 @@ for argv in (["gain", "--model", "markovian", "--gamma", "1", "--n", "5"],
              ["gain", "--model", "markovian", "--gamma", "1", "--n", "6"], ["--help"]):
     with contextlib.redirect_stdout(io.StringIO()):
         cli_main(argv)
-    built.append(len(counts))
+    built.append((len(counts), "locale" in sys.modules))
 print(built)
 """
 
 
-def test_a_query_builds_only_its_command_parser():
-    # the full tree is a top-level parser and one subparser per command
-    assert run_probe(PARSER_COUNT_PROBE).strip() == str([1, 1, 2 + len(cli._COMMANDS)])
+def test_a_plain_query_builds_no_parser():
+    # the full tree, a top-level parser and one subparser per command, is built for help;
+    # the first parser built imports locale (gettext's first message lookup)
+    assert run_probe(PARSER_COUNT_PROBE).strip() == str(
+        [(0, False), (0, False), (1 + len(cli._COMMANDS), True)])
 
 
 class TestOverflowingCoherenceTime:
@@ -700,7 +716,9 @@ def cli_argv(draw, command, kind):
     if command == "cutoff" and draw(st.booleans()):
         flags["--ttilde-sep"] = separable_overhead(kind, fields, flags["--base"])
     argv = [command, "--model", kind]
-    argv += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    for flag, value in flags.items():  # "--flag value" is read by the flag table
+        if value is not None:
+            argv += draw(st.sampled_from([[flag, str(value)], [f"{flag}={value}"]]))
     if draw(st.booleans()):
         argv.append("--json")
     return argv
@@ -754,6 +772,19 @@ FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None
 def test_generated_queries_exit_cleanly(capsys, command, data):
     kind = data.draw(st.sampled_from(sorted(MODEL_FIELDS)))
     assert_clean_exit(*run(capsys, *data.draw(cli_argv(command, kind))))
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@FUZZ
+@given(data=st.data())
+def test_plain_parse_equals_the_full_tree(command, data):
+    argv = data.draw(cli_argv(command, data.draw(st.sampled_from(sorted(MODEL_FIELDS)))))
+    plain = cli._parse_plain(argv)
+    event("flag table" if plain is not None else "full tree")
+    if plain is not None:
+        full = cli._build_parser().parse_args(argv)
+        del full.command
+        assert plain == full
 
 
 @FUZZ
