@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (SolverError, ValidationError, check_choice, check_fields,
+from .errors import (SolverError, ValidationError, check_choice, check_fields, check_finite,
                      check_finite_nonnegative, check_finite_positive)
 
 __all__ = [
@@ -209,22 +209,20 @@ _WHERE = {math: lambda cond, a, b: a if cond else b, np: np.where}
 
 def _newton_root(f, lo, hi, cap, xp=math):
     """(x, f(x)) at a root of f above lo >= 0, at floats (xp = math) or elementwise over
-    arrays.  f(t) returns (f(t), f'(t)).  f(lo) comes first, except at a float lo = 0 (the
-    optimum's residual is 0/0 there at tau_tilde = 0), and f at an end of 0 is taken as
-    NaN; where f(lo) > 0 the bracket is [0, lo], and f(lo) is f(hi).  hi doubles, clamped
-    at cap, and lo moves to it, while f(hi) < 0 and hi < cap; x is NaN where f(hi) is then
-    not >= 0.  Newton's steps (rtsafe, Numerical Recipes 3rd ed., 9.4) start at the end
-    with the smaller |f|; a step not strictly inside (lo, hi), or a slope of 0, inf or NaN,
-    bisects at sqrt(lo hi) (hi/2 while lo = 0), and each point replaces the end of its
-    sign.  x is the first point where f = 0 or whose next step or half-bracket is <= 4 eps
-    x; without one in _NEWTON_MAX_ITER evaluations, floats raise SolverError and arrays
-    give NaN (a converged element stands still meanwhile)."""
+    arrays.  f(t) returns (f(t), f'(t)), and f(lo) comes first; where f(lo) > 0 the bracket
+    is [0, lo], whose upper end keeps f(lo).  hi doubles, clamped at cap, and lo moves to
+    it, while f(hi) < 0 and hi < cap; x is NaN where f(hi) is then not >= 0.  Newton's steps
+    (rtsafe, Numerical Recipes 3rd ed., 9.4) start at the end with the smaller |f|, the upper
+    one on a tie; a step not strictly inside (lo, hi), or a slope of 0, inf or NaN, bisects
+    at sqrt(lo hi) (hi/2 while lo = 0), and each point replaces the end of its sign.  x is
+    the first point where f = 0 or whose next step or half-bracket is <= 4 eps x; without
+    one in _NEWTON_MAX_ITER evaluations, floats raise SolverError and arrays give NaN (a
+    converged element stands still meanwhile)."""
     where = _WHERE[xp]
-    f_lo = f(lo) if xp is np or lo > 0.0 else (math.nan, math.nan)
+    f_lo = f(lo)
     above = f_lo[0] > 0.0
     lo, hi = where(above, 0.0, lo), where(above, lo, hi)
     f_hi = f_lo if (above if xp is math else above.all()) else f(hi)
-    f_lo = tuple(where(lo > 0.0, v, math.nan) for v in f_lo)
     while True:
         grow = (f_hi[0] < 0.0) & (hi < cap)
         if not (grow if xp is math else grow.any()):
@@ -257,10 +255,10 @@ def _newton_root(f, lo, hi, cap, xp=math):
 
 
 def decay_exponent(model: BathModel, tau: float) -> float:
-    """Dephasing exponent Gamma(tau) of one particle; tau a finite number >= 0, else DomainError."""
-    if type(tau) is not float or not 0.0 <= tau < math.inf:
-        tau = check_finite_nonnegative(tau, "sensing time")
-    return _decay_exponent(model, tau)
+    """Dephasing exponent Gamma(tau) of one particle; tau a finite number >= 0, else
+    DomainError, and SolverError where Gamma is not finite."""
+    tau = check_finite_nonnegative(tau, "sensing time")
+    return check_finite(_decay_exponent(model, tau), "decay exponent", SolverError)
 
 
 def _decay_exponent(model: BathModel, tau, xp=math):
@@ -275,10 +273,9 @@ def _decay_exponent(model: BathModel, tau, xp=math):
 
 
 def decay_exponent_derivative(model: BathModel, tau: float) -> float:
-    """dGamma/dtau, tau checked as in decay_exponent; the Ohmic limit at tau = 0 is 0."""
-    if type(tau) is not float or not 0.0 <= tau < math.inf:
-        tau = check_finite_nonnegative(tau, "sensing time")
-    return _exponent_slopes(model, tau)[0]
+    """dGamma/dtau, checked as in decay_exponent; the Ohmic limit at tau = 0 is 0."""
+    tau = check_finite_nonnegative(tau, "sensing time")
+    return check_finite(_exponent_slopes(model, tau)[0], "decay exponent slope", SolverError)
 
 
 @functools.lru_cache(maxsize=512)
@@ -301,7 +298,7 @@ def coherence_time(model: BathModel) -> float:
         return 1.0 / math.sqrt(model.eta)
 
     def f(t):
-        return decay_exponent(model, t) - 1.0, _exponent_slopes(model, t)[0]
+        return _decay_exponent(model, t) - 1.0, _exponent_slopes(model, t)[0]
 
     end = 0.25 * sys.float_info.max  # the bracket ends where pi tau is finite
     hi = min(1e12 * model.beta, end)

@@ -213,11 +213,11 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     The stationarity residual equals -tau d ln(rate)/d tau: negative while the rate
     rises, positive once it falls, with the limit -1 - [tau_tilde > 0] as tau -> 0 (at
     tau_tilde = 0 it is 0/0 there, so tau = 0 is never evaluated).  The bracket starts
-    as [0, t_c], or as _ohmic_bracket seeds it for the Ohmic law.  Its upper end
-    doubles, clamped at 2^60 t_c, while the residual there is negative, each becoming
-    the lower end; Newton's steps on the residual, with the slope from Gamma' and tau
-    Gamma'' and kept inside the bracket, then stop once a step is at most 4 eps tau
-    (bath._newton_root).
+    as [t_c, 2 t_c], or as _ohmic_bracket seeds it for the Ohmic law, which needs no t_c.
+    Its upper end doubles, clamped at 2^60 times its first value, while the residual there
+    is negative, each becoming the lower end (DivergenceError where it stays negative);
+    Newton's steps on the residual, with the slope from Gamma' and tau Gamma'' and kept
+    inside the bracket, then stop once a step is at most 4 eps tau (bath._newton_root).
     """
     if model.kind is BathKind.ISOLATED:
         raise UnsupportedModelError(
@@ -230,20 +230,22 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
 
 def _numeric_root(model: BathModel, tau_tilde, n_eff, xp=math):
     """The time of tau_opt_numeric at floats (xp = math), or elementwise over arrays for
-    an Ohmic model, where it is NaN in place of its errors."""
+    an Ohmic model, where it is NaN in place of its errors; only other laws ask for t_c."""
 
     def res(t):  # the residual and its slope 2 n_eff (Gamma' + t Gamma'') + tau_tilde/s^2
         (dg, t_d2g), s = _exponent_slopes(model, t, xp), tau_tilde + t
         return (_residual(dg, tau_tilde, n_eff, t),
                 2.0 * n_eff * (dg + t_d2g) + tau_tilde / s / s)
 
-    t_c = coherence_time(model)
-    ohmic = model.kind is BathKind.OHMIC
-    lo, up = _ohmic_bracket(model, tau_tilde, n_eff, xp) if ohmic else (0.0, t_c)
-    tau = _newton_root(res, lo, up, 2.0 ** 60 * t_c, xp)[0]
+    if model.kind is BathKind.OHMIC:
+        lo, up = _ohmic_bracket(model, tau_tilde, n_eff, xp)
+    else:
+        lo = coherence_time(model)
+        up = 2.0 * lo
+    tau = _newton_root(res, lo, up, 2.0 ** 60 * up, xp)[0]
     if xp is math and math.isnan(tau):
         raise DivergenceError("information rate still rising after expanding the bracket "
-                              "to 2^60 coherence times; no interior maximum found")
+                              "to 2^60 times its first upper end; no interior maximum found")
     return tau
 
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bath import _WHERE, BathModel, decay_exponent
+from .bath import _WHERE, BathModel, _decay_exponent
 from .errors import (CapacityError, DomainError, ValidationError, check_choice, check_count,
                      check_finite, check_finite_nonnegative)
 
@@ -210,7 +210,7 @@ def _fisher(weight, tau, decay, xp=math):
 def qfi_separable(n: int, tau: float, model: BathModel) -> float:
     """Closed form N tau^2 exp(-2 Gamma(tau)) for the product probe state."""
     n, tau = check_count(n, "particle count"), check_finite_nonnegative(tau, "sensing time")
-    return _fisher(n, tau, math.exp(-2.0 * decay_exponent(model, tau)))
+    return _fisher(n, tau, math.exp(-2.0 * _decay_exponent(model, tau)))
 
 
 def qfi_ghz(n: int, tau: float, model: BathModel) -> float:
@@ -220,4 +220,4 @@ def qfi_ghz(n: int, tau: float, model: BathModel) -> float:
     distance N apart, hence the N-fold faster decay.
     """
     n, tau = check_count(n, "particle count"), check_finite_nonnegative(tau, "sensing time")
-    return _fisher(float(n) * n, tau, math.exp(-2.0 * n * decay_exponent(model, tau)))
+    return _fisher(float(n) * n, tau, math.exp(-2.0 * n * _decay_exponent(model, tau)))

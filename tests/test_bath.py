@@ -18,6 +18,8 @@ from ghzgain import (
     decay_exponent,
     decay_exponent_derivative,
     ohmic_limit_rates,
+    qfi_ghz,
+    qfi_separable,
 )
 from ghzgain import bath
 from ghzgain.bath import (_DLOG_SINHC, _LOG_SINHC, _by_branch, _exponent_slopes, _newton_root,
@@ -57,6 +59,23 @@ class TestDecayExponent:
     def test_non_finite_time_rejected(self, function, tau):
         with pytest.raises(DomainError, match="finite and non-negative"):
             function(BathModel.isolated(1.0), tau)
+
+    # each returned inf or NaN: pi tau/beta overflows (inf - inf at x = inf); gamma tau
+    # overflows; pi/beta overflows, so x = inf * 0 at tau = 0; pi tau overflows (the true
+    # Gamma is about alpha pi tau/beta = 5e-217)
+    @pytest.mark.parametrize("function, model, tau", [
+        (decay_exponent, BathModel.ohmic(0.1, 1.0, 1e-300), 1e10),
+        (decay_exponent, BathModel.markovian(1e300), 1e300),
+        (decay_exponent_derivative, BathModel.ohmic(0.1, 1.0, 5e-324), 0.0),
+        (decay_exponent, BathModel.ohmic(2.75e-227, 1.96e-292, 1.54e298),
+         0.5 * sys.float_info.max)])
+    def test_a_result_that_is_not_finite_raises(self, function, model, tau):
+        with pytest.raises(SolverError, match="must be finite"):
+            function(model, tau)
+
+    def test_the_closed_form_fisher_information_takes_an_infinite_exponent_as_zero(self):
+        model = BathModel.markovian(1e300)  # Gamma(1e300) = inf: exp(-2 N Gamma) is 0
+        assert qfi_separable(3, 1e300, model) == qfi_ghz(3, 1e300, model) == 0.0
 
     def test_ohmic_no_overflow_over_many_decades(self):
         model = BathModel.ohmic(0.05, 20.0, 0.5)
@@ -277,13 +296,13 @@ class TestCoherenceTime:
                 assert abs(t_c - root) <= 1e-14 * root
 
     def test_ohmic_takes_few_exponent_evaluations(self, monkeypatch):
-        exponent, taus = bath.decay_exponent, []
+        exponent, taus = bath._decay_exponent, []
 
-        def recording(model, tau):
+        def recording(model, tau, xp=math):
             taus.append(tau)
-            return exponent(model, tau)
+            return exponent(model, tau, xp)
 
-        monkeypatch.setattr(bath, "decay_exponent", recording)
+        monkeypatch.setattr(bath, "_decay_exponent", recording)
         rng = np.random.default_rng(20261018)
         counts = []
         for _ in range(300):
@@ -292,7 +311,7 @@ class TestCoherenceTime:
             coherence_time.__wrapped__(BathModel.ohmic(alpha, omega_c, beta))
             counts.append(len(taus))
         # Newton's steps with Gamma' as the slope, from the end of the bracket nearer the root
-        assert statistics.median(counts) <= 6
+        assert 0 < statistics.median(counts) <= 6
         assert max(counts) <= 16
 
     def test_ohmic_limits_recover_simple_laws(self):
@@ -500,23 +519,25 @@ class TestNewtonRoot:
             g = self.cubic(case[0])
             assert x[i] == self.solve(g, *case[1:])[0]
             # a converged element stands still: its points are the scalar ones, then repeats;
-            # arrays evaluate f at every lower end, floats not at lo = 0
-            points = [float(xs[i]) for xs in f.xs][case[1] == 0.0:]
+            # both forms evaluate f at the lower end first, lo = 0 included
+            points = [float(xs[i]) for xs in f.xs]
             assert points[:len(g.xs)] == g.xs and set(points[len(g.xs):]) <= {x[i]}
 
     def test_a_zero_end_is_the_root(self):
         f = self.cubic(0.0)  # root 1, at the lower end of [1, 3] and the upper end of [0, 1]
         assert self.solve(f, 1.0, 3.0) == (1.0, 0.0) and f.xs == [1.0, 3.0]
-        assert self.solve(f, 0.0, 1.0) == (1.0, 0.0) and f.xs == [1.0]  # f(0) is not taken
+        assert self.solve(f, 0.0, 1.0) == (1.0, 0.0) and f.xs == [0.0, 1.0]
         x, fx = self.solve(f, np.array([1.0, 0.0]), np.array([3.0, 1.0]), np)
         assert x.tolist() == [1.0, 1.0] and fx.tolist() == [0.0, 0.0] and len(f.xs) == 2
 
     def test_the_upper_end_doubles_up_to_the_cap(self):
         f = self.cubic(1.0)  # root 0.68, above [0, 0.125]: the upper end doubles to 1
         x, fx = self.solve(f, 0.0, 0.125, cap=1.0)
-        assert f.xs[:4] == [0.125, 0.25, 0.5, 1.0] and abs(x - self.exact_root(1.0)) <= 1e-15
+        assert f.xs[:5] == [0.0, 0.125, 0.25, 0.5, 1.0]
+        assert abs(x - self.exact_root(1.0)) <= 1e-15
         # the cap stops it at 0.5, where f < 0: no root, NaN in both forms
-        assert math.isnan(self.solve(f, 0.0, 0.125, cap=0.5)[0]) and f.xs == [0.125, 0.25, 0.5]
+        assert math.isnan(self.solve(f, 0.0, 0.125, cap=0.5)[0])
+        assert f.xs == [0.0, 0.125, 0.25, 0.5]
         x = self.solve(f, np.array([0.0, 0.0]), np.array([0.125, 0.125]), np,
                        np.array([1.0, 0.5]))[0]
         assert x[0] == self.solve(f, 0.0, 0.125, cap=1.0)[0] and math.isnan(x[1])
@@ -525,7 +546,7 @@ class TestNewtonRoot:
     def test_the_upper_end_stops_at_a_cap_between_doublings(self, cap, found):
         f = self.cubic(1.0)  # root 0.68: f(0.75) > 0 > f(0.6); doubling 0.125 gives 0.5, 1
         x = self.solve(f, 0.0, 0.125, cap=cap)[0]
-        assert f.xs[:4] == [0.125, 0.25, 0.5, cap] and max(f.xs) == cap
+        assert f.xs[:5] == [0.0, 0.125, 0.25, 0.5, cap] and max(f.xs) == cap
         assert abs(x - self.exact_root(1.0)) <= 1e-15 if found else math.isnan(x)
         xs = self.solve(f, np.zeros(2), np.full(2, 0.125), np, np.array([cap, 1.0]))[0]
         assert xs[0] == x or math.isnan(xs[0]) and math.isnan(x)

@@ -71,6 +71,11 @@ class TestGainCommand:
         assert code == 2
 
 
+# an Ohmic bath whose decay exponent stays below 1 at every float time
+NO_T_C_BATH = ("--alpha", "2.748462307889661e-227", "--omega-c", "1.9559303714252876e-292",
+               "--beta", "1.540951859433905e+298")
+
+
 class TestTauOptCommand:
     def test_infeasible_isolated_exits_3(self, capsys):
         code, _, err = run(capsys, "tau-opt", "--model", "isolated",
@@ -94,15 +99,22 @@ class TestTauOptCommand:
         assert code == 0
         assert float(parse_lines(out)["tau_opt_sep"]) == pytest.approx(0.5)
 
-    def test_ohmic_bath_whose_exponent_never_reaches_1_exits_4(self, capsys):
-        # 1e12 beta is past the largest float: the coherence-time bracket ends at a quarter
-        # of it, where Gamma is 2.5e-217, so the search fails (it reached tau = inf, exit 2)
-        code, out, err = run(capsys, "tau-opt", "--model", "ohmic",
-                             "--alpha", "2.748462307889661e-227",
-                             "--omega-c", "1.9559303714252876e-292",
-                             "--beta", "1.540951859433905e+298", "--n", "1", "--ttilde", "0.1")
+    def test_ohmic_optimum_past_the_largest_float_exits_4(self, capsys):
+        # the Markov limit alpha pi/beta underflows, so the rate rises past every float
+        # time; the optimum needs no t_c, and fails on its own bracket
+        code, out, err = run(capsys, "tau-opt", "--model", "ohmic", *NO_T_C_BATH,
+                             "--n", "1", "--ttilde", "0.1")
         assert (code, out) == (4, "")
-        assert "never reaches 1" in err
+        assert "still rising after expanding the bracket" in err
+
+    def test_ohmic_optimum_where_t_c_does_not_converge(self, capsys):
+        # t_c ~ sqrt(2/alpha) = 1.4e-42 lies far below its search's first lower end, 1e-12
+        # beta, and the search stalls; the optimum is the non-Markovian limit
+        # (1/sqrt 2)/sqrt(alpha/2) = 1e-42, where the overhead dwarfs the block time
+        code, out, _ = run(capsys, "tau-opt", "--model", "ohmic", "--alpha", "1e84",
+                           "--omega-c", "1", "--beta", "1e97", "--n", "24", "--ttilde", "1e-5")
+        assert code == 0
+        assert parse_lines(out)["tau_opt_sep"] == "1.00000000000e-42"
 
 
 class TestQfiCommand:
@@ -134,6 +146,13 @@ class TestBathCommand:
         assert float(values["decay_exponent"]) == pytest.approx(1.0)
         assert float(values["decay_exponent_derivative"]) == pytest.approx(2.0)
         assert float(values["t_c"]) == pytest.approx(0.5)
+
+    def test_ohmic_bath_whose_exponent_never_reaches_1_exits_4(self, capsys):
+        # 1e12 beta is past the largest float: the coherence-time bracket ends at a quarter
+        # of it, where Gamma is 2.5e-217, so the search fails (it reached tau = inf, exit 2)
+        code, out, err = run(capsys, "bath", "--model", "ohmic", *NO_T_C_BATH, "--tau", "1")
+        assert (code, out) == (4, "")
+        assert "never reaches 1" in err
 
     def test_ohmic_root_that_misses_gamma_1_exits_4(self, capsys):
         # the coherence-time search once ended where pi tau overflows and printed

@@ -1,3 +1,4 @@
+import importlib
 import logging
 import math
 import statistics
@@ -14,13 +15,14 @@ from ghzgain import (
     BathModel,
     DivergenceError,
     DomainError,
-    GhzGainError,
     InfeasibleTimingError,
     SolverError,
     UnsupportedModelError,
     coherence_time,
     decay_exponent,
+    gain,
     optimal_sensing_time,
+    precision_opt,
     stationarity_residual,
     tau_opt_isolated,
     tau_opt_markov,
@@ -261,6 +263,22 @@ def test_nonmarkov_root_is_within_an_ulp_and_the_same_over_arrays(u):
     assert opttime._nonmarkov_root(np.array([u]), np)[0] == v
 
 
+def mp_ohmic_residual(model, tau_tilde, n_eff):
+    """t -> the Ohmic stationarity residual at the working mpmath precision; coth x - 1/x
+    takes its series x/3 - x^3/45 + 2 x^5/945 below x = 1e-12, where the difference
+    cancels."""
+    a, w = mpmath.mpf(model.alpha), mpmath.mpf(model.omega_c)
+    k, tt = mpmath.pi / mpmath.mpf(model.beta), mpmath.mpf(tau_tilde)
+
+    def residual(t):
+        wt, x = w * t, k * t
+        dlog_sinhc = x / 3 - x**3 / 45 + 2 * x**5 / 945 if x < 1e-12 else mpmath.coth(x) - 1 / x
+        dgamma = a * w * wt / (1 + wt * wt) + a * k * dlog_sinhc
+        return 2 * n_eff * t * dgamma - 1 - tt / (tt + t)
+
+    return residual
+
+
 class TestNumeric:
     def test_matches_markov_closed_form(self):
         closed = tau_opt_markov(1.0, 0.3, 4)
@@ -299,7 +317,7 @@ class TestNumeric:
         # (the numeric root takes Gamma' and tau Gamma'' from one function of every law)
         monkeypatch.setattr("ghzgain.opttime._exponent_slopes",
                             lambda model, tau, xp=math: (0.0, 0.0))
-        with pytest.raises(DivergenceError, match="2\\^60 coherence times"):
+        with pytest.raises(DivergenceError, match="2\\^60 times its first upper end"):
             tau_opt_numeric(BathModel.ohmic(0.05, 20.0, 0.5), 0.1, 1)
 
     @pytest.mark.parametrize("alpha, omega_c, beta", [(0.05, 20.0, 0.5), (0.1, 100.0, 10.0),
@@ -310,16 +328,54 @@ class TestNumeric:
         tau_tilde = x * coherence_time(model)
         opt = tau_opt_numeric(model, tau_tilde, n_eff)
         with mpmath.workdps(50):
-            a, w, k = mpmath.mpf(alpha), mpmath.mpf(omega_c), mpmath.pi / mpmath.mpf(beta)
-
-            def residual(t):
-                wt, kt = w * t, k * t
-                dgamma = a * w * wt / (1 + wt * wt) + a * k * (mpmath.coth(kt) - 1 / kt)
-                return 2 * n_eff * t * dgamma - 1 - tau_tilde / (tau_tilde + t)
-
-            root = mpmath.findroot(residual, (opt.tau_opt / 2, 2 * opt.tau_opt),
-                                   solver="anderson")
+            root = mpmath.findroot(mp_ohmic_residual(model, tau_tilde, n_eff),
+                                   (opt.tau_opt / 2, 2 * opt.tau_opt), solver="anderson")
             assert abs(opt.tau_opt - root) <= 1e-14 * root
+
+    def test_the_ohmic_optimum_needs_no_coherence_time(self, monkeypatch):
+        model = BathModel.ohmic(0.05, 20.0, 0.5)
+        keys = np.array([0.0, 0.1, 3.0]), np.array([1.0, 10.0, 1000.0])
+
+        def answers():
+            return (optimal_sensing_time(model, 0.1, 10), tau_opt_numeric(model, 0.1, 10),
+                    gain(model, 10, 0.1, 0.02), precision_opt(model, 10, "ghz", 0.1, 100.0),
+                    [a.tolist() for a in opttime._optimal_sensing_times(model, *keys)])
+
+        def no_coherence_time(model):
+            raise SolverError("coherence_time was asked for")
+
+        expected = answers()
+        for name in ("bath", "opttime", "gain"):
+            monkeypatch.setattr(importlib.import_module(f"ghzgain.{name}"), "coherence_time",
+                                no_coherence_time)
+        assert answers() == expected
+
+    # baths whose t_c search fails, with no float root or stalled far above t_c, but whose
+    # optimum exists; the first is the installed-script bath of CI, whose optimum is the
+    # non-Markovian limit (1/sqrt 2)/sqrt(alpha/2) = 1e-42
+    @pytest.mark.parametrize("alpha, omega_c, beta, tau_tilde, n_eff", [
+        (1e84, 1.0, 1e97, 1e-5, 24),
+        (3.389517684119471e+254, 3.5150479151577314e-18, 1.8001360170499895e+116,
+         2.1104986182318358e-236, 4),
+        (2.6015057467046815e-97, 49785440517566.06, 5.42044087270669e-171,
+         2.643389807454072e-240, 1),
+        (1.4780387888364629e+121, 7.217262958119634e-27, 4.370068614685903e+238,
+         1.2880206189375592e+201, 208),
+        (4.753082095594351e-145, 3.3458197570572135e-47, 1.786505887765638e-123,
+         4.592309365766074e+90, 536894),
+        (2.1960849842246965e-153, 2.1375735900481425e+59, 3.322662486647167e-39,
+         6.940287201802559e-162, 2)])
+    def test_ohmic_optimum_where_coherence_time_raises_matches_mpmath(
+            self, alpha, omega_c, beta, tau_tilde, n_eff):
+        model = BathModel.ohmic(alpha, omega_c, beta)
+        with pytest.raises(SolverError):
+            coherence_time.__wrapped__(model)
+        tau = mpmath.mpf(tau_opt_numeric(model, tau_tilde, n_eff).tau_opt)
+        with mpmath.workdps(50):
+            residual = mp_ohmic_residual(model, tau_tilde, n_eff)
+            # the residual changes sign within 1e-12 of tau: a root lies there
+            assert residual(tau * (1 - mpmath.mpf(1e-12))) < 0 < residual(
+                tau * (1 + mpmath.mpf(1e-12)))
 
     def test_ohmic_solve_takes_few_residual_evaluations(self, monkeypatch):
         # each evaluation of the residual and its slope is one call of Gamma' and tau Gamma''
@@ -553,17 +609,12 @@ def test_ohmic_bracket_trial_is_the_markov_limit_root(tau_tilde):
 def extreme_keys(rng, models, keys):
     """(model, tau_tilde, n) for each of `models` baths of every kind, parameters
     log-uniform in 1e-300..1e300, with `keys` overheads each, 0 or log-uniform up to
-    1e308, and counts log-uniform in 1..2^60; a model whose coherence_time raises
-    is skipped."""
+    1e308, and counts log-uniform in 1..2^60."""
     factories = {BathModel.isolated: 1, BathModel.markovian: 1, BathModel.nonmarkovian: 1,
                  BathModel.ohmic: 3}
     for factory, count in factories.items():
         for _ in range(models):
             model = factory(*(10.0 ** rng.uniform(-300.0, 300.0, count)).tolist())
-            try:
-                coherence_time(model)
-            except GhzGainError:
-                continue
             tau_tilde = np.where(rng.random(keys) < 0.1, 0.0,
                                  10.0 ** rng.uniform(-300.0, math.log10(1e308), keys))
             yield model, tau_tilde, np.round(2.0 ** rng.uniform(0.0, 60.0, keys))
