@@ -209,25 +209,28 @@ _WHERE = {math: lambda cond, a, b: a if cond else b, np: np.where}
 
 def _newton_root(f, lo, hi, cap, xp=math):
     """(x, f(x)) at a root of f above lo >= 0, at floats (xp = math) or elementwise over
-    arrays.  f(t) returns (f(t), f'(t)), and f(lo) comes first; where f(lo) > 0 the bracket
-    is [0, lo], whose upper end keeps f(lo).  hi doubles, clamped at cap, and lo moves to
-    it, while f(hi) < 0 and hi < cap; x is NaN where f(hi) is then not >= 0.  Newton's steps
-    (rtsafe, Numerical Recipes 3rd ed., 9.4) start at the end with the smaller |f|, the upper
-    one on a tie; a step not strictly inside (lo, hi), or a slope of 0, inf or NaN, bisects
-    at sqrt(lo hi) (hi/2 while lo = 0), and each point replaces the end of its sign.  x is
-    the first point where f = 0 or whose next step or half-bracket is <= 4 eps x; without
-    one in _NEWTON_MAX_ITER evaluations, floats raise SolverError and arrays give NaN (a
-    converged element stands still meanwhile)."""
-    where = _WHERE[xp]
+    arrays, with every bracket in log space.  f(t) returns (f(t), f'(t)); f at lo, floored at
+    ulp(0), comes first, and where it is > 0 the bracket is [ulp(0), lo], keeping f(lo) at hi.
+    While f(hi) < 0 and hi < cap, lo moves to hi and hi/lo squares (2, 4, 16, ...), clamped
+    at cap; x is NaN where f(hi) is then not >= 0.  Newton's steps (rtsafe, Numerical Recipes
+    3rd ed., 9.4) start at the end with the smaller |f|, the upper one on a tie; a step not
+    strictly inside (lo, hi), or a slope of 0, inf or NaN, bisects at sqrt(lo hi), and each
+    point replaces the end of its sign.  x is the first point where f = 0 or whose next step
+    or half-bracket is <= 4 eps x: from [1, 2], within 69 evaluations for a root anywhere
+    from ulp(0) to cap = max/4 (9 growths, then halvings of ln(hi/lo)).  Without one in
+    _NEWTON_MAX_ITER, floats raise SolverError, and arrays give NaN where not converged."""
+    where, tiny = _WHERE[xp], math.ulp(0.0)
+    lo = where(lo < tiny, tiny, lo)
     f_lo = f(lo)
     above = f_lo[0] > 0.0
-    lo, hi = where(above, 0.0, lo), where(above, lo, hi)
+    lo, hi = where(above, tiny, lo), where(above, lo, hi)
     f_hi = f_lo if (above if xp is math else above.all()) else f(hi)
     while True:
         grow = (f_hi[0] < 0.0) & (hi < cap)
         if not (grow if xp is math else grow.any()):
             break
-        lo, hi = where(grow, hi, lo), where(grow, where(2.0 * hi < cap, 2.0 * hi, cap), hi)
+        up = hi / lo * (hi / lo) * hi  # overflows to inf, which the clamp takes to cap
+        lo, hi = where(grow, hi, lo), where(grow, where(up < cap, up, cap), hi)
         f_lo = where(grow, f_hi[0], f_lo[0]), where(grow, f_hi[1], f_lo[1])
         f_hi = f(hi)
     bracketed, start = f_hi[0] >= 0.0, abs(f_lo[0]) < abs(f_hi[0])
@@ -238,10 +241,10 @@ def _newton_root(f, lo, hi, cap, xp=math):
     for _ in range(_NEWTON_MAX_ITER):
         # a slope of 0, inf or NaN gives a NaN step before anything divides by 0
         step = -fx / where((0.0 < abs(dfx)) & (abs(dfx) < math.inf), dfx, math.nan)
-        mid = where(lo > 0.0, xp.sqrt(lo) * xp.sqrt(hi), 0.5 * hi)
+        mid = xp.sqrt(lo) * xp.sqrt(hi)
         new = where((lo < x + step) & (x + step < hi), x + step, mid)
         # ulp(0.0): the tolerance is never 0 at an underflowing root
-        near = 4.0 * sys.float_info.epsilon * x + math.ulp(0.0)
+        near = 4.0 * sys.float_info.epsilon * x + tiny
         done = (fx == 0.0) | (abs(step) <= near) | (abs(mid - x) <= near)
         if done if xp is math else done.all():
             return where(bracketed, x, math.nan), fx
@@ -285,9 +288,9 @@ def coherence_time(model: BathModel) -> float:
     Isolated models return the configured t_c; the two limiting laws give 1/gamma
     (SolverError where it overflows) and 1/sqrt(eta).  For the full Ohmic law the
     convention used here is the time at which Gamma first reaches 1 (the two limits of
-    that convention recover 1/gamma and 1/sqrt(eta)), located by _newton_root on
-    Gamma - 1 with slope Gamma' to a relative step of 4 eps, and accepted only where
-    |Gamma(t_c) - 1| <= 1e-12 at a normal float t_c (else SolverError); cached, since
+    that convention recover 1/gamma and 1/sqrt(eta)): _newton_root on Gamma - 1 with slope
+    Gamma' from [1e-12 beta, 1e12 beta], up to a quarter of the largest float, accepted only
+    where |Gamma(t_c) - 1| <= 1e-12 at a normal float t_c (else SolverError); cached, since
     repeated calls on one model ask for it again (each threshold; `cutoff`, twice).
     """
     if model.kind is BathKind.ISOLATED:
@@ -301,12 +304,10 @@ def coherence_time(model: BathModel) -> float:
         return _decay_exponent(model, t) - 1.0, _exponent_slopes(model, t)[0]
 
     end = 0.25 * sys.float_info.max  # the bracket ends where pi tau is finite
-    hi = min(1e12 * model.beta, end)
-    cap = min(2.0 ** 199 * hi, end)
-    t_c, g = _newton_root(f, 1e-12 * model.beta, hi, cap)
-    if not (abs(g) <= 1e-12 and t_c >= sys.float_info.min):  # NaN: no root up to cap
+    t_c, g = _newton_root(f, 1e-12 * model.beta, min(1e12 * model.beta, end), end)
+    if not (abs(g) <= 1e-12 and t_c >= sys.float_info.min):  # NaN: no root up to end
         raise SolverError(f"Ohmic decay exponent never reaches 1 within 1e-12 at a normal "
-                          f"float time up to {cap!r} for {model.to_dict()}")
+                          f"float time up to {end!r} for {model.to_dict()}")
     return t_c
 
 

@@ -198,7 +198,7 @@ def _ohmic_bracket(model: BathModel, tau_tilde, n_eff, xp=math):
     sqrt(1 + tau_tilde/(tau_tilde + t/sqrt 2)) <= t/sqrt 2.  So lo = tau0, and up is the
     larger of 2 tau0 and _markov_root's optimum of the Markov limit gamma = alpha pi/beta;
     where rounding, or eta0 past 1e300, leaves the residual at tau0 > 0, _newton_root
-    takes [0, tau0] instead."""
+    takes [ulp(0), tau0] instead."""
     k = math.pi / model.beta
     eta0 = model.alpha * (0.5 * model.omega_c * model.omega_c + k * k / 6.0)
     t = 1.0 / (xp.sqrt(n_eff) * math.sqrt(min(max(eta0, 1e-300), 1e300)))  # tau0 > 0
@@ -213,11 +213,10 @@ def tau_opt_numeric(model: BathModel, tau_tilde: float, n_eff: int) -> OptimalTi
     The stationarity residual equals -tau d ln(rate)/d tau: negative while the rate
     rises, positive once it falls, with the limit -1 - [tau_tilde > 0] as tau -> 0 (at
     tau_tilde = 0 it is 0/0 there, so tau = 0 is never evaluated).  The bracket starts
-    as [t_c, 2 t_c], or as _ohmic_bracket seeds it for the Ohmic law, which needs no t_c.
-    Its upper end doubles, clamped at 2^60 times its first value, while the residual there
-    is negative, each becoming the lower end (DivergenceError where it stays negative);
-    Newton's steps on the residual, with the slope from Gamma' and tau Gamma'' and kept
-    inside the bracket, then stop once a step is at most 4 eps tau (bath._newton_root).
+    as [t_c, 2 t_c], or as _ohmic_bracket seeds it for the Ohmic law, which needs no t_c;
+    bath._newton_root grows it in log space up to 2^60 times its first upper end
+    (DivergenceError where the residual is still negative there) and takes Newton's steps
+    on the residual, with the slope from Gamma' and tau Gamma'', to 4 eps tau.
     """
     if model.kind is BathKind.ISOLATED:
         raise UnsupportedModelError(

@@ -322,17 +322,26 @@ class TestCoherenceTime:
 
     # each bath's Newton root was once returned as t_c: the last doubling of the bracket
     # passed its end, so pi tau overflowed (Gamma = 6e-188); the true root underflows (Gamma =
-    # 3,520 at the smallest subnormal); (omega_c tau)^2 overflowed (Gamma = 2.2e-120)
+    # 3,520 at the smallest subnormal), and 1e-12 beta underflows to 0, which the root finder
+    # floors at the smallest subnormal
     @pytest.mark.parametrize("alpha, omega_c, beta", [
-        (1e-200, 1e-300, 3e295), (1e3, 1.0, 5e-324),
-        (6.254697535355251e-190, 13969582.44394353, 8.504173854606198e77)])
+        (1e-200, 1e-300, 3e295), (1e3, 1.0, 5e-324)])
     def test_a_root_that_misses_gamma_1_raises(self, alpha, omega_c, beta):
         with pytest.raises(SolverError, match="never reaches 1"):
             coherence_time.__wrapped__(BathModel.ohmic(alpha, omega_c, beta))
 
+    def test_a_root_far_above_the_first_bracket_is_found(self):
+        # doubling the bracket up to 2^199 * 1e12 beta once returned a point where (omega_c
+        # tau)^2 overflowed (Gamma = 2.2e-120); squaring hi/lo reaches the root at 4.3e266
+        alpha, omega_c, beta = 6.254697535355251e-190, 13969582.44394353, 8.504173854606198e77
+        t_c = coherence_time.__wrapped__(BathModel.ohmic(alpha, omega_c, beta))
+        assert 4e266 < t_c < 5e266
+        with mpmath.workdps(60):
+            assert abs(mp_ohmic_exponent(alpha, omega_c, beta, t_c) - 1) <= 1e-15
+
     @pytest.mark.parametrize("alpha, omega_c, beta", [(1.0, 1e15, 1.0), (0.3, 1e20, 1e-3)])
     def test_a_root_below_the_bracket_is_found(self, alpha, omega_c, beta):
-        # Gamma(1e-12 beta) > 1: the search takes [0, 1e-12 beta]
+        # Gamma(1e-12 beta) > 1: the search takes [ulp(0), 1e-12 beta]
         model = BathModel.ohmic(alpha, omega_c, beta)
         assert decay_exponent(model, 1e-12 * beta) > 1.0
         t_c = coherence_time.__wrapped__(model)
@@ -353,7 +362,7 @@ class TestCoherenceTime:
             with mpmath.workdps(60):
                 assert abs(mp_ohmic_exponent(alpha, omega_c, beta, t_c) - 1) <= 1e-13
             found += 1
-        assert found >= 150
+        assert found >= 800
 
 
 class TestOhmicLimitRates:
@@ -481,7 +490,8 @@ def test_exponent_nondecreasing_up_to_ten_coherence_times(model):
 
 
 class TestNewtonRoot:
-    # cubics x^3 + c x - 1 with one root in each bracket; numpy and math agree on them
+    # cubics x^3 + c x - 1 with one root in each bracket; numpy and math agree on them.  A
+    # lower end of 0 is floored at ulp(0), so those cases bisect from 5e-324 in log space
     CASES = [(c, lo, 2.0) for c in (0.1, 0.5, 1.0, 3.0, 7.0) for lo in (0.0, 0.125)]
 
     @staticmethod
@@ -519,42 +529,63 @@ class TestNewtonRoot:
             g = self.cubic(case[0])
             assert x[i] == self.solve(g, *case[1:])[0]
             # a converged element stands still: its points are the scalar ones, then repeats;
-            # both forms evaluate f at the lower end first, lo = 0 included
+            # both forms evaluate f at the floored lower end first
             points = [float(xs[i]) for xs in f.xs]
             assert points[:len(g.xs)] == g.xs and set(points[len(g.xs):]) <= {x[i]}
 
     def test_a_zero_end_is_the_root(self):
         f = self.cubic(0.0)  # root 1, at the lower end of [1, 3] and the upper end of [0, 1]
         assert self.solve(f, 1.0, 3.0) == (1.0, 0.0) and f.xs == [1.0, 3.0]
-        assert self.solve(f, 0.0, 1.0) == (1.0, 0.0) and f.xs == [0.0, 1.0]
+        assert self.solve(f, 0.0, 1.0) == (1.0, 0.0) and f.xs == [math.ulp(0.0), 1.0]
         x, fx = self.solve(f, np.array([1.0, 0.0]), np.array([3.0, 1.0]), np)
         assert x.tolist() == [1.0, 1.0] and fx.tolist() == [0.0, 0.0] and len(f.xs) == 2
 
-    def test_the_upper_end_doubles_up_to_the_cap(self):
-        f = self.cubic(1.0)  # root 0.68, above [0, 0.125]: the upper end doubles to 1
-        x, fx = self.solve(f, 0.0, 0.125, cap=1.0)
-        assert f.xs[:5] == [0.0, 0.125, 0.25, 0.5, 1.0]
+    # the upper ends from [2^-16, 2^-15] while f < 0 there: hi/lo goes 2, 4, 16, 256, and the
+    # next, 65536, would take hi from 0.5 to 2^15
+    GROWTH = [2.0**-16, 2.0**-15, 2.0**-13, 2.0**-9, 0.5]
+
+    def test_the_upper_end_squares_its_ratio_up_to_the_cap(self):
+        f = self.cubic(1.0)  # root 0.68: the upper end 2^15 is clamped at the cap 1
+        x, fx = self.solve(f, 2.0**-16, 2.0**-15, cap=1.0)
+        assert f.xs[:6] == self.GROWTH + [1.0]
         assert abs(x - self.exact_root(1.0)) <= 1e-15
         # the cap stops it at 0.5, where f < 0: no root, NaN in both forms
-        assert math.isnan(self.solve(f, 0.0, 0.125, cap=0.5)[0])
-        assert f.xs == [0.0, 0.125, 0.25, 0.5]
-        x = self.solve(f, np.array([0.0, 0.0]), np.array([0.125, 0.125]), np,
+        assert math.isnan(self.solve(f, 2.0**-16, 2.0**-15, cap=0.5)[0])
+        assert f.xs == self.GROWTH
+        x = self.solve(f, np.full(2, 2.0**-16), np.full(2, 2.0**-15), np,
                        np.array([1.0, 0.5]))[0]
-        assert x[0] == self.solve(f, 0.0, 0.125, cap=1.0)[0] and math.isnan(x[1])
+        assert x[0] == self.solve(f, 2.0**-16, 2.0**-15, cap=1.0)[0] and math.isnan(x[1])
 
     @pytest.mark.parametrize("cap, found", [(0.75, True), (0.6, False)])
-    def test_the_upper_end_stops_at_a_cap_between_doublings(self, cap, found):
-        f = self.cubic(1.0)  # root 0.68: f(0.75) > 0 > f(0.6); doubling 0.125 gives 0.5, 1
-        x = self.solve(f, 0.0, 0.125, cap=cap)[0]
-        assert f.xs[:5] == [0.0, 0.125, 0.25, 0.5, cap] and max(f.xs) == cap
+    def test_the_upper_end_stops_at_a_cap_between_growth_steps(self, cap, found):
+        f = self.cubic(1.0)  # root 0.68: f(0.75) > 0 > f(0.6), both between 0.5 and 2^15
+        x = self.solve(f, 2.0**-16, 2.0**-15, cap=cap)[0]
+        assert f.xs[:6] == self.GROWTH + [cap] and max(f.xs) == cap
         assert abs(x - self.exact_root(1.0)) <= 1e-15 if found else math.isnan(x)
-        xs = self.solve(f, np.zeros(2), np.full(2, 0.125), np, np.array([cap, 1.0]))[0]
+        xs = self.solve(f, np.full(2, 2.0**-16), np.full(2, 2.0**-15), np,
+                        np.array([cap, 1.0]))[0]
         assert xs[0] == x or math.isnan(xs[0]) and math.isnan(x)
+
+    def test_a_root_anywhere_in_the_float_range_takes_bounded_work(self):
+        # roots of t/root - 1 log-uniform over the normal floats up to the cap, each from
+        # [1, 2]: at most 11 evaluations reach the root's bracket, then each bisection halves
+        # ln(hi/lo), at most 1074 ln 2, towards 8 eps; Newton's steps with the true slope
+        # land on the root at once
+        cap = 0.25 * sys.float_info.max
+        rng = np.random.default_rng(20261022)
+        for root in (2.0 ** rng.uniform(-1022.0, math.log2(cap), 400)).tolist():
+            for slope, most in ((0.0, 70), (1.0 / root, 12)):
+                def f(t):
+                    f.xs.append(t)
+                    return t / root - 1.0, slope
+                f.xs = []
+                x = self.solve(f, 1.0, 2.0, cap=cap)[0]
+                assert abs(x - root) <= 8 * sys.float_info.epsilon * root and len(f.xs) <= most
 
     @pytest.mark.parametrize("xp", [math, np])
     def test_a_positive_lower_end_brackets_from_zero(self, xp):
-        # f(0.9) > 0: the root 0.68 lies below lo, and the bracket is [0, 0.9], whose upper
-        # end keeps f(0.9): f is evaluated there once
+        # f(0.9) > 0: the root 0.68 lies below lo, and the bracket is [ulp(0), 0.9], whose
+        # upper end keeps f(0.9): f is evaluated there once
         f = self.cubic(1.0)
         lo, hi = (0.9, 2.0) if xp is math else (np.array([0.9]), np.array([2.0]))
         x = np.ravel(self.solve(f, lo, hi, xp, cap=4.0)[0])[0]

@@ -109,8 +109,9 @@ class TestTauOptCommand:
 
     def test_ohmic_optimum_where_t_c_does_not_converge(self, capsys):
         # t_c ~ sqrt(2/alpha) = 1.4e-42 lies far below its search's first lower end, 1e-12
-        # beta, and the search stalls; the optimum is the non-Markovian limit
-        # (1/sqrt 2)/sqrt(alpha/2) = 1e-42, where the overhead dwarfs the block time
+        # beta, where halving the bracket once stalled (TestBathCommand); the optimum never
+        # asks for t_c and is the non-Markovian limit (1/sqrt 2)/sqrt(alpha/2) = 1e-42, where
+        # the overhead dwarfs the block time
         code, out, _ = run(capsys, "tau-opt", "--model", "ohmic", "--alpha", "1e84",
                            "--omega-c", "1", "--beta", "1e97", "--n", "24", "--ttilde", "1e-5")
         assert code == 0
@@ -162,6 +163,15 @@ class TestBathCommand:
         assert (code, out) == (4, "")
         assert "never reaches 1" in err
 
+    def test_ohmic_t_c_far_below_the_first_bracket(self, capsys):
+        # Gamma(1e-12 beta) = 2e86 > 1, so the bracket is [ulp(0), 1e85]: halving it went no
+        # lower than 7.9e54 in 100 evaluations (exit 4); bisecting ln t reaches t_c ~ sqrt(2/
+        # alpha), the non-Markovian limit
+        code, out, err = run(capsys, "bath", "--model", "ohmic", "--alpha", "1e84",
+                             "--omega-c", "1", "--beta", "1e97", "--tau", "1")
+        assert (code, err) == (0, "")
+        assert parse_lines(out)["t_c"] == "1.41421356237e-42"
+
     def test_ohmic_exponent_where_2x_overflows(self, capsys):
         # x = pi tau/beta is past half the largest float, so 2x is not finite
         code, out, err = run(capsys, "bath", "--model", "ohmic", "--alpha", "0.1",
@@ -179,6 +189,17 @@ class TestThresholdCommand:
         assert float(parse_lines(out)["ttilde_ent_threshold"]) == pytest.approx(
             expected, rel=1e-9
         )
+
+    def test_ohmic_threshold_where_t_c_lies_far_below_the_first_bracket(self, capsys):
+        # the threshold caps its search in units of t_c, whose search once stalled on this
+        # bath (TestBathCommand); it is the non-Markovian limit's, eta = alpha omega_c^2/2
+        code, out, err = run(capsys, "threshold", "--model", "ohmic", "--alpha", "1e84",
+                             "--omega-c", "1", "--beta", "1e97", "--n", "24",
+                             "--ttilde-sep", "1e-44")
+        assert (code, err) == (0, "")
+        expected = threshold_ent_time(BathModel.nonmarkovian(5e83), 24, 1e-44)
+        assert float(parse_lines(out)["ttilde_ent_threshold"]) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_solver_failure_exits_4(self, capsys, monkeypatch):
         import ghzgain.cli as cli_module

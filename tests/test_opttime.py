@@ -263,6 +263,10 @@ def test_nonmarkov_root_is_within_an_ulp_and_the_same_over_arrays(u):
     assert opttime._nonmarkov_root(np.array([u]), np)[0] == v
 
 
+def no_coherence_time(model):
+    raise SolverError("coherence_time was asked for")
+
+
 def mp_ohmic_residual(model, tau_tilde, n_eff):
     """t -> the Ohmic stationarity residual at the working mpmath precision; coth x - 1/x
     takes its series x/3 - x^3/45 + 2 x^5/945 below x = 1e-12, where the difference
@@ -341,18 +345,16 @@ class TestNumeric:
                     gain(model, 10, 0.1, 0.02), precision_opt(model, 10, "ghz", 0.1, 100.0),
                     [a.tolist() for a in opttime._optimal_sensing_times(model, *keys)])
 
-        def no_coherence_time(model):
-            raise SolverError("coherence_time was asked for")
-
         expected = answers()
         for name in ("bath", "opttime", "gain"):
             monkeypatch.setattr(importlib.import_module(f"ghzgain.{name}"), "coherence_time",
                                 no_coherence_time)
         assert answers() == expected
 
-    # baths whose t_c search fails, with no float root or stalled far above t_c, but whose
-    # optimum exists; the first is the installed-script bath of CI, whose optimum is the
-    # non-Markovian limit (1/sqrt 2)/sqrt(alpha/2) = 1e-42
+    # baths whose t_c search failed while it grew its bracket by doubling (no float root
+    # found, or a stall far above t_c), but whose optimum exists; the first is the
+    # installed-script bath of CI, whose optimum is the non-Markovian limit (1/sqrt 2)/sqrt(
+    # alpha/2) = 1e-42.  coherence_time is made to raise: the optimum never asks for it
     @pytest.mark.parametrize("alpha, omega_c, beta, tau_tilde, n_eff", [
         (1e84, 1.0, 1e97, 1e-5, 24),
         (3.389517684119471e+254, 3.5150479151577314e-18, 1.8001360170499895e+116,
@@ -366,10 +368,9 @@ class TestNumeric:
         (2.1960849842246965e-153, 2.1375735900481425e+59, 3.322662486647167e-39,
          6.940287201802559e-162, 2)])
     def test_ohmic_optimum_where_coherence_time_raises_matches_mpmath(
-            self, alpha, omega_c, beta, tau_tilde, n_eff):
+            self, alpha, omega_c, beta, tau_tilde, n_eff, monkeypatch):
+        monkeypatch.setattr(opttime, "coherence_time", no_coherence_time)
         model = BathModel.ohmic(alpha, omega_c, beta)
-        with pytest.raises(SolverError):
-            coherence_time.__wrapped__(model)
         tau = mpmath.mpf(tau_opt_numeric(model, tau_tilde, n_eff).tau_opt)
         with mpmath.workdps(50):
             residual = mp_ohmic_residual(model, tau_tilde, n_eff)
